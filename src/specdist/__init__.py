@@ -4,15 +4,15 @@ Windowed periodogram spectra, spectral entropy, Jensen-Shannon and
 Kullback-Leibler spectral distances, a tick-data ingestion layer, and a
 threshold agent-based market simulator, glued together by a sliding-window
 pipeline and a CLI.
+
+The names exported here are the ones the README's Library section uses;
+everything else is reached through its submodule.
 """
 
 from .distances import (
-    DistanceReport,
     MetricSeries,
-    SpectrumEnsemble,
     WeightVector,
     cross_correlation,
-    fit_affine,
     fit_proportionality,
     js_spectral_divergence,
     kl_matrix,
@@ -20,44 +20,11 @@ from .distances import (
     mean_kl,
 )
 from .errors import SpecdistError
-from .ingest import (
-    MarketSeries,
-    ResampleGrid,
-    TickRecord,
-    best_rates,
-    build_panel,
-    market_series,
-    parse_ticks,
-    quotation_frequency,
-    read_panel_csv,
-    read_ticks,
-    write_panel_csv,
-)
-from .pipeline import (
-    AnalysisConfig,
-    AnalysisResult,
-    analyze,
-    compare_metric_series,
-    entropy_sweep,
-    read_metrics_csv,
-    write_metrics_csv,
-)
-from .simulator import (
-    AgentParams,
-    MarketState,
-    SimConfig,
-    decide,
-    init_population,
-    parameter_entropy,
-    perceive,
-    run_simulation,
-    step_market,
-)
+from .pipeline import AnalysisConfig, AnalysisResult, analyze, compare_metric_series
+from .simulator import SimConfig, run_simulation
 from .spectra import (
     NormalizedSpectrum,
-    PowerSpectrum,
     SignalPanel,
-    WindowSpec,
     hanning_window,
     mode_frequency,
     normalize_spectrum,
@@ -68,52 +35,26 @@ from .spectra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentParams",
     "AnalysisConfig",
     "AnalysisResult",
-    "DistanceReport",
-    "MarketSeries",
-    "MarketState",
     "MetricSeries",
     "NormalizedSpectrum",
-    "PowerSpectrum",
-    "ResampleGrid",
     "SignalPanel",
     "SimConfig",
     "SpecdistError",
-    "SpectrumEnsemble",
-    "TickRecord",
     "WeightVector",
-    "WindowSpec",
     "analyze",
-    "best_rates",
-    "build_panel",
     "compare_metric_series",
     "cross_correlation",
-    "decide",
-    "entropy_sweep",
-    "fit_affine",
     "fit_proportionality",
     "hanning_window",
-    "init_population",
     "js_spectral_divergence",
     "kl_matrix",
     "kl_spectral_distance",
-    "market_series",
     "mean_kl",
     "mode_frequency",
     "normalize_spectrum",
-    "parameter_entropy",
-    "parse_ticks",
-    "perceive",
     "periodogram",
-    "quotation_frequency",
-    "read_metrics_csv",
-    "read_panel_csv",
-    "read_ticks",
     "run_simulation",
     "spectral_entropy",
-    "step_market",
-    "write_metrics_csv",
-    "write_panel_csv",
 ]

@@ -220,6 +220,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Command-line argument -> SimConfig field, for `simulate` and `sweep`
+# (each parser defines a subset; absent or unset arguments are skipped).
 _SIM_OVERRIDES = {
     "seed": "seed",
     "steps": "horizon",
@@ -231,22 +233,20 @@ _SIM_OVERRIDES = {
     "sigma_xi": "sigma_xi",
     "sigma_s": "sigma_s",
     "resample_params": "resample_params",
+    "theta_buy": "theta_buy_range",
+    "theta_sell": "theta_sell_range",
+    "a_range": "a_range",
 }
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
-    cfg = load_sim_config(args.config) if args.config else SimConfig()
+    config_file = getattr(args, "config", None)
+    cfg = load_sim_config(config_file) if config_file else SimConfig()
     overrides = {}
     for arg_name, field_name in _SIM_OVERRIDES.items():
         value = getattr(args, arg_name, None)
         if value is not None:
-            overrides[field_name] = value
-    if getattr(args, "theta_buy", None) is not None:
-        overrides["theta_buy_range"] = tuple(args.theta_buy)
-    if getattr(args, "theta_sell", None) is not None:
-        overrides["theta_sell_range"] = tuple(args.theta_sell)
-    if getattr(args, "a_range", None) is not None:
-        overrides["a_range"] = tuple(args.a_range)
+            overrides[field_name] = tuple(value) if isinstance(value, list) else value
     return replace(cfg, **overrides)
 
 
@@ -289,19 +289,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"bad --ha list: {exc}") from None
     if not h_a_values:
         raise ConfigurationError("--ha needs at least one value")
-    base = SimConfig()
-    overrides = {}
-    for arg_name, field_name in (
-        ("seed", "seed"),
-        ("steps", "horizon"),
-        ("agents", "n_agents"),
-        ("commodities", "n_commodities"),
-        ("gamma", "gamma"),
-    ):
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field_name] = value
-    base = replace(base, **overrides)
+    base = _sim_config(args)
     analysis = pipeline.AnalysisConfig(width=args.window, stride=args.stride)
     points = pipeline.entropy_sweep(
         h_a_values, base, analysis, seeds=args.seeds, center=args.center

@@ -11,6 +11,7 @@ values are in nats.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     DimensionError,
     UndefinedCorrelationError,
 )
-from .spectra import NormalizedSpectrum, spectral_entropy
+from .spectra import NormalizedSpectrum, entropies
 
 # Default clamp applied to both arguments of a KL distance before
 # renormalizing.  Keeps distances finite on spectra with empty bins while
@@ -59,44 +60,7 @@ class WeightVector:
 
     def entropy(self) -> float:
         """Shannon entropy of the weights; an upper bound for the JS divergence."""
-        w = self.weights
-        return float(-(w * np.log(w)).sum() + 0.0)
-
-
-@dataclass(frozen=True)
-class SpectrumEnsemble:
-    """Two or more normalized spectra on an identical frequency grid."""
-
-    spectra: tuple[NormalizedSpectrum, ...]
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        spectra = tuple(self.spectra)
-        if len(spectra) < 2:
-            raise DimensionError("an ensemble needs at least two spectra")
-        first = spectra[0]
-        for s in spectra[1:]:
-            _check_same_grid(first, s)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != len(spectra):
-                raise DimensionError(
-                    f"expected {len(spectra)} labels, got {len(labels)}"
-                )
-            object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "spectra", spectra)
-
-    @property
-    def size(self) -> int:
-        return len(self.spectra)
-
-    @property
-    def dt(self) -> float:
-        return self.spectra[0].dt
-
-    def prob_matrix(self) -> np.ndarray:
-        """Stack the member distributions into an (M, N-1) array."""
-        return np.vstack([s.probs for s in self.spectra])
+        return float(entropies(self.weights))
 
 
 @dataclass(frozen=True)
@@ -124,36 +88,6 @@ class MetricSeries:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    """Per-window similarity summary for an M-channel ensemble."""
-
-    window_start: int
-    js: float
-    kl_matrix: np.ndarray
-    mean_kl: float
-    entropies: np.ndarray
-    modes: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.kl_matrix, dtype=np.float64)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise DimensionError("KL matrix must be square")
-        if self.js < 0:
-            raise ValueError(f"JS divergence must be nonnegative, got {self.js}")
-        if np.any(np.diag(k) != 0):
-            raise ValueError("KL matrix diagonal must be exactly zero")
-        if np.any(k < 0):
-            raise ValueError("KL matrix entries must be nonnegative")
-        if self.mean_kl < self.js - 1e-9:
-            raise ValueError(
-                f"mean KL {self.mean_kl!r} fell below JS {self.js!r}"
-            )
-        k = k.copy()
-        k.setflags(write=False)
-        object.__setattr__(self, "kl_matrix", k)
-
-
 def _check_same_grid(p: NormalizedSpectrum, q: NormalizedSpectrum) -> None:
     if p.probs.size != q.probs.size or p.dt != q.dt:
         raise DimensionError(
@@ -162,9 +96,57 @@ def _check_same_grid(p: NormalizedSpectrum, q: NormalizedSpectrum) -> None:
         )
 
 
-def _floored(p: np.ndarray, floor: float) -> np.ndarray:
-    clipped = np.clip(p, floor, None)
-    return clipped / clipped.sum()
+def _stack(spectra: Sequence[NormalizedSpectrum]) -> np.ndarray:
+    """Member distributions of an ensemble as an (M, N-1) array."""
+    spectra = tuple(spectra)
+    if len(spectra) < 2:
+        raise DimensionError("an ensemble needs at least two spectra")
+    for s in spectra[1:]:
+        _check_same_grid(spectra[0], s)
+    return np.vstack([s.probs for s in spectra])
+
+
+def js_divergences(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """JS divergence of each (M, B) ensemble in a (..., M, B) stack.
+
+    H(sum_j pi_j p_j) - sum_j pi_j H(p_j), clamped at zero against
+    rounding.
+    """
+    mixture = np.matmul(weights, probs)
+    return np.maximum(entropies(mixture) - entropies(probs) @ weights, 0.0)
+
+
+def kl_matrices(probs: np.ndarray, floor: float) -> np.ndarray:
+    """Pairwise KL distances of each (M, B) ensemble in a (..., M, B) stack.
+
+    Entry (l, m) is KL(p_l, p_m) = sum p_l*log(p_l) - sum p_l*log(p_m).
+    With floor > 0 every distribution is clamped below by `floor` and
+    renormalized first.  With floor = 0 bins where p_l = 0 contribute
+    nothing, and a bin with p_l > 0 but p_m = 0 makes the entry +inf.
+    The diagonal is exactly zero and every entry is nonnegative.
+    """
+    if floor < 0:
+        raise ValueError(f"floor must be nonnegative, got {floor}")
+    if floor > 0:
+        clipped = np.maximum(probs, floor)
+        probs = clipped / clipped.sum(axis=-1, keepdims=True)
+    live = probs > 0
+    log_p = np.log(np.where(live, probs, 1.0))
+    # Both terms go through einsum: identical members then cancel exactly.
+    self_term = np.einsum("...mb,...mb->...m", probs, log_p)
+    kl = self_term[..., None] - np.einsum("...mb,...nb->...mn", probs, log_p)
+    kl = np.maximum(kl, 0.0)
+    if not live.all():
+        kl[np.matmul(live, ~live.swapaxes(-1, -2))] = np.inf
+    diagonal = np.arange(kl.shape[-1])
+    kl[..., diagonal, diagonal] = 0.0
+    return kl
+
+
+def mean_kls(kl: np.ndarray) -> np.ndarray:
+    """Mean of all M*M entries of each KL matrix, zero diagonal included."""
+    m = kl.shape[-1]
+    return kl.sum(axis=(-2, -1)) / (m * m)
 
 
 def kl_spectral_distance(
@@ -177,58 +159,34 @@ def kl_spectral_distance(
     definition is applied literally: bins where p = 0 contribute nothing,
     and a bin with p > 0 but q = 0 makes the distance +inf.
     """
-    _check_same_grid(p, q)
-    if floor < 0:
-        raise ValueError(f"floor must be nonnegative, got {floor}")
-    if floor == 0.0:
-        pv, qv = p.probs, q.probs
-        support = pv > 0
-        if np.any(support & (qv == 0)):
-            return math.inf
-        ps = pv[support]
-        return max(0.0, float((ps * np.log(ps / qv[support])).sum()))
-    pf = _floored(p.probs, floor)
-    qf = _floored(q.probs, floor)
-    return max(0.0, float((pf * np.log(pf / qf)).sum()))
+    return float(kl_matrices(_stack((p, q)), floor)[0, 1])
 
 
 def js_spectral_divergence(
-    ensemble: SpectrumEnsemble, weights: WeightVector | None = None
+    spectra: Sequence[NormalizedSpectrum], weights: WeightVector | None = None
 ) -> float:
-    """Jensen-Shannon divergence of a spectrum ensemble, in nats.
+    """Jensen-Shannon divergence of two or more spectra, in nats.
 
     H(sum_j pi_j p_j) - sum_j pi_j H(p_j) with the entropy of the
     weighted mixture taken first.  Nonnegative, zero exactly when all
     members coincide, and bounded above by the entropy of the weights.
     Weights default to uniform.
     """
-    w = weights if weights is not None else WeightVector.uniform(ensemble.size)
-    if w.size != ensemble.size:
-        raise DimensionError(
-            f"{ensemble.size} spectra but {w.size} weights"
-        )
-    matrix = ensemble.prob_matrix()
-    mixture = NormalizedSpectrum(w.weights @ matrix, ensemble.dt)
-    member_entropy = sum(
-        float(wj) * spectral_entropy(s) for wj, s in zip(w.weights, ensemble.spectra)
-    )
-    return max(0.0, spectral_entropy(mixture) - member_entropy)
+    probs = _stack(spectra)
+    w = weights if weights is not None else WeightVector.uniform(len(probs))
+    if w.size != len(probs):
+        raise DimensionError(f"{len(probs)} spectra but {w.size} weights")
+    return float(js_divergences(probs, w.weights))
 
 
-def kl_matrix(ensemble: SpectrumEnsemble, floor: float = DEFAULT_KL_FLOOR) -> np.ndarray:
+def kl_matrix(
+    spectra: Sequence[NormalizedSpectrum], floor: float = DEFAULT_KL_FLOOR
+) -> np.ndarray:
     """All pairwise KL distances; entry (l, m) is KL(p_l, p_m).
 
     The diagonal is exactly zero.  The matrix is generally asymmetric.
     """
-    m = ensemble.size
-    out = np.zeros((m, m))
-    for l in range(m):
-        for j in range(m):
-            if j != l:
-                out[l, j] = kl_spectral_distance(
-                    ensemble.spectra[l], ensemble.spectra[j], floor
-                )
-    return out
+    return kl_matrices(_stack(spectra), floor)
 
 
 def mean_kl(matrix: np.ndarray) -> float:
@@ -236,8 +194,7 @@ def mean_kl(matrix: np.ndarray) -> float:
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    m = a.shape[0]
-    return float(a.sum() / (m * m))
+    return float(mean_kls(a))
 
 
 def cross_correlation(a: MetricSeries, b: MetricSeries) -> float:

@@ -1,11 +1,12 @@
 """Sliding-window orchestration: panels in, per-window distance metrics out.
 
-For every window start the selected channels are tapered, transformed, and
-normalized into spectra; the window then yields one row of metrics (JS,
+The selected channels of every window are tapered, transformed and
+normalized into spectra; each window then yields one row of metrics (JS,
 the KL matrix and its mean, per-channel entropies and modes).  Windows
-where any channel is constant have no spectrum and are skipped with a
-logged gap.  Metric CSVs carry a provenance line so downstream comparisons
-can refuse rows computed on different window grids.
+are scored in fixed-size chunks as (windows, channels, bins) arrays.
+Windows where any channel is constant have no spectrum and are skipped
+with a logged gap.  Metric CSVs carry a provenance line so downstream
+comparisons can refuse rows computed on different window grids.
 """
 
 from __future__ import annotations
@@ -13,45 +14,49 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distances import (
-    DistanceReport,
     MetricSeries,
-    SpectrumEnsemble,
     WeightVector,
     cross_correlation,
     fit_affine,
     fit_proportionality,
-    js_spectral_divergence,
-    kl_matrix,
-    mean_kl,
+    js_divergences,
+    kl_matrices,
+    mean_kls,
     DEFAULT_KL_FLOOR,
 )
 from .errors import (
     AlignmentError,
     AnalysisError,
-    DegenerateSpectrumError,
     FormatError,
+    InvalidWindowError,
 )
 from .ingest import format_rfc3339, log_returns, parse_rfc3339
 from .simulator import SimConfig, run_simulation
 from .spectra import (
-    NormalizedSpectrum,
     SignalPanel,
-    WindowSpec,
-    mode_frequency,
-    normalize_spectrum,
-    periodogram,
-    spectral_entropy,
+    bin_frequencies,
+    entropies,
+    mode_frequencies,
+    normalize_power,
+    power_spectra,
 )
 
 log = logging.getLogger(__name__)
 
 TRANSFORMS = ("raw", "log-return")
+
+# Samples (windows x channels x width) scored per chunk.  Keeps the
+# analysis temporaries (taper copy, complex FFT, probabilities, log terms)
+# at a few hundred kB whatever the panel length; scoring every window at
+# once would grow them with the panel.
+CHUNK_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,14 +71,17 @@ class AnalysisConfig:
     kl_floor: float = DEFAULT_KL_FLOOR
 
     def __post_init__(self):
-        if self.width < 4:
-            raise AnalysisError(f"window width must be >= 4, got {self.width}")
-        if self.stride is not None and self.stride < 1:
-            raise AnalysisError(f"stride must be >= 1, got {self.stride}")
+        if int(self.width) != self.width or self.width < 4:
+            raise InvalidWindowError(f"window width must be an integer >= 4, got {self.width}")
+        if self.stride is not None and (int(self.stride) != self.stride or self.stride < 1):
+            raise InvalidWindowError(f"stride must be an integer >= 1, got {self.stride}")
         if self.transform not in TRANSFORMS:
             raise AnalysisError(f"transform must be one of {TRANSFORMS}")
         if self.kl_floor < 0:
             raise AnalysisError(f"KL floor must be nonnegative, got {self.kl_floor}")
+        object.__setattr__(self, "width", int(self.width))
+        if self.stride is not None:
+            object.__setattr__(self, "stride", int(self.stride))
         if self.channels is not None:
             object.__setattr__(self, "channels", tuple(self.channels))
         if self.weights is not None:
@@ -102,32 +110,39 @@ class AnalysisConfig:
 
 @dataclass
 class AnalysisResult:
-    """Everything one sliding-window run produced, in window order."""
+    """Per-window metrics as arrays over the W scored windows, in window order.
 
-    reports: list[DistanceReport]
-    gaps: list[int]
+    `timestamps` are window starts in epoch seconds; `gap_times` are the
+    starts of skipped windows.  `kl` (W, M, M) is kept by `analyze` and
+    `spectra` (W, M, N-1) only with `keep_spectra`; neither is stored in
+    a metrics CSV, so results read back from one have them as None.  `dt`
+    is the panel's sampling period in minutes (None when read from CSV).
+    """
+
+    timestamps: np.ndarray
+    js: np.ndarray
+    mean_kl: np.ndarray
+    entropies: np.ndarray
+    modes: np.ndarray
     labels: tuple[str, ...]
-    width: int
-    stride: int
-    dt: float
-    t0: datetime
-    config: AnalysisConfig
-    spectra: list[tuple[int, list[NormalizedSpectrum]]] | None = None
-
-    def window_seconds(self, start: int) -> float:
-        return self.t0.timestamp() + start * self.dt * 60.0
+    provenance: dict[str, str]
+    gap_times: np.ndarray
+    kl: np.ndarray | None = None
+    spectra: np.ndarray | None = None
+    dt: float | None = None
 
     def js_series(self) -> MetricSeries:
-        return MetricSeries(
-            np.array([self.window_seconds(r.window_start) for r in self.reports]),
-            np.array([r.js for r in self.reports]),
-        )
+        return MetricSeries(self.timestamps, self.js)
 
     def mean_kl_series(self) -> MetricSeries:
-        return MetricSeries(
-            np.array([self.window_seconds(r.window_start) for r in self.reports]),
-            np.array([r.mean_kl for r in self.reports]),
-        )
+        return MetricSeries(self.timestamps, self.mean_kl)
+
+    def series(self, name: str) -> MetricSeries:
+        if name == "js":
+            return self.js_series()
+        if name == "mean_kl":
+            return self.mean_kl_series()
+        raise ValueError(f"unknown metric field {name!r}")
 
 
 def _select_channels(panel: SignalPanel, channels: tuple[str, ...] | None) -> SignalPanel:
@@ -146,14 +161,35 @@ def _transform_panel(panel: SignalPanel, transform: str) -> SignalPanel:
     return SignalPanel(values, panel.labels, panel.dt, panel.t0)
 
 
+def _score_chunk(segments: np.ndarray, weights: np.ndarray, floor: float, dt: float):
+    """Metrics of a (w, M, N) stack of windows.
+
+    Returns the masks of windows skipped for a constant channel and for
+    zero AC power, and the metric arrays of the windows left.
+    """
+    constant = np.any(segments.max(axis=-1) == segments.min(axis=-1), axis=-1)
+    probs, empty = normalize_power(power_spectra(segments))
+    silent = np.any(empty, axis=-1) & ~constant
+    # A constant window only carries taper leakage, which would fake a
+    # spectrum where the channel has no signal.
+    probs = probs[~(constant | silent)]
+    return constant, silent, {
+        "spectra": probs,
+        "js": js_divergences(probs, weights),
+        "kl": kl_matrices(probs, floor),
+        "entropies": entropies(probs),
+        "modes": mode_frequencies(probs, dt),
+    }
+
+
 def analyze(
     panel: SignalPanel, config: AnalysisConfig | None = None, keep_spectra: bool = False
 ) -> AnalysisResult:
     """Slide a window across the panel and score each position.
 
-    Returns reports in window order plus the starts of skipped
-    (degenerate) windows.  `keep_spectra=True` also retains each window's
-    normalized spectra, e.g. for debugging dumps.
+    Returns the metrics of every scored window plus the start times of
+    skipped (degenerate) windows.  `keep_spectra=True` also retains each
+    scored window's normalized spectra, e.g. for debugging dumps.
     """
     cfg = config if config is not None else AnalysisConfig()
     panel = _select_channels(panel, cfg.channels)
@@ -174,51 +210,76 @@ def analyze(
             f"{weights.size} weights for {panel.n_channels} channels"
         )
 
-    window = WindowSpec(cfg.width, cfg.effective_stride)
-    reports: list[DistanceReport] = []
-    gaps: list[int] = []
-    kept: list[tuple[int, list[NormalizedSpectrum]]] = []
-    for start in window.starts(panel.length):
-        spectra: list[NormalizedSpectrum] = []
-        try:
-            for ch in range(panel.n_channels):
-                segment = panel.values[ch, start : start + window.width]
-                if segment.max() == segment.min():
-                    # A constant window only carries taper leakage, which
-                    # would fake a spectrum where the channel has no signal.
-                    raise DegenerateSpectrumError(
-                        f"channel {panel.labels[ch]!r} is constant"
-                    )
-                spectra.append(normalize_spectrum(periodogram(panel, ch, start, window)))
-        except DegenerateSpectrumError as exc:
-            log.warning("window at %d skipped: %s", start, exc)
-            gaps.append(start)
-            continue
-        ensemble = SpectrumEnsemble(tuple(spectra), panel.labels)
-        matrix = kl_matrix(ensemble, cfg.kl_floor)
-        reports.append(
-            DistanceReport(
-                window_start=start,
-                js=js_spectral_divergence(ensemble, weights),
-                kl_matrix=matrix,
-                mean_kl=mean_kl(matrix),
-                entropies=np.array([spectral_entropy(s) for s in spectra]),
-                modes=np.array([mode_frequency(s) for s in spectra]),
-            )
+    stride = cfg.effective_stride
+    windows = sliding_window_view(panel.values, cfg.width, axis=1)[:, ::stride].swapaxes(0, 1)
+    n, m = len(windows), panel.n_channels
+    step = max(1, CHUNK_SAMPLES // (m * cfg.width))
+    constant = np.empty(n, dtype=bool)
+    silent = np.empty(n, dtype=bool)
+    # Scored windows are packed into these buffers chunk by chunk, so no
+    # array is held twice; the slots left over by skipped windows stay
+    # untouched.
+    out = {
+        "js": np.empty(n),
+        "kl": np.empty((n, m, m)),
+        "entropies": np.empty((n, m)),
+        "modes": np.empty((n, m)),
+    }
+    if keep_spectra:
+        out["spectra"] = np.empty((n, m, cfg.width - 1))
+    scored = 0
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        constant[lo:hi], silent[lo:hi], metrics = _score_chunk(
+            windows[lo:hi], weights.weights, cfg.kl_floor, panel.dt
         )
-        if keep_spectra:
-            kept.append((start, spectra))
+        k = len(metrics["js"])
+        for key, buf in out.items():
+            buf[scored : scored + k] = metrics[key]
+        scored += k
+    out = {key: buf[:scored] for key, buf in out.items()}
+
+    starts = np.arange(n) * stride
+    times = panel.t0.timestamp() + starts * panel.dt * 60.0
+    skipped = constant | silent
+    _log_skipped(starts, constant, silent)
+    js, mkl = out["js"], mean_kls(out["kl"])
+    below = mkl < js - 1e-9
+    if below.any():
+        i = int(np.argmax(below))
+        raise ValueError(
+            f"window at {starts[~skipped][i]}: mean KL {float(mkl[i])!r} "
+            f"fell below JS {float(js[i])!r}"
+        )
     return AnalysisResult(
-        reports=reports,
-        gaps=gaps,
+        timestamps=times[~skipped],
+        js=js,
+        mean_kl=mkl,
+        entropies=out["entropies"],
+        modes=out["modes"],
         labels=panel.labels,
-        width=cfg.width,
-        stride=cfg.effective_stride,
+        provenance=cfg.provenance(),
+        gap_times=times[skipped],
+        kl=out["kl"],
+        spectra=out.get("spectra"),
         dt=panel.dt,
-        t0=panel.t0,
-        config=cfg,
-        spectra=kept if keep_spectra else None,
     )
+
+
+def _log_skipped(starts: np.ndarray, constant: np.ndarray, silent: np.ndarray) -> None:
+    """One WARNING per run with counts by reason; the window starts at DEBUG."""
+    reasons = {"constant channel": constant, "zero AC power": silent}
+    counts = {reason: int(mask.sum()) for reason, mask in reasons.items() if mask.any()}
+    if not counts:
+        return
+    log.warning(
+        "%d of %d windows skipped: %s",
+        sum(counts.values()),
+        len(starts),
+        ", ".join(f"{n} {reason}" for reason, n in counts.items()),
+    )
+    for reason in counts:
+        log.debug("windows skipped (%s) at starts %s", reason, starts[reasons[reason]].tolist())
 
 
 @dataclass(frozen=True)
@@ -247,66 +308,39 @@ def compare_metric_series(a: MetricSeries, b: MetricSeries, fit: str = "origin")
 # ---------------------------------------------------------------------------
 
 
+def _stamp(seconds: float) -> str:
+    return format_rfc3339(datetime.fromtimestamp(seconds, tz=timezone.utc))
+
+
 def write_metrics_csv(result: AnalysisResult, path) -> None:
     """One row per window: time, JS, mean KL, entropies, modes.
 
     Skipped windows appear as `# gap=<time>` comment lines in window order;
     the leading provenance comment pins the config the rows came from.
     """
-    meta = result.config.provenance()
     columns = (
         ["window_start_time", "js", "mean_kl"]
         + [f"H_{name}" for name in result.labels]
         + [f"mode_{name}" for name in result.labels]
     )
-    events: list[tuple[int, str]] = []
-    for start in result.gaps:
-        stamp = format_rfc3339(_seconds_to_dt(result.window_seconds(start)))
-        events.append((start, f"# gap={stamp}\n"))
-    for r in result.reports:
-        stamp = format_rfc3339(_seconds_to_dt(result.window_seconds(r.window_start)))
-        cells = (
-            [stamp, repr(r.js), repr(r.mean_kl)]
-            + [repr(float(h)) for h in r.entropies]
-            + [repr(float(m)) for m in r.modes]
-        )
-        events.append((r.window_start, ",".join(cells) + "\n"))
-    events.sort(key=lambda item: item[0])
+    values = np.column_stack([result.js, result.mean_kl, result.entropies, result.modes])
+    rows = [
+        ",".join([_stamp(t), *map(repr, cells)])
+        for t, cells in zip(result.timestamps.tolist(), values.tolist())
+    ]
+    rows += [f"# gap={_stamp(t)}" for t in result.gap_times.tolist()]
+    order = np.argsort(np.concatenate([result.timestamps, result.gap_times]), kind="stable")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in result.provenance.items()) + "\n")
         fh.write(",".join(columns) + "\n")
-        for _, line in events:
-            fh.write(line)
+        for i in order.tolist():
+            fh.write(rows[i] + "\n")
 
 
-@dataclass
-class MetricsTable:
-    """Parsed metrics CSV: column arrays plus the provenance mapping."""
-
-    timestamps: np.ndarray
-    js: np.ndarray
-    mean_kl: np.ndarray
-    entropies: np.ndarray
-    modes: np.ndarray
-    labels: tuple[str, ...]
-    provenance: dict[str, str] = field(default_factory=dict)
-
-    def js_series(self) -> MetricSeries:
-        return MetricSeries(self.timestamps, self.js)
-
-    def mean_kl_series(self) -> MetricSeries:
-        return MetricSeries(self.timestamps, self.mean_kl)
-
-    def series(self, name: str) -> MetricSeries:
-        if name == "js":
-            return self.js_series()
-        if name == "mean_kl":
-            return self.mean_kl_series()
-        raise ValueError(f"unknown metric field {name!r}")
-
-
-def read_metrics_csv(path) -> MetricsTable:
+def read_metrics_csv(path) -> AnalysisResult:
+    """Parse a metrics CSV back into a result (without KL matrices or spectra)."""
     provenance: dict[str, str] = {}
+    gaps: list[float] = []
     rows: list[list[str]] = []
     header: list[str] | None = None
     with open(path, encoding="utf-8", newline="") as fh:
@@ -318,7 +352,9 @@ def read_metrics_csv(path) -> MetricsTable:
                 for token in line[1:].split():
                     if "=" in token:
                         key, _, value = token.partition("=")
-                        if key != "gap":
+                        if key == "gap":
+                            gaps.append(parse_rfc3339(value).timestamp())
+                        else:
                             provenance[key] = value
                 continue
             cells = next(csv.reader([line]))
@@ -335,29 +371,27 @@ def read_metrics_csv(path) -> MetricsTable:
     if h_names != mode_names:
         raise FormatError(f"{path}: entropy and mode columns disagree")
     m = len(h_names)
-    stamps, js, mkl = [], [], []
-    ents, modes = [], []
+    stamps, values = [], []
     for cells in rows:
         if len(cells) != 3 + 2 * m:
             raise FormatError(f"{path}: row has {len(cells)} cells, expected {3 + 2 * m}")
         stamps.append(parse_rfc3339(cells[0]).timestamp())
-        js.append(float(cells[1]))
-        mkl.append(float(cells[2]))
-        ents.append([float(c) for c in cells[3 : 3 + m]])
-        modes.append([float(c) for c in cells[3 + m :]])
-    return MetricsTable(
-        timestamps=np.array(stamps),
-        js=np.array(js),
-        mean_kl=np.array(mkl),
-        entropies=np.array(ents).reshape(len(rows), m),
-        modes=np.array(modes).reshape(len(rows), m),
+        values.append([float(c) for c in cells[1:]])
+    table = np.array(values, dtype=np.float64).reshape(len(rows), 2 + 2 * m)
+    return AnalysisResult(
+        timestamps=np.array(stamps, dtype=np.float64),
+        js=table[:, 0],
+        mean_kl=table[:, 1],
+        entropies=table[:, 2 : 2 + m],
+        modes=table[:, 2 + m :],
         labels=tuple(h_names),
         provenance=provenance,
+        gap_times=np.array(gaps, dtype=np.float64),
     )
 
 
-def check_comparable(a: MetricsTable, b: MetricsTable) -> None:
-    """Refuse to compare tables produced with different window geometry."""
+def check_comparable(a: AnalysisResult, b: AnalysisResult) -> None:
+    """Refuse to compare results produced with different window geometry."""
     for key in ("width", "stride"):
         if key in a.provenance and key in b.provenance:
             if a.provenance[key] != b.provenance[key]:
@@ -373,32 +407,31 @@ def check_comparable(a: MetricsTable, b: MetricsTable) -> None:
 
 def write_kl_csv(result: AnalysisResult, path) -> None:
     """Long-format dump of every KL matrix: window time, row, column, value."""
+    if result.kl is None:
+        raise ValueError("result carries no KL matrices (read back from a metrics CSV)")
+    m = len(result.labels)
+    pairs = [(l, j) for l in range(m) for j in range(m)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# channels=" + "|".join(result.labels) + "\n")
         fh.write("window_start_time,l,m,kl\n")
-        for r in result.reports:
-            stamp = format_rfc3339(_seconds_to_dt(result.window_seconds(r.window_start)))
-            m = r.kl_matrix.shape[0]
-            for l in range(m):
-                for j in range(m):
-                    fh.write(f"{stamp},{l},{j},{r.kl_matrix[l, j]!r}\n")
+        for t, matrix in zip(result.timestamps.tolist(), result.kl):
+            stamp = _stamp(t)
+            for (l, j), value in zip(pairs, matrix.ravel().tolist()):
+                fh.write(f"{stamp},{l},{j},{value!r}\n")
 
 
 def write_spectra_csv(result: AnalysisResult, path) -> None:
     """Long-format dump of per-window normalized spectra (needs keep_spectra)."""
     if result.spectra is None:
         raise ValueError("analysis was run without keep_spectra=True")
+    freqs = bin_frequencies(result.spectra.shape[-1] + 1, result.dt).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("window_start_time,channel,frequency,prob\n")
-        for start, spectra in result.spectra:
-            stamp = format_rfc3339(_seconds_to_dt(result.window_seconds(start)))
-            for name, spectrum in zip(result.labels, spectra):
-                for freq, prob in zip(spectrum.freqs, spectrum.probs):
+        for t, window in zip(result.timestamps.tolist(), result.spectra):
+            stamp = _stamp(t)
+            for name, probs in zip(result.labels, window.tolist()):
+                for freq, prob in zip(freqs, probs):
                     fh.write(f"{stamp},{name},{freq!r},{prob!r}\n")
-
-
-def _seconds_to_dt(seconds: float) -> datetime:
-    return datetime.fromtimestamp(seconds, tz=timezone.utc)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +481,11 @@ def entropy_sweep(
             cfg = replace(base, a_range=a_range, seed=base.seed + k)
             _, activity = run_simulation(cfg)
             result = analyze(activity, analysis)
-            if not result.reports:
+            if result.js.size == 0:
                 raise AnalysisError(
                     f"no usable windows at H_a={h_a!r} seed={cfg.seed}"
                 )
-            per_seed.append(float(np.mean([r.js for r in result.reports])))
+            per_seed.append(float(np.mean(result.js)))
         points.append(
             SweepPoint(
                 h_a=float(h_a),
@@ -475,7 +508,6 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
     "ComparisonReport",
-    "MetricsTable",
     "SweepPoint",
     "analyze",
     "check_comparable",

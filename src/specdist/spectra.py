@@ -6,6 +6,12 @@ DC bin, and rescales the remaining bins into a probability distribution
 over positive frequencies.  Spectral entropy (in nats) and the mode
 frequency are statistics of that distribution: a flat spectrum maximizes
 the entropy at log(N-1), a single-bin spectrum has entropy zero.
+
+Each estimator is written once, over arrays whose last axis is the
+frequency axis, so the same code scores one window or a
+(windows, channels, bins) stack of them.  The one-window functions
+(`periodogram`, `normalize_spectrum`, `spectral_entropy`,
+`mode_frequency`) validate their input and call those array kernels.
 """
 
 from __future__ import annotations
@@ -100,57 +106,6 @@ class SignalPanel:
 
 
 @dataclass(frozen=True)
-class WindowSpec:
-    """Sliding-window geometry: width in samples and stride between starts."""
-
-    width: int
-    stride: int = 1
-
-    def __post_init__(self):
-        if int(self.width) != self.width or self.width < 2:
-            raise InvalidWindowError(f"window width must be an integer >= 2, got {self.width}")
-        if int(self.stride) != self.stride or self.stride < 1:
-            raise InvalidWindowError(f"window stride must be an integer >= 1, got {self.stride}")
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "stride", int(self.stride))
-
-    def starts(self, length: int) -> range:
-        """Window start offsets that fit entirely inside `length` samples."""
-        if length < self.width:
-            return range(0)
-        return range(0, length - self.width + 1, self.stride)
-
-
-@dataclass(frozen=True)
-class PowerSpectrum:
-    """Raw periodogram bins P(f_n), n = 0..N-1, including the DC bin."""
-
-    values: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("power spectrum must be a 1-D array of at least 2 bins")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("power spectrum bins must be finite and nonnegative")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"sampling period must be positive, got {self.dt}")
-        object.__setattr__(self, "values", _frozen_array(v))
-        object.__setattr__(self, "dt", float(self.dt))
-
-    @property
-    def width(self) -> int:
-        return self.values.size
-
-    @property
-    def freqs(self) -> np.ndarray:
-        """Bin frequencies f_n = n/(N*dt), n = 0..N-1."""
-        n = self.values.size
-        return np.arange(n) / (n * self.dt)
-
-
-@dataclass(frozen=True)
 class NormalizedSpectrum:
     """Probability distribution over the N-1 positive-frequency bins.
 
@@ -183,8 +138,7 @@ class NormalizedSpectrum:
     @property
     def freqs(self) -> np.ndarray:
         """Bin frequencies f_n = n/(N*dt), n = 1..N-1."""
-        n = self.width
-        return np.arange(1, n) / (n * self.dt)
+        return bin_frequencies(self.width, self.dt)
 
 
 def hanning_window(width: int) -> np.ndarray:
@@ -198,59 +152,82 @@ def hanning_window(width: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (width - 1)))
 
 
-def periodogram(panel: SignalPanel, channel: int, start: int, window: WindowSpec) -> PowerSpectrum:
-    """Tapered periodogram of one channel segment.
+def bin_frequencies(width: int, dt: float) -> np.ndarray:
+    """Frequencies f_n = n/(N*dt) of the positive-frequency bins n = 1..N-1."""
+    return np.arange(1, width) / (width * dt)
 
-    Computes P(f_n) = |sum_k w(k) x(k+start) e^{-2*pi*i*k*n/N}|^2 / N^2
-    for n = 0..N-1 via the FFT, which matches the direct summation to
-    floating-point accuracy.
 
-    Parameters
-    ----------
-    panel : SignalPanel
-    channel : int
-        Row index of the channel to analyze.
-    start : int
-        Offset of the first sample of the window.
-    window : WindowSpec
-        Only the width is used here; the stride matters to callers
-        iterating over windows.
+def power_spectra(segments: np.ndarray) -> np.ndarray:
+    """Tapered periodograms of segments stacked along the last axis.
+
+    Computes P(f_n) = |sum_k w(k) x(k) e^{-2*pi*i*k*n/N}|^2 / N^2 for
+    n = 0..N-1 (DC and the mirrored half included) via the FFT, which
+    matches the direct summation to floating-point accuracy.
     """
-    n = window.width
-    if start < 0 or start + n > panel.length:
+    n = segments.shape[-1]
+    amplitude = np.fft.fft(hanning_window(n) * segments, axis=-1)
+    return np.abs(amplitude) ** 2 / n**2
+
+
+def normalize_power(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the DC bin and rescale each spectrum's AC bins to sum to one.
+
+    Returns the probabilities and a mask of the spectra whose AC bins carry
+    no power at all (a constant window); their probability rows are zero.
+    """
+    ac = power[..., 1:]
+    total = ac.sum(axis=-1, keepdims=True)
+    empty = total[..., 0] <= 0.0
+    return ac / np.where(empty[..., None], 1.0, total), empty
+
+
+def entropies(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy -sum p*log(p) over the last axis, in nats.
+
+    Bins at or below ENTROPY_PROB_FLOOR contribute nothing.
+    """
+    live = np.where(probs > ENTROPY_PROB_FLOOR, probs, 1.0)
+    return -(probs * np.log(live)).sum(axis=-1) + 0.0
+
+
+def mode_frequencies(probs: np.ndarray, dt: float) -> np.ndarray:
+    """Frequency of each spectrum's largest bin; ties go to the lowest frequency."""
+    return bin_frequencies(probs.shape[-1] + 1, dt)[np.argmax(probs, axis=-1)]
+
+
+def periodogram(panel: SignalPanel, channel: int, start: int, width: int) -> np.ndarray:
+    """Raw periodogram bins P(f_n), n = 0..N-1, of one channel segment.
+
+    The segment is `width` samples of row `channel` from offset `start`.
+    """
+    if start < 0 or start + width > panel.length:
         raise OutOfRangeError(
-            f"window [{start}, {start + n}) overruns series of length {panel.length}"
+            f"window [{start}, {start + width}) overruns series of length {panel.length}"
         )
-    segment = panel.values[channel, start : start + n]
-    tapered = hanning_window(n) * segment
-    amplitude = np.fft.fft(tapered)
-    return PowerSpectrum(np.abs(amplitude) ** 2 / n**2, panel.dt)
+    return power_spectra(panel.values[channel, start : start + width])
 
 
-def normalize_spectrum(spectrum: PowerSpectrum) -> NormalizedSpectrum:
-    """Drop the DC bin and rescale the rest to sum to one.
+def normalize_spectrum(power: np.ndarray, dt: float) -> NormalizedSpectrum:
+    """Turn raw periodogram bins (DC first) into a NormalizedSpectrum.
 
     Raises DegenerateSpectrumError when the AC bins carry no power at all
     (a constant window); the caller decides whether to skip or substitute.
     """
-    ac = spectrum.values[1:]
-    total = float(ac.sum())
-    if total <= 0.0:
+    probs, empty = normalize_power(np.asarray(power, dtype=np.float64))
+    if np.any(empty):
         raise DegenerateSpectrumError("all AC power is zero (constant window)")
-    return NormalizedSpectrum(ac / total, spectrum.dt)
+    return NormalizedSpectrum(probs, dt)
 
 
 def spectral_entropy(spectrum: NormalizedSpectrum) -> float:
-    """Shannon entropy -sum p*log(p) of the spectrum, in nats.
+    """Shannon entropy of the spectrum, in nats.
 
     Zero-probability bins contribute nothing; the result lies in
     [0, log(N-1)], reaching the top exactly when the spectrum is uniform.
     """
-    p = spectrum.probs
-    live = p[p > ENTROPY_PROB_FLOOR]
-    return float(-(live * np.log(live)).sum() + 0.0)
+    return float(entropies(spectrum.probs))
 
 
 def mode_frequency(spectrum: NormalizedSpectrum) -> float:
     """Frequency of the largest probability bin; ties go to the lowest frequency."""
-    return float(spectrum.freqs[int(np.argmax(spectrum.probs))])
+    return float(mode_frequencies(spectrum.probs, spectrum.dt))

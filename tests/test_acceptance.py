@@ -14,7 +14,6 @@ import pytest
 from specdist.cli import main as cli_main
 from specdist.distances import (
     MetricSeries,
-    SpectrumEnsemble,
     cross_correlation,
     fit_proportionality,
     js_spectral_divergence,
@@ -26,7 +25,6 @@ from specdist.simulator import SimConfig, run_simulation
 from specdist.spectra import (
     NormalizedSpectrum,
     SignalPanel,
-    WindowSpec,
     mode_frequency,
     normalize_spectrum,
     periodogram,
@@ -103,8 +101,7 @@ def test_criterion_1_mean_kl_dominates_js(
             NormalizedSpectrum(random_spectrum(rng, bins, sharpness), 1.0)
             for _ in range(m)
         )
-        ens = SpectrumEnsemble(members)
-        gap = mean_kl(kl_matrix(ens, floor=1e-12)) - js_spectral_divergence(ens)
+        gap = mean_kl(kl_matrix(members, floor=1e-12)) - js_spectral_divergence(members)
         worst = min(worst, gap)
         checked += 1
 
@@ -113,9 +110,8 @@ def test_criterion_1_mean_kl_dominates_js(
         results.extend([res_a, res_r])
     windows = 0
     for result in results:
-        for row in result.reports:
-            worst = min(worst, row.mean_kl - row.js)
-            windows += 1
+        worst = min(worst, float(np.min(result.mean_kl - result.js)))
+        windows += result.js.size
 
     ok = worst >= -1e-9
     report(1, ok, f"worst <KL>-JS gap {worst:.3e} over {checked} ensembles + {windows} windows")
@@ -124,14 +120,14 @@ def test_criterion_1_mean_kl_dominates_js(
 def test_criterion_2_proportionality_reproduction(long_run_activity_metrics):
     """Origin slope of JS vs <KL> in [0.27, 0.57] with correlation > 0.85."""
     res = long_run_activity_metrics
-    assert len(res.reports) >= 300, f"only {len(res.reports)} windows"
+    assert res.js.size >= 300, f"only {res.js.size} windows"
     js = res.js_series()
     mk = res.mean_kl_series()
     slope = fit_proportionality(mk, js)
     corr = cross_correlation(js, mk)
     ok = 0.27 <= slope <= 0.57 and corr > 0.85
     report(2, ok, f"slope={slope:.4f} (band [0.27, 0.57]) corr={corr:.4f} "
-                  f"windows={len(res.reports)}")
+                  f"windows={res.js.size}")
 
 
 def test_criterion_3_parameter_entropy_sweep():
@@ -156,7 +152,7 @@ def test_criterion_4_periodogram_oracle():
         n = (8, 64, 128, 256)[i % 4]
         x = rng.normal(size=n)
         panel = SignalPanel(x[None, :], ("x",), 1.0)
-        fast = periodogram(panel, 0, 0, WindowSpec(n)).values
+        fast = periodogram(panel, 0, 0, n)
         direct = direct_periodogram(x, 1.0)
         rel = np.abs(fast - direct) / np.maximum(np.abs(direct), 1e-300)
         worst = max(worst, float(rel.max()))
@@ -167,7 +163,7 @@ def test_criterion_4_periodogram_oracle():
 def tone_stats(n, tone_bin):
     x = np.cos(2 * np.pi * np.arange(n) * tone_bin / n)
     panel = SignalPanel(x[None, :], ("tone",), 1.0)
-    spectrum = normalize_spectrum(periodogram(panel, 0, 0, WindowSpec(n)))
+    spectrum = normalize_spectrum(periodogram(panel, 0, 0, n), panel.dt)
     return spectral_entropy(spectrum), mode_frequency(spectrum)
 
 
@@ -224,10 +220,10 @@ def test_criterion_6_ingestion_golden_files(tmp_path):
 
 def test_criterion_7_synthetic_diurnal_cycle(diurnal_metrics):
     """The JS series itself has its spectral mode at one cycle per 1440 min."""
-    js = np.array([r.js for r in diurnal_metrics.reports])
+    js = diurnal_metrics.js
     assert js.size >= 360
     js_panel = SignalPanel(js[None, :360], ("js",), 16.0)  # stride 16 -> dt 16 min
-    spectrum = normalize_spectrum(periodogram(js_panel, 0, 0, WindowSpec(360)))
+    spectrum = normalize_spectrum(periodogram(js_panel, 0, 0, 360), js_panel.dt)
     mode = mode_frequency(spectrum)
     target = 1.0 / 1440.0
     bin_width = 1.0 / (360 * 16.0)
@@ -240,8 +236,7 @@ def test_criterion_8_rates_activity_coupling(coupled_runs):
     """JS of rate log-returns tracks JS of activity: C in (0.2, 1.0) per seed."""
     correlations = []
     for res_a, res_r in coupled_runs:
-        js_a = np.array([r.js for r in res_a.reports])
-        js_r = np.array([r.js for r in res_r.reports])
+        js_a, js_r = res_a.js, res_r.js
         n = min(js_a.size, js_r.size)
         grid = np.arange(n, dtype=float)
         c = cross_correlation(MetricSeries(grid, js_a[:n]), MetricSeries(grid, js_r[:n]))

@@ -84,7 +84,7 @@ class TestAnalyzeCommand:
     def test_too_small_window_is_config_error(self, tmp_path):
         panel_csv = self.make_panel_csv(tmp_path, length=64, m=2)
         code = run("analyze", str(panel_csv), "--window", "2", "--out", str(tmp_path / "m.csv"))
-        assert code == 6
+        assert code == 5
 
     def test_unknown_channel_is_config_error(self, tmp_path):
         panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdist.distances import (
-    DistanceReport,
     MetricSeries,
-    SpectrumEnsemble,
     WeightVector,
     cross_correlation,
     fit_affine,
@@ -44,8 +42,7 @@ def series(values):
 
 
 def random_ensemble(rng, m, bins, sharpness=1.0):
-    members = tuple(spectrum(random_spectrum(rng, bins, sharpness)) for _ in range(m))
-    return SpectrumEnsemble(members)
+    return tuple(spectrum(random_spectrum(rng, bins, sharpness)) for _ in range(m))
 
 
 class TestKlDistance:
@@ -91,15 +88,15 @@ class TestKlDistance:
 class TestJsDivergence:
     def test_identical_members_vanish(self):
         p = spectrum([0.1, 0.2, 0.7])
-        ens = SpectrumEnsemble((p, p, p))
+        ens = (p, p, p)
         assert js_spectral_divergence(ens) <= 1e-12
 
     def test_disjoint_deltas_reach_log_two(self):
-        ens = SpectrumEnsemble((spectrum([1.0, 0.0]), spectrum([0.0, 1.0])))
+        ens = (spectrum([1.0, 0.0]), spectrum([0.0, 1.0]))
         assert js_spectral_divergence(ens) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hand_computed_two_member_value(self):
-        ens = SpectrumEnsemble((spectrum([1.0, 0.0]), spectrum([0.5, 0.5])))
+        ens = (spectrum([1.0, 0.0]), spectrum([0.5, 0.5]))
         mixture = [0.75, 0.25]
         expected = scalar_entropy(mixture) - 0.5 * scalar_entropy([1.0, 0.0]) - 0.5 * scalar_entropy([0.5, 0.5])
         got = js_spectral_divergence(ens)
@@ -107,7 +104,7 @@ class TestJsDivergence:
         assert got == pytest.approx(0.21576, abs=5e-6)
 
     def test_weight_mismatch_rejected(self):
-        ens = SpectrumEnsemble((spectrum([0.5, 0.5]), spectrum([0.4, 0.6])))
+        ens = (spectrum([0.5, 0.5]), spectrum([0.4, 0.6]))
         with pytest.raises(DimensionError):
             js_spectral_divergence(ens, WeightVector.uniform(3))
 
@@ -138,7 +135,7 @@ class TestJsDivergence:
 class TestKlMatrix:
     def test_identical_members_give_zero_matrix(self):
         p = spectrum([0.25, 0.25, 0.5])
-        matrix = kl_matrix(SpectrumEnsemble((p, p, p)))
+        matrix = kl_matrix((p, p, p))
         assert np.all(matrix == 0.0)
 
     def test_diagonal_zero_entries_nonnegative(self):
@@ -150,7 +147,7 @@ class TestKlMatrix:
     def test_matches_per_entry_recomputation(self):
         rng = np.random.default_rng(17)
         members = [random_spectrum(rng, 15) for _ in range(3)]
-        ens = SpectrumEnsemble(tuple(spectrum(p) for p in members))
+        ens = tuple(spectrum(p) for p in members)
         matrix = kl_matrix(ens, floor=1e-12)
         for l in range(3):
             for m in range(3):
@@ -160,7 +157,7 @@ class TestKlMatrix:
     def test_asymmetry_is_real(self):
         p = spectrum([0.9, 0.05, 0.05])
         q = spectrum([1 / 3, 1 / 3, 1 / 3])
-        matrix = kl_matrix(SpectrumEnsemble((p, q)))
+        matrix = kl_matrix((p, q))
         assert matrix[0, 1] != matrix[1, 0]
 
 
@@ -248,26 +245,6 @@ class TestContainers:
 
     def test_ensemble_needs_two_members(self):
         with pytest.raises(DimensionError):
-            SpectrumEnsemble((spectrum([1.0]),))
-
-    def test_report_rejects_js_above_mean_kl(self):
-        with pytest.raises(ValueError):
-            DistanceReport(
-                window_start=0,
-                js=1.0,
-                kl_matrix=np.zeros((2, 2)),
-                mean_kl=0.0,
-                entropies=np.zeros(2),
-                modes=np.zeros(2),
-            )
-
-    def test_report_rejects_nonzero_diagonal(self):
-        with pytest.raises(ValueError):
-            DistanceReport(
-                window_start=0,
-                js=0.0,
-                kl_matrix=np.eye(2),
-                mean_kl=0.5,
-                entropies=np.zeros(2),
-                modes=np.zeros(2),
-            )
+            kl_matrix((spectrum([1.0]),))
+        with pytest.raises(DimensionError):
+            js_spectral_divergence((spectrum([1.0]),))

@@ -1,10 +1,15 @@
+import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specdist.distances import MetricSeries
-from specdist.errors import AlignmentError, AnalysisError, TransformError
+from specdist import pipeline
+from specdist.distances import MetricSeries, kl_matrix
+from specdist.errors import AlignmentError, AnalysisError, InvalidWindowError, TransformError
 from specdist.pipeline import (
     AnalysisConfig,
     analyze,
@@ -17,7 +22,9 @@ from specdist.pipeline import (
     write_spectra_csv,
 )
 from specdist.simulator import SimConfig
-from specdist.spectra import SignalPanel
+from specdist.spectra import NormalizedSpectrum, SignalPanel
+
+from oracles import direct_periodogram, double_loop_mean, scalar_entropy, scalar_kl
 
 
 def noise_panel(m=2, length=512, seed=0, dt=1.0):
@@ -30,34 +37,32 @@ class TestAnalyze:
     def test_single_window_when_length_equals_width(self):
         panel = noise_panel(length=128)
         result = analyze(panel, AnalysisConfig(width=128, stride=17))
-        assert len(result.reports) == 1
-        assert result.reports[0].window_start == 0
+        assert result.js.size == 1
+        assert result.timestamps.tolist() == [panel.t0.timestamp()]
 
     def test_window_count_formula(self):
         panel = noise_panel(length=700)
         result = analyze(panel, AnalysisConfig(width=128, stride=64))
-        assert len(result.reports) == (700 - 128) // 64 + 1
+        assert result.js.size == (700 - 128) // 64 + 1
 
     def test_identical_channels_give_zero_distances(self):
         rng = np.random.default_rng(1)
         row = rng.normal(size=300)
         panel = SignalPanel(np.vstack([row, row, row]), ("a", "b", "c"), 1.0)
         result = analyze(panel, AnalysisConfig(width=64, stride=32))
-        assert result.reports
-        for report in result.reports:
-            assert report.js <= 1e-12
-            assert report.mean_kl <= 1e-12
+        assert result.js.size
+        assert np.all(result.js <= 1e-12)
+        assert np.all(result.mean_kl <= 1e-12)
 
     def test_rows_respect_invariants(self):
         panel = noise_panel(m=2, length=6528, seed=5)
         result = analyze(panel, AnalysisConfig(width=128, stride=64))
-        assert len(result.reports) == 101
+        assert result.js.size == 101
         upper = math.log(127)
-        for report in result.reports:
-            assert report.mean_kl >= report.js - 1e-9
-            assert report.js >= 0.0
-            assert np.all(report.entropies >= 0.0)
-            assert np.all(report.entropies <= upper + 1e-12)
+        assert np.all(result.mean_kl >= result.js - 1e-9)
+        assert np.all(result.js >= 0.0)
+        assert np.all(result.entropies >= 0.0)
+        assert np.all(result.entropies <= upper + 1e-12)
 
     def test_degenerate_windows_skipped_with_gap(self):
         rng = np.random.default_rng(3)
@@ -65,8 +70,8 @@ class TestAnalyze:
         values[1, :64] = 5.0  # first window of channel 1 is constant
         panel = SignalPanel(values, ("a", "b"), 1.0)
         result = analyze(panel, AnalysisConfig(width=64, stride=64))
-        assert result.gaps == [0]
-        assert len(result.reports) == 3
+        assert result.gap_times.tolist() == [panel.t0.timestamp()]
+        assert result.js.size == 3
 
     def test_too_few_channels_rejected(self):
         panel = noise_panel(m=1, length=256)
@@ -82,15 +87,15 @@ class TestAnalyze:
         panel = noise_panel(m=4, length=256)
         result = analyze(panel, AnalysisConfig(width=64, channels=("ch3", "ch0")))
         assert result.labels == ("ch3", "ch0")
-        assert result.reports[0].kl_matrix.shape == (2, 2)
+        assert result.kl.shape[1:] == (2, 2)
 
     def test_log_return_transform_shortens_and_keeps_t0(self):
         rng = np.random.default_rng(8)
         values = np.exp(rng.normal(scale=1e-3, size=(2, 257)).cumsum(axis=1))
         panel = SignalPanel(values, ("a", "b"), 1.0)
         result = analyze(panel, AnalysisConfig(width=128, stride=64, transform="log-return"))
-        assert result.t0 == panel.t0
-        assert len(result.reports) == (256 - 128) // 64 + 1
+        assert result.timestamps[0] == panel.t0.timestamp()
+        assert result.js.size == (256 - 128) // 64 + 1
 
     def test_log_return_rejects_nonpositive(self):
         values = np.ones((2, 256))
@@ -104,15 +109,136 @@ class TestAnalyze:
         skewed = analyze(
             panel, AnalysisConfig(width=128, stride=128, weights=(0.8, 0.1, 0.1))
         )
-        assert uniform.reports[0].js != skewed.reports[0].js
+        assert uniform.js[0] != skewed.js[0]
 
     def test_deterministic_over_reruns(self):
         panel = noise_panel(m=3, length=1024, seed=9)
         cfg = AnalysisConfig(width=128, stride=32)
         one = analyze(panel, cfg)
         two = analyze(panel, cfg)
-        assert [r.js for r in one.reports] == [r.js for r in two.reports]
-        assert [r.mean_kl for r in one.reports] == [r.mean_kl for r in two.reports]
+        assert np.array_equal(one.js, two.js)
+        assert np.array_equal(one.mean_kl, two.mean_kl)
+
+    def test_window_geometry_validation(self):
+        with pytest.raises(InvalidWindowError):
+            AnalysisConfig(width=3)
+        with pytest.raises(InvalidWindowError):
+            AnalysisConfig(width=8, stride=0)
+        result = analyze(noise_panel(length=10), AnalysisConfig(width=4, stride=2))
+        assert result.timestamps.tolist() == [0.0, 120.0, 240.0, 360.0]
+
+    def test_mean_kl_below_js_names_window(self):
+        # Known defect: JS is taken on raw spectra but KL on floored ones.
+        # At this floor the tone window passes and the noise window after
+        # it breaks the bound.
+        rng = np.random.default_rng(4)
+        t = np.arange(128)
+        tones = np.array([np.cos(2 * np.pi * b * t / 128) for b in (8, 20, 37, 50)])
+        panel = SignalPanel(
+            np.hstack([tones, rng.normal(size=(4, 128))]), ("a", "b", "c", "d"), 1.0
+        )
+        with pytest.raises(ValueError, match=r"window at 128: mean KL .* fell below JS"):
+            analyze(panel, AnalysisConfig(width=128, stride=128, kl_floor=0.005))
+
+    def test_skipped_windows_log_one_summary(self, caplog):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(3, 640))
+        values[0, :128] = 2.0  # windows 0 and 64 see a constant channel
+        values[2, 384:512] = -1.0  # and windows 384 and 448
+        panel = SignalPanel(values, ("a", "b", "c"), 1.0)
+        with caplog.at_level(logging.DEBUG, logger="specdist.pipeline"):
+            result = analyze(panel, AnalysisConfig(width=64, stride=64))
+        assert result.gap_times.tolist() == [0.0, 3840.0, 23040.0, 26880.0]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["4 of 10 windows skipped: 4 constant channel"]
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert debug == ["windows skipped (constant channel) at starts [0, 64, 384, 448]"]
+
+
+class TestKernelOracle:
+    """Every scored window of `analyze` against the scalar oracles."""
+
+    @given(
+        m=st.sampled_from([2, 5, 20]),
+        width=st.sampled_from([16, 128]),
+        floor=st.sampled_from([0.0, 1e-12, 1e-3]),
+        n_windows=st.integers(1, 9),
+        chunk_windows=st.sampled_from([None, 1, 2, 4]),
+        uniform=st.booleans(),
+        identical=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_scored_windows_match_oracles(
+        self, m, width, floor, n_windows, chunk_windows, uniform, identical, seed
+    ):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(m, n_windows * width))
+        if identical:
+            values[1] = values[0]
+        flat = rng.random(n_windows) < 0.2
+        for k in np.flatnonzero(flat):
+            values[m - 1, k * width : (k + 1) * width] = 1.5
+        raw = rng.random(m) + 0.05
+        weights = None if uniform else tuple(raw / raw.sum())
+        panel = SignalPanel(values, tuple(f"c{i}" for i in range(m)), 1.0)
+        cfg = AnalysisConfig(width=width, stride=width, weights=weights, kl_floor=floor)
+        # None keeps the module's chunk size; a small one puts chunk edges
+        # inside the window range.
+        chunk = pipeline.CHUNK_SAMPLES if chunk_windows is None else chunk_windows * m * width
+        with mock.patch.object(pipeline, "CHUNK_SAMPLES", chunk):
+            result = analyze(panel, cfg, keep_spectra=True)
+
+        scored = np.flatnonzero(~flat)
+        assert result.gap_times.tolist() == (np.flatnonzero(flat) * width * 60.0).tolist()
+        assert result.timestamps.tolist() == (scored * width * 60.0).tolist()
+        pi = np.full(m, 1.0 / m) if uniform else np.array(weights)
+        for row, k in enumerate(scored):
+            probs = []
+            for ch in range(m):
+                power = direct_periodogram(values[ch, k * width : (k + 1) * width], 1.0)[1:]
+                expected = power / power.sum()
+                got = result.spectra[row, ch]
+                assert np.all(np.abs(got - expected) <= 1e-10 * np.maximum(expected, 1e-300))
+                p = got.tolist()
+                probs.append(p)
+                assert result.entropies[row, ch] == pytest.approx(scalar_entropy(p), rel=1e-12)
+                assert result.modes[row, ch] == (p.index(max(p)) + 1) / width
+            kl = result.kl[row]
+            assert np.all(np.diag(kl) == 0.0) and np.all(kl >= 0.0)
+            for l in range(m):
+                for j in range(m):
+                    if l != j:
+                        expected = scalar_kl(probs[l], probs[j], floor)
+                        assert kl[l, j] == pytest.approx(expected, rel=1e-10, abs=1e-15)
+            if identical:
+                assert kl[0, 1] == 0.0 and kl[1, 0] == 0.0
+            assert result.mean_kl[row] == pytest.approx(double_loop_mean(kl.tolist()), rel=1e-12)
+            mixture = [sum(w * p[b] for w, p in zip(pi, probs)) for b in range(width - 1)]
+            js = scalar_entropy(mixture) - sum(w * scalar_entropy(p) for w, p in zip(pi, probs))
+            assert result.js[row] == pytest.approx(js, rel=1e-10, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**16), m=st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_literal_kl_on_empty_bins_matches_oracle(self, seed, m):
+        rng = np.random.default_rng(seed)
+        members = []
+        for _ in range(m):
+            raw = rng.random(12) * (rng.random(12) < 0.6)
+            raw[rng.integers(12)] += 0.5
+            members.append(raw / raw.sum())
+        matrix = kl_matrix(tuple(NormalizedSpectrum(p, 1.0) for p in members), floor=0.0)
+        for l in range(m):
+            for j in range(m):
+                expected = 0.0 if l == j else scalar_kl(members[l], members[j], 0.0)
+                assert matrix[l, j] == pytest.approx(expected, rel=1e-10, abs=1e-15)
+
+    def test_disjoint_support_with_zero_floor_is_infinite(self):
+        p = NormalizedSpectrum(np.array([0.5, 0.5, 0.0, 0.0]), 1.0)
+        q = NormalizedSpectrum(np.array([0.0, 0.0, 0.25, 0.75]), 1.0)
+        matrix = kl_matrix((p, q, p), floor=0.0)
+        assert matrix[0, 1] == math.inf and matrix[1, 0] == math.inf
+        assert matrix[0, 2] == 0.0 and np.all(np.diag(matrix) == 0.0)
 
 
 class TestMetricsCsv:
@@ -125,10 +251,12 @@ class TestMetricsCsv:
         assert table.labels == result.labels
         assert table.provenance["width"] == "128"
         assert table.provenance["stride"] == "64"
-        assert np.array_equal(table.js, np.array([r.js for r in result.reports]))
-        assert np.array_equal(table.mean_kl, np.array([r.mean_kl for r in result.reports]))
+        assert np.array_equal(table.js, result.js)
+        assert np.array_equal(table.mean_kl, result.mean_kl)
         assert np.array_equal(table.timestamps, result.js_series().timestamps)
-        assert table.entropies.shape == (len(result.reports), 3)
+        assert np.array_equal(table.entropies, result.entropies)
+        assert np.array_equal(table.modes, result.modes)
+        assert table.entropies.shape == (result.js.size, 3)
 
     def test_gap_rows_are_comments(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -142,6 +270,7 @@ class TestMetricsCsv:
         assert "# gap=1970-01-01T00:00:00Z" in text
         table = read_metrics_csv(path)
         assert table.js.size == 3
+        assert table.gap_times.tolist() == [0.0]
 
     def test_kl_dump_long_format(self, tmp_path):
         panel = noise_panel(m=2, length=128)
@@ -151,6 +280,15 @@ class TestMetricsCsv:
         lines = path.read_text().splitlines()
         assert lines[1] == "window_start_time,l,m,kl"
         assert len(lines) == 2 + 4  # one window, 2x2 matrix
+        cells = [line.split(",") for line in lines[2:]]
+        assert [float(c[3]) for c in cells] == result.kl[0].ravel().tolist()
+
+    def test_kl_dump_needs_matrices(self, tmp_path):
+        panel = noise_panel(m=2, length=128)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(analyze(panel, AnalysisConfig(width=128)), path)
+        with pytest.raises(ValueError):
+            write_kl_csv(read_metrics_csv(path), tmp_path / "kl.csv")
 
     def test_spectra_dump(self, tmp_path):
         panel = noise_panel(m=2, length=128)
@@ -160,6 +298,7 @@ class TestMetricsCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "window_start_time,channel,frequency,prob"
         assert len(lines) == 1 + 2 * 127
+        assert lines[1] == f"1970-01-01T00:00:00Z,ch0,{1 / 128!r},{float(result.spectra[0, 0, 0])!r}"
 
     def test_spectra_dump_requires_keep(self, tmp_path):
         panel = noise_panel(m=2, length=128)
