@@ -38,14 +38,8 @@ from .errors import (
     TransformError,
     UndefinedCorrelationError,
 )
-from .ingest import (
-    ResampleGrid,
-    build_panel,
-    market_series,
-    read_panel_csv,
-    read_ticks,
-    write_panel_csv,
-)
+from .distances import DEFAULT_KL_FLOOR
+from .ingest import read_panel_csv, read_ticks, resample, transform_panel, write_panel_csv
 from .simulator import SimConfig, load_sim_config, run_simulation
 
 EXIT_OK = 0
@@ -112,12 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="panel CSV -> windowed metrics CSV")
     p.add_argument("panel", help="panel CSV (`time,<channel>,...`)")
     p.add_argument("--out", required=True, help="metrics CSV destination")
-    p.add_argument("--window", type=int, default=128, help="window width in samples")
+    p.add_argument("--window", type=int, default=pipeline.AnalysisConfig.width,
+                   help="window width in samples")
     p.add_argument("--stride", type=int, default=None, help="samples between window starts")
     p.add_argument("--transform", choices=("raw", "log-return"), default="raw")
     p.add_argument("--channels", help="comma-separated channel subset")
     p.add_argument("--weights", help="comma-separated mixture weights (default uniform)")
-    p.add_argument("--floor", type=float, default=1e-12, help="KL probability floor")
+    p.add_argument("--floor", type=float, default=DEFAULT_KL_FLOOR, help="KL probability floor")
     p.add_argument("--dump-spectra", help="also write per-window spectra here")
     p.add_argument("--dump-kl", help="also write per-window KL matrices here")
     p.set_defaults(func=_cmd_analyze)
@@ -163,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=int)
     p.add_argument("--commodities", type=int)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--window", type=int, default=128)
+    p.add_argument("--window", type=int, default=pipeline.AnalysisConfig.width)
     p.add_argument("--stride", type=int, default=None)
     p.add_argument("--out", help="write the table as CSV instead of stdout")
     p.set_defaults(func=_cmd_sweep)
@@ -182,18 +177,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         )
         for problem in parsed.problems:
             print(f"specdist: warning   {problem}", file=sys.stderr)
-    if not parsed.records:
-        raise AnalysisError("no valid ticks to resample")
-    grid = ResampleGrid.covering(parsed.records, dt=args.dt)
-    series = market_series(parsed.records, grid, args.side)
+    activity, rates = resample(parsed, args.dt, args.side)
+    meta = {"side": args.side, "dt": repr(args.dt), "transform": "raw"}
     if args.activity_out:
-        panel = build_panel(series, "activity", "raw")
-        meta = {"side": args.side, "dt": repr(args.dt), "transform": "raw"}
-        write_panel_csv(panel, args.activity_out, meta)
+        write_panel_csv(activity, args.activity_out, meta)
     if args.rates_out:
-        panel = build_panel(series, "rate", args.rates_transform)
-        meta = {"side": args.side, "dt": repr(args.dt), "transform": args.rates_transform}
-        write_panel_csv(panel, args.rates_out, meta)
+        rates = transform_panel(rates, args.rates_transform)
+        write_panel_csv(rates, args.rates_out, {**meta, "transform": args.rates_transform})
     return EXIT_OK
 
 
@@ -295,11 +285,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         h_a_values, base, analysis, seeds=args.seeds, center=args.center
     )
     if args.out:
-        pipeline.write_sweep_csv(points, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            pipeline.write_sweep_csv(points, fh)
     else:
-        print("h_a,a1,a2,mean_js")
-        for p in points:
-            print(f"{p.h_a!r},{p.a_range[0]!r},{p.a_range[1]!r},{p.mean_js!r}")
+        pipeline.write_sweep_csv(points, sys.stdout)
     return EXIT_OK
 
 

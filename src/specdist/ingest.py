@@ -1,31 +1,30 @@
 """Tick-stream parsing and resampling into activity and best-rate panels.
 
-Input is a quote-event CSV (`timestamp,instrument,side,price`).  Events are
-bucketed on a uniform grid with half-open buckets [k*dt, (k+1)*dt): the
-activity series counts side-matching quotes per unit time, the best-rate
-series takes the bucket minimum for asks (maximum for bids) and carries the
-previous value through empty buckets.  Buckets before an instrument's first
-quote have no defensible value and stay missing; panels are trimmed to the
-first bucket where every instrument has one.
+Input is a quote-event CSV (`timestamp,instrument,side,price`), parsed row
+by row into columns.  `resample` buckets the events on a uniform grid with
+half-open buckets [k*dt, (k+1)*dt): the activity series counts
+side-matching quotes per unit time, the best-rate series takes the bucket
+minimum for asks (maximum for bids) and carries the previous value through
+empty buckets.  Buckets before an instrument's first quote have no
+defensible value and stay missing; rate panels are trimmed to the first
+bucket where every instrument has one.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
-import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, TextIO
+from typing import Mapping, TextIO
 
 import numpy as np
 
-from .errors import FormatError, TransformError
+from .errors import AnalysisError, ConfigurationError, FormatError, TransformError
 from .spectra import SignalPanel
-
-log = logging.getLogger(__name__)
 
 TICK_HEADER = ("timestamp", "instrument", "side", "price")
 SIDES = ("ask", "bid")
@@ -72,77 +71,22 @@ def _from_epoch_ms(ms: float) -> datetime:
     return datetime.fromtimestamp(ms / 1000.0, tz=timezone.utc)
 
 
-@dataclass(frozen=True)
-class TickRecord:
-    """One quote event: when, what, which side, at what price."""
-
-    timestamp_ms: int
-    instrument: str
-    side: str
-    price: float
-
-
 @dataclass
 class ParsedTicks:
-    """Parse outcome: records in file order plus a malformed-row tally."""
+    """Parse outcome: one array per column, in file order, plus a malformed-row tally.
 
-    records: list[TickRecord]
-    malformed: int = 0
-    problems: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class ResampleGrid:
-    """Uniform bucket grid: origin timestamp, bucket width dt (minutes), count."""
-
-    origin_ms: int
-    dt: float
-    bucket_count: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"bucket width must be positive, got {self.dt}")
-        if self.bucket_count < 1:
-            raise ValueError(f"need at least one bucket, got {self.bucket_count}")
-
-    @property
-    def dt_ms(self) -> float:
-        return self.dt * 60_000.0
-
-    @property
-    def origin(self) -> datetime:
-        return _from_epoch_ms(self.origin_ms)
-
-    def bucket_of(self, timestamp_ms: int) -> int:
-        """Bucket index under the half-open convention; may fall outside the grid."""
-        return math.floor((timestamp_ms - self.origin_ms) / self.dt_ms)
-
-    def bucket_start(self, k: int) -> datetime:
-        return _from_epoch_ms(self.origin_ms + k * self.dt_ms)
-
-    @classmethod
-    def covering(cls, ticks: Iterable[TickRecord], dt: float = 1.0) -> "ResampleGrid":
-        """Smallest dt-aligned grid containing every tick (either side)."""
-        stamps = [t.timestamp_ms for t in ticks]
-        if not stamps:
-            raise ValueError("cannot build a grid from an empty tick sequence")
-        dt_ms = dt * 60_000.0
-        origin = math.floor(min(stamps) / dt_ms) * dt_ms
-        count = math.floor((max(stamps) - origin) / dt_ms) + 1
-        return cls(origin_ms=round(origin), dt=dt, bucket_count=count)
-
-
-@dataclass(frozen=True)
-class MarketSeries:
-    """Per-instrument activity and best-rate series on one grid and side.
-
-    Best-rate buckets before an instrument's first quote are NaN.
+    `timestamp_ms` is int64 epoch milliseconds, `instrument` holds codes
+    into `instruments` (the distinct names, sorted), `is_ask` is the side
+    and `price` the quoted rate.
     """
 
-    activity: dict[str, np.ndarray]
-    best_rate: dict[str, np.ndarray]
-    grid: ResampleGrid
-    side: str
+    timestamp_ms: np.ndarray
+    instrument: np.ndarray
+    instruments: tuple[str, ...]
+    is_ask: np.ndarray
+    price: np.ndarray
+    malformed: int = 0
+    problems: list[str] = field(default_factory=list)
 
 
 def parse_ticks(stream: TextIO) -> ParsedTicks:
@@ -162,7 +106,10 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
             f"bad tick header {header!r}, expected {','.join(TICK_HEADER)}"
         )
 
-    records: list[TickRecord] = []
+    # Columns are appended row by row; instruments get codes in order of
+    # first appearance, renumbered to sorted order at the end.
+    stamps, codes, asks, prices = array("q"), array("q"), array("b"), array("d")
+    names: dict[str, int] = {}
     malformed = 0
     problems: list[str] = []
 
@@ -199,15 +146,29 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
         if not (math.isfinite(price) and price > 0):
             reject(lineno, f"price must be positive, got {raw_price!r}")
             continue
-        records.append(TickRecord(ts, instrument, side, price))
+        stamps.append(ts)
+        codes.append(names.setdefault(instrument, len(names)))
+        asks.append(side == "ask")
+        prices.append(price)
 
-    total = len(records) + malformed
+    total = len(stamps) + malformed
     if total and malformed / total > MALFORMED_ABORT_FRACTION:
         summary = "; ".join(problems[:5])
         raise FormatError(
             f"{malformed} of {total} rows malformed (>{MALFORMED_ABORT_FRACTION:.0%}): {summary}"
         )
-    return ParsedTicks(records=records, malformed=malformed, problems=problems)
+    instruments = tuple(sorted(names))
+    rank = {name: r for r, name in enumerate(instruments)}
+    renumber = np.array([rank[name] for name in names], dtype=np.intp)
+    return ParsedTicks(
+        timestamp_ms=np.array(stamps, dtype=np.int64),
+        instrument=renumber[np.array(codes, dtype=np.intp)],
+        instruments=instruments,
+        is_ask=np.array(asks, dtype=bool),
+        price=np.array(prices, dtype=np.float64),
+        malformed=malformed,
+        problems=problems,
+    )
 
 
 def read_ticks(path: str | Path) -> ParsedTicks:
@@ -220,80 +181,52 @@ def read_ticks(path: str | Path) -> ParsedTicks:
         return parse_ticks(fh)
 
 
-def _in_grid(ticks: Iterable[TickRecord], grid: ResampleGrid, side: str):
-    for t in ticks:
-        if t.side != side:
-            continue
-        k = grid.bucket_of(t.timestamp_ms)
-        if 0 <= k < grid.bucket_count:
-            yield k, t
+def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, SignalPanel]:
+    """Activity and best-rate panels of one side, on one grid of dt-minute buckets.
 
-
-def quotation_frequency(
-    ticks: Iterable[TickRecord], grid: ResampleGrid, side: str
-) -> dict[str, np.ndarray]:
-    """Quotes per unit time per instrument: A_j(k) = count in bucket k / dt.
-
-    Instruments present in the stream but with every tick outside the grid
-    yield all-zero series.  Bucket assignment depends only on timestamps,
-    so the input order is irrelevant.
+    The grid is the smallest dt-aligned one holding every tick of either
+    side.  Channels are the instruments quoted on `side`, sorted.  Activity
+    is the bucket's quote count divided by dt.  The best rate is the bucket
+    minimum for asks (maximum for bids), carried forward through empty
+    buckets; the rate panel starts at the first bucket where every channel
+    has quoted, and is empty when fewer than two buckets remain.  Bucket
+    assignment depends only on timestamps, so the input order is irrelevant.
     """
-    _check_side(side)
-    counts: dict[str, np.ndarray] = {}
-    ticks = list(ticks)
-    for t in ticks:
-        if t.side == side and t.instrument not in counts:
-            counts[t.instrument] = np.zeros(grid.bucket_count)
-    for k, t in _in_grid(ticks, grid, side):
-        counts[t.instrument][k] += 1.0
-    return {name: counts[name] / grid.dt for name in sorted(counts)}
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"bucket width dt must be a positive number of minutes, got {dt!r}")
+    if side not in SIDES:
+        raise ConfigurationError(f"side must be one of {SIDES}, got {side!r}")
+    t = ticks.timestamp_ms
+    if t.size == 0:
+        raise AnalysisError("no valid ticks to resample")
+    dt_ms = dt * 60_000.0
+    origin = round(math.floor(int(t.min()) / dt_ms) * dt_ms)
+    # Counted from the same rounded origin as the buckets below, so the
+    # last tick always falls inside the grid.
+    count = math.floor((int(t.max()) - origin) / dt_ms) + 1
+    on_side = ticks.is_ask == (side == "ask")
+    if not on_side.any():
+        raise AnalysisError(f"no {side} quotes to resample")
+    bucket = np.floor((t[on_side] - origin) / dt_ms).astype(np.intp)
+    present, channel = np.unique(ticks.instrument[on_side], return_inverse=True)
+    m = present.size
+    cell = channel * count + bucket
+    activity = np.bincount(cell, minlength=m * count).reshape(m, count) / dt
 
+    best = np.full(m * count, np.inf if side == "ask" else -np.inf)
+    (np.minimum if side == "ask" else np.maximum).at(best, cell, ticks.price[on_side])
+    best = best.reshape(m, count)
+    quoted = np.isfinite(best)
+    last = np.maximum.accumulate(np.where(quoted, np.arange(count), -1), axis=1)
+    first = int(np.argmax(quoted, axis=1).max())
+    if count - first < 2:
+        first = count
+    rates = np.take_along_axis(best, last[:, first:], axis=1)
 
-def best_rates(
-    ticks: Iterable[TickRecord], grid: ResampleGrid, side: str
-) -> dict[str, np.ndarray]:
-    """Best quoted rate per bucket: minimum ask or maximum bid, forward-filled.
-
-    Empty buckets repeat the previous bucket's value; buckets before an
-    instrument's first in-grid quote stay NaN.  Instruments with no in-grid
-    quote at all are dropped with a warning.
-    """
-    _check_side(side)
-    extremum = min if side == "ask" else max
-    per_bucket: dict[str, dict[int, float]] = {}
-    ticks = list(ticks)
-    seen = {t.instrument for t in ticks if t.side == side}
-    for k, t in _in_grid(ticks, grid, side):
-        buckets = per_bucket.setdefault(t.instrument, {})
-        prior = buckets.get(k)
-        buckets[k] = t.price if prior is None else extremum(prior, t.price)
-
-    for name in sorted(seen - per_bucket.keys()):
-        log.warning("instrument %s has no %s quotes inside the grid; dropped", name, side)
-
-    out: dict[str, np.ndarray] = {}
-    for name in sorted(per_bucket):
-        series = np.full(grid.bucket_count, np.nan)
-        buckets = per_bucket[name]
-        last = math.nan
-        for k in range(grid.bucket_count):
-            if k in buckets:
-                last = buckets[k]
-            series[k] = last
-        out[name] = series
-    return out
-
-
-def market_series(
-    ticks: Iterable[TickRecord], grid: ResampleGrid, side: str
-) -> MarketSeries:
-    """Bundle quotation-frequency and best-rate series for one side."""
-    ticks = list(ticks)
-    return MarketSeries(
-        activity=quotation_frequency(ticks, grid, side),
-        best_rate=best_rates(ticks, grid, side),
-        grid=grid,
-        side=side,
+    labels = tuple(ticks.instruments[i] for i in present.tolist())
+    return (
+        SignalPanel(activity, labels, dt, _from_epoch_ms(origin)),
+        SignalPanel(rates, labels, dt, _from_epoch_ms(origin + first * dt_ms)),
     )
 
 
@@ -306,51 +239,14 @@ def log_returns(values: np.ndarray) -> np.ndarray:
     return logs[..., 1:] - logs[..., :-1]
 
 
-def build_panel(
-    series: MarketSeries, field_name: str = "activity", transform: str = "raw"
-) -> SignalPanel:
-    """Assemble a SignalPanel from resampled market series.
-
-    `field_name` picks the activity or the best-rate series.  Rate panels
-    are trimmed to the first bucket where every instrument has a value;
-    `transform="log-return"` then maps each rate series to its log
-    differences (one sample shorter, stamped at the start of the interval
-    each return spans).  Activity panels are always raw.
-    """
-    if field_name not in ("activity", "rate"):
-        raise ValueError(f"unknown panel field {field_name!r}")
-    if transform not in ("raw", "log-return"):
-        raise TransformError(f"unknown transform {transform!r}")
-
-    if field_name == "activity":
-        if transform != "raw":
-            raise TransformError("activity panels are always raw")
-        data = series.activity
-        if not data:
-            raise ValueError("no instruments to build a panel from")
-        labels = tuple(sorted(data))
-        values = np.vstack([data[name] for name in labels])
-        return SignalPanel(values, labels, series.grid.dt, series.grid.bucket_start(0))
-
-    data = series.best_rate
-    if not data:
-        raise ValueError("no instruments to build a panel from")
-    labels = tuple(sorted(data))
-    values = np.vstack([data[name] for name in labels])
-    valid = ~np.isnan(values)
-    first_complete = 0
-    for row in valid:
-        first_complete = max(first_complete, int(np.argmax(row)))
-    values = values[:, first_complete:]
-    t0 = series.grid.bucket_start(first_complete)
-    if transform == "log-return":
-        values = log_returns(values)
-    return SignalPanel(values, labels, series.grid.dt, t0)
-
-
-def _check_side(side: str) -> None:
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+def transform_panel(panel: SignalPanel, transform: str) -> SignalPanel:
+    """The panel itself ("raw") or its log-returns ("log-return")."""
+    # Log-returns are stamped at the start of the interval they span, so a
+    # transformed panel stays on the raw panel's window grid.
+    if transform == "raw":
+        return panel
+    values = log_returns(panel.values)
+    return SignalPanel(values, panel.labels, panel.dt, panel.t0)
 
 
 def write_panel_csv(
@@ -358,8 +254,12 @@ def write_panel_csv(
 ) -> None:
     """Write a panel as `time,<channel>,...` rows with RFC-3339 timestamps.
 
-    An optional `# key=value ...` comment line records provenance.
+    An optional `# key=value ...` comment line records provenance.  Panels
+    shorter than two rows are refused, as `read_panel_csv` could not read
+    them back.
     """
+    if panel.length < 2:
+        raise AnalysisError(f"{path}: a panel needs at least two rows, got {panel.length}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if meta:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
@@ -396,6 +296,8 @@ def read_panel_csv(path: str | Path) -> SignalPanel:
     if len(rows) < 2:
         raise FormatError(f"{path}: a panel needs at least two rows")
     deltas = np.diff(stamps)
+    if deltas[0] <= 0:
+        raise FormatError(f"{path}: rows are not increasing")
     if np.any(np.abs(deltas - deltas[0]) > 1):
         raise FormatError(f"{path}: rows are not uniformly spaced")
     dt = deltas[0] / 60_000.0

@@ -16,6 +16,7 @@ import hashlib
 import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from typing import TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,7 +38,7 @@ from .errors import (
     FormatError,
     InvalidWindowError,
 )
-from .ingest import format_rfc3339, log_returns, parse_rfc3339
+from .ingest import format_rfc3339, parse_rfc3339, transform_panel
 from .simulator import SimConfig, run_simulation
 from .spectra import (
     SignalPanel,
@@ -152,15 +153,6 @@ def _select_channels(panel: SignalPanel, channels: tuple[str, ...] | None) -> Si
     return SignalPanel(panel.values[rows], channels, panel.dt, panel.t0)
 
 
-def _transform_panel(panel: SignalPanel, transform: str) -> SignalPanel:
-    # Log-returns are stamped at the start of the interval they span, so a
-    # transformed panel stays on the raw panel's window grid.
-    if transform == "raw":
-        return panel
-    values = log_returns(panel.values)
-    return SignalPanel(values, panel.labels, panel.dt, panel.t0)
-
-
 def _score_chunk(segments: np.ndarray, weights: np.ndarray, floor: float, dt: float):
     """Metrics of a (w, M, N) stack of windows.
 
@@ -195,7 +187,7 @@ def analyze(
     panel = _select_channels(panel, cfg.channels)
     if panel.n_channels < 2:
         raise AnalysisError(f"need at least 2 channels, have {panel.n_channels}")
-    panel = _transform_panel(panel, cfg.transform)
+    panel = transform_panel(panel, cfg.transform)
     if panel.length < cfg.width:
         raise AnalysisError(
             f"panel of {panel.length} samples is shorter than window {cfg.width}"
@@ -497,11 +489,11 @@ def entropy_sweep(
     return points
 
 
-def write_sweep_csv(points: list[SweepPoint], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("h_a,a1,a2,mean_js\n")
-        for p in points:
-            fh.write(f"{p.h_a!r},{p.a_range[0]!r},{p.a_range[1]!r},{p.mean_js!r}\n")
+def write_sweep_csv(points: list[SweepPoint], out: TextIO) -> None:
+    """Write the sweep table as CSV to an open text stream."""
+    out.write("h_a,a1,a2,mean_js\n")
+    for p in points:
+        out.write(f"{p.h_a!r},{p.a_range[0]!r},{p.a_range[1]!r},{p.mean_js!r}\n")
 
 
 __all__ = [

@@ -79,3 +79,41 @@ def random_spectrum(rng, bins, sharpness=1.0):
     if raw.sum() == 0:
         raw = np.ones(bins)
     return raw / raw.sum()
+
+
+def scalar_resample(ticks, dt, side):
+    """Plain-Python resample of (timestamp_ms, instrument, side, price) ticks.
+
+    Written from the README's rules with integer bucket arithmetic, so dt
+    must be a whole number of milliseconds: half-open buckets
+    [k*dt, (k+1)*dt) from the first to the last bucket holding a tick of
+    either side; activity is the side's quote count per minute; the best
+    rate is the bucket minimum ask (maximum bid), repeated through empty
+    buckets, from the first bucket where every instrument has quoted.
+    Returns (labels, activity start ms, activity rows, rate start ms, rate
+    rows).
+    """
+    width = round(dt * 60_000)
+    assert width == dt * 60_000, "oracle needs a whole-millisecond bucket"
+    first_bucket = min(ts // width for ts, _, _, _ in ticks)
+    count = max(ts // width for ts, _, _, _ in ticks) - first_bucket + 1
+    quotes = {}
+    for ts, name, quote_side, price in ticks:
+        if quote_side == side:
+            quotes.setdefault(name, {}).setdefault(ts // width - first_bucket, []).append(price)
+    labels = sorted(quotes)
+    activity = [[len(quotes[name].get(k, [])) / dt for k in range(count)] for name in labels]
+    pick = min if side == "ask" else max
+    rates = []
+    for name in labels:
+        row, last = [], None
+        for k in range(count):
+            if k in quotes[name]:
+                last = pick(quotes[name][k])
+            row.append(last)
+        rates.append(row)
+    start = max((min(quotes[name]) for name in labels), default=0)
+    if count - start < 2:
+        start = count
+    rates = [row[start:] for row in rates]
+    return labels, first_bucket * width, activity, (first_bucket + start) * width, rates

@@ -37,6 +37,37 @@ class TestIngestCommand:
         bad.write_text("a,b\n1,2\n")
         assert run("ingest", str(bad), "--activity-out", str(tmp_path / "o.csv")) == 4
 
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+    def test_bad_bucket_width_is_config_error(self, tmp_path, capsys, dt):
+        code = run("ingest", TICKS, f"--dt={dt}", "--activity-out", str(tmp_path / "o.csv"))
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "kind=ConfigurationError" in err and "bucket width" in err
+
+    def test_missing_side_is_data_error(self, tmp_path, capsys):
+        bids = tmp_path / "bids.csv"
+        bids.write_text(
+            "timestamp,instrument,side,price\n"
+            "2006-10-16T00:00:05Z,EUR/USD,bid,1.2609\n"
+            "2006-10-16T00:01:05Z,EUR/USD,bid,1.2610\n"
+        )
+        code = run("ingest", str(bids), "--side", "ask", "--activity-out", str(tmp_path / "o.csv"))
+        assert code == 6
+        assert 'msg="no ask quotes to resample"' in capsys.readouterr().err
+
+    def test_rates_need_two_complete_buckets(self, tmp_path):
+        late = tmp_path / "late.csv"
+        late.write_text(
+            "timestamp,instrument,side,price\n"
+            "2006-10-16T00:00:05Z,EUR/USD,ask,1.2609\n"
+            "2006-10-16T00:01:05Z,EUR/USD,ask,1.2610\n"
+            "2006-10-16T00:01:10Z,USD/JPY,ask,116.2\n"
+        )
+        activity, rates = tmp_path / "a.csv", tmp_path / "r.csv"
+        assert run("ingest", str(late), "--activity-out", str(activity)) == 0
+        assert read_panel_csv(activity).length == 2
+        assert run("ingest", str(late), "--rates-out", str(rates)) == 6
+
 
 class TestAnalyzeCommand:
     def make_panel_csv(self, tmp_path, length=640, m=3, seed=0):
@@ -189,6 +220,17 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "h_a,a1,a2,mean_js"
         assert len(lines) == 3
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = (
+            "sweep", "--ha=0", "--seeds", "1", "--steps", "96", "--agents", "30",
+            "--commodities", "2", "--window", "32", "--center", "2.0",
+        )
+        assert run(*argv, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_bad_ha_list(self):
         assert run("sweep", "--ha", "abc") == 5

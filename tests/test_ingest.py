@@ -1,41 +1,58 @@
 import gzip
 import io
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdist.errors import FormatError, TransformError
+from specdist.errors import AnalysisError, ConfigurationError, FormatError, TransformError
 from specdist.ingest import (
-    MarketSeries,
-    ResampleGrid,
-    TickRecord,
-    best_rates,
-    build_panel,
+    ParsedTicks,
     format_rfc3339,
-    market_series,
     parse_rfc3339,
     parse_ticks,
-    quotation_frequency,
     read_panel_csv,
     read_ticks,
+    resample,
+    transform_panel,
     write_panel_csv,
 )
 
 from conftest import DATA_DIR
+from oracles import scalar_resample
 
 MINUTE_MS = 60_000
 
 
 def tick(minute_offset, instrument="EUR/USD", side="ask", price=1.0, second=0):
-    ts = minute_offset * MINUTE_MS + second * 1000
-    return TickRecord(ts, instrument, side, price)
+    return (minute_offset * MINUTE_MS + second * 1000, instrument, side, price)
 
 
-def grid(buckets, dt=1.0, origin=0):
-    return ResampleGrid(origin_ms=origin, dt=dt, bucket_count=buckets)
+def columns(ticks):
+    """ParsedTicks holding (timestamp_ms, instrument, side, price) tuples."""
+    names = sorted({t[1] for t in ticks})
+    return ParsedTicks(
+        timestamp_ms=np.array([t[0] for t in ticks], dtype=np.int64),
+        instrument=np.array([names.index(t[1]) for t in ticks], dtype=np.intp),
+        instruments=tuple(names),
+        is_ask=np.array([t[2] == "ask" for t in ticks], dtype=bool),
+        price=np.array([t[3] for t in ticks], dtype=np.float64),
+    )
+
+
+def activity_of(ticks, side="ask", dt=1.0):
+    return resample(columns(ticks), dt, side)[0]
+
+
+def rates_of(ticks, side="ask", dt=1.0):
+    return resample(columns(ticks), dt, side)[1]
+
+
+def row(panel, name="EUR/USD"):
+    return panel.values[panel.channel_index(name)].tolist()
 
 
 class TestParseTicks:
@@ -44,15 +61,29 @@ class TestParseTicks:
             io.StringIO("timestamp,instrument,side,price\n2006-10-16T00:00:01Z,EUR/USD,ask,1.2612\n")
         )
         assert parsed.malformed == 0
-        (record,) = parsed.records
-        assert record.side == "ask"
-        assert record.instrument == "EUR/USD"
-        assert record.price == 1.2612
-        assert record.timestamp_ms == 1160956801000
+        assert parsed.instruments == ("EUR/USD",)
+        assert parsed.instrument.tolist() == [0]
+        assert parsed.is_ask.tolist() == [True]
+        assert parsed.price.tolist() == [1.2612]
+        assert parsed.timestamp_ms.tolist() == [1160956801000]
+        assert parsed.timestamp_ms.dtype == np.int64
+
+    def test_instrument_codes_follow_sorted_names(self):
+        body = (
+            "timestamp,instrument,side,price\n"
+            "2006-10-16T00:00:01Z,USD/JPY,bid,116.2\n"
+            "2006-10-16T00:00:02Z,EUR/USD,ask,1.26\n"
+            "2006-10-16T00:00:03Z,USD/JPY,ask,116.3\n"
+        )
+        parsed = parse_ticks(io.StringIO(body))
+        assert parsed.instruments == ("EUR/USD", "USD/JPY")
+        assert parsed.instrument.tolist() == [1, 0, 1]
+        assert parsed.is_ask.tolist() == [False, True, True]
 
     def test_empty_body(self):
         parsed = parse_ticks(io.StringIO("timestamp,instrument,side,price\n"))
-        assert parsed.records == [] and parsed.malformed == 0
+        assert parsed.timestamp_ms.size == 0 and parsed.malformed == 0
+        assert parsed.instruments == ()
 
     def test_negative_price_counted_and_excluded(self):
         body = (
@@ -64,7 +95,7 @@ class TestParseTicks:
         )
         parsed = parse_ticks(io.StringIO(body))
         assert parsed.malformed == 1
-        assert len(parsed.records) == 99
+        assert parsed.timestamp_ms.size == 99
         assert parsed.problems and "price" in parsed.problems[0]
 
     def test_too_many_malformed_rows_abort(self):
@@ -96,7 +127,7 @@ class TestParseTicks:
         with gzip.open(path, "wt", encoding="utf-8") as fh:
             fh.write("timestamp,instrument,side,price\n2006-10-16T00:00:01Z,USD/JPY,bid,116.2\n")
         parsed = read_ticks(path)
-        assert parsed.records[0].instrument == "USD/JPY"
+        assert parsed.instruments[parsed.instrument[0]] == "USD/JPY"
 
     def test_timestamp_offsets_normalize_to_utc(self):
         body = (
@@ -105,7 +136,7 @@ class TestParseTicks:
             "2006-10-16T00:00:00Z,EUR/USD,ask,1.26\n"
         )
         parsed = parse_ticks(io.StringIO(body))
-        assert parsed.records[0].timestamp_ms == parsed.records[1].timestamp_ms
+        assert parsed.timestamp_ms[0] == parsed.timestamp_ms[1]
 
 
 class TestRfc3339:
@@ -119,38 +150,41 @@ class TestRfc3339:
         assert format_rfc3339(parsed) == "2006-10-16T00:03:00.250000Z"
 
 
+# The grid covers the ticks of both sides, so an opposite-side tick can
+# stretch it without touching the panel under test.
+
+
 class TestQuotationFrequency:
     def test_counts_per_bucket(self):
-        ticks = [tick(0, second=5), tick(0, second=30), tick(0, second=55)]
-        freq = quotation_frequency(ticks, grid(2), "ask")
-        assert freq["EUR/USD"].tolist() == [3.0, 0.0]
+        ticks = [tick(0, second=5), tick(0, second=30), tick(0, second=55), tick(1, side="bid")]
+        assert row(activity_of(ticks)) == [3.0, 0.0]
 
     def test_boundary_tick_goes_to_next_bucket(self):
-        ticks = [tick(1, second=0)]
-        freq = quotation_frequency(ticks, grid(3), "ask")
-        assert freq["EUR/USD"].tolist() == [0.0, 1.0, 0.0]
+        ticks = [tick(0, side="bid"), tick(1, second=0), tick(2, side="bid", second=30)]
+        assert row(activity_of(ticks)) == [0.0, 1.0, 0.0]
 
     def test_one_tick_per_minute_over_a_day(self):
         ticks = [tick(minute, second=30) for minute in range(1440)]
-        freq = quotation_frequency(ticks, grid(1440), "ask")
-        assert np.all(freq["EUR/USD"] == 1.0)
+        panel = activity_of(ticks)
+        assert panel.length == 1440
+        assert np.all(panel.values == 1.0)
 
     def test_rate_is_per_time_unit(self):
-        freq = quotation_frequency([tick(0), tick(0, second=90)], grid(1, dt=2.0), "ask")
-        assert freq["EUR/USD"].tolist() == [1.0]
+        ticks = [tick(0), tick(0, second=90), tick(2, side="bid")]
+        assert row(activity_of(ticks, dt=2.0)) == [1.0, 0.0]
 
     def test_side_filter(self):
-        ticks = [tick(0, side="ask"), tick(0, side="bid"), tick(0, side="bid")]
-        assert quotation_frequency(ticks, grid(1), "ask")["EUR/USD"].tolist() == [1.0]
-        assert quotation_frequency(ticks, grid(1), "bid")["EUR/USD"].tolist() == [2.0]
+        ticks = [tick(0, side="ask"), tick(0, side="bid"), tick(0, side="bid"), tick(1, side="bid")]
+        assert row(activity_of(ticks, "ask")) == [1.0, 0.0]
+        assert row(activity_of(ticks, "bid")) == [2.0, 1.0]
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
     def test_count_conservation_and_order_invariance(self, seed):
         rng = np.random.default_rng(seed)
         names = ["A/B", "C/D", "E/F"]
-        ticks = [
-            TickRecord(
+        ticks = [tick(0, "A/B"), tick(9, "A/B", second=59)] + [
+            (
                 int(rng.integers(0, 10 * MINUTE_MS)),
                 names[rng.integers(0, 3)],
                 "ask" if rng.random() < 0.5 else "bid",
@@ -158,21 +192,15 @@ class TestQuotationFrequency:
             )
             for _ in range(rng.integers(1, 120))
         ]
-        g = grid(10)
-        freq = quotation_frequency(ticks, g, "ask")
-        for name, series in freq.items():
-            expected = sum(1 for t in ticks if t.instrument == name and t.side == "ask")
-            assert float(series.sum()) * g.dt == pytest.approx(expected)
+        activity, rates = resample(columns(ticks), 1.0, "ask")
+        for name in activity.labels:
+            expected = sum(1 for t in ticks if t[1] == name and t[2] == "ask")
+            assert float(activity.values[activity.channel_index(name)].sum()) * activity.dt == pytest.approx(expected)
         shuffled = list(ticks)
         rng.shuffle(shuffled)
-        freq2 = quotation_frequency(shuffled, g, "ask")
-        assert freq.keys() == freq2.keys()
-        for name in freq:
-            assert np.array_equal(freq[name], freq2[name])
-        rates, rates2 = best_rates(ticks, g, "ask"), best_rates(shuffled, g, "ask")
-        assert rates.keys() == rates2.keys()
-        for name in rates:
-            assert np.array_equal(rates[name], rates2[name], equal_nan=True)
+        for before, after in zip((activity, rates), resample(columns(shuffled), 1.0, "ask")):
+            assert after.labels == before.labels and after.t0 == before.t0
+            assert np.array_equal(after.values, before.values)
 
 
 class TestBestRates:
@@ -181,36 +209,28 @@ class TestBestRates:
             tick(0, price=1.2613, second=1),
             tick(0, price=1.2611, second=2),
             tick(0, price=1.2615, second=3),
+            tick(1, price=1.27),
         ]
-        rates = best_rates(ticks, grid(1), "ask")
-        assert rates["EUR/USD"].tolist() == [1.2611]
+        assert row(rates_of(ticks)) == [1.2611, 1.27]
 
     def test_empty_bucket_forward_fills(self):
-        ticks = [tick(0, price=1.2611)]
-        rates = best_rates(ticks, grid(3), "ask")
-        assert rates["EUR/USD"].tolist() == [1.2611, 1.2611, 1.2611]
+        ticks = [tick(0, price=1.2611), tick(2, side="bid")]
+        assert row(rates_of(ticks)) == [1.2611, 1.2611, 1.2611]
 
     def test_bucket_maximum_for_bids(self):
         ticks = [
             tick(0, side="bid", price=116.21, second=1),
             tick(0, side="bid", price=116.25, second=2),
+            tick(1, side="ask", price=116.3),
         ]
-        rates = best_rates(ticks, grid(1), "bid")
-        assert rates["EUR/USD"].tolist() == [116.25]
+        assert row(rates_of(ticks, "bid")) == [116.25, 116.25]
 
     def test_leading_gap_stays_missing(self):
-        ticks = [tick(2, price=1.5)]
-        rates = best_rates(ticks, grid(4), "ask")
-        out = rates["EUR/USD"]
-        assert np.isnan(out[0]) and np.isnan(out[1])
-        assert out[2] == 1.5 and out[3] == 1.5
-
-    def test_no_quotes_in_range_dropped_with_warning(self, caplog):
-        ticks = [tick(99, instrument="N/Q"), tick(0, instrument="EUR/USD")]
-        with caplog.at_level("WARNING"):
-            rates = best_rates(ticks, grid(2), "ask")
-        assert "N/Q" not in rates and "EUR/USD" in rates
-        assert any("N/Q" in message for message in caplog.messages)
+        # No rate is made up before the first quote: the panel starts there.
+        ticks = [tick(0, side="bid"), tick(2, price=1.5), tick(3, side="bid")]
+        panel = rates_of(ticks)
+        assert row(panel) == [1.5, 1.5]
+        assert panel.t0.timestamp() == 2 * 60.0
 
     def test_values_are_extrema_or_exact_copies(self):
         rng = np.random.default_rng(4)
@@ -218,80 +238,128 @@ class TestBestRates:
             tick(int(rng.integers(0, 12)), price=float(rng.uniform(1, 2)), second=int(rng.integers(0, 60)))
             for _ in range(40)
         ]
-        rates = best_rates(ticks, grid(12), "ask")["EUR/USD"]
+        panel = rates_of(ticks)
         per_bucket = {}
         for t in ticks:
-            k = t.timestamp_ms // MINUTE_MS
-            per_bucket.setdefault(k, []).append(t.price)
+            per_bucket.setdefault(t[0] // MINUTE_MS, []).append(t[3])
+        first = min(per_bucket)
+        assert panel.t0.timestamp() == first * 60.0
         previous = math.nan
-        for k, value in enumerate(rates):
+        for k, value in enumerate(row(panel), start=first):
             if k in per_bucket:
                 assert value == min(per_bucket[k])
-            elif math.isnan(previous):
-                assert math.isnan(value)
             else:
                 assert value == previous
             previous = value
 
+    def test_fewer_than_two_complete_buckets_give_an_empty_panel(self, tmp_path):
+        ticks = [tick(0, "A/B"), tick(1, "A/B"), tick(1, "X/Y")]
+        activity, rates = resample(columns(ticks), 1.0, "ask")
+        assert activity.length == 2
+        assert rates.length == 0 and rates.labels == ("A/B", "X/Y")
+        with pytest.raises(AnalysisError, match="two rows"):
+            write_panel_csv(rates, tmp_path / "rates.csv")
+
 
 class TestBuildPanel:
-    def rate_series(self, rate_rows, dt=1.0):
-        names = sorted(rate_rows)
-        buckets = len(next(iter(rate_rows.values())))
-        return MarketSeries(
-            activity={name: np.ones(buckets) for name in names},
-            best_rate={name: np.asarray(rate_rows[name], dtype=float) for name in names},
-            grid=grid(buckets, dt=dt),
-            side="ask",
-        )
-
     def test_raw_rates_pass_through(self):
-        panel = build_panel(self.rate_series({"X/Y": [1.0, 1.0, 1.0], "A/B": [2.0, 2.0, 2.0]}), "rate")
+        ticks = [tick(k, "X/Y", price=1.0) for k in range(3)] + [tick(k, "A/B", price=2.0) for k in range(3)]
+        panel = rates_of(ticks)
         assert panel.labels == ("A/B", "X/Y")
         assert panel.values[1].tolist() == [1.0, 1.0, 1.0]
+        assert transform_panel(panel, "raw") is panel
 
     def test_log_return_analytic(self):
         e = math.e
-        panel = build_panel(
-            self.rate_series({"X/Y": [1.0, e, e], "A/B": [1.0, 1.0, 1.0]}), "rate", "log-return"
-        )
+        ticks = [tick(k, "X/Y", price=p) for k, p in enumerate([1.0, e, e])]
+        ticks += [tick(k, "A/B", price=1.0) for k in range(3)]
+        panel = transform_panel(rates_of(ticks), "log-return")
         assert panel.length == 2
-        assert panel.values[panel.channel_index("X/Y")].tolist() == pytest.approx([1.0, 0.0], abs=1e-15)
+        assert panel.t0.timestamp() == 0.0
+        assert row(panel, "X/Y") == pytest.approx([1.0, 0.0], abs=1e-15)
 
     def test_leading_gap_trims_to_common_coverage(self):
-        panel = build_panel(
-            self.rate_series({"X/Y": [np.nan, np.nan, 2.0, 2.5], "A/B": [np.nan, 1.0, 1.0, 1.1]}),
-            "rate",
-        )
+        ticks = [
+            tick(0, "A/B", side="bid"),
+            tick(2, "X/Y", price=2.0),
+            tick(3, "X/Y", price=2.5),
+            tick(1, "A/B", price=1.0),
+            tick(3, "A/B", price=1.1),
+        ]
+        panel = rates_of(ticks)
         assert panel.length == 2
         assert panel.t0.timestamp() == 2 * 60.0
+        assert row(panel, "X/Y") == [2.0, 2.5] and row(panel, "A/B") == [1.0, 1.1]
 
     def test_activity_panel_identity(self):
-        series = self.rate_series({"X/Y": [1.0, 2.0], "A/B": [1.0, 2.0]})
-        panel = build_panel(series, "activity")
+        ticks = [tick(k, name, price=1.0 + k) for k in range(2) for name in ("X/Y", "A/B")]
+        panel = activity_of(ticks)
+        assert panel.labels == ("A/B", "X/Y")
         assert np.all(panel.values == 1.0)
         assert panel.length == 2
-
-    def test_activity_rejects_log_return(self):
-        series = self.rate_series({"X/Y": [1.0, 2.0]})
-        with pytest.raises(TransformError):
-            build_panel(series, "activity", "log-return")
+        assert panel.t0.timestamp() == 0.0
 
     def test_log_return_rejects_nonpositive(self):
+        ticks = [tick(k, "X/Y", price=p) for k, p in enumerate([1.0, 0.0, 2.0])]
+        ticks += [tick(k, "A/B", price=1.0) for k in range(3)]
         with pytest.raises(TransformError):
-            build_panel(
-                self.rate_series({"X/Y": [1.0, 0.0, 2.0], "A/B": [1.0, 1.0, 1.0]}),
-                "rate",
-                "log-return",
-            )
+            transform_panel(rates_of(ticks), "log-return")
+
+
+class TestResample:
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ConfigurationError, match="side"):
+            resample(columns([tick(0), tick(1)]), 1.0, "mid")
+
+    def test_no_ticks(self):
+        with pytest.raises(AnalysisError, match="no valid ticks to resample"):
+            resample(columns([]), 1.0, "ask")
+
+    @given(
+        ticks=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(0, 40).map(lambda k: k * 15_000),  # bucket boundaries
+                    st.integers(0, 600_000),
+                ).map(lambda ms: 1_160_956_800_000 + ms),
+                st.sampled_from(["A/B", "C/D", "E/F"]),
+                st.sampled_from(["ask", "bid"]),
+                st.one_of(st.sampled_from([1.0, 1.25, 1.5]), st.floats(0.5, 2.0)),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        dt=st.sampled_from([0.25, 1.0, 2.5]),
+        side=st.sampled_from(["ask", "bid"]),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_oracle(self, ticks, dt, side, order):
+        if all(t[2] != side for t in ticks):
+            with pytest.raises(AnalysisError, match=f"no {side} quotes to resample"):
+                resample(columns(ticks), dt, side)
+            return
+        labels, a_start, activity_rows, r_start, rate_rows = scalar_resample(ticks, dt, side)
+        if len(activity_rows[0]) < 2:
+            with pytest.raises(ValueError, match="two samples"):
+                resample(columns(ticks), dt, side)
+            return
+        shuffled = list(ticks)
+        order.shuffle(shuffled)
+        for panel_input in (ticks, shuffled):
+            activity, rates = resample(columns(panel_input), dt, side)
+            assert activity.labels == rates.labels == tuple(labels)
+            assert activity.dt == rates.dt == dt
+            assert activity.values.tolist() == activity_rows
+            assert rates.values.tolist() == rate_rows
+            assert activity.t0 == datetime.fromtimestamp(a_start / 1000, tz=timezone.utc)
+            assert rates.t0 == datetime.fromtimestamp(r_start / 1000, tz=timezone.utc)
 
 
 class TestPanelCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        ticks = read_ticks(DATA_DIR / "ticks_fixture.csv").records
-        g = ResampleGrid.covering(ticks, dt=1.0)
-        panel = build_panel(market_series(ticks, g, "ask"), "activity")
+        panel, _ = resample(read_ticks(DATA_DIR / "ticks_fixture.csv"), 1.0, "ask")
         path = tmp_path / "panel.csv"
         write_panel_csv(panel, path, meta={"side": "ask"})
         loaded = read_panel_csv(path)
@@ -317,6 +385,19 @@ class TestPanelCsv:
         with pytest.raises(FormatError, match="spaced"):
             read_panel_csv(path)
 
+    @pytest.mark.parametrize(
+        "stamps",
+        [
+            ("00:02:00", "00:01:00", "00:00:00"),  # descending
+            ("00:01:00", "00:01:00", "00:01:00"),  # repeated
+        ],
+    )
+    def test_reader_rejects_non_increasing_times(self, tmp_path, stamps):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,x,y\n" + "".join(f"2006-10-16T{s}Z,1.0,2.0\n" for s in stamps))
+        with pytest.raises(FormatError, match="rows are not increasing"):
+            read_panel_csv(path)
+
 
 class TestFixtureGoldens:
     """Library-level checks of the hand-computed golden panels."""
@@ -324,18 +405,15 @@ class TestFixtureGoldens:
     def test_activity_matches_golden(self):
         parsed = read_ticks(DATA_DIR / "ticks_fixture.csv")
         assert parsed.malformed == 0
-        assert len(parsed.records) == 50
-        g = ResampleGrid.covering(parsed.records, dt=1.0)
-        assert g.bucket_count == 10
-        panel = build_panel(market_series(parsed.records, g, "ask"), "activity")
+        assert parsed.timestamp_ms.size == 50
+        panel, _ = resample(parsed, 1.0, "ask")
+        assert panel.length == 10
         golden = read_panel_csv(DATA_DIR / "golden_activity_ask.csv")
         assert panel.labels == golden.labels
         assert np.array_equal(panel.values, golden.values)
 
     def test_rates_match_golden(self):
-        parsed = read_ticks(DATA_DIR / "ticks_fixture.csv")
-        g = ResampleGrid.covering(parsed.records, dt=1.0)
-        panel = build_panel(market_series(parsed.records, g, "ask"), "rate")
+        _, panel = resample(read_ticks(DATA_DIR / "ticks_fixture.csv"), 1.0, "ask")
         golden = read_panel_csv(DATA_DIR / "golden_rates_ask.csv")
         assert panel.labels == golden.labels
         assert panel.t0 == golden.t0
