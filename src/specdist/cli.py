@@ -245,12 +245,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigurationError("nothing to do: pass --rates-out and/or --activity-out")
     cfg = _sim_config(args)
     rates, activity = run_simulation(cfg)
-    meta = {
-        "source": "simulate",
-        "seed": str(cfg.seed),
-        "steps": str(cfg.horizon),
-        "transform": "raw",
-    }
+    meta = {"source": "simulate", **cfg.provenance(), "transform": "raw"}
     if args.rates_out:
         write_panel_csv(rates, args.rates_out, meta)
     if args.activity_out:

@@ -35,6 +35,7 @@ from .distances import (
 from .errors import (
     AlignmentError,
     AnalysisError,
+    ConfigurationError,
     FormatError,
     InvalidWindowError,
 )
@@ -460,17 +461,18 @@ def entropy_sweep(
     if seeds < 1:
         raise ValueError("need at least one seed")
     mid = center if center is not None else 0.5 * (base.a_range[0] + base.a_range[1])
-    points: list[SweepPoint] = []
+    # Every H_a is checked before the first (slow) simulation starts.
+    sweep: list[tuple[float, SimConfig]] = []
     for h_a in h_a_values:
         half = 0.5 * float(np.exp(h_a))
         if mid - half <= 0:
-            raise AnalysisError(
-                f"H_a={h_a!r} makes the range touch zero (center {mid!r})"
-            )
-        a_range = (mid - half, mid + half)
+            raise ConfigurationError(f"H_a={h_a!r} makes the range touch zero (center {mid!r})")
+        sweep.append((h_a, replace(base, a_range=(mid - half, mid + half))))
+    points: list[SweepPoint] = []
+    for h_a, swept in sweep:
         per_seed: list[float] = []
         for k in range(seeds):
-            cfg = replace(base, a_range=a_range, seed=base.seed + k)
+            cfg = replace(swept, seed=base.seed + k)
             _, activity = run_simulation(cfg)
             result = analyze(activity, analysis)
             if result.js.size == 0:
@@ -481,7 +483,7 @@ def entropy_sweep(
         points.append(
             SweepPoint(
                 h_a=float(h_a),
-                a_range=a_range,
+                a_range=swept.a_range,
                 mean_js=float(np.mean(per_seed)),
                 per_seed=tuple(per_seed),
             )

@@ -13,7 +13,7 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,15 +55,20 @@ class SimConfig:
         def fail(msg: str) -> None:
             raise ConfigurationError(msg)
 
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numbers = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+                fail(f"{f.name} must be finite, got {value!r}")
         if self.n_agents < 1:
             fail(f"need at least one agent, got {self.n_agents}")
         if self.n_commodities < 1:
             fail(f"need at least one commodity, got {self.n_commodities}")
-        if self.horizon < 0:
-            fail(f"horizon must be nonnegative, got {self.horizon}")
+        if self.horizon < 0 or self.horizon == 1:
+            fail(f"horizon must be 0 or at least 2 steps, got {self.horizon}")
         if self.ma_span < 1:
             fail(f"moving-average span must be >= 1, got {self.ma_span}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
+        if not self.gamma > 0:
             fail(f"return scale must be positive, got {self.gamma}")
         if self.sigma_xi < 0 or self.sigma_s < 0:
             fail("noise scales must be nonnegative")
@@ -76,174 +81,97 @@ class SimConfig:
         a1, a2 = self.a_range
         if not (0 < a1 < a2):
             fail(f"sensitivity range needs 0 < a1 < a2, got {self.a_range}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if not self.dt > 0:
             fail(f"model tick must be positive, got {self.dt}")
         if self.warmup < 0:
             fail(f"warm-up must be nonnegative, got {self.warmup}")
 
+    def provenance(self) -> dict[str, str]:
+        """Each field as text `load_sim_config` reads back: ranges as `lo,hi`,
+        everything else by repr."""
+        text = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            text[f.name] = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        return text
 
-@dataclass(frozen=True)
-class AgentParams:
-    """Per-(agent, commodity) behavioral parameters, fixed after sampling.
 
-    `attention` caches 1/(theta_sell^2 + theta_buy^2), the coupling of each
+def init_population(cfg: SimConfig, rng: np.random.Generator | None = None):
+    """Sample (theta_buy, theta_sell, sensitivity, attention), each (N, M).
+
+    Thresholds and sensitivities are i.i.d. uniform over the configured
+    ranges, drawn in that order, so the same seed gives the same bits.
+    `attention` is 1/(theta_sell^2 + theta_buy^2), the coupling of each
     agent's perception to each commodity's recent returns.
-    """
-
-    theta_buy: np.ndarray
-    theta_sell: np.ndarray
-    sensitivity: np.ndarray
-    attention: np.ndarray
-
-    @classmethod
-    def sample(cls, cfg: SimConfig, rng: np.random.Generator) -> "AgentParams":
-        shape = (cfg.n_agents, cfg.n_commodities)
-        theta_buy = rng.uniform(*cfg.theta_buy_range, shape)
-        theta_sell = rng.uniform(*cfg.theta_sell_range, shape)
-        sensitivity = rng.uniform(*cfg.a_range, shape)
-        return cls(
-            theta_buy=theta_buy,
-            theta_sell=theta_sell,
-            sensitivity=sensitivity,
-            attention=1.0 / (theta_sell**2 + theta_buy**2),
-        )
-
-
-@dataclass(frozen=True)
-class MarketState:
-    """Rates, last attitudes, and the recent-return ring at one model time."""
-
-    rates: np.ndarray
-    attitudes: np.ndarray
-    returns_history: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def initial(cls, cfg: SimConfig) -> "MarketState":
-        return cls(
-            rates=np.ones(cfg.n_commodities),
-            attitudes=np.zeros((cfg.n_agents, cfg.n_commodities), dtype=np.int8),
-            returns_history=np.zeros((cfg.ma_span, cfg.n_commodities)),
-        )
-
-    def activity(self, dt: float = 1.0) -> np.ndarray:
-        """Quotes per unit time: count of non-waiting attitudes over dt."""
-        return np.abs(self.attitudes).sum(axis=0, dtype=np.float64) / dt
-
-
-def init_population(cfg: SimConfig, rng: np.random.Generator | None = None) -> AgentParams:
-    """Sample agent parameters i.i.d. uniform over the configured ranges.
-
-    Draw order is buy thresholds, sell thresholds, sensitivities; with the
-    same seed this is bit-reproducible.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    return AgentParams.sample(cfg, rng)
+    shape = (cfg.n_agents, cfg.n_commodities)
+    theta_buy = rng.uniform(*cfg.theta_buy_range, shape)
+    theta_sell = rng.uniform(*cfg.theta_sell_range, shape)
+    sensitivity = rng.uniform(*cfg.a_range, shape)
+    return theta_buy, theta_sell, sensitivity, 1.0 / (theta_sell**2 + theta_buy**2)
 
 
-def parameter_entropy(a_range: tuple[float, float]) -> float:
-    """Diversity of the sensitivity range measured as log(a2 - a1)."""
-    a1, a2 = a_range
-    if not a2 > a1:
-        raise ConfigurationError(f"range must have a2 > a1, got {a_range}")
-    return math.log(a2 - a1)
+def step_market(params, history: np.ndarray, cfg: SimConfig, rng: np.random.Generator):
+    """One tick: return the (N, M) int8 attitudes and the (M,) log returns.
 
-
-def perceive(state: MarketState, params: AgentParams, exogenous: np.ndarray) -> np.ndarray:
-    """Per-agent perception: attention-weighted mean recent returns plus noise."""
-    mean_returns = state.returns_history.mean(axis=0)
-    return params.attention @ mean_returns + exogenous
-
-
-def decide(perception: np.ndarray, params: AgentParams, noise: np.ndarray) -> np.ndarray:
-    """Threshold rule: +1 at or above the buy threshold, -1 at or below the
-    sell threshold, 0 in between.  Boundaries are inclusive."""
-    signal = params.sensitivity * (perception + noise)[:, None]
-    return (signal >= params.theta_buy).astype(np.int8) - (
-        signal <= params.theta_sell
-    ).astype(np.int8)
-
-
-def step_market(
-    state: MarketState,
-    params: AgentParams,
-    cfg: SimConfig,
-    rng: np.random.Generator,
-) -> MarketState:
-    """Advance the market one tick.
-
-    Noise draw order per step: fresh parameters first when
-    `cfg.resample_params` is set, then exogenous perception noise s, then
-    interpretation noise xi.  Returns the successor state; inputs are not
-    mutated.
+    `history` holds the last `ma_span` returns, newest first.  Draw order:
+    fresh parameters when `cfg.resample_params` is set, then exogenous
+    perception noise s, then interpretation noise xi.  Each agent perceives
+    its attention-weighted mean recent return plus s, and buys (+1) where
+    sensitivity * (perception + xi) is at or above theta_buy, sells (-1) at
+    or below theta_sell, and waits otherwise.  Inputs are not mutated.
     """
     if cfg.resample_params:
-        params = AgentParams.sample(cfg, rng)
+        params = init_population(cfg, rng)
+    theta_buy, theta_sell, sensitivity, attention = params
     s = rng.normal(0.0, cfg.sigma_s, cfg.n_agents)
     xi = rng.normal(0.0, cfg.sigma_xi, cfg.n_agents)
-    x = perceive(state, params, s)
-    y = decide(x, params, xi)
-    returns = (cfg.gamma / cfg.n_agents) * y.sum(axis=0, dtype=np.float64)
-    history = np.vstack([returns[None, :], state.returns_history[:-1]])
-    return MarketState(
-        rates=state.rates * np.exp(returns),
-        attitudes=y,
-        returns_history=history,
-        t=state.t + 1,
-    )
+    perception = attention @ history.mean(axis=0) + s
+    signal = sensitivity * (perception + xi)[:, None]
+    attitudes = (signal >= theta_buy).astype(np.int8) - (signal <= theta_sell).astype(np.int8)
+    return attitudes, (cfg.gamma / cfg.n_agents) * attitudes.sum(axis=0, dtype=np.float64)
 
 
 def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
     """Run warm-up plus horizon steps and return (rates, activity) panels.
 
-    The warm-up is discarded.  Rates are recorded after each update, the
-    activity alongside it; both panels share labels, dt, and length
-    `cfg.horizon`.  Same seed, same panels, bit for bit.
+    Rates start at 1 and grow by exp(return) each step; activity is the
+    count of non-waiting attitudes per unit time.  The warm-up is
+    discarded; both panels share labels, dt, and length `cfg.horizon`.
+    Same seed, same panels, bit for bit.
     """
     rng = np.random.default_rng(cfg.seed)
     params = init_population(cfg, rng)
-    state = MarketState.initial(cfg)
     m = cfg.n_commodities
+    rate = np.ones(m)
+    history = np.zeros((cfg.ma_span, m))
     rates = np.empty((m, cfg.horizon))
     activity = np.empty((m, cfg.horizon))
     for step in range(cfg.warmup + cfg.horizon):
-        state = step_market(state, params, cfg, rng)
-        if step >= cfg.warmup:
-            i = step - cfg.warmup
-            rates[:, i] = state.rates
-            activity[:, i] = state.activity(cfg.dt)
+        attitudes, returns = step_market(params, history, cfg, rng)
+        rate = rate * np.exp(returns)
+        history[1:] = history[:-1]
+        history[0] = returns
+        i = step - cfg.warmup
+        if i >= 0:
+            rates[:, i] = rate
+            activity[:, i] = np.abs(attitudes).sum(axis=0, dtype=np.float64) / cfg.dt
     width = len(str(m))
     labels = tuple(f"c{j + 1:0{width}d}" for j in range(m))
-    return (
-        SignalPanel(rates, labels, cfg.dt),
-        SignalPanel(activity, labels, cfg.dt),
-    )
-
-
-_CONFIG_KEYS = {
-    "n_agents": int,
-    "n_commodities": int,
-    "horizon": int,
-    "ma_span": int,
-    "gamma": float,
-    "sigma_xi": float,
-    "sigma_s": float,
-    "seed": int,
-    "dt": float,
-    "warmup": int,
-    "resample_params": None,  # parsed as bool
-}
-_RANGE_KEYS = ("theta_buy_range", "theta_sell_range", "a_range")
+    return SignalPanel(rates, labels, cfg.dt), SignalPanel(activity, labels, cfg.dt)
 
 
 def load_sim_config(path: str | Path, base: SimConfig | None = None) -> SimConfig:
     """Read a `key = value` config file into a SimConfig.
 
-    Ranges take two numbers (`a_range = 0.5 3.5`); booleans accept
-    true/false/1/0.  Unknown keys raise ConfigurationError.
+    Each key is parsed by the type of its SimConfig default: ranges take
+    two numbers (`a_range = 0.5 3.5` or `0.5,3.5`), booleans accept
+    true/false/1/0, the rest are int or float.  Unknown keys raise
+    ConfigurationError.
     """
-    cfg = base if base is not None else SimConfig()
+    defaults = {f.name: f.default for f in fields(SimConfig)}
     overrides: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -253,20 +181,21 @@ def load_sim_config(path: str | Path, base: SimConfig | None = None) -> SimConfi
             raise ConfigurationError(f"{path}: line {lineno}: expected `key = value`")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in defaults:
+            raise ConfigurationError(f"{path}: line {lineno}: unknown key {key!r}")
+        kind = type(defaults[key])
         try:
-            if key in _RANGE_KEYS:
+            if kind is tuple:
                 parts = value.replace(",", " ").split()
                 if len(parts) != 2:
                     raise ValueError("expected two numbers")
                 overrides[key] = (float(parts[0]), float(parts[1]))
-            elif key == "resample_params":
+            elif kind is bool:
                 if value.lower() not in ("true", "false", "1", "0"):
                     raise ValueError("expected true/false")
                 overrides[key] = value.lower() in ("true", "1")
-            elif key in _CONFIG_KEYS:
-                overrides[key] = _CONFIG_KEYS[key](value)
             else:
-                raise ConfigurationError(f"{path}: line {lineno}: unknown key {key!r}")
+                overrides[key] = kind(value)
         except ValueError as exc:
             raise ConfigurationError(f"{path}: line {lineno}: bad value for {key}: {exc}") from None
-    return replace(cfg, **overrides)
+    return replace(base if base is not None else SimConfig(), **overrides)

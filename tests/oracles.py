@@ -117,3 +117,56 @@ def scalar_resample(ticks, dt, side):
         start = count
     rates = [row[start:] for row in rates]
     return labels, first_bucket * width, activity, (first_bucket + start) * width, rates
+
+
+def scalar_simulation(cfg):
+    """Plain-Python rebuild of the threshold market from the README's rules.
+
+    Consumes the same numpy random stream as the library, in the same
+    order: (N, M) uniform buy thresholds, sell thresholds and
+    sensitivities (redrawn at the start of every step when
+    `cfg.resample_params` is set), then N exogenous noises s and N
+    interpretation noises xi per step.  Returns (rates, activity) as M
+    lists of `cfg.horizon` values each, the warm-up dropped.
+    """
+    n, m = cfg.n_agents, cfg.n_commodities
+    rng = np.random.default_rng(cfg.seed)
+
+    def draw():
+        ranges = (cfg.theta_buy_range, cfg.theta_sell_range, cfg.a_range)
+        return [rng.uniform(lo, hi, (n, m)).tolist() for lo, hi in ranges]
+
+    theta_buy, theta_sell, sensitivity = draw()
+    rate = [1.0] * m
+    recent = [[0.0] * m for _ in range(cfg.ma_span)]  # newest first
+    rates = [[] for _ in range(m)]
+    activity = [[] for _ in range(m)]
+    for step in range(cfg.warmup + cfg.horizon):
+        if cfg.resample_params:
+            theta_buy, theta_sell, sensitivity = draw()
+        s = rng.normal(0.0, cfg.sigma_s, n).tolist()
+        xi = rng.normal(0.0, cfg.sigma_xi, n).tolist()
+        mean_return = [sum(row[k] for row in recent) / cfg.ma_span for k in range(m)]
+        net = [0] * m
+        gross = [0] * m
+        for i in range(n):
+            perception = s[i]
+            for k in range(m):
+                tb, ts = theta_buy[i][k], theta_sell[i][k]
+                perception += mean_return[k] / (ts * ts + tb * tb)
+            for j in range(m):
+                signal = sensitivity[i][j] * (perception + xi[i])
+                if signal >= theta_buy[i][j]:
+                    net[j] += 1
+                    gross[j] += 1
+                elif signal <= theta_sell[i][j]:
+                    net[j] -= 1
+                    gross[j] += 1
+        returns = [cfg.gamma / n * v for v in net]
+        rate = [r * math.exp(d) for r, d in zip(rate, returns)]
+        recent = [returns] + recent[:-1]
+        if step >= cfg.warmup:
+            for j in range(m):
+                rates[j].append(rate[j])
+                activity[j].append(gross[j] / cfg.dt)
+    return rates, activity

@@ -126,6 +126,16 @@ class TestAnalyzeCommand:
         assert code == 5
 
 
+SMALL_SIM = ("--agents", "40", "--commodities", "2", "--steps", "24", "--warmup", "4")
+
+
+def header_fields(path):
+    """The `# key=value ...` provenance line of a panel CSV as a dict."""
+    line = path.read_text().splitlines()[0]
+    assert line.startswith("# ")
+    return dict(item.split("=", 1) for item in line[2:].split())
+
+
 class TestSimulateCommand:
     def test_same_seed_byte_identical(self, tmp_path):
         args = (
@@ -153,6 +163,48 @@ class TestSimulateCommand:
 
     def test_requires_an_output(self):
         assert run("simulate", "--seed", "1") == 5
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (("--sigma-xi", "nan"), "sigma_xi"),
+            (("--sigma-s", "inf"), "sigma_s"),
+            (("--a-range", "1", "inf"), "a_range"),
+            (("--theta-buy", "0.01", "inf"), "theta_buy_range"),
+            (("--steps", "1"), "horizon"),
+        ],
+        ids=["sigma_xi_nan", "sigma_s_inf", "a_range_inf", "theta_buy_inf", "one_step"],
+    )
+    def test_non_finite_or_one_step_is_config_error(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "x.csv"
+        argv = ("simulate", *SMALL_SIM, *flags, "--activity-out", str(out))
+        assert run(*argv) == 5
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_records_every_config_field(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("simulate", *SMALL_SIM, "--gamma", "2e-7", "--activity-out", str(a)) == 0
+        assert run("simulate", *SMALL_SIM, "--gamma", "3e-7", "--activity-out", str(b)) == 0
+        header_a, header_b = header_fields(a), header_fields(b)
+        assert header_a != header_b
+        assert header_a["gamma"] == "2e-07" and header_b["gamma"] == "3e-07"
+        assert header_a["source"] == "simulate" and header_a["transform"] == "raw"
+        assert header_a["a_range"] == "1.0,3.0" and header_a["n_agents"] == "40"
+
+    def test_header_alone_reproduces_the_panel(self, tmp_path):
+        first = tmp_path / "first.csv"
+        assert run(
+            "simulate", *SMALL_SIM, "--gamma", "3e-7", "--ma-span", "3", "--a-range", "0.5", "2.5",
+            "--resample-params", "--rates-out", str(first),
+        ) == 0
+        fields = header_fields(first)
+        del fields["source"], fields["transform"]
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("".join(f"{name} = {value}\n" for name, value in fields.items()))
+        again = tmp_path / "again.csv"
+        assert run("simulate", "--config", str(cfg), "--rates-out", str(again)) == 0
+        assert again.read_bytes() == first.read_bytes()
 
 
 class TestCompareCommand:
@@ -231,6 +283,14 @@ class TestSweepCommand:
         capsys.readouterr()
         assert run(*argv) == 0
         assert capsys.readouterr().out == out.read_text()
+
+    def test_range_touching_zero_is_config_error(self, capsys):
+        code = run(
+            "sweep", "--ha=0,3", "--center", "1.0", "--steps", "96", "--seeds", "1",
+            "--agents", "30", "--window", "16",
+        )
+        assert code == 5
+        assert "touch zero" in capsys.readouterr().err
 
     def test_bad_ha_list(self):
         assert run("sweep", "--ha", "abc") == 5

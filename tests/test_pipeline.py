@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from specdist import pipeline
 from specdist.distances import MetricSeries, kl_matrix
-from specdist.errors import AlignmentError, AnalysisError, InvalidWindowError, TransformError
+from specdist.errors import (
+    AlignmentError,
+    AnalysisError,
+    ConfigurationError,
+    InvalidWindowError,
+    TransformError,
+)
 from specdist.pipeline import (
     AnalysisConfig,
     analyze,
@@ -367,7 +373,11 @@ class TestEntropySweep:
             assert len(point.per_seed) == 2
             assert point.mean_js == pytest.approx(float(np.mean(point.per_seed)))
 
-    def test_range_touching_zero_rejected(self):
+    def test_range_touching_zero_rejected(self, monkeypatch):
+        def no_simulation(cfg):
+            raise AssertionError("simulated before every H_a was checked")
+
+        monkeypatch.setattr(pipeline, "run_simulation", no_simulation)
         base = SimConfig(n_agents=10, n_commodities=2, horizon=64, warmup=0)
-        with pytest.raises(AnalysisError):
-            entropy_sweep([3.0], base, AnalysisConfig(width=16), seeds=1, center=1.0)
+        with pytest.raises(ConfigurationError, match="touch zero"):
+            entropy_sweep([0.0, 3.0], base, AnalysisConfig(width=16), seeds=1, center=1.0)

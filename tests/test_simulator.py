@@ -1,66 +1,51 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import scalar_simulation
 from specdist.errors import ConfigurationError
 from specdist.simulator import (
-    AgentParams,
-    MarketState,
     SimConfig,
-    decide,
     init_population,
     load_sim_config,
-    parameter_entropy,
-    perceive,
     run_simulation,
     step_market,
 )
 
 
 def manual_params(theta_buy, theta_sell, sensitivity):
-    tb = np.atleast_2d(np.asarray(theta_buy, dtype=float))
-    ts = np.atleast_2d(np.asarray(theta_sell, dtype=float))
-    a = np.atleast_2d(np.asarray(sensitivity, dtype=float))
-    return AgentParams(tb, ts, a, 1.0 / (ts**2 + tb**2))
+    tb, ts, a = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (theta_buy, theta_sell, sensitivity))
+    return tb, ts, a, 1.0 / (ts**2 + tb**2)
 
 
-class TestParameterEntropy:
-    def test_unit_width(self):
-        assert parameter_entropy((0.0, 1.0)) == 0.0
-
-    def test_e_width(self):
-        assert parameter_entropy((0.0, math.e)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_half_width(self):
-        assert parameter_entropy((1.0, 1.5)) == pytest.approx(math.log(0.5))
-
-    def test_rejects_empty_range(self):
-        with pytest.raises(ConfigurationError):
-            parameter_entropy((1.0, 1.0))
+def quiet_step(params, history):
+    """step_market with zero noise on hand-set parameters and history."""
+    n, m = params[0].shape
+    history = np.atleast_2d(np.asarray(history, dtype=float))
+    cfg = SimConfig(n_agents=n, n_commodities=m, ma_span=len(history), sigma_xi=0.0, sigma_s=0.0)
+    return step_market(params, history, cfg, np.random.default_rng(0))
 
 
 class TestInitPopulation:
     def test_support_bounds(self):
         cfg = SimConfig(n_agents=200, n_commodities=5, seed=1)
-        params = init_population(cfg)
-        assert params.theta_buy.min() >= 0.01 and params.theta_buy.max() <= 0.02
-        assert params.theta_sell.min() >= -0.02 and params.theta_sell.max() <= -0.01
+        theta_buy, theta_sell, sensitivity, attention = init_population(cfg)
+        assert theta_buy.min() >= 0.01 and theta_buy.max() <= 0.02
+        assert theta_sell.min() >= -0.02 and theta_sell.max() <= -0.01
         a1, a2 = cfg.a_range
-        assert params.sensitivity.min() >= a1 and params.sensitivity.max() <= a2
+        assert sensitivity.min() >= a1 and sensitivity.max() <= a2
+        assert np.array_equal(attention, 1.0 / (theta_sell**2 + theta_buy**2))
 
     def test_degenerate_width_collapses_sensitivity(self):
         cfg = SimConfig(n_agents=50, n_commodities=2, a_range=(1.0, 1.0 + 1e-9), seed=0)
-        params = init_population(cfg)
-        assert np.allclose(params.sensitivity, 1.0, atol=2e-9)
-        assert parameter_entropy(cfg.a_range) == pytest.approx(math.log(1e-9), rel=1e-6)
+        sensitivity = init_population(cfg)[2]
+        assert np.allclose(sensitivity, 1.0, atol=2e-9)
 
     def test_same_seed_bit_identical(self):
         cfg = SimConfig(n_agents=100, n_commodities=4, seed=77)
-        one, two = init_population(cfg), init_population(cfg)
-        assert np.array_equal(one.theta_buy, two.theta_buy)
-        assert np.array_equal(one.theta_sell, two.theta_sell)
-        assert np.array_equal(one.sensitivity, two.sensitivity)
+        for one, two in zip(init_population(cfg), init_population(cfg)):
+            assert np.array_equal(one, two)
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -68,57 +53,68 @@ class TestInitPopulation:
 
 
 class TestPerceive:
+    """Perception: attention-weighted mean recent return plus noise s."""
+
     def test_zero_history_zero_noise(self):
-        cfg = SimConfig(n_agents=3, n_commodities=2)
-        state = MarketState.initial(cfg)
-        params = init_population(cfg)
-        x = perceive(state, params, np.zeros(3))
-        assert np.all(x == 0.0)
+        # Thresholds of 1e-150 trade on any perception but an exact zero.
+        tiny = np.full((3, 2), 1e-150)
+        attitudes, returns = quiet_step(manual_params(tiny, -tiny, np.ones((3, 2))), np.zeros((1, 2)))
+        assert np.all(attitudes == 0) and np.all(returns == 0.0)
 
     def test_single_commodity_analytic(self):
-        params = manual_params([[0.01]], [[-0.01]], [[1.0]])
-        state = MarketState(
-            rates=np.ones(1),
-            attitudes=np.zeros((1, 1), dtype=np.int8),
-            returns_history=np.array([[1e-4]]),
-        )
-        x = perceive(state, params, np.zeros(1))
-        assert x[0] == pytest.approx(0.5, rel=1e-12)
+        # attention = 1/(0.5^2 + 0.5^2) = 2, so the perception is exactly
+        # 2 * 0.25 = 0.5: a sensitivity of 1 meets the 0.5 buy threshold,
+        # one ulp less misses it.
+        below_one = np.nextafter(1.0, 0.0)
+        params = manual_params([[0.5], [0.5]], [[-0.5], [-0.5]], [[1.0], [below_one]])
+        attitudes, _ = quiet_step(params, [[0.25]])
+        assert attitudes.tolist() == [[1], [0]]
 
     def test_matches_scalar_loop(self):
-        rng = np.random.default_rng(5)
         cfg = SimConfig(n_agents=7, n_commodities=3, ma_span=4, seed=5)
-        params = init_population(cfg, rng)
-        history = rng.normal(scale=1e-4, size=(4, 3))
-        state = MarketState(
-            rates=np.ones(3),
-            attitudes=np.zeros((7, 3), dtype=np.int8),
-            returns_history=history,
-        )
-        s = rng.normal(size=7)
-        x = perceive(state, params, s)
+        params = init_population(cfg)
+        history = np.random.default_rng(6).normal(scale=1e-6, size=(4, 3))
+        before = [a.copy() for a in (*params, history)]
+        attitudes, returns = step_market(params, history, cfg, np.random.default_rng(5))
+        for kept, now in zip(before, (*params, history)):
+            assert np.array_equal(kept, now)  # inputs are not mutated
+
+        noise = np.random.default_rng(5)
+        s = noise.normal(0.0, cfg.sigma_s, 7)
+        xi = noise.normal(0.0, cfg.sigma_xi, 7)
+        theta_buy, theta_sell, sensitivity, _ = params
         for i in range(7):
-            expected = s[i]
+            x = s[i]
             for k in range(3):
-                c = 1.0 / (params.theta_sell[i, k] ** 2 + params.theta_buy[i, k] ** 2)
-                expected += c * sum(history[tau, k] for tau in range(4)) / 4
-            assert x[i] == pytest.approx(expected, rel=1e-12)
+                c = 1.0 / (theta_sell[i, k] ** 2 + theta_buy[i, k] ** 2)
+                x += c * sum(history[tau, k] for tau in range(4)) / 4
+            for j in range(3):
+                signal = sensitivity[i, j] * (x + xi[i])
+                expected = int(signal >= theta_buy[i, j]) - int(signal <= theta_sell[i, j])
+                assert attitudes[i, j] == expected
+        assert np.array_equal(returns, cfg.gamma / 7 * attitudes.sum(axis=0))
 
 
 class TestDecide:
+    """Threshold rule: +1 at or above theta_buy, -1 at or below theta_sell."""
+
     def test_zero_signal_waits(self):
-        params = manual_params([[0.01]], [[-0.01]], [[2.0]])
-        assert decide(np.zeros(1), params, np.zeros(1)).tolist() == [[0]]
+        attitudes, returns = quiet_step(manual_params([[0.01]], [[-0.01]], [[2.0]]), [[0.0]])
+        assert attitudes.tolist() == [[0]] and returns.tolist() == [0.0]
 
     def test_buy_boundary_inclusive(self):
-        params = manual_params([[0.01]], [[-0.01]], [[1.0]])
-        y = decide(np.array([0.01]), params, np.zeros(1))
-        assert y.tolist() == [[1]]
+        # attention = 1/(0.25^2 + 0.25^2) = 8 and history +-1/32 put the
+        # signal exactly on a threshold; both boundaries count as crossed.
+        params = manual_params([[0.25]], [[-0.25]], [[1.0]])
+        assert quiet_step(params, [[1 / 32]])[0].tolist() == [[1]]
+        assert quiet_step(params, [[-1 / 32]])[0].tolist() == [[-1]]
 
     def test_sell_threshold_crossed(self):
+        # attention 1250, history -8.8e-6: perception -0.011, signal -0.022.
         params = manual_params([[0.02]], [[-0.02]], [[2.0]])
-        y = decide(np.array([-0.011]), params, np.zeros(1))
-        assert y.tolist() == [[-1]]
+        attitudes, returns = quiet_step(params, [[-8.8e-6]])
+        assert attitudes.tolist() == [[-1]]
+        assert returns[0] == -SimConfig().gamma
 
 
 class TestStepMarket:
@@ -131,95 +127,55 @@ class TestStepMarket:
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
         params = init_population(cfg, rng)
-        state = step_market(MarketState.initial(cfg), params, cfg, rng)
-        assert np.all(state.attitudes == 0)
-        assert np.all(state.rates == 1.0)
-        assert np.all(state.activity(cfg.dt) == 0.0)
-        assert np.all(state.returns_history == 0.0)
+        attitudes, returns = step_market(params, np.zeros((1, 3)), cfg, rng)
+        assert np.all(attitudes == 0)
+        assert np.all(returns == 0.0)
 
     def test_unanimous_buying_saturates(self):
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
         params = init_population(cfg, rng)
-        base = MarketState.initial(cfg)
-        state = MarketState(
-            rates=base.rates,
-            attitudes=base.attitudes,
-            returns_history=np.full((1, 3), 1.0),  # huge shared return signal
-        )
-        nxt = step_market(state, params, cfg, rng)
-        assert np.all(nxt.attitudes == 1)
-        assert np.all(nxt.returns_history[0] == pytest.approx(cfg.gamma, rel=1e-12))
-        assert np.all(nxt.rates == pytest.approx(math.exp(cfg.gamma), rel=1e-12))
-        assert np.all(nxt.activity(cfg.dt) == cfg.n_agents)
+        history = np.full((1, 3), 1.0)  # huge shared return signal
+        attitudes, returns = step_market(params, history, cfg, rng)
+        assert np.all(attitudes == 1)
+        assert np.all(returns == pytest.approx(cfg.gamma, rel=1e-12))
+        assert np.all(np.abs(attitudes).sum(axis=0) == cfg.n_agents)
 
     def test_returns_bounded_by_gamma(self):
         cfg = SimConfig(n_agents=60, n_commodities=4, seed=9)
         rng = np.random.default_rng(9)
         params = init_population(cfg, rng)
-        state = MarketState.initial(cfg)
+        history = np.zeros((1, 4))
         for _ in range(200):
-            state = step_market(state, params, cfg, rng)
-            assert np.all(np.abs(state.returns_history[0]) <= cfg.gamma * (1 + 1e-12))
-            counts = state.activity(cfg.dt) * cfg.dt
-            assert np.all(counts == np.round(counts))
-            assert np.all(counts <= cfg.n_agents)
+            attitudes, returns = step_market(params, history, cfg, rng)
+            assert np.all(np.abs(returns) <= cfg.gamma * (1 + 1e-12))
+            assert set(np.unique(attitudes)) <= {-1, 0, 1}
+            history = returns[None, :]
+        _, activity = run_simulation(replace(cfg, horizon=200, warmup=0, dt=2.5))
+        counts = activity.values * 2.5
+        assert np.all(counts == np.round(counts))
+        assert np.all(counts <= cfg.n_agents)
 
     def test_rates_telescope_from_returns(self):
-        cfg = SimConfig(n_agents=50, n_commodities=4, gamma=1e-3, a_range=(2.0, 4.0), seed=21)
+        cfg = SimConfig(n_agents=50, n_commodities=4, gamma=1e-3, a_range=(2.0, 4.0), seed=21,
+                        horizon=10_000, warmup=0)
         rng = np.random.default_rng(21)
         params = init_population(cfg, rng)
-        state = MarketState.initial(cfg)
+        history = np.zeros((1, 4))
         total = np.zeros(4)
-        for _ in range(10_000):
-            state = step_market(state, params, cfg, rng)
-            total += state.returns_history[0]
-        assert np.allclose(state.rates, np.exp(total), rtol=1e-9)
+        for _ in range(cfg.horizon):
+            _, history[0] = step_market(params, history, cfg, rng)
+            total += history[0]
+        rates, _ = run_simulation(cfg)
+        assert np.allclose(rates.values[:, -1], np.exp(total), rtol=1e-9)
 
     def test_matches_scalar_reference_implementation(self):
-        """Step the default-size market 10 times against a pure-Python rebuild."""
-        cfg = SimConfig(seed=12)
-        n, m = cfg.n_agents, cfg.n_commodities
-
-        rng = np.random.default_rng(cfg.seed)
-        params = init_population(cfg, rng)
-        state = MarketState.initial(cfg)
-
-        # Reference consumes an identical stream: same draw order, same shapes.
-        ref_rng = np.random.default_rng(cfg.seed)
-        tb = ref_rng.uniform(*cfg.theta_buy_range, (n, m))
-        ts = ref_rng.uniform(*cfg.theta_sell_range, (n, m))
-        aa = ref_rng.uniform(*cfg.a_range, (n, m))
-        ref_rates = [1.0] * m
-        ref_prev_returns = [0.0] * m
-
-        for _ in range(10):
-            state = step_market(state, params, cfg, rng)
-
-            s = ref_rng.normal(0.0, cfg.sigma_s, n)
-            xi = ref_rng.normal(0.0, cfg.sigma_xi, n)
-            ref_y = [[0] * m for _ in range(n)]
-            for i in range(n):
-                x_i = s[i]
-                for k in range(m):
-                    c = 1.0 / (ts[i][k] * ts[i][k] + tb[i][k] * tb[i][k])
-                    x_i += c * ref_prev_returns[k]
-                for j in range(m):
-                    phi = aa[i][j] * (x_i + xi[i])
-                    if phi >= tb[i][j]:
-                        ref_y[i][j] = 1
-                    elif phi <= ts[i][j]:
-                        ref_y[i][j] = -1
-            ref_returns = []
-            for j in range(m):
-                net = sum(ref_y[i][j] for i in range(n))
-                ref_returns.append(cfg.gamma / n * net)
-            ref_rates = [r * math.exp(dr) for r, dr in zip(ref_rates, ref_returns)]
-            ref_prev_returns = ref_returns
-
-            assert np.array_equal(state.attitudes, np.array(ref_y, dtype=np.int8))
-            assert np.allclose(state.returns_history[0], ref_returns, rtol=1e-12, atol=1e-18)
-            assert np.allclose(state.rates, ref_rates, rtol=1e-12)
+        """Run the default-size market 10 steps against the pure-Python rebuild."""
+        cfg = SimConfig(seed=12, horizon=10, warmup=0)
+        rates, activity = run_simulation(cfg)
+        ref_rates, ref_activity = scalar_simulation(cfg)
+        assert np.array_equal(activity.values, np.array(ref_activity))
+        assert np.allclose(rates.values, ref_rates, rtol=1e-12, atol=0)
 
     def test_resample_mode_draws_fresh_parameters(self):
         cfg = SimConfig(n_agents=30, n_commodities=2, resample_params=True, seed=4)
@@ -230,10 +186,39 @@ class TestStepMarket:
         assert not np.array_equal(rates1.values, fixed.values)
 
 
+# The seed contract against the oracle: N <= 60, M <= 4, <= 40 steps each.
+ORACLE_GRID = {
+    "defaults": dict(n_agents=60, n_commodities=4, horizon=30, warmup=10, seed=12),
+    "ma_span_3_feedback": dict(n_agents=40, n_commodities=3, horizon=32, warmup=8,
+                               ma_span=3, gamma=5e-6, seed=1),
+    "resample_ma_span_2": dict(n_agents=30, n_commodities=4, horizon=20, warmup=5,
+                               ma_span=2, gamma=2e-6, resample_params=True, seed=2),
+    "dt_2_5_no_warmup": dict(n_agents=50, n_commodities=2, horizon=40, warmup=0, dt=2.5, seed=3),
+    "gamma_2e-6_ma_span_5": dict(n_agents=60, n_commodities=4, horizon=24, warmup=16,
+                                 gamma=2e-6, ma_span=5, seed=4),
+    "one_commodity_wide_a": dict(n_agents=25, n_commodities=1, horizon=36, warmup=4,
+                                 a_range=(0.5, 6.0), sigma_s=0.01, seed=5),
+}
+
+
 class TestRunSimulation:
     def test_zero_horizon_empty_panels(self):
         rates, activity = run_simulation(SimConfig(n_agents=5, n_commodities=2, horizon=0, warmup=2))
         assert rates.length == 0 and activity.length == 0
+
+    def test_one_step_horizon_rejected(self):
+        # A one-sample panel cannot exist, so the config fails before any step runs.
+        with pytest.raises(ConfigurationError, match="horizon"):
+            SimConfig(n_agents=5, n_commodities=2, horizon=1)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_GRID))
+    def test_matches_scalar_oracle(self, case):
+        cfg = SimConfig(**ORACLE_GRID[case])
+        rates, activity = run_simulation(cfg)
+        ref_rates, ref_activity = scalar_simulation(cfg)
+        assert np.array_equal(activity.values, np.array(ref_activity).reshape(activity.values.shape))
+        assert np.allclose(rates.values, np.array(ref_rates).reshape(rates.values.shape),
+                           rtol=1e-12, atol=0)
 
     def test_silent_market_stays_at_rest(self):
         cfg = SimConfig(n_agents=10, n_commodities=2, sigma_xi=0.0, sigma_s=0.0, horizon=20, warmup=5)
