@@ -10,7 +10,6 @@ everything else is reached through its submodule.
 """
 
 from .distances import (
-    MetricSeries,
     WeightVector,
     cross_correlation,
     fit_proportionality,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
-    "MetricSeries",
     "NormalizedSpectrum",
     "SignalPanel",
     "SimConfig",

@@ -140,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="two metrics CSVs -> correlation and slope")
     p.add_argument("left", help="metrics CSV providing the x series")
     p.add_argument("right", help="metrics CSV providing the y series")
-    p.add_argument("--field-a", choices=("js", "mean_kl"), default="js",
+    p.add_argument("--field-a", choices=pipeline.METRIC_FIELDS, default="js",
                    help="column of LEFT to use")
-    p.add_argument("--field-b", choices=("js", "mean_kl"), default="js",
+    p.add_argument("--field-b", choices=pipeline.METRIC_FIELDS, default="js",
                    help="column of RIGHT to use")
     p.add_argument("--fit", choices=("origin", "affine"), default="origin")
     p.set_defaults(func=_cmd_compare)
@@ -244,6 +244,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not (args.rates_out or args.activity_out):
         raise ConfigurationError("nothing to do: pass --rates-out and/or --activity-out")
     cfg = _sim_config(args)
+    if cfg.horizon < 2:
+        raise ConfigurationError(
+            f"horizon must be at least 2 to write a panel, got {cfg.horizon}"
+        )
     rates, activity = run_simulation(cfg)
     meta = {"source": "simulate", **cfg.provenance(), "transform": "raw"}
     if args.rates_out:
@@ -256,10 +260,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     left = pipeline.read_metrics_csv(args.left)
     right = pipeline.read_metrics_csv(args.right)
-    pipeline.check_comparable(left, right)
-    report = pipeline.compare_metric_series(
-        left.series(args.field_a), right.series(args.field_b), fit=args.fit
-    )
+    report = pipeline.compare_metric_series(left, right, args.field_a, args.field_b, args.fit)
+    dropped = (left.timestamps.size - report.windows, right.timestamps.size - report.windows)
+    if any(dropped):
+        print(
+            f"specdist: warning compared {report.windows} windows paired by start time; "
+            f"dropped {dropped[0]} from {args.left} and {dropped[1]} from {args.right}",
+            file=sys.stderr,
+        )
     line = f"C={report.correlation!r} slope={report.slope!r}"
     if report.intercept is not None:
         line += f" intercept={report.intercept!r}"

@@ -63,31 +63,6 @@ class WeightVector:
         return float(entropies(self.weights))
 
 
-@dataclass(frozen=True)
-class MetricSeries:
-    """A scalar metric sampled on a window grid (timestamps in epoch seconds)."""
-
-    timestamps: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.timestamps, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
-            raise DimensionError("timestamps and values must be 1-D and the same length")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("metric series entries must be finite")
-        t = t.copy()
-        v = v.copy()
-        t.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "timestamps", t)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def _check_same_grid(p: NormalizedSpectrum, q: NormalizedSpectrum) -> None:
     if p.probs.size != q.probs.size or p.dt != q.dt:
         raise DimensionError(
@@ -125,8 +100,8 @@ def kl_matrices(probs: np.ndarray, floor: float) -> np.ndarray:
     nothing, and a bin with p_l > 0 but p_m = 0 makes the entry +inf.
     The diagonal is exactly zero and every entry is nonnegative.
     """
-    if floor < 0:
-        raise ValueError(f"floor must be nonnegative, got {floor}")
+    if not (math.isfinite(floor) and floor >= 0):
+        raise ValueError(f"floor must be finite and nonnegative, got {floor}")
     if floor > 0:
         clipped = np.maximum(probs, floor)
         probs = clipped / clipped.sum(axis=-1, keepdims=True)
@@ -197,13 +172,22 @@ def mean_kl(matrix: np.ndarray) -> float:
     return float(mean_kls(a))
 
 
-def cross_correlation(a: MetricSeries, b: MetricSeries) -> float:
-    """Pearson coefficient (<ab> - <a><b>)/(sigma_a*sigma_b), population moments."""
-    x, y = a.values, b.values
-    if x.size != y.size:
-        raise DimensionError(f"series lengths differ: {x.size} vs {y.size}")
+def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two metric series as float arrays: 1-D, equal length >= 2, finite."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
+        raise DimensionError(f"series must be 1-D and the same length, got {x.shape} vs {y.shape}")
     if x.size < 2:
-        raise DimensionError("need at least two samples to correlate")
+        raise DimensionError("need at least two samples")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("metric series entries must be finite")
+    return x, y
+
+
+def cross_correlation(a, b) -> float:
+    """Pearson coefficient (<ab> - <a><b>)/(sigma_a*sigma_b), population moments."""
+    x, y = _check_pair(a, b)
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise UndefinedCorrelationError("correlation undefined for a constant series")
     mx, my = float(x.mean()), float(y.mean())
@@ -216,26 +200,18 @@ def cross_correlation(a: MetricSeries, b: MetricSeries) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def fit_proportionality(x: MetricSeries, y: MetricSeries) -> float:
+def fit_proportionality(x, y) -> float:
     """Least-squares slope of y = slope * x constrained through the origin."""
-    xv, yv = x.values, y.values
-    if xv.size != yv.size:
-        raise DimensionError(f"series lengths differ: {xv.size} vs {yv.size}")
-    if xv.size < 2:
-        raise DimensionError("need at least two samples to fit")
+    xv, yv = _check_pair(x, y)
     sxx = float((xv * xv).sum())
     if sxx == 0.0:
         raise DegenerateFitError("cannot fit a slope against an all-zero series")
     return float((xv * yv).sum()) / sxx
 
 
-def fit_affine(x: MetricSeries, y: MetricSeries) -> tuple[float, float]:
+def fit_affine(x, y) -> tuple[float, float]:
     """Unconstrained least-squares line y = slope * x + intercept (diagnostic)."""
-    xv, yv = x.values, y.values
-    if xv.size != yv.size:
-        raise DimensionError(f"series lengths differ: {xv.size} vs {yv.size}")
-    if xv.size < 2:
-        raise DimensionError("need at least two samples to fit")
+    xv, yv = _check_pair(x, y)
     mx, my = float(xv.mean()), float(yv.mean())
     sxx = float(((xv - mx) ** 2).sum())
     if sxx == 0.0:

@@ -6,7 +6,7 @@ the KL matrix and its mean, per-channel entropies and modes).  Windows
 are scored in fixed-size chunks as (windows, channels, bins) arrays.
 Windows where any channel is constant have no spectrum and are skipped
 with a logged gap.  Metric CSVs carry a provenance line so downstream
-comparisons can refuse rows computed on different window grids.
+comparisons can refuse rows computed with a different window geometry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .distances import (
-    MetricSeries,
     WeightVector,
     cross_correlation,
     fit_affine,
@@ -79,8 +78,14 @@ class AnalysisConfig:
             raise InvalidWindowError(f"stride must be an integer >= 1, got {self.stride}")
         if self.transform not in TRANSFORMS:
             raise AnalysisError(f"transform must be one of {TRANSFORMS}")
-        if self.kl_floor < 0:
-            raise AnalysisError(f"KL floor must be nonnegative, got {self.kl_floor}")
+        # From 1/(N-1), the mean probability over the N-1 bins, the floor lifts
+        # every below-average bin to the mean or above: KL then measures the
+        # floor, not the spectra (from 1 on, every spectrum is flat).
+        if not (0 <= self.kl_floor < 1 / (self.width - 1)):
+            raise ConfigurationError(
+                f"KL floor must be in [0, 1/(width-1)) = [0, {1 / (self.width - 1)!r}), "
+                f"got {self.kl_floor!r}"
+            )
         object.__setattr__(self, "width", int(self.width))
         if self.stride is not None:
             object.__setattr__(self, "stride", int(self.stride))
@@ -132,19 +137,6 @@ class AnalysisResult:
     kl: np.ndarray | None = None
     spectra: np.ndarray | None = None
     dt: float | None = None
-
-    def js_series(self) -> MetricSeries:
-        return MetricSeries(self.timestamps, self.js)
-
-    def mean_kl_series(self) -> MetricSeries:
-        return MetricSeries(self.timestamps, self.mean_kl)
-
-    def series(self, name: str) -> MetricSeries:
-        if name == "js":
-            return self.js_series()
-        if name == "mean_kl":
-            return self.mean_kl_series()
-        raise ValueError(f"unknown metric field {name!r}")
 
 
 def _select_channels(panel: SignalPanel, channels: tuple[str, ...] | None) -> SignalPanel:
@@ -275,24 +267,61 @@ def _log_skipped(starts: np.ndarray, constant: np.ndarray, silent: np.ndarray) -
         log.debug("windows skipped (%s) at starts %s", reason, starts[reasons[reason]].tolist())
 
 
+METRIC_FIELDS = ("js", "mean_kl")
+
+# The fewest paired windows a correlation needs.
+MIN_COMMON_WINDOWS = 2
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Cross-correlation and proportionality slope between two metric series."""
+    """Cross-correlation and fitted slope over the `windows` paired windows."""
 
     correlation: float
     slope: float
+    windows: int
     intercept: float | None = None
 
 
-def compare_metric_series(a: MetricSeries, b: MetricSeries, fit: str = "origin") -> ComparisonReport:
-    """Correlate two metric series sharing one window grid and fit b ~ slope*a."""
-    if len(a) != len(b) or not np.array_equal(a.timestamps, b.timestamps):
-        raise AlignmentError("metric series are not on the same window grid")
+def compare_metric_series(
+    left: AnalysisResult,
+    right: AnalysisResult,
+    field_a: str = "js",
+    field_b: str = "js",
+    fit: str = "origin",
+) -> ComparisonReport:
+    """Correlate `left.<field_a>` with `right.<field_b>` and fit y ~ slope*x.
+
+    Windows are paired by start time; windows scored on one side only
+    (a skipped window, a shorter log-return panel) are left out, and the
+    report counts the pairs.  Inputs computed with a different window
+    width or stride, or sharing fewer than two window starts, raise
+    `AlignmentError`.
+    """
+    for key in ("width", "stride"):
+        a, b = left.provenance.get(key), right.provenance.get(key)
+        if a is not None and b is not None and a != b:
+            raise AlignmentError(f"{key} differs between inputs: {a} vs {b}")
+    for name in (field_a, field_b):
+        if name not in METRIC_FIELDS:
+            raise ValueError(f"unknown metric field {name!r}")
+    common, ia, ib = np.intersect1d(
+        left.timestamps, right.timestamps, assume_unique=True, return_indices=True
+    )
+    if common.size < MIN_COMMON_WINDOWS:
+        raise AlignmentError(
+            f"window grids differ between inputs: {common.size} common window start(s) "
+            f"of {left.timestamps.size} and {right.timestamps.size}, "
+            f"need {MIN_COMMON_WINDOWS}"
+        )
+    x = getattr(left, field_a)[ia]
+    y = getattr(right, field_b)[ib]
+    correlation = cross_correlation(x, y)
     if fit == "origin":
-        return ComparisonReport(cross_correlation(a, b), fit_proportionality(a, b))
+        return ComparisonReport(correlation, fit_proportionality(x, y), common.size)
     if fit == "affine":
-        slope, intercept = fit_affine(a, b)
-        return ComparisonReport(cross_correlation(a, b), slope, intercept)
+        slope, intercept = fit_affine(x, y)
+        return ComparisonReport(correlation, slope, common.size, intercept)
     raise ValueError(f"fit must be 'origin' or 'affine', got {fit!r}")
 
 
@@ -370,6 +399,8 @@ def read_metrics_csv(path) -> AnalysisResult:
             raise FormatError(f"{path}: row has {len(cells)} cells, expected {3 + 2 * m}")
         stamps.append(parse_rfc3339(cells[0]).timestamp())
         values.append([float(c) for c in cells[1:]])
+    if any(b <= a for a, b in zip(stamps, stamps[1:])):
+        raise FormatError(f"{path}: window start times must strictly increase")
     table = np.array(values, dtype=np.float64).reshape(len(rows), 2 + 2 * m)
     return AnalysisResult(
         timestamps=np.array(stamps, dtype=np.float64),
@@ -381,21 +412,6 @@ def read_metrics_csv(path) -> AnalysisResult:
         provenance=provenance,
         gap_times=np.array(gaps, dtype=np.float64),
     )
-
-
-def check_comparable(a: AnalysisResult, b: AnalysisResult) -> None:
-    """Refuse to compare results produced with different window geometry."""
-    for key in ("width", "stride"):
-        if key in a.provenance and key in b.provenance:
-            if a.provenance[key] != b.provenance[key]:
-                raise AlignmentError(
-                    f"{key} differs between inputs: "
-                    f"{a.provenance[key]} vs {b.provenance[key]}"
-                )
-    if a.timestamps.size != b.timestamps.size or not np.array_equal(
-        a.timestamps, b.timestamps
-    ):
-        raise AlignmentError("window grids differ between inputs")
 
 
 def write_kl_csv(result: AnalysisResult, path) -> None:
@@ -502,9 +518,9 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
     "ComparisonReport",
+    "METRIC_FIELDS",
     "SweepPoint",
     "analyze",
-    "check_comparable",
     "compare_metric_series",
     "entropy_sweep",
     "read_metrics_csv",

@@ -13,14 +13,13 @@ import pytest
 
 from specdist.cli import main as cli_main
 from specdist.distances import (
-    MetricSeries,
     cross_correlation,
     fit_proportionality,
     js_spectral_divergence,
     kl_matrix,
     mean_kl,
 )
-from specdist.pipeline import AnalysisConfig, analyze, entropy_sweep
+from specdist.pipeline import AnalysisConfig, analyze, compare_metric_series, entropy_sweep
 from specdist.simulator import SimConfig, run_simulation
 from specdist.spectra import (
     NormalizedSpectrum,
@@ -121,10 +120,8 @@ def test_criterion_2_proportionality_reproduction(long_run_activity_metrics):
     """Origin slope of JS vs <KL> in [0.27, 0.57] with correlation > 0.85."""
     res = long_run_activity_metrics
     assert res.js.size >= 300, f"only {res.js.size} windows"
-    js = res.js_series()
-    mk = res.mean_kl_series()
-    slope = fit_proportionality(mk, js)
-    corr = cross_correlation(js, mk)
+    slope = fit_proportionality(res.mean_kl, res.js)
+    corr = cross_correlation(res.js, res.mean_kl)
     ok = 0.27 <= slope <= 0.57 and corr > 0.85
     report(2, ok, f"slope={slope:.4f} (band [0.27, 0.57]) corr={corr:.4f} "
                   f"windows={res.js.size}")
@@ -234,12 +231,8 @@ def test_criterion_7_synthetic_diurnal_cycle(diurnal_metrics):
 
 def test_criterion_8_rates_activity_coupling(coupled_runs):
     """JS of rate log-returns tracks JS of activity: C in (0.2, 1.0) per seed."""
-    correlations = []
-    for res_a, res_r in coupled_runs:
-        js_a, js_r = res_a.js, res_r.js
-        n = min(js_a.size, js_r.size)
-        grid = np.arange(n, dtype=float)
-        c = cross_correlation(MetricSeries(grid, js_a[:n]), MetricSeries(grid, js_r[:n]))
-        correlations.append(c)
+    correlations = [
+        compare_metric_series(res_r, res_a).correlation for res_a, res_r in coupled_runs
+    ]
     ok = all(0.2 < c < 1.0 for c in correlations)
     report(8, ok, "C per seed: " + " ".join(f"{c:.4f}" for c in correlations))

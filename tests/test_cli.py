@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specdist import pipeline
+from specdist import cli, pipeline
 from specdist.cli import main
 from specdist.distances import cross_correlation, fit_proportionality
 from specdist.ingest import read_panel_csv
@@ -117,6 +117,16 @@ class TestAnalyzeCommand:
         code = run("analyze", str(panel_csv), "--window", "2", "--out", str(tmp_path / "m.csv"))
         assert code == 5
 
+    @pytest.mark.parametrize("floor", ["nan", "inf", repr(1 / 63), "2"])
+    def test_bad_floor_is_config_error(self, tmp_path, capsys, floor):
+        panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)
+        out = tmp_path / "m.csv"
+        code = run("analyze", str(panel_csv), "--window", "64", "--floor", floor, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "kind=ConfigurationError" in err and "KL floor" in err and f"got {floor}" in err
+        assert not out.exists()
+
     def test_unknown_channel_is_config_error(self, tmp_path):
         panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)
         code = run(
@@ -182,6 +192,17 @@ class TestSimulateCommand:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_steps_is_config_error_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(cfg):
+            raise AssertionError("simulated a horizon that cannot be written")
+
+        monkeypatch.setattr(cli, "run_simulation", no_simulation)
+        out = tmp_path / "z.csv"
+        assert run("simulate", *SMALL_SIM, "--steps", "0", "--activity-out", str(out)) == 5
+        err = capsys.readouterr().err
+        assert "kind=ConfigurationError" in err and "horizon" in err
+        assert not out.exists()
+
     def test_header_records_every_config_field(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run("simulate", *SMALL_SIM, "--gamma", "2e-7", "--activity-out", str(a)) == 0
@@ -228,8 +249,8 @@ class TestCompareCommand:
         right = self.make_metrics(tmp_path, 4, "right")
         assert run("compare", str(left), str(right)) == 0
         printed = capsys.readouterr().out.strip()
-        a = pipeline.read_metrics_csv(left).js_series()
-        b = pipeline.read_metrics_csv(right).js_series()
+        a = pipeline.read_metrics_csv(left).js
+        b = pipeline.read_metrics_csv(right).js
         expected_c = cross_correlation(a, b)
         expected_slope = fit_proportionality(a, b)
         assert printed == f"C={expected_c!r} slope={expected_slope!r}"
@@ -258,6 +279,48 @@ class TestCompareCommand:
             "--out", str(right),
         ) == 0
         assert run("compare", str(left), str(right)) == 4
+
+    def test_simulated_rates_vs_activity(self, tmp_path, capsys):
+        rates, activity = tmp_path / "rates.csv", tmp_path / "activity.csv"
+        assert run(
+            "simulate", "--seed", "3", "--agents", "200", "--commodities", "3",
+            "--steps", "640", "--warmup", "32",
+            "--rates-out", str(rates), "--activity-out", str(activity),
+        ) == 0
+        js_a, js_r = tmp_path / "js_activity.csv", tmp_path / "js_rates.csv"
+        window = ("--window", "64", "--stride", "64")
+        assert run("analyze", str(activity), *window, "--out", str(js_a)) == 0
+        assert run(
+            "analyze", str(rates), *window, "--transform", "log-return", "--out", str(js_r)
+        ) == 0
+        capsys.readouterr()
+        assert run("compare", str(js_r), str(js_a)) == 0
+        out, err = capsys.readouterr()
+        # 639 log-returns hold 9 windows of 64, 640 activity samples 10.
+        res_r, res_a = pipeline.read_metrics_csv(js_r), pipeline.read_metrics_csv(js_a)
+        assert (res_r.js.size, res_a.js.size) == (9, 10)
+        x, y = res_r.js, res_a.js[:9]
+        assert out == f"C={cross_correlation(x, y)!r} slope={fit_proportionality(x, y)!r}\n"
+        assert err.count("specdist: warning") == 1
+        assert "compared 9 windows" in err
+        assert f"dropped 0 from {js_r} and 1 from {js_a}" in err
+
+    def test_ingested_rates_vs_activity_out_of_phase(self, tmp_path, capsys):
+        # Rates start at the first bucket every instrument quoted (00:04),
+        # activity at 00:00: at stride 3 the two grids share no window start.
+        activity, rates = tmp_path / "activity.csv", tmp_path / "rates.csv"
+        assert run("ingest", TICKS, "--activity-out", str(activity), "--rates-out", str(rates)) == 0
+        js_a, js_r = tmp_path / "js_activity.csv", tmp_path / "js_rates.csv"
+        window = ("--window", "4", "--stride", "3")
+        assert run("analyze", str(activity), *window, "--out", str(js_a)) == 0
+        assert run(
+            "analyze", str(rates), *window, "--transform", "log-return", "--out", str(js_r)
+        ) == 0
+        capsys.readouterr()
+        assert run("compare", str(js_r), str(js_a)) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "window grids differ between inputs: 0 common" in err
 
 
 class TestSweepCommand:

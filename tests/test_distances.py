@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdist.distances import (
-    MetricSeries,
     WeightVector,
     cross_correlation,
     fit_affine,
@@ -34,11 +33,6 @@ from oracles import (
 
 def spectrum(probs, dt=1.0):
     return NormalizedSpectrum(np.asarray(probs, dtype=float), dt)
-
-
-def series(values):
-    values = np.asarray(values, dtype=float)
-    return MetricSeries(np.arange(values.size, dtype=float), values)
 
 
 def random_ensemble(rng, m, bins, sharpness=1.0):
@@ -180,42 +174,54 @@ class TestMeanKl:
 
 class TestCrossCorrelation:
     def test_self_correlation_is_one(self):
-        a = series([0.3, 1.2, -0.4, 2.0])
+        a = np.array([0.3, 1.2, -0.4, 2.0])
         assert cross_correlation(a, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_series(self):
-        a = series([1.0, 2.0, 5.0])
-        b = series([-1.0, -2.0, -5.0])
-        assert cross_correlation(a, b) == pytest.approx(-1.0, abs=1e-12)
+        a = np.array([1.0, 2.0, 5.0])
+        assert cross_correlation(a, -a) == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_two_pass_oracle(self):
-        a = series([1.0, 2.0, 3.0])
-        b = series([2.0, 4.0, 7.0])
-        assert cross_correlation(a, b) == pytest.approx(
+        assert cross_correlation([1.0, 2.0, 3.0], [2.0, 4.0, 7.0]) == pytest.approx(
             two_pass_correlation([1, 2, 3], [2, 4, 7]), rel=1e-12
         )
 
     def test_zero_variance_rejected(self):
         with pytest.raises(UndefinedCorrelationError):
-            cross_correlation(series([1.0, 1.0, 1.0]), series([1.0, 2.0, 3.0]))
+            cross_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            cross_correlation(series([1.0, 2.0]), series([1.0, 2.0, 3.0]))
+            cross_correlation([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [([1.0], [2.0]), ([[1.0, 2.0]], [[1.0, 2.0]])],
+        ids=["one_sample", "two_dimensional"],
+    )
+    def test_shape_rejected_by_every_fit(self, x, y):
+        for fn in (cross_correlation, fit_proportionality, fit_affine):
+            with pytest.raises(DimensionError):
+                fn(x, y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected_by_every_fit(self, bad):
+        for fn in (cross_correlation, fit_proportionality, fit_affine):
+            with pytest.raises(ValueError, match="must be finite"):
+                fn([1.0, 2.0, bad], [1.0, 2.0, 3.0])
 
 
 class TestProportionalityFit:
     def test_exact_proportionality_recovers_coefficient(self):
-        x = series([0.5, 1.0, 2.0, 4.0])
-        y = series([0.42 * v for v in [0.5, 1.0, 2.0, 4.0]])
-        assert fit_proportionality(x, y) == pytest.approx(0.42, abs=1e-12)
+        x = np.array([0.5, 1.0, 2.0, 4.0])
+        assert fit_proportionality(x, 0.42 * x) == pytest.approx(0.42, abs=1e-12)
 
     def test_direct_formula(self):
-        assert fit_proportionality(series([1.0, 2.0]), series([1.0, 1.0])) == pytest.approx(0.6)
+        assert fit_proportionality([1.0, 2.0], [1.0, 1.0]) == pytest.approx(0.6)
 
     def test_all_zero_regressor_rejected(self):
         with pytest.raises(DegenerateFitError):
-            fit_proportionality(series([0.0, 0.0]), series([1.0, 2.0]))
+            fit_proportionality([0.0, 0.0], [1.0, 2.0])
 
     @given(scale=st.floats(min_value=0.001, max_value=1000.0), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
@@ -223,14 +229,12 @@ class TestProportionalityFit:
         rng = np.random.default_rng(seed)
         x = rng.random(8) + 0.1
         y = rng.random(8)
-        base = fit_proportionality(series(x), series(y))
-        scaled = fit_proportionality(series(scale * x), series(scale * y))
+        base = fit_proportionality(x, y)
+        scaled = fit_proportionality(scale * x, scale * y)
         assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_affine_fit_recovers_line(self):
-        x = series([0.0, 1.0, 2.0, 3.0])
-        y = series([1.0, 1.5, 2.0, 2.5])
-        slope, intercept = fit_affine(x, y)
+        slope, intercept = fit_affine([0.0, 1.0, 2.0, 3.0], [1.0, 1.5, 2.0, 2.5])
         assert slope == pytest.approx(0.5, abs=1e-12)
         assert intercept == pytest.approx(1.0, abs=1e-12)
 

@@ -8,18 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdist import pipeline
-from specdist.distances import MetricSeries, kl_matrix
+from specdist.distances import cross_correlation, fit_proportionality, kl_matrix
 from specdist.errors import (
     AlignmentError,
     AnalysisError,
     ConfigurationError,
+    FormatError,
     InvalidWindowError,
     TransformError,
 )
 from specdist.pipeline import (
     AnalysisConfig,
+    AnalysisResult,
     analyze,
-    check_comparable,
     compare_metric_series,
     entropy_sweep,
     read_metrics_csv,
@@ -259,7 +260,7 @@ class TestMetricsCsv:
         assert table.provenance["stride"] == "64"
         assert np.array_equal(table.js, result.js)
         assert np.array_equal(table.mean_kl, result.mean_kl)
-        assert np.array_equal(table.timestamps, result.js_series().timestamps)
+        assert np.array_equal(table.timestamps, result.timestamps)
         assert np.array_equal(table.entropies, result.entropies)
         assert np.array_equal(table.modes, result.modes)
         assert table.entropies.shape == (result.js.size, 3)
@@ -277,6 +278,14 @@ class TestMetricsCsv:
         table = read_metrics_csv(path)
         assert table.js.size == 3
         assert table.gap_times.tolist() == [0.0]
+
+    def test_window_starts_must_increase(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(analyze(noise_panel(m=2, length=384), AnalysisConfig(width=128)), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        with pytest.raises(FormatError, match="strictly increase"):
+            read_metrics_csv(path)
 
     def test_kl_dump_long_format(self, tmp_path):
         panel = noise_panel(m=2, length=128)
@@ -313,46 +322,87 @@ class TestMetricsCsv:
             write_spectra_csv(result, tmp_path / "x.csv")
 
 
-class TestCompare:
-    def series(self, values, stamps=None):
-        values = np.asarray(values, dtype=float)
-        if stamps is None:
-            stamps = np.arange(values.size, dtype=float)
-        return MetricSeries(stamps, values)
+def metric_result(js, stamps=None, mean_kl=None, stride="64"):
+    """An `AnalysisResult` carrying only the columns `compare` reads."""
+    js = np.asarray(js, dtype=float)
+    stamps = np.arange(js.size) * 60.0 if stamps is None else np.asarray(stamps, dtype=float)
+    return AnalysisResult(
+        timestamps=stamps,
+        js=js,
+        mean_kl=js if mean_kl is None else np.asarray(mean_kl, dtype=float),
+        entropies=np.zeros((js.size, 0)),
+        modes=np.zeros((js.size, 0)),
+        labels=(),
+        provenance={"width": "128", "stride": stride},
+        gap_times=np.empty(0),
+    )
 
+
+class TestCompare:
     def test_identity_comparison(self):
-        a = self.series([0.1, 0.4, 0.2, 0.9])
+        a = metric_result([0.1, 0.4, 0.2, 0.9])
         report = compare_metric_series(a, a)
         assert report.correlation == pytest.approx(1.0, abs=1e-12)
         assert report.slope == pytest.approx(1.0, abs=1e-12)
+        assert report.windows == 4
 
     def test_proportional_pair(self):
-        a = self.series([0.1, 0.4, 0.2, 0.9])
-        b = self.series([0.42 * v for v in [0.1, 0.4, 0.2, 0.9]])
+        a = metric_result([0.1, 0.4, 0.2, 0.9])
+        b = metric_result([0.42 * v for v in [0.1, 0.4, 0.2, 0.9]])
         report = compare_metric_series(a, b)
         assert report.slope == pytest.approx(0.42, abs=1e-12)
 
+    def test_fields_pick_columns(self):
+        x = [0.1, 0.4, 0.2, 0.9]
+        a = metric_result([1.0, 3.0, 2.0, 5.0], mean_kl=x)
+        report = compare_metric_series(a, a, "mean_kl", "js")
+        assert report.correlation == cross_correlation(x, a.js)
+        assert report.slope == fit_proportionality(x, a.js)
+        with pytest.raises(ValueError, match="unknown metric field"):
+            compare_metric_series(a, a, "entropies", "js")
+
     def test_affine_fit_reports_intercept(self):
-        a = self.series([0.0, 1.0, 2.0, 3.0])
-        b = self.series([1.0, 1.5, 2.0, 2.5])
+        a = metric_result([0.0, 1.0, 2.0, 3.0])
+        b = metric_result([1.0, 1.5, 2.0, 2.5])
         report = compare_metric_series(a, b, fit="affine")
         assert report.intercept == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="fit must be"):
+            compare_metric_series(a, b, fit="log")
+
+    def test_windows_paired_by_start_time(self):
+        # Left scored one window more at the end and skipped the one at 120;
+        # right starts a window later.
+        left = metric_result([0.5, 0.1, 0.4, 0.9, 0.3], stamps=[0.0, 60.0, 180.0, 240.0, 300.0])
+        right = metric_result([0.7, 0.2, 0.6, 0.8, 0.4], stamps=[60.0, 120.0, 180.0, 240.0, 360.0])
+        report = compare_metric_series(left, right)
+        x, y = [0.1, 0.4, 0.9], [0.7, 0.6, 0.8]
+        assert report.windows == 3
+        assert report.correlation == cross_correlation(x, y)
+        assert report.slope == fit_proportionality(x, y)
 
     def test_misaligned_grids_rejected(self):
-        a = self.series([1.0, 2.0, 3.0])
-        b = self.series([1.0, 2.0, 3.0], stamps=np.array([0.0, 60.0, 121.0]))
-        with pytest.raises(AlignmentError):
+        a = metric_result([1.0, 2.0, 3.0])
+        b = metric_result([1.0, 2.0, 3.0], stamps=np.array([60.0, 150.0, 210.0]))
+        with pytest.raises(AlignmentError, match="window grids differ between inputs: 1 common"):
             compare_metric_series(a, b)
 
-    def test_check_comparable_rejects_different_geometry(self, tmp_path):
+    def test_non_finite_paired_value_rejected(self):
+        a = metric_result([1.0, 2.0, 3.0, np.inf])
+        b = metric_result([1.0, 2.5, 2.0])
+        assert compare_metric_series(a, b).windows == 3  # the inf window is unpaired
+        with pytest.raises(ValueError, match="must be finite"):
+            compare_metric_series(a, metric_result([1.0, 2.5, 2.0, 4.0]))
+
+    def test_different_geometry_rejected(self, tmp_path):
         panel = noise_panel(m=2, length=640, seed=6)
         res_a = analyze(panel, AnalysisConfig(width=128, stride=64))
         res_b = analyze(panel, AnalysisConfig(width=128, stride=128))
         path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_metrics_csv(res_a, path_a)
         write_metrics_csv(res_b, path_b)
-        with pytest.raises(AlignmentError):
-            check_comparable(read_metrics_csv(path_a), read_metrics_csv(path_b))
+        # Every start of b is a start of a: only the provenance tells them apart.
+        with pytest.raises(AlignmentError, match="stride differs between inputs: 64 vs 128"):
+            compare_metric_series(read_metrics_csv(path_a), read_metrics_csv(path_b))
 
 
 class TestEntropySweep:
