@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import csv
 import gzip
+import heapq
 import math
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, TextIO
 
@@ -58,9 +60,7 @@ def parse_rfc3339(text: str) -> datetime:
 def format_rfc3339(t: datetime) -> str:
     """Render a UTC timestamp as RFC-3339 with a Z suffix."""
     t = t.astimezone(timezone.utc)
-    if t.microsecond:
-        return t.strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
-    return t.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return t.strftime("%Y-%m-%dT%H:%M:%S.%fZ" if t.microsecond else "%Y-%m-%dT%H:%M:%SZ")
 
 
 def _epoch_ms(t: datetime) -> int:
@@ -249,57 +249,102 @@ def transform_panel(panel: SignalPanel, transform: str) -> SignalPanel:
     return SignalPanel(values, panel.labels, panel.dt, panel.t0)
 
 
+def _format_time(seconds: float) -> str:
+    """RFC-3339 text of an epoch time in seconds, to the microsecond."""
+    return format_rfc3339(datetime.fromtimestamp(seconds, tz=timezone.utc))
+
+
+def _write_table(path, header, times, rows, meta: Mapping[str, str], marks=()) -> None:
+    """Write a stamped table: a `# key=value ...` line of `meta`, the header,
+    and one `<time>,<repr of each float>` row per increasing epoch time in
+    seconds.  Each `(key, seconds)` of `marks` becomes a `# key=<time>` line
+    among the rows, in time order."""
+    body = ((t, f"{_format_time(t)},{','.join(map(repr, row))}\n") for t, row in zip(times, rows))
+    notes = ((t, f"# {key}={_format_time(t)}\n") for key, t in marks)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line for _, line in heapq.merge(body, notes, key=itemgetter(0)))
+
+
+def _read_table(path, time_column: str):
+    """Read a stamped table as (column names after the time column, epoch
+    times in seconds, (rows, columns) values, the line of the header and of
+    each row, (key, value, line) of each `key=value` token of the `#` lines).
+    Blank lines are skipped and `#` lines may appear anywhere.  Any
+    unreadable line is a `FormatError` naming the file and the line."""
+    comments: list[tuple[str, str, int]] = []
+    lineno = 0
+
+    def data_lines(fh):
+        nonlocal lineno
+        for lineno, line in enumerate(fh, start=1):
+            if line.startswith("#"):
+                tokens = (token.partition("=") for token in line[1:].split())
+                comments.extend((key, value, lineno) for key, eq, value in tokens if eq)
+            elif line.strip():
+                yield line
+
+    times, rows = [], []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(data_lines(fh))
+        # Any ValueError below, raised here or by a parser, is an unreadable line.
+        try:
+            header = [name.strip() for name in next(reader, [])]
+            lines = [lineno]
+            if len(header) < 2 or header[0].lower() != time_column:
+                raise ValueError(f"expected header `{time_column},...`, got {header!r}")
+            if len(set(header)) < len(header):
+                raise ValueError(f"a column name repeats in {header!r}")
+            for cells in reader:
+                if len(cells) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
+                t = parse_rfc3339(cells[0]).timestamp()
+                rows.append([float(c) for c in cells[1:]])
+                if times and t <= times[-1]:
+                    raise ValueError(f"time {cells[0].strip()} does not strictly increase")
+                times.append(t)
+                lines.append(lineno)
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from None
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
+    return header[1:], np.array(times), values, lines, comments
+
+
 def write_panel_csv(
     panel: SignalPanel, path: str | Path, meta: Mapping[str, str] | None = None
 ) -> None:
     """Write a panel as `time,<channel>,...` rows with RFC-3339 timestamps.
 
-    An optional `# key=value ...` comment line records provenance.  Panels
-    shorter than two rows are refused, as `read_panel_csv` could not read
-    them back.
+    The `# key=value ...` line records `meta` and the sampling period `dt`.
+    Panels shorter than two rows are refused: they could not be read back.
     """
     if panel.length < 2:
         raise AnalysisError(f"{path}: a panel needs at least two rows, got {panel.length}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if meta:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        fh.write("time," + ",".join(panel.labels) + "\n")
-        dt_ms = panel.dt * 60_000.0
-        base_ms = _epoch_ms(panel.t0)
-        for k in range(panel.length):
-            stamp = format_rfc3339(_from_epoch_ms(base_ms + k * dt_ms))
-            row = ",".join(repr(float(v)) for v in panel.values[:, k])
-            fh.write(f"{stamp},{row}\n")
+    ms = _epoch_ms(panel.t0) + np.arange(panel.length) * (panel.dt * 60_000.0)
+    rows = (column.tolist() for column in panel.values.T)
+    meta = {**(meta or {}), "dt": repr(panel.dt)}
+    _write_table(path, ("time", *panel.labels), (ms / 1000.0).tolist(), rows, meta)
 
 
 def read_panel_csv(path: str | Path) -> SignalPanel:
-    """Read a panel CSV back into a SignalPanel (comment lines are skipped)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise FormatError(f"{path}: no header row found")
-    reader = csv.reader(lines)
-    header = next(reader)
-    if len(header) < 2 or header[0].strip().lower() != "time":
-        raise FormatError(f"{path}: expected header `time,<channel>,...`, got {header!r}")
-    labels = tuple(h.strip() for h in header[1:])
-    stamps: list[int] = []
-    rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: line {lineno}: expected {len(header)} fields")
-        try:
-            stamps.append(_epoch_ms(parse_rfc3339(row[0])))
-            rows.append([float(c) for c in row[1:]])
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    if len(rows) < 2:
+    """Read a panel CSV; a `dt=` comment token agreeing with the spacing is the period."""
+    labels, times, values, lines, comments = _read_table(path, "time")
+    if len(times) < 2:
         raise FormatError(f"{path}: a panel needs at least two rows")
+    stamps = np.rint(times * 1000.0).astype(np.int64)
     deltas = np.diff(stamps)
-    if deltas[0] <= 0:
-        raise FormatError(f"{path}: rows are not increasing")
-    if np.any(np.abs(deltas - deltas[0]) > 1):
-        raise FormatError(f"{path}: rows are not uniformly spaced")
+    uneven = np.flatnonzero((deltas < 1) | (np.abs(deltas - deltas[0]) > 1))
+    if uneven.size:
+        raise FormatError(f"{path}: line {lines[uneven[0] + 2]}: rows are not uniformly spaced")
     dt = deltas[0] / 60_000.0
-    values = np.array(rows, dtype=np.float64).T
-    return SignalPanel(values, labels, dt, _from_epoch_ms(stamps[0]))
+    for key, text, line in comments:
+        if key == "dt":
+            try:
+                dt = float(text)
+            except ValueError:
+                dt = math.nan
+            # Each stamp is off by at most half a millisecond.
+            if not abs(dt * 60_000.0 - deltas[0]) < 2:
+                raise FormatError(f"{path}: line {line}: dt={text} disagrees with the rows' spacing")
+    return SignalPanel(values.T, tuple(labels), dt, _from_epoch_ms(int(stamps[0])))

@@ -11,11 +11,9 @@ comparisons can refuse rows computed with a different window geometry.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import logging
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from typing import TextIO
 
 import numpy as np
@@ -38,7 +36,7 @@ from .errors import (
     FormatError,
     InvalidWindowError,
 )
-from .ingest import format_rfc3339, parse_rfc3339, transform_panel
+from .ingest import _format_time, _read_table, _write_table, parse_rfc3339, transform_panel
 from .simulator import SimConfig, run_simulation
 from .spectra import (
     SignalPanel,
@@ -99,20 +97,15 @@ class AnalysisConfig:
         return self.stride if self.stride is not None else max(1, self.width // 2)
 
     def provenance(self) -> dict[str, str]:
-        spec = (
-            f"width={self.width} stride={self.effective_stride} "
-            f"transform={self.transform} floor={self.kl_floor!r} "
-            f"weights={'custom' if self.weights else 'uniform'}"
-        )
-        digest = hashlib.sha256(spec.encode()).hexdigest()[:12]
-        return {
-            "cfg": digest,
+        fields = {
             "width": str(self.width),
             "stride": str(self.effective_stride),
             "transform": self.transform,
             "floor": repr(self.kl_floor),
             "weights": "custom" if self.weights else "uniform",
         }
+        spec = " ".join(f"{k}={v}" for k, v in fields.items())
+        return {"cfg": hashlib.sha256(spec.encode()).hexdigest()[:12], **fields}
 
 
 @dataclass
@@ -330,85 +323,46 @@ def compare_metric_series(
 # ---------------------------------------------------------------------------
 
 
-def _stamp(seconds: float) -> str:
-    return format_rfc3339(datetime.fromtimestamp(seconds, tz=timezone.utc))
+def _metric_columns(labels) -> list[str]:
+    return ["js", "mean_kl", *(f"H_{n}" for n in labels), *(f"mode_{n}" for n in labels)]
 
 
 def write_metrics_csv(result: AnalysisResult, path) -> None:
-    """One row per window: time, JS, mean KL, entropies, modes.
-
-    Skipped windows appear as `# gap=<time>` comment lines in window order;
-    the leading provenance comment pins the config the rows came from.
-    """
-    columns = (
-        ["window_start_time", "js", "mean_kl"]
-        + [f"H_{name}" for name in result.labels]
-        + [f"mode_{name}" for name in result.labels]
-    )
+    """One row per window: time, JS, mean KL, entropies, modes, after a
+    provenance comment; skipped windows are `# gap=<time>` lines in time order."""
+    header = ["window_start_time", *_metric_columns(result.labels)]
     values = np.column_stack([result.js, result.mean_kl, result.entropies, result.modes])
-    rows = [
-        ",".join([_stamp(t), *map(repr, cells)])
-        for t, cells in zip(result.timestamps.tolist(), values.tolist())
-    ]
-    rows += [f"# gap={_stamp(t)}" for t in result.gap_times.tolist()]
-    order = np.argsort(np.concatenate([result.timestamps, result.gap_times]), kind="stable")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in result.provenance.items()) + "\n")
-        fh.write(",".join(columns) + "\n")
-        for i in order.tolist():
-            fh.write(rows[i] + "\n")
+    gaps = [("gap", t) for t in result.gap_times.tolist()]
+    _write_table(path, header, result.timestamps.tolist(), values.tolist(), result.provenance, gaps)
 
 
 def read_metrics_csv(path) -> AnalysisResult:
     """Parse a metrics CSV back into a result (without KL matrices or spectra)."""
+    columns, times, values, lines, comments = _read_table(path, "window_start_time")
+    m = (len(columns) - 2) // 2
+    labels = [name[2:] for name in columns[2 : 2 + m]]
+    if columns != _metric_columns(labels):
+        raise FormatError(
+            f"{path}: line {lines[0]}: expected header "
+            f"`window_start_time,js,mean_kl,H_<ch>...,mode_<ch>...`, got {columns!r}"
+        )
     provenance: dict[str, str] = {}
     gaps: list[float] = []
-    rows: list[list[str]] = []
-    header: list[str] | None = None
-    with open(path, encoding="utf-8", newline="") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, _, value = token.partition("=")
-                        if key == "gap":
-                            gaps.append(parse_rfc3339(value).timestamp())
-                        else:
-                            provenance[key] = value
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = cells
-            else:
-                rows.append(cells)
-    if header is None:
-        raise FormatError(f"{path}: no header row found")
-    if header[:3] != ["window_start_time", "js", "mean_kl"]:
-        raise FormatError(f"{path}: unexpected metrics header {header[:3]!r}")
-    h_names = [c[2:] for c in header[3:] if c.startswith("H_")]
-    mode_names = [c[5:] for c in header[3:] if c.startswith("mode_")]
-    if h_names != mode_names:
-        raise FormatError(f"{path}: entropy and mode columns disagree")
-    m = len(h_names)
-    stamps, values = [], []
-    for cells in rows:
-        if len(cells) != 3 + 2 * m:
-            raise FormatError(f"{path}: row has {len(cells)} cells, expected {3 + 2 * m}")
-        stamps.append(parse_rfc3339(cells[0]).timestamp())
-        values.append([float(c) for c in cells[1:]])
-    if any(b <= a for a, b in zip(stamps, stamps[1:])):
-        raise FormatError(f"{path}: window start times must strictly increase")
-    table = np.array(values, dtype=np.float64).reshape(len(rows), 2 + 2 * m)
+    for key, value, line in comments:
+        if key != "gap":
+            provenance[key] = value
+            continue
+        try:
+            gaps.append(parse_rfc3339(value).timestamp())
+        except ValueError:
+            raise FormatError(f"{path}: line {line}: bad gap time {value!r}") from None
     return AnalysisResult(
-        timestamps=np.array(stamps, dtype=np.float64),
-        js=table[:, 0],
-        mean_kl=table[:, 1],
-        entropies=table[:, 2 : 2 + m],
-        modes=table[:, 2 + m :],
-        labels=tuple(h_names),
+        timestamps=times,
+        js=values[:, 0],
+        mean_kl=values[:, 1],
+        entropies=values[:, 2 : 2 + m],
+        modes=values[:, 2 + m :],
+        labels=tuple(labels),
         provenance=provenance,
         gap_times=np.array(gaps, dtype=np.float64),
     )
@@ -424,7 +378,7 @@ def write_kl_csv(result: AnalysisResult, path) -> None:
         fh.write("# channels=" + "|".join(result.labels) + "\n")
         fh.write("window_start_time,l,m,kl\n")
         for t, matrix in zip(result.timestamps.tolist(), result.kl):
-            stamp = _stamp(t)
+            stamp = _format_time(t)
             for (l, j), value in zip(pairs, matrix.ravel().tolist()):
                 fh.write(f"{stamp},{l},{j},{value!r}\n")
 
@@ -437,7 +391,7 @@ def write_spectra_csv(result: AnalysisResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("window_start_time,channel,frequency,prob\n")
         for t, window in zip(result.timestamps.tolist(), result.spectra):
-            stamp = _stamp(t)
+            stamp = _format_time(t)
             for name, probs in zip(result.labels, window.tolist()):
                 for freq, prob in zip(freqs, probs):
                     fh.write(f"{stamp},{name},{freq!r},{prob!r}\n")

@@ -395,7 +395,7 @@ class TestPanelCsv:
     def test_reader_rejects_non_increasing_times(self, tmp_path, stamps):
         path = tmp_path / "bad.csv"
         path.write_text("time,x,y\n" + "".join(f"2006-10-16T{s}Z,1.0,2.0\n" for s in stamps))
-        with pytest.raises(FormatError, match="rows are not increasing"):
+        with pytest.raises(FormatError, match="line 3: time .* does not strictly increase"):
             read_panel_csv(path)
 
 
