@@ -11,6 +11,8 @@ line on stderr (`specdist: error code=<n> kind=<Type> msg="..."`):
     5  invalid configuration or parameter values
     6  degenerate data (too few channels, zero variance, empty spectra)
 
+Codes 4-6 are the `exit_code` of the error's class (see `specdist.errors`).
+
 Log verbosity is controlled only by the SPECDIST_LOG environment variable
 (DEBUG, INFO, WARNING, ...).
 """
@@ -24,20 +26,7 @@ import sys
 from dataclasses import replace
 
 from . import pipeline
-from .errors import (
-    AlignmentError,
-    AnalysisError,
-    ConfigurationError,
-    DegenerateFitError,
-    DegenerateSpectrumError,
-    DimensionError,
-    FormatError,
-    InvalidWindowError,
-    OutOfRangeError,
-    SpecdistError,
-    TransformError,
-    UndefinedCorrelationError,
-)
+from .errors import ConfigurationError, SpecdistError
 from .distances import DEFAULT_KL_FLOOR
 from .ingest import read_panel_csv, read_ticks, resample, transform_panel, write_panel_csv
 from .simulator import SimConfig, load_sim_config, run_simulation
@@ -46,29 +35,12 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_FORMAT = 4
 EXIT_CONFIG = 5
-EXIT_DATA = 6
-
-_ERROR_CODES: tuple[tuple[type, int], ...] = (
-    (FormatError, EXIT_FORMAT),
-    (AlignmentError, EXIT_FORMAT),
-    (DimensionError, EXIT_FORMAT),
-    (ConfigurationError, EXIT_CONFIG),
-    (InvalidWindowError, EXIT_CONFIG),
-    (AnalysisError, EXIT_DATA),
-    (DegenerateSpectrumError, EXIT_DATA),
-    (TransformError, EXIT_DATA),
-    (UndefinedCorrelationError, EXIT_DATA),
-    (DegenerateFitError, EXIT_DATA),
-    (OutOfRangeError, EXIT_DATA),
-)
 
 
 def _exit_code(exc: Exception) -> int:
-    for kind, code in _ERROR_CODES:
-        if isinstance(exc, kind):
-            return code
+    if isinstance(exc, SpecdistError):
+        return exc.exit_code
     if isinstance(exc, (FileNotFoundError, PermissionError, IsADirectoryError)):
         return EXIT_IO
     if isinstance(exc, (ValueError, KeyError)):
@@ -305,11 +277,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except SpecdistError as exc:
-        return _fail(exc)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(exc)
-    except Exception as exc:  # pragma: no cover - last-resort guard
+    except Exception as exc:  # every failure is one stderr line and its exit code
         return _fail(exc)
 
 

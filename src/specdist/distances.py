@@ -81,6 +81,16 @@ def _stack(spectra: Sequence[NormalizedSpectrum]) -> np.ndarray:
     return np.vstack([s.probs for s in spectra])
 
 
+def floored(probs: np.ndarray, floor: float) -> np.ndarray:
+    """Distributions clamped below by `floor` and renormalized (unchanged at 0)."""
+    if not (math.isfinite(floor) and floor >= 0):
+        raise ValueError(f"floor must be finite and nonnegative, got {floor}")
+    if floor == 0:
+        return probs
+    clipped = np.maximum(probs, floor)
+    return clipped / clipped.sum(axis=-1, keepdims=True)
+
+
 def js_divergences(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """JS divergence of each (M, B) ensemble in a (..., M, B) stack.
 
@@ -95,16 +105,12 @@ def kl_matrices(probs: np.ndarray, floor: float) -> np.ndarray:
     """Pairwise KL distances of each (M, B) ensemble in a (..., M, B) stack.
 
     Entry (l, m) is KL(p_l, p_m) = sum p_l*log(p_l) - sum p_l*log(p_m).
-    With floor > 0 every distribution is clamped below by `floor` and
-    renormalized first.  With floor = 0 bins where p_l = 0 contribute
-    nothing, and a bin with p_l > 0 but p_m = 0 makes the entry +inf.
+    With floor > 0 every distribution is `floored` first.  With floor = 0
+    bins where p_l = 0 contribute nothing, and a bin with p_l > 0 but
+    p_m = 0 makes the entry +inf.
     The diagonal is exactly zero and every entry is nonnegative.
     """
-    if not (math.isfinite(floor) and floor >= 0):
-        raise ValueError(f"floor must be finite and nonnegative, got {floor}")
-    if floor > 0:
-        clipped = np.maximum(probs, floor)
-        probs = clipped / clipped.sum(axis=-1, keepdims=True)
+    probs = floored(probs, floor)
     live = probs > 0
     log_p = np.log(np.where(live, probs, 1.0))
     # Both terms go through einsum: identical members then cancel exactly.

@@ -1,53 +1,64 @@
 """Exception types shared across the package.
 
 Every error raised on a bad input or a degenerate computation derives from
-SpecdistError so callers (and the CLI exit-code mapping) can catch one base.
+SpecdistError so callers can catch one base.  Each class carries the CLI
+exit code of its failure class: 4 for malformed input (FormatError), 5 for
+an invalid configuration (ConfigurationError), 6 for degenerate data
+(AnalysisError); subclasses inherit their parent's code.
 """
 
 
 class SpecdistError(Exception):
     """Base class for all package-specific errors."""
 
-
-class InvalidWindowError(SpecdistError):
-    """Window width or stride outside the valid range."""
-
-
-class OutOfRangeError(SpecdistError):
-    """Requested window does not fit inside the series."""
-
-
-class DegenerateSpectrumError(SpecdistError):
-    """All AC power is zero; no probability distribution can be formed."""
-
-
-class DimensionError(SpecdistError):
-    """Mismatched lengths, frequency grids, or non-square matrices."""
-
-
-class UndefinedCorrelationError(SpecdistError):
-    """Correlation requested for a series with zero variance."""
-
-
-class DegenerateFitError(SpecdistError):
-    """Proportionality fit requested against an all-zero regressor."""
+    exit_code = 1
 
 
 class FormatError(SpecdistError):
     """Malformed input file: bad header, bad schema, or too many bad rows."""
 
+    exit_code = 4
 
-class TransformError(SpecdistError):
-    """Requested value transform is undefined for the given data."""
+
+class AlignmentError(FormatError):
+    """Two metric series do not share a common window grid."""
+
+
+class DimensionError(FormatError):
+    """Mismatched lengths, frequency grids, or non-square matrices."""
 
 
 class ConfigurationError(SpecdistError):
     """Invalid simulation or analysis configuration."""
 
+    exit_code = 5
+
+
+class InvalidWindowError(ConfigurationError):
+    """Window width or stride outside the valid range."""
+
 
 class AnalysisError(SpecdistError):
     """Analysis cannot proceed (too few channels, too little data)."""
 
+    exit_code = 6
 
-class AlignmentError(SpecdistError):
-    """Two metric series do not share a common window grid."""
+
+class DegenerateSpectrumError(AnalysisError):
+    """All AC power is zero; no probability distribution can be formed."""
+
+
+class TransformError(AnalysisError):
+    """Requested value transform is undefined for the given data."""
+
+
+class UndefinedCorrelationError(AnalysisError):
+    """Correlation requested for a series with zero variance."""
+
+
+class DegenerateFitError(AnalysisError):
+    """Proportionality fit requested against an all-zero regressor."""
+
+
+class OutOfRangeError(AnalysisError):
+    """Requested window does not fit inside the series."""

@@ -24,6 +24,7 @@ from .distances import (
     cross_correlation,
     fit_affine,
     fit_proportionality,
+    floored,
     js_divergences,
     kl_matrices,
     mean_kls,
@@ -151,10 +152,13 @@ def _score_chunk(segments: np.ndarray, weights: np.ndarray, floor: float, dt: fl
     # A constant window only carries taper leakage, which would fake a
     # spectrum where the channel has no signal.
     probs = probs[~(constant | silent)]
+    # JS and KL see the same floored distributions, which makes Lin's bound
+    # checked in `analyze` a theorem.
+    dists = floored(probs, floor)
     return constant, silent, {
         "spectra": probs,
-        "js": js_divergences(probs, weights),
-        "kl": kl_matrices(probs, floor),
+        "js": js_divergences(dists, weights),
+        "kl": kl_matrices(dists, 0.0),
         "entropies": entropies(probs),
         "modes": mode_frequencies(probs, dt),
     }
@@ -221,18 +225,21 @@ def analyze(
     times = panel.t0.timestamp() + starts * panel.dt * 60.0
     skipped = constant | silent
     _log_skipped(starts, constant, silent)
-    js, mkl = out["js"], mean_kls(out["kl"])
-    below = mkl < js - 1e-9
-    if below.any():
-        i = int(np.argmax(below))
-        raise ValueError(
-            f"window at {starts[~skipped][i]}: mean KL {float(mkl[i])!r} "
-            f"fell below JS {float(js[i])!r}"
+    # Lin (1991), IEEE Trans. Inf. Theory 37(1):145-151: JS <= sum_ij
+    # pi_i pi_j KL(p_i, p_j); for uniform weights that is the mean KL.
+    js, w = out["js"], weights.weights
+    bound = np.einsum("m,wmn,n->w", w, out["kl"], w)
+    above = js > bound + 1e-9
+    if above.any():
+        i = int(np.argmax(above))
+        raise RuntimeError(
+            f"window at {starts[~skipped][i]}: JS {float(js[i])!r} exceeds "
+            f"the weighted mean KL {float(bound[i])!r} (Lin's bound)"
         )
     return AnalysisResult(
         timestamps=times[~skipped],
         js=js,
-        mean_kl=mkl,
+        mean_kl=mean_kls(out["kl"]),
         entropies=out["entropies"],
         modes=out["modes"],
         labels=panel.labels,

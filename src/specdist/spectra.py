@@ -191,8 +191,15 @@ def entropies(probs: np.ndarray) -> np.ndarray:
 
 
 def mode_frequencies(probs: np.ndarray, dt: float) -> np.ndarray:
-    """Frequency of each spectrum's largest bin; ties go to the lowest frequency."""
-    return bin_frequencies(probs.shape[-1] + 1, dt)[np.argmax(probs, axis=-1)]
+    """Frequency of each spectrum's largest bin, at or below Nyquist.
+
+    Bin n and its mirror N-n (the same frequency for a real signal) are
+    summed first, so the mode is never above 1/(2*dt); ties go to the
+    lowest frequency.
+    """
+    half = (probs.shape[-1] + 1) // 2
+    folded = probs[..., :half] + probs[..., ::-1][..., :half]
+    return bin_frequencies(probs.shape[-1] + 1, dt)[np.argmax(folded, axis=-1)]
 
 
 def periodogram(panel: SignalPanel, channel: int, start: int, width: int) -> np.ndarray:
@@ -229,5 +236,5 @@ def spectral_entropy(spectrum: NormalizedSpectrum) -> float:
 
 
 def mode_frequency(spectrum: NormalizedSpectrum) -> float:
-    """Frequency of the largest probability bin; ties go to the lowest frequency."""
+    """Frequency of the largest folded bin (see `mode_frequencies`)."""
     return float(mode_frequencies(spectrum.probs, spectrum.dt))

@@ -34,6 +34,15 @@ def scalar_entropy(probs):
     return total
 
 
+def scalar_floor(p, floor):
+    """A distribution clamped below by `floor` and renormalized (unchanged at 0)."""
+    if floor == 0.0:
+        return list(p)
+    clamped = [max(v, floor) for v in p]
+    total = sum(clamped)
+    return [v / total for v in clamped]
+
+
 def scalar_kl(p, q, floor):
     """Plain-Python KL distance with the clamp-and-renormalize floor."""
     if floor == 0.0:
@@ -44,12 +53,14 @@ def scalar_kl(p, q, floor):
                     return math.inf
                 total += pi * math.log(pi / qi)
         return total
-    pf = [max(pi, floor) for pi in p]
-    qf = [max(qi, floor) for qi in q]
-    ps, qs = sum(pf), sum(qf)
-    pf = [v / ps for v in pf]
-    qf = [v / qs for v in qf]
+    pf, qf = scalar_floor(p, floor), scalar_floor(q, floor)
     return sum(a * math.log(a / b) for a, b in zip(pf, qf))
+
+
+def folded_mode(p, width, dt):
+    """Frequency of the largest of p[n] + p[N-n], n = 1..N/2; ties to the lowest."""
+    folded = [p[i] + p[width - 2 - i] for i in range(width // 2)]
+    return (folded.index(max(folded)) + 1) / (width * dt)
 
 
 def two_pass_correlation(a, b):

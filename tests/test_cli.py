@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specdist import cli, pipeline
+from specdist import cli, errors, pipeline
 from specdist.cli import main
 from specdist.distances import cross_correlation, fit_proportionality
 from specdist.ingest import read_panel_csv
@@ -126,6 +126,36 @@ class TestAnalyzeCommand:
         assert code == 5
         assert "kind=ConfigurationError" in err and "KL floor" in err and f"got {floor}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["four tones, floor 0.0078", "twelve channels, skewed weights"])
+    def test_former_bound_breaks_analyze(self, tmp_path, case):
+        from specdist.ingest import write_panel_csv
+        from specdist.spectra import SignalPanel
+
+        if case.startswith("four"):
+            t = np.arange(128)
+            values = np.array([np.cos(2 * np.pi * b * t / 128) for b in (3, 9, 17, 30)])
+            extra = ("--floor", "0.0078")
+        else:
+            rng = np.random.default_rng(0)
+            a, b = rng.normal(size=128), rng.normal(size=128)
+            values = np.vstack([a] + [b] * 11)
+            extra = ("--weights", ",".join(["0.45"] + ["0.01"] * 10 + ["0.45"]))
+        panel_csv = tmp_path / "panel.csv"
+        labels = tuple(f"c{i:02d}" for i in range(len(values)))
+        write_panel_csv(SignalPanel(values, labels, 1.0), panel_csv)
+        out = tmp_path / "m.csv"
+        assert run("analyze", str(panel_csv), "--window", "128", *extra, "--out", str(out)) == 0
+        assert pipeline.read_metrics_csv(out).js.size == 1
+
+    def test_bound_violation_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)
+        monkeypatch.setattr(
+            pipeline, "kl_matrices", lambda probs, floor: np.zeros(probs.shape[:-1] + (2,))
+        )
+        code = run("analyze", str(panel_csv), "--window", "128", "--out", str(tmp_path / "m.csv"))
+        assert code == 1
+        assert "kind=RuntimeError" in capsys.readouterr().err
 
     def test_unknown_channel_is_config_error(self, tmp_path):
         panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)
@@ -280,6 +310,18 @@ class TestCompareCommand:
         ) == 0
         assert run("compare", str(left), str(right)) == 4
 
+    def test_unreadable_cell_is_format_error(self, tmp_path, capsys):
+        left = self.make_metrics(tmp_path, 3, "left")
+        lines = left.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "abc"
+        lines[3] = ",".join(cells)
+        left.write_text("\n".join(lines) + "\n")
+        right = self.make_metrics(tmp_path, 4, "right")
+        assert run("compare", str(left), str(right)) == 4
+        err = capsys.readouterr().err
+        assert "kind=FormatError" in err and f"{left}: line 4: could not convert" in err
+
     def test_simulated_rates_vs_activity(self, tmp_path, capsys):
         rates, activity = tmp_path / "rates.csv", tmp_path / "activity.csv"
         assert run(
@@ -365,3 +407,38 @@ class TestUsageErrors:
 
     def test_no_arguments(self):
         assert run() == 2
+
+
+# Each error class and the exit code of the failure class it belongs to.
+EXIT_CODES = {
+    errors.FormatError: 4,
+    errors.AlignmentError: 4,
+    errors.DimensionError: 4,
+    errors.ConfigurationError: 5,
+    errors.InvalidWindowError: 5,
+    errors.AnalysisError: 6,
+    errors.DegenerateSpectrumError: 6,
+    errors.TransformError: 6,
+    errors.UndefinedCorrelationError: 6,
+    errors.DegenerateFitError: 6,
+    errors.OutOfRangeError: 6,
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_a_code(self):
+        classes = {
+            kind for kind in vars(errors).values()
+            if isinstance(kind, type) and issubclass(kind, errors.SpecdistError)
+        }
+        assert classes - {errors.SpecdistError} == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("kind", list(EXIT_CODES), ids=lambda kind: kind.__name__)
+    def test_error_class_exits_with_its_code(self, kind, monkeypatch, capsys):
+        def fail(args):
+            raise kind("boom")
+
+        monkeypatch.setattr(cli, "_cmd_compare", fail)
+        assert kind.exit_code == EXIT_CODES[kind]
+        assert run("compare", "left.csv", "right.csv") == EXIT_CODES[kind]
+        assert f'kind={kind.__name__} msg="boom"' in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import gzip
 import io
 import math
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -20,6 +20,8 @@ from specdist.ingest import (
     transform_panel,
     write_panel_csv,
 )
+
+from specdist.spectra import SignalPanel
 
 from conftest import DATA_DIR
 from oracles import scalar_resample
@@ -397,6 +399,79 @@ class TestPanelCsv:
         path.write_text("time,x,y\n" + "".join(f"2006-10-16T{s}Z,1.0,2.0\n" for s in stamps))
         with pytest.raises(FormatError, match="line 3: time .* does not strictly increase"):
             read_panel_csv(path)
+
+
+    @given(
+        m=st.integers(1, 5),
+        length=st.integers(2, 50),
+        dt=st.sampled_from([1.0, 1 / 3, 1 / 7, 2.5]),
+        t0_ms=st.integers(0, 4_000_000_000_000),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_exact(self, tmp_path_factory, m, length, dt, t0_ms, data):
+        cell = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -0.0]
+        )
+        values = np.array(data.draw(st.lists(cell, min_size=m * length, max_size=m * length)))
+        labels = data.draw(
+            st.lists(st.text("abcXYZ/_.", min_size=1, max_size=6), min_size=m, max_size=m, unique=True)
+        )
+        t0 = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=t0_ms)
+        panel = SignalPanel(values.reshape(m, length), labels, dt, t0)
+        path = tmp_path_factory.mktemp("panel") / "panel.csv"
+        write_panel_csv(panel, path)
+        loaded = read_panel_csv(path)
+        assert loaded.labels == panel.labels
+        assert loaded.dt == dt
+        assert loaded.t0 == t0
+        assert np.array_equal(loaded.values, panel.values)
+
+    PANEL = (
+        "# side=ask dt=1.0 transform=raw\n"
+        "time,a,b\n"
+        "2006-10-16T00:00:00Z,1.0,2.0\n"
+        "# a comment between rows\n"
+        "2006-10-16T00:01:00Z,1.5,2.5\n"
+        "\n"
+        "2006-10-16T00:02:00Z,1.25,2.25\n"
+    )
+
+    @pytest.mark.parametrize(
+        "line, text, reason",
+        [
+            (5, "2006-10-16T00:01:00Z,1.5,abc", "could not convert string to float: 'abc'"),
+            (5, "2006-10-16T00:0x:00Z,1.5,2.5", "Invalid isoformat"),
+            (7, "2006-10-16T00:02:00Z,1.25", "expected 3 fields, got 2"),
+            (2, "time,a,a", "a column name repeats"),
+            (2, "when,a,b", "expected header `time,...`"),
+            (7, "2006-10-16T00:01:00Z,1.25,2.25", "does not strictly increase"),
+            (7, "2006-10-16T00:03:00Z,1.25,2.25", "rows are not uniformly spaced"),
+            (1, "# side=ask dt=2.0", "dt=2.0 disagrees with the rows' spacing"),
+            (1, "# dt=one", "dt=one disagrees"),
+        ],
+    )
+    def test_unreadable_line_is_named(self, tmp_path, line, text, reason):
+        lines = self.PANEL.splitlines()
+        lines[line - 1] = text
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            read_panel_csv(path)
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+        assert reason in str(info.value)
+
+    def test_recorded_dt_is_exact_and_optional(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        seventh = (
+            self.PANEL.replace("dt=1.0", f"dt={1 / 7!r}")
+            .replace(":01:00Z", ":00:08.571429Z")
+            .replace(":02:00Z", ":00:17.142857Z")
+        )
+        path.write_text(seventh)
+        assert read_panel_csv(path).dt == 1 / 7
+        path.write_text(self.PANEL.replace(" dt=1.0", ""))
+        assert read_panel_csv(path).dt == 1.0
 
 
 class TestFixtureGoldens:

@@ -31,7 +31,14 @@ from specdist.pipeline import (
 from specdist.simulator import SimConfig
 from specdist.spectra import NormalizedSpectrum, SignalPanel
 
-from oracles import direct_periodogram, double_loop_mean, scalar_entropy, scalar_kl
+from oracles import (
+    direct_periodogram,
+    double_loop_mean,
+    folded_mode,
+    scalar_entropy,
+    scalar_floor,
+    scalar_kl,
+)
 
 
 def noise_panel(m=2, length=512, seed=0, dt=1.0):
@@ -135,17 +142,25 @@ class TestAnalyze:
         assert result.timestamps.tolist() == [0.0, 120.0, 240.0, 360.0]
 
     def test_mean_kl_below_js_names_window(self):
-        # Known defect: JS is taken on raw spectra but KL on floored ones.
-        # At this floor the tone window passes and the noise window after
-        # it breaks the bound.
+        # JS on raw spectra and KL on floored ones once broke the bound on
+        # this panel's noise window; both now see the floored spectra, so a
+        # break can only come from a faulty kernel, as an internal error.
         rng = np.random.default_rng(4)
         t = np.arange(128)
         tones = np.array([np.cos(2 * np.pi * b * t / 128) for b in (8, 20, 37, 50)])
         panel = SignalPanel(
             np.hstack([tones, rng.normal(size=(4, 128))]), ("a", "b", "c", "d"), 1.0
         )
-        with pytest.raises(ValueError, match=r"window at 128: mean KL .* fell below JS"):
-            analyze(panel, AnalysisConfig(width=128, stride=128, kl_floor=0.005))
+        cfg = AnalysisConfig(width=128, stride=128, kl_floor=0.005)
+        result = analyze(panel, cfg)
+        assert result.js.size == 2 and np.all(result.mean_kl >= result.js - 1e-9)
+
+        def no_divergence(probs, floor):
+            return np.zeros(probs.shape[:-1] + probs.shape[-2:-1])
+
+        with mock.patch.object(pipeline, "kl_matrices", no_divergence):
+            with pytest.raises(RuntimeError, match=r"window at 0: JS .* exceeds the weighted mean KL 0\.0"):
+                analyze(panel, cfg)
 
     def test_skipped_windows_log_one_summary(self, caplog):
         rng = np.random.default_rng(12)
@@ -210,7 +225,7 @@ class TestKernelOracle:
                 p = got.tolist()
                 probs.append(p)
                 assert result.entropies[row, ch] == pytest.approx(scalar_entropy(p), rel=1e-12)
-                assert result.modes[row, ch] == (p.index(max(p)) + 1) / width
+                assert result.modes[row, ch] == folded_mode(p, width, 1.0)
             kl = result.kl[row]
             assert np.all(np.diag(kl) == 0.0) and np.all(kl >= 0.0)
             for l in range(m):
@@ -221,8 +236,9 @@ class TestKernelOracle:
             if identical:
                 assert kl[0, 1] == 0.0 and kl[1, 0] == 0.0
             assert result.mean_kl[row] == pytest.approx(double_loop_mean(kl.tolist()), rel=1e-12)
-            mixture = [sum(w * p[b] for w, p in zip(pi, probs)) for b in range(width - 1)]
-            js = scalar_entropy(mixture) - sum(w * scalar_entropy(p) for w, p in zip(pi, probs))
+            dists = [scalar_floor(p, floor) for p in probs]
+            mixture = [sum(w * p[b] for w, p in zip(pi, dists)) for b in range(width - 1)]
+            js = scalar_entropy(mixture) - sum(w * scalar_entropy(p) for w, p in zip(pi, dists))
             assert result.js[row] == pytest.approx(js, rel=1e-10, abs=1e-12)
 
     @given(seed=st.integers(0, 2**16), m=st.integers(2, 6))
@@ -246,6 +262,61 @@ class TestKernelOracle:
         matrix = kl_matrix((p, q, p), floor=0.0)
         assert matrix[0, 1] == math.inf and matrix[1, 0] == math.inf
         assert matrix[0, 2] == 0.0 and np.all(np.diag(matrix) == 0.0)
+
+
+class TestLinBound:
+    """JS <= sum_ij pi_i pi_j KL(p_i, p_j) on every window (Lin 1991)."""
+
+    def test_four_tones_at_the_top_of_the_floor_range(self):
+        # JS of the raw, disjoint tones is ln 4 = 1.386; the floored KL
+        # mean was 1.217 below it.
+        t = np.arange(128)
+        tones = np.array([np.cos(2 * np.pi * b * t / 128) for b in (3, 9, 17, 30)])
+        panel = SignalPanel(tones, ("a", "b", "c", "d"), 1.0)
+        result = analyze(panel, AnalysisConfig(width=128, kl_floor=0.0078))
+        assert result.js[0] < math.log(4) and result.mean_kl[0] >= result.js[0]
+
+    def test_skewed_weights_bound_by_the_weighted_mean(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=128), rng.normal(size=128)
+        panel = SignalPanel(np.vstack([a] + [b] * 11), tuple(f"c{i:02d}" for i in range(12)), 1.0)
+        weights = (0.45,) + (0.01,) * 10 + (0.45,)
+        result = analyze(panel, AnalysisConfig(width=128, weights=weights))
+        w = np.array(weights)
+        assert result.js[0] <= w @ result.kl[0] @ w
+        # The uniform mean is no bound once the weights are skewed.
+        assert result.mean_kl[0] < result.js[0]
+
+    @given(
+        m=st.integers(2, 6),
+        width=st.sampled_from([8, 16, 33, 128]),
+        floor_share=st.floats(0.0, 0.9999),
+        uniform=st.booleans(),
+        tones=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bound_holds_for_every_floor_and_weights(
+        self, m, width, floor_share, uniform, tones, seed
+    ):
+        rng = np.random.default_rng(seed)
+        t = np.arange(3 * width)
+        if tones:  # nearly disjoint supports, where the floor matters most
+            bins = rng.integers(1, width // 2, m)
+            values = np.cos(2 * np.pi * bins[:, None] * t / width) + 1e-3 * rng.normal(size=(m, t.size))
+        else:
+            values = rng.normal(size=(m, t.size)) * rng.uniform(0.1, 10, (m, 1))
+        values[rng.random(m) < 0.3] = values[0]
+        raw = rng.random(m) ** 4 + 1e-3
+        weights = None if uniform else tuple(raw / raw.sum())
+        cfg = AnalysisConfig(
+            width=width, stride=width, weights=weights, kl_floor=floor_share / (width - 1)
+        )
+        result = analyze(SignalPanel(values, tuple(f"c{i}" for i in range(m)), 1.0), cfg)
+        w = np.full(m, 1 / m) if uniform else np.array(weights)
+        assert np.all(result.js <= np.einsum("m,wmn,n->w", w, result.kl, w) + 1e-9)
+        if uniform:
+            assert np.all(result.mean_kl >= result.js - 1e-9)
 
 
 class TestMetricsCsv:
@@ -286,6 +357,75 @@ class TestMetricsCsv:
         path.write_text("\n".join(lines + [lines[-1]]) + "\n")
         with pytest.raises(FormatError, match="strictly increase"):
             read_metrics_csv(path)
+
+    def test_round_trip_with_interleaved_gaps(self, tmp_path):
+        rng = np.random.default_rng(5)
+        result = AnalysisResult(
+            timestamps=np.array([0.0, 120.0, 300.0, 1.5e9 + 0.125]),
+            js=rng.random(4),
+            mean_kl=np.array([0.5, np.inf, 1e-300, 2.0]),
+            entropies=rng.random((4, 2)),
+            modes=rng.random((4, 2)),
+            labels=("a/b", "c"),
+            provenance={"cfg": "abc", "width": "4", "stride": "2"},
+            gap_times=np.array([60.0, 180.0, 240.0, 1.6e9]),
+        )
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(result, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# cfg=abc width=4 stride=2"
+        assert lines[1] == "window_start_time,js,mean_kl,H_a/b,H_c,mode_a/b,mode_c"
+        starts = [line.split(",")[0] for line in lines[2:]]
+        assert starts == [
+            "1970-01-01T00:00:00Z",
+            "# gap=1970-01-01T00:01:00Z",
+            "1970-01-01T00:02:00Z",
+            "# gap=1970-01-01T00:03:00Z",
+            "# gap=1970-01-01T00:04:00Z",
+            "1970-01-01T00:05:00Z",
+            "2017-07-14T02:40:00.125000Z",
+            "# gap=2020-09-13T12:26:40Z",
+        ]
+        back = read_metrics_csv(path)
+        for name in ("timestamps", "js", "mean_kl", "entropies", "modes", "gap_times"):
+            assert np.array_equal(getattr(back, name), getattr(result, name)), name
+        assert back.labels == result.labels
+        assert back.provenance == result.provenance
+
+    METRICS = (
+        "# cfg=abc width=4 stride=4 transform=raw floor=1e-12 weights=uniform\n"
+        "window_start_time,js,mean_kl,H_a,H_b,mode_a,mode_b\n"
+        "1970-01-01T00:00:00Z,0.1,0.2,1.0,1.1,0.25,0.5\n"
+        "\n"
+        "# gap=1970-01-01T00:04:00Z\n"
+        "1970-01-01T00:08:00Z,0.3,0.4,1.2,1.3,0.25,0.25\n"
+    )
+
+    @pytest.mark.parametrize(
+        "line, text, reason",
+        [
+            (3, "1970-01-01T00:00:00Z,0.1,abc,1.0,1.1,0.25,0.5", "could not convert string to float: 'abc'"),
+            (6, "1970-01-0xT00:08:00Z,0.3,0.4,1.2,1.3,0.25,0.25", "Invalid isoformat"),
+            (6, "1970-01-01T00:08:00Z,0.3,0.4,1.2,1.3,0.25", "expected 7 fields, got 6"),
+            (2, "window_start_time,js,mean_kl,H_a,H_a,mode_a,mode_a", "a column name repeats"),
+            (6, "1970-01-01T00:00:00Z,0.3,0.4,1.2,1.3,0.25,0.25", "does not strictly increase"),
+            (5, "# gap=1970-01-01T00:04:00", None),  # naive time: read as UTC
+            (5, "# gap=1970-13-01T00:04:00Z", "bad gap time '1970-13-01T00:04:00Z'"),
+            (2, "window_start_time,js,mean_kl,H_a,H_b,mode_a,mode_c", "expected header"),
+        ],
+    )
+    def test_unreadable_line_is_named(self, tmp_path, line, text, reason):
+        lines = self.METRICS.splitlines()
+        lines[line - 1] = text
+        path = tmp_path / "metrics.csv"
+        path.write_text("\n".join(lines) + "\n")
+        if reason is None:
+            assert read_metrics_csv(path).gap_times.tolist() == [240.0]
+            return
+        with pytest.raises(FormatError) as info:
+            read_metrics_csv(path)
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+        assert reason in str(info.value)
 
     def test_kl_dump_long_format(self, tmp_path):
         panel = noise_panel(m=2, length=128)

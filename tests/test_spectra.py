@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdist.errors import DegenerateSpectrumError, InvalidWindowError, OutOfRangeError
+from specdist.pipeline import AnalysisConfig, analyze
 from specdist.spectra import (
     NormalizedSpectrum,
     SignalPanel,
@@ -194,6 +195,23 @@ class TestModeFrequency:
         assert mode_frequency(ns) == pytest.approx(8 / 128)
         oracle = direct_periodogram(x, 1.0)
         assert oracle[8] == pytest.approx(float(np.max(oracle[1:])), rel=1e-12)
+
+
+    @given(
+        width=st.integers(4, 65),
+        dt=st.sampled_from([0.25, 1 / 7, 2.5, 3.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_modes_at_or_below_nyquist(self, width, dt, seed):
+        # White noise: the mirrored copies of a bin differ in their last bits.
+        rng = np.random.default_rng(seed)
+        panel = SignalPanel(rng.normal(size=(4, 2 * width)), ("a", "b", "c", "d"), dt)
+        result = analyze(panel, AnalysisConfig(width=width, stride=1))
+        skewed = NormalizedSpectrum(rng.dirichlet(np.ones(width - 1)), dt)
+        modes = np.append(result.modes.ravel(), mode_frequency(skewed))
+        # Bin n sits at n/(N*dt); Nyquist is n = N/2.
+        assert np.all(np.rint(modes * width * dt) <= width // 2)
 
 
 class TestPanelValidation:
