@@ -38,21 +38,17 @@ EXIT_IO = 3
 EXIT_CONFIG = 5
 
 
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, SpecdistError):
-        return exc.exit_code
-    if isinstance(exc, (FileNotFoundError, PermissionError, IsADirectoryError)):
-        return EXIT_IO
-    if isinstance(exc, (ValueError, KeyError)):
-        return EXIT_CONFIG
-    return EXIT_INTERNAL
-
-
 def _fail(exc: Exception) -> int:
-    code = _exit_code(exc)
-    kind = type(exc).__name__
+    if isinstance(exc, SpecdistError):
+        code = exc.exit_code
+    elif isinstance(exc, (FileNotFoundError, PermissionError, IsADirectoryError)):
+        code = EXIT_IO
+    elif isinstance(exc, (ValueError, KeyError)):
+        code = EXIT_CONFIG
+    else:
+        code = EXIT_INTERNAL
     msg = str(exc).replace('"', "'")
-    print(f'specdist: error code={code} kind={kind} msg="{msg}"', file=sys.stderr)
+    print(f'specdist: error code={code} kind={type(exc).__name__} msg="{msg}"', file=sys.stderr)
     return code
 
 

@@ -305,6 +305,8 @@ def _read_table(path, time_column: str):
                     raise ValueError(f"time {cells[0].strip()} does not strictly increase")
                 times.append(t)
                 lines.append(lineno)
+        except UnicodeDecodeError as exc:  # decoded by the block, not by the line
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)

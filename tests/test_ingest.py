@@ -461,6 +461,12 @@ class TestPanelCsv:
         assert str(info.value).startswith(f"{path}: line {line}: ")
         assert reason in str(info.value)
 
+    def test_undecodable_file_is_format_error(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(self.PANEL.encode().replace(b"1.5,2.5", b"1.5,\xff"))
+        with pytest.raises(FormatError, match="not UTF-8 text"):
+            read_panel_csv(path)
+
     def test_recorded_dt_is_exact_and_optional(self, tmp_path):
         path = tmp_path / "panel.csv"
         seventh = (
