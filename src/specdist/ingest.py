@@ -334,6 +334,9 @@ def read_panel_csv(path: str | Path) -> SignalPanel:
     labels, times, values, lines, comments = _read_table(path, "time")
     if len(times) < 2:
         raise FormatError(f"{path}: a panel needs at least two rows")
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: line {lines[bad[0] + 1]}: panel values must be finite")
     stamps = np.rint(times * 1000.0).astype(np.int64)
     deltas = np.diff(stamps)
     uneven = np.flatnonzero((deltas < 1) | (np.abs(deltas - deltas[0]) > 1))

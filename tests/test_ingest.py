@@ -441,6 +441,7 @@ class TestPanelCsv:
         "line, text, reason",
         [
             (5, "2006-10-16T00:01:00Z,1.5,abc", "could not convert string to float: 'abc'"),
+            (5, "2006-10-16T00:01:00Z,1.5,nan", "panel values must be finite"),
             (5, "2006-10-16T00:0x:00Z,1.5,2.5", "Invalid isoformat"),
             (7, "2006-10-16T00:02:00Z,1.25", "expected 3 fields, got 2"),
             (2, "time,a,a", "a column name repeats"),
