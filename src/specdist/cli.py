@@ -23,12 +23,12 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import pipeline
 from .errors import ConfigurationError, SpecdistError
 from .distances import DEFAULT_KL_FLOOR
-from .ingest import read_panel_csv, read_ticks, resample, transform_panel, write_panel_csv
+from .ingest import TRANSFORMS, read_panel_csv, read_ticks, resample, write_panel_csv
 from .simulator import SimConfig, load_sim_config, run_simulation
 
 EXIT_OK = 0
@@ -65,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1.0, help="bucket width in minutes")
     p.add_argument("--activity-out", help="write the quotation-frequency panel here")
     p.add_argument("--rates-out", help="write the best-rate panel here")
-    p.add_argument(
-        "--rates-transform", choices=("raw", "log-return"), default="raw",
-        help="transform applied to the best-rate panel",
-    )
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("analyze", help="panel CSV -> windowed metrics CSV")
@@ -77,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=pipeline.AnalysisConfig.width,
                    help="window width in samples")
     p.add_argument("--stride", type=int, default=None, help="samples between window starts")
-    p.add_argument("--transform", choices=("raw", "log-return"), default="raw")
+    p.add_argument("--transform", choices=TRANSFORMS, default="raw")
     p.add_argument("--channels", help="comma-separated channel subset")
     p.add_argument("--weights", help="comma-separated mixture weights (default uniform)")
     p.add_argument("--floor", type=float, default=DEFAULT_KL_FLOOR, help="KL probability floor")
@@ -85,21 +81,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-kl", help="also write per-window KL matrices here")
     p.set_defaults(func=_cmd_analyze)
 
+    # The `simulate` and `sweep` flags that set a SimConfig field store under
+    # the field's name (see `_sim_config`).
     p = sub.add_parser("simulate", help="agent-based model -> panel CSVs")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--rates-out", help="write the simulated rate panel here")
     p.add_argument("--activity-out", help="write the simulated activity panel here")
     p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int, help="recorded steps after warm-up")
+    p.add_argument("--steps", type=int, dest="horizon", metavar="STEPS",
+                   help="recorded steps after warm-up")
     p.add_argument("--warmup", type=int)
-    p.add_argument("--agents", type=int)
-    p.add_argument("--commodities", type=int)
+    p.add_argument("--agents", type=int, dest="n_agents", metavar="AGENTS")
+    p.add_argument("--commodities", type=int, dest="n_commodities", metavar="COMMODITIES")
     p.add_argument("--ma-span", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--sigma-xi", type=float)
     p.add_argument("--sigma-s", type=float)
-    p.add_argument("--theta-buy", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--theta-sell", type=float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--theta-buy", type=float, nargs=2, dest="theta_buy_range",
+                   metavar=("LO", "HI"))
+    p.add_argument("--theta-sell", type=float, nargs=2, dest="theta_sell_range",
+                   metavar=("LO", "HI"))
     p.add_argument("--a-range", type=float, nargs=2, metavar=("A1", "A2"))
     p.add_argument("--resample-params", action="store_true", default=None,
                    help="redraw agent parameters every step")
@@ -121,10 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3, help="seeds averaged per value")
     p.add_argument("--center", type=float,
                    help="center of the swept sensitivity range")
-    p.add_argument("--steps", type=int, help="recorded steps per run")
+    p.add_argument("--steps", type=int, dest="horizon", metavar="STEPS",
+                   help="recorded steps per run")
     p.add_argument("--seed", type=int, help="base seed")
-    p.add_argument("--agents", type=int)
-    p.add_argument("--commodities", type=int)
+    p.add_argument("--agents", type=int, dest="n_agents", metavar="AGENTS")
+    p.add_argument("--commodities", type=int, dest="n_commodities", metavar="COMMODITIES")
     p.add_argument("--gamma", type=float)
     p.add_argument("--window", type=int, default=pipeline.AnalysisConfig.width)
     p.add_argument("--stride", type=int, default=None)
@@ -150,8 +152,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.activity_out:
         write_panel_csv(activity, args.activity_out, meta)
     if args.rates_out:
-        rates = transform_panel(rates, args.rates_transform)
-        write_panel_csv(rates, args.rates_out, {**meta, "transform": args.rates_transform})
+        write_panel_csv(rates, args.rates_out, meta)
     return EXIT_OK
 
 
@@ -169,42 +170,26 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         weights=weights,
         kl_floor=args.floor,
     )
-    result = pipeline.analyze(panel, cfg, keep_spectra=bool(args.dump_spectra))
-    pipeline.write_metrics_csv(result, args.out)
+    pipeline.write_metrics_csv(pipeline.analyze(panel, cfg), args.out)
+    # Each dump scores the windows again and streams them.  `path=` by
+    # keyword: bench/tracer.py reads the dump's size from it.
     if args.dump_spectra:
-        pipeline.write_spectra_csv(result, args.dump_spectra)
+        pipeline.write_spectra_csv(panel, cfg, path=args.dump_spectra)
     if args.dump_kl:
-        pipeline.write_kl_csv(result, args.dump_kl)
+        pipeline.write_kl_csv(panel, cfg, path=args.dump_kl)
     return EXIT_OK
 
 
-# Command-line argument -> SimConfig field, for `simulate` and `sweep`
-# (each parser defines a subset; absent or unset arguments are skipped).
-_SIM_OVERRIDES = {
-    "seed": "seed",
-    "steps": "horizon",
-    "warmup": "warmup",
-    "agents": "n_agents",
-    "commodities": "n_commodities",
-    "ma_span": "ma_span",
-    "gamma": "gamma",
-    "sigma_xi": "sigma_xi",
-    "sigma_s": "sigma_s",
-    "resample_params": "resample_params",
-    "theta_buy": "theta_buy_range",
-    "theta_sell": "theta_sell_range",
-    "a_range": "a_range",
-}
-
-
 def _sim_config(args: argparse.Namespace) -> SimConfig:
+    """The config file's SimConfig (or the defaults) with every field whose
+    flag was given replaced; each parser defines a subset of the flags."""
     config_file = getattr(args, "config", None)
     cfg = load_sim_config(config_file) if config_file else SimConfig()
     overrides = {}
-    for arg_name, field_name in _SIM_OVERRIDES.items():
-        value = getattr(args, arg_name, None)
+    for field in fields(SimConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            overrides[field_name] = tuple(value) if isinstance(value, list) else value
+            overrides[field.name] = tuple(value) if isinstance(value, list) else value
     return replace(cfg, **overrides)
 
 

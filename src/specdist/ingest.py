@@ -239,8 +239,13 @@ def log_returns(values: np.ndarray) -> np.ndarray:
     return logs[..., 1:] - logs[..., :-1]
 
 
+TRANSFORMS = ("raw", "log-return")
+
+
 def transform_panel(panel: SignalPanel, transform: str) -> SignalPanel:
     """The panel itself ("raw") or its log-returns ("log-return")."""
+    if transform not in TRANSFORMS:
+        raise ConfigurationError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
     # Log-returns are stamped at the start of the interval they span, so a
     # transformed panel stays on the raw panel's window grid.
     if transform == "raw":
@@ -258,7 +263,12 @@ def _write_table(path, header, times, rows, meta: Mapping[str, str], marks=()) -
     """Write a stamped table: a `# key=value ...` line of `meta`, the header,
     and one `<time>,<repr of each float>` row per increasing epoch time in
     seconds.  Each `(key, seconds)` of `marks` becomes a `# key=<time>` line
-    among the rows, in time order."""
+    among the rows, in time order.  A column name the reader could not
+    read back (a comma, double quote or line break in it, or whitespace at
+    either end) is a `FormatError`, raised before the file is opened."""
+    for name in header:
+        if name != name.strip() or any(c in name for c in ',"\r\n'):
+            raise FormatError(f"{path}: column name {name!r} cannot be written to a table")
     body = ((t, f"{_format_time(t)},{','.join(map(repr, row))}\n") for t, row in zip(times, rows))
     notes = ((t, f"# {key}={_format_time(t)}\n") for key, t in marks)
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -2,8 +2,10 @@
 
 The selected channels of every window are tapered, transformed and
 normalized into spectra; each window then yields one row of metrics (JS,
-the KL matrix and its mean, per-channel entropies and modes).  Windows
-are scored in fixed-size chunks as (windows, channels, bins) arrays.
+the mean of its KL matrix, per-channel entropies and modes).  Windows
+are scored in fixed-size chunks as (windows, channels, bins) arrays; a
+result keeps only the rows, and the KL matrices and spectra are streamed
+to their dumps one chunk at a time.
 Windows where any channel is constant have no spectrum and are skipped
 with a logged gap.  Metric CSVs carry a provenance line so downstream
 comparisons can refuse rows computed with a different window geometry.
@@ -37,7 +39,7 @@ from .errors import (
     FormatError,
     InvalidWindowError,
 )
-from .ingest import _format_time, _read_table, _write_table, parse_rfc3339, transform_panel
+from .ingest import TRANSFORMS, _format_time, _read_table, _write_table, parse_rfc3339, transform_panel
 from .simulator import SimConfig, run_simulation
 from .spectra import (
     SignalPanel,
@@ -49,8 +51,6 @@ from .spectra import (
 )
 
 log = logging.getLogger(__name__)
-
-TRANSFORMS = ("raw", "log-return")
 
 # Samples (windows x channels x width) scored per chunk.  Keeps the
 # analysis temporaries (taper copy, complex FFT, probabilities, log terms)
@@ -76,7 +76,7 @@ class AnalysisConfig:
         if self.stride is not None and (int(self.stride) != self.stride or self.stride < 1):
             raise InvalidWindowError(f"stride must be an integer >= 1, got {self.stride}")
         if self.transform not in TRANSFORMS:
-            raise AnalysisError(f"transform must be one of {TRANSFORMS}")
+            raise ConfigurationError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
         # From 1/(N-1), the mean probability over the N-1 bins, the floor lifts
         # every below-average bin to the mean or above: KL then measures the
         # floor, not the spectra (from 1 on, every spectrum is flat).
@@ -111,13 +111,12 @@ class AnalysisConfig:
 
 @dataclass
 class AnalysisResult:
-    """Per-window metrics as arrays over the W scored windows, in window order.
+    """Per-window metrics as arrays over the W scored windows, in window order:
+    what a metrics CSV holds, so memory grows with windows x channels.
 
     `timestamps` are window starts in epoch seconds; `gap_times` are the
-    starts of skipped windows.  `kl` (W, M, M) is kept by `analyze` and
-    `spectra` (W, M, N-1) only with `keep_spectra`; neither is stored in
-    a metrics CSV, so results read back from one have them as None.  `dt`
-    is the panel's sampling period in minutes (None when read from CSV).
+    starts of skipped windows.  The KL matrices and spectra are not kept:
+    `write_kl_csv` and `write_spectra_csv` stream them.
     """
 
     timestamps: np.ndarray
@@ -128,9 +127,6 @@ class AnalysisResult:
     labels: tuple[str, ...]
     provenance: dict[str, str]
     gap_times: np.ndarray
-    kl: np.ndarray | None = None
-    spectra: np.ndarray | None = None
-    dt: float | None = None
 
 
 def _select_channels(panel: SignalPanel, channels: tuple[str, ...] | None) -> SignalPanel:
@@ -155,80 +151,80 @@ def _score_chunk(segments: np.ndarray, weights: np.ndarray, floor: float, dt: fl
     # JS and KL see the same floored distributions, which makes Lin's bound
     # checked in `analyze` a theorem.
     dists = floored(probs, floor)
+    kl = kl_matrices(dists, 0.0)
     return constant, silent, {
         "spectra": probs,
         "js": js_divergences(dists, weights),
-        "kl": kl_matrices(dists, 0.0),
+        "kl": kl,
+        "mean_kl": mean_kls(kl),
+        # Lin (1991), IEEE Trans. Inf. Theory 37(1):145-151: JS <= sum_ij
+        # pi_i pi_j KL(p_i, p_j); for uniform weights that is the mean KL.
+        "bound": np.einsum("m,wmn,n->w", weights, kl, weights),
         "entropies": entropies(probs),
         "modes": mode_frequencies(probs, dt),
     }
 
 
-def analyze(
-    panel: SignalPanel, config: AnalysisConfig | None = None, keep_spectra: bool = False
-) -> AnalysisResult:
-    """Slide a window across the panel and score each position.
+def _scored_chunks(panel: SignalPanel, cfg: AnalysisConfig):
+    """Check `panel` against `cfg`, then score its windows chunk by chunk.
 
-    Returns the metrics of every scored window plus the start times of
-    skipped (degenerate) windows.  `keep_spectra=True` also retains each
-    scored window's normalized spectra, e.g. for debugging dumps.
+    The first item is the panel as analyzed (channels selected and
+    transformed), so a caller can run the checks before it writes
+    anything.  Each later item is one chunk: the sample index (`starts`)
+    and epoch seconds (`times`) of each window's start, the masks of
+    windows skipped for a constant channel (`constant`) and for zero AC
+    power (`silent`), and `_score_chunk`'s metrics of the windows scored.
     """
-    cfg = config if config is not None else AnalysisConfig()
     panel = _select_channels(panel, cfg.channels)
     if panel.n_channels < 2:
         raise AnalysisError(f"need at least 2 channels, have {panel.n_channels}")
     panel = transform_panel(panel, cfg.transform)
     if panel.length < cfg.width:
-        raise AnalysisError(
-            f"panel of {panel.length} samples is shorter than window {cfg.width}"
-        )
+        raise AnalysisError(f"panel of {panel.length} samples is shorter than window {cfg.width}")
     weights = (
         WeightVector(np.array(cfg.weights))
         if cfg.weights is not None
         else WeightVector.uniform(panel.n_channels)
     )
     if weights.size != panel.n_channels:
-        raise AnalysisError(
-            f"{weights.size} weights for {panel.n_channels} channels"
-        )
+        raise AnalysisError(f"{weights.size} weights for {panel.n_channels} channels")
+    yield panel
 
     stride = cfg.effective_stride
     windows = sliding_window_view(panel.values, cfg.width, axis=1)[:, ::stride].swapaxes(0, 1)
-    n, m = len(windows), panel.n_channels
-    step = max(1, CHUNK_SAMPLES // (m * cfg.width))
-    constant = np.empty(n, dtype=bool)
-    silent = np.empty(n, dtype=bool)
-    # Scored windows are packed into these buffers chunk by chunk, so no
-    # array is held twice; the slots left over by skipped windows stay
-    # untouched.
-    out = {
-        "js": np.empty(n),
-        "kl": np.empty((n, m, m)),
-        "entropies": np.empty((n, m)),
-        "modes": np.empty((n, m)),
-    }
-    if keep_spectra:
-        out["spectra"] = np.empty((n, m, cfg.width - 1))
-    scored = 0
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        constant[lo:hi], silent[lo:hi], metrics = _score_chunk(
-            windows[lo:hi], weights.weights, cfg.kl_floor, panel.dt
-        )
-        k = len(metrics["js"])
-        for key, buf in out.items():
-            buf[scored : scored + k] = metrics[key]
-        scored += k
-    out = {key: buf[:scored] for key, buf in out.items()}
+    step = max(1, CHUNK_SAMPLES // (panel.n_channels * cfg.width))
+    for lo in range(0, len(windows), step):
+        chunk = windows[lo : lo + step]
+        constant, silent, metrics = _score_chunk(chunk, weights.weights, cfg.kl_floor, panel.dt)
+        starts = np.arange(lo, lo + len(chunk)) * stride
+        times = panel.t0.timestamp() + starts * panel.dt * 60.0
+        yield {"starts": starts, "times": times, "constant": constant, "silent": silent, **metrics}
 
-    starts = np.arange(n) * stride
-    times = panel.t0.timestamp() + starts * panel.dt * 60.0
+
+def _scored_times(chunk: dict) -> list[float]:
+    return chunk["times"][~(chunk["constant"] | chunk["silent"])].tolist()
+
+
+# What `analyze` keeps of each chunk: nothing that grows with channels^2 or bins.
+_KEPT = ("starts", "times", "constant", "silent", "js", "mean_kl", "bound", "entropies", "modes")
+
+
+def analyze(panel: SignalPanel, config: AnalysisConfig | None = None) -> AnalysisResult:
+    """Slide a window across the panel and score each position.
+
+    Returns the metrics of every scored window plus the start times of
+    skipped (degenerate) windows.
+    """
+    cfg = config if config is not None else AnalysisConfig()
+    chunks = _scored_chunks(panel, cfg)
+    panel = next(chunks)
+    parts = [[chunk[key] for key in _KEPT] for chunk in chunks]
+    out = dict(zip(_KEPT, map(np.concatenate, zip(*parts))))
+
+    starts, times, constant, silent = out["starts"], out["times"], out["constant"], out["silent"]
     skipped = constant | silent
     _log_skipped(starts, constant, silent)
-    # Lin (1991), IEEE Trans. Inf. Theory 37(1):145-151: JS <= sum_ij
-    # pi_i pi_j KL(p_i, p_j); for uniform weights that is the mean KL.
-    js, w = out["js"], weights.weights
-    bound = np.einsum("m,wmn,n->w", w, out["kl"], w)
+    js, bound = out["js"], out["bound"]
     above = js > bound + 1e-9
     if above.any():
         i = int(np.argmax(above))
@@ -239,15 +235,12 @@ def analyze(
     return AnalysisResult(
         timestamps=times[~skipped],
         js=js,
-        mean_kl=mean_kls(out["kl"]),
+        mean_kl=out["mean_kl"],
         entropies=out["entropies"],
         modes=out["modes"],
         labels=panel.labels,
         provenance=cfg.provenance(),
         gap_times=times[skipped],
-        kl=out["kl"],
-        spectra=out.get("spectra"),
-        dt=panel.dt,
     )
 
 
@@ -344,7 +337,7 @@ def write_metrics_csv(result: AnalysisResult, path) -> None:
 
 
 def read_metrics_csv(path) -> AnalysisResult:
-    """Parse a metrics CSV back into a result (without KL matrices or spectra)."""
+    """Parse a metrics CSV back into a result."""
     columns, times, values, lines, comments = _read_table(path, "window_start_time")
     m = (len(columns) - 2) // 2
     labels = [name[2:] for name in columns[2 : 2 + m]]
@@ -375,33 +368,38 @@ def read_metrics_csv(path) -> AnalysisResult:
     )
 
 
-def write_kl_csv(result: AnalysisResult, path) -> None:
-    """Long-format dump of every KL matrix: window time, row, column, value."""
-    if result.kl is None:
-        raise ValueError("result carries no KL matrices (read back from a metrics CSV)")
-    m = len(result.labels)
+def write_kl_csv(panel: SignalPanel, config: AnalysisConfig, path) -> None:
+    """Long-format dump of every scored window's KL matrix: window time, row,
+    column, value.  The windows are scored as `analyze` scores them and
+    written one chunk at a time; a panel `analyze` refuses leaves no file."""
+    chunks = _scored_chunks(panel, config)
+    panel = next(chunks)
+    m = panel.n_channels
     pairs = [(l, j) for l in range(m) for j in range(m)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# channels=" + "|".join(result.labels) + "\n")
+        fh.write("# channels=" + "|".join(panel.labels) + "\n")
         fh.write("window_start_time,l,m,kl\n")
-        for t, matrix in zip(result.timestamps.tolist(), result.kl):
-            stamp = _format_time(t)
-            for (l, j), value in zip(pairs, matrix.ravel().tolist()):
-                fh.write(f"{stamp},{l},{j},{value!r}\n")
+        for chunk in chunks:
+            for t, matrix in zip(_scored_times(chunk), chunk["kl"]):
+                stamp = _format_time(t)
+                for (l, j), value in zip(pairs, matrix.ravel().tolist()):
+                    fh.write(f"{stamp},{l},{j},{value!r}\n")
 
 
-def write_spectra_csv(result: AnalysisResult, path) -> None:
-    """Long-format dump of per-window normalized spectra (needs keep_spectra)."""
-    if result.spectra is None:
-        raise ValueError("analysis was run without keep_spectra=True")
-    freqs = bin_frequencies(result.spectra.shape[-1] + 1, result.dt).tolist()
+def write_spectra_csv(panel: SignalPanel, config: AnalysisConfig, path) -> None:
+    """Long-format dump of every scored window's normalized spectra: window
+    time, channel, frequency, probability.  Streamed like `write_kl_csv`."""
+    chunks = _scored_chunks(panel, config)
+    panel = next(chunks)
+    freqs = bin_frequencies(config.width, panel.dt).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("window_start_time,channel,frequency,prob\n")
-        for t, window in zip(result.timestamps.tolist(), result.spectra):
-            stamp = _format_time(t)
-            for name, probs in zip(result.labels, window.tolist()):
-                for freq, prob in zip(freqs, probs):
-                    fh.write(f"{stamp},{name},{freq!r},{prob!r}\n")
+        for chunk in chunks:
+            for t, window in zip(_scored_times(chunk), chunk["spectra"]):
+                stamp = _format_time(t)
+                for name, probs in zip(panel.labels, window.tolist()):
+                    for freq, prob in zip(freqs, probs):
+                        fh.write(f"{stamp},{name},{freq!r},{prob!r}\n")
 
 
 # ---------------------------------------------------------------------------

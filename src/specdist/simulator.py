@@ -13,7 +13,7 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +163,7 @@ def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
     return SignalPanel(rates, labels, cfg.dt), SignalPanel(activity, labels, cfg.dt)
 
 
-def load_sim_config(path: str | Path, base: SimConfig | None = None) -> SimConfig:
+def load_sim_config(path: str | Path) -> SimConfig:
     """Read a `key = value` config file into a SimConfig.
 
     Each key is parsed by the type of its SimConfig default: ranges take
@@ -198,4 +198,4 @@ def load_sim_config(path: str | Path, base: SimConfig | None = None) -> SimConfi
                 overrides[key] = kind(value)
         except ValueError as exc:
             raise ConfigurationError(f"{path}: line {lineno}: bad value for {key}: {exc}") from None
-    return replace(base if base is not None else SimConfig(), **overrides)
+    return SimConfig(**overrides)

@@ -55,6 +55,18 @@ class TestIngestCommand:
         assert code == 6
         assert 'msg="no ask quotes to resample"' in capsys.readouterr().err
 
+    def test_column_name_the_reader_cannot_read_is_format_error(self, tmp_path, capsys):
+        ticks = tmp_path / "comma.csv"
+        ticks.write_text(
+            "timestamp,instrument,side,price\n"
+            + "".join(f'2006-10-16T00:0{k}:05Z,"EUR,USD",ask,1.26{k}\n' for k in range(5))
+        )
+        activity, rates = tmp_path / "a.csv", tmp_path / "r.csv"
+        code = run("ingest", str(ticks), "--activity-out", str(activity), "--rates-out", str(rates))
+        assert code == 4
+        assert "kind=FormatError" in capsys.readouterr().err
+        assert not activity.exists() and not rates.exists()
+
     def test_rates_need_two_complete_buckets(self, tmp_path):
         late = tmp_path / "late.csv"
         late.write_text(

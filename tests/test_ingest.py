@@ -1,6 +1,7 @@
 import gzip
 import io
 import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -307,6 +308,12 @@ class TestBuildPanel:
         with pytest.raises(TransformError):
             transform_panel(rates_of(ticks), "log-return")
 
+    @pytest.mark.parametrize("name", ["bogus", "Raw", "log_return", ""])
+    def test_unknown_transform_is_config_error(self, name):
+        panel = rates_of([tick(k, n, price=1.0) for k in range(3) for n in ("A/B", "X/Y")])
+        with pytest.raises(ConfigurationError, match="transform must be one of"):
+            transform_panel(panel, name)
+
 
 class TestResample:
     def test_unknown_side_rejected(self):
@@ -461,6 +468,14 @@ class TestPanelCsv:
             read_panel_csv(path)
         assert str(info.value).startswith(f"{path}: line {line}: ")
         assert reason in str(info.value)
+
+    @pytest.mark.parametrize("name", ["EUR,USD", 'EUR"USD', "EUR\nUSD", "EUR\rUSD", " EUR", "USD\t"])
+    def test_unreadable_column_name_is_refused_before_writing(self, tmp_path, name):
+        panel = SignalPanel(np.ones((2, 3)), ("A/B", name), 1.0)
+        path = tmp_path / "panel.csv"
+        with pytest.raises(FormatError, match=re.escape(f"column name {name!r} cannot be written")):
+            write_panel_csv(panel, path)
+        assert not path.exists()
 
     def test_undecodable_file_is_format_error(self, tmp_path):
         path = tmp_path / "panel.csv"

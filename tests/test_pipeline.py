@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -45,6 +46,12 @@ def noise_panel(m=2, length=512, seed=0, dt=1.0):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(m, length))
     return SignalPanel(values, tuple(f"ch{i}" for i in range(m)), dt)
+
+
+def chunk_arrays(panel, cfg, *keys):
+    """Each key's per-chunk arrays from the analysis kernel, joined in window order."""
+    chunks = list(pipeline._scored_chunks(panel, cfg))[1:]
+    return [np.concatenate([chunk[key] for chunk in chunks]) for key in keys]
 
 
 class TestAnalyze:
@@ -101,7 +108,7 @@ class TestAnalyze:
         panel = noise_panel(m=4, length=256)
         result = analyze(panel, AnalysisConfig(width=64, channels=("ch3", "ch0")))
         assert result.labels == ("ch3", "ch0")
-        assert result.kl.shape[1:] == (2, 2)
+        assert result.entropies.shape == result.modes.shape == (result.js.size, 2)
 
     def test_log_return_transform_shortens_and_keeps_t0(self):
         rng = np.random.default_rng(8)
@@ -141,6 +148,10 @@ class TestAnalyze:
         result = analyze(noise_panel(length=10), AnalysisConfig(width=4, stride=2))
         assert result.timestamps.tolist() == [0.0, 120.0, 240.0, 360.0]
 
+    def test_unknown_transform_is_config_error(self):
+        with pytest.raises(ConfigurationError, match="transform must be one of .* got 'bogus'"):
+            AnalysisConfig(transform="bogus")
+
     def test_mean_kl_below_js_names_window(self):
         # JS on raw spectra and KL on floored ones once broke the bound on
         # this panel's noise window; both now see the floored spectra, so a
@@ -177,6 +188,21 @@ class TestAnalyze:
         assert debug == ["windows skipped (constant channel) at starts [0, 64, 384, 448]"]
 
 
+class TestMemory:
+    def test_analyze_keeps_no_kl_matrices(self):
+        # 1873 windows of 40 channels: their KL matrices alone take 24 MB,
+        # the per-window rows a result keeps 1.2 MB.
+        panel = noise_panel(m=40, length=2000, seed=1)
+        tracemalloc.start()
+        try:
+            result = analyze(panel, AnalysisConfig(width=128, stride=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.js.size == 1873
+        assert peak < 6e6
+
+
 class TestKernelOracle:
     """Every scored window of `analyze` against the scalar oracles."""
 
@@ -209,7 +235,8 @@ class TestKernelOracle:
         # inside the window range.
         chunk = pipeline.CHUNK_SAMPLES if chunk_windows is None else chunk_windows * m * width
         with mock.patch.object(pipeline, "CHUNK_SAMPLES", chunk):
-            result = analyze(panel, cfg, keep_spectra=True)
+            result = analyze(panel, cfg)
+            spectra, kls = chunk_arrays(panel, cfg, "spectra", "kl")
 
         scored = np.flatnonzero(~flat)
         assert result.gap_times.tolist() == (np.flatnonzero(flat) * width * 60.0).tolist()
@@ -220,13 +247,13 @@ class TestKernelOracle:
             for ch in range(m):
                 power = direct_periodogram(values[ch, k * width : (k + 1) * width], 1.0)[1:]
                 expected = power / power.sum()
-                got = result.spectra[row, ch]
+                got = spectra[row, ch]
                 assert np.all(np.abs(got - expected) <= 1e-10 * np.maximum(expected, 1e-300))
                 p = got.tolist()
                 probs.append(p)
                 assert result.entropies[row, ch] == pytest.approx(scalar_entropy(p), rel=1e-12)
                 assert result.modes[row, ch] == folded_mode(p, width, 1.0)
-            kl = result.kl[row]
+            kl = kls[row]
             assert np.all(np.diag(kl) == 0.0) and np.all(kl >= 0.0)
             for l in range(m):
                 for j in range(m):
@@ -281,9 +308,11 @@ class TestLinBound:
         a, b = rng.normal(size=128), rng.normal(size=128)
         panel = SignalPanel(np.vstack([a] + [b] * 11), tuple(f"c{i:02d}" for i in range(12)), 1.0)
         weights = (0.45,) + (0.01,) * 10 + (0.45,)
-        result = analyze(panel, AnalysisConfig(width=128, weights=weights))
+        cfg = AnalysisConfig(width=128, weights=weights)
+        result = analyze(panel, cfg)
+        (kl,) = chunk_arrays(panel, cfg, "kl")
         w = np.array(weights)
-        assert result.js[0] <= w @ result.kl[0] @ w
+        assert result.js[0] <= w @ kl[0] @ w
         # The uniform mean is no bound once the weights are skewed.
         assert result.mean_kl[0] < result.js[0]
 
@@ -312,9 +341,11 @@ class TestLinBound:
         cfg = AnalysisConfig(
             width=width, stride=width, weights=weights, kl_floor=floor_share / (width - 1)
         )
-        result = analyze(SignalPanel(values, tuple(f"c{i}" for i in range(m)), 1.0), cfg)
+        panel = SignalPanel(values, tuple(f"c{i}" for i in range(m)), 1.0)
+        result = analyze(panel, cfg)
+        (kl,) = chunk_arrays(panel, cfg, "kl")
         w = np.full(m, 1 / m) if uniform else np.array(weights)
-        assert np.all(result.js <= np.einsum("m,wmn,n->w", w, result.kl, w) + 1e-9)
+        assert np.all(result.js <= np.einsum("m,wmn,n->w", w, kl, w) + 1e-9)
         if uniform:
             assert np.all(result.mean_kl >= result.js - 1e-9)
 
@@ -429,37 +460,63 @@ class TestMetricsCsv:
 
     def test_kl_dump_long_format(self, tmp_path):
         panel = noise_panel(m=2, length=128)
-        result = analyze(panel, AnalysisConfig(width=128))
+        cfg = AnalysisConfig(width=128)
         path = tmp_path / "kl.csv"
-        write_kl_csv(result, path)
+        write_kl_csv(panel, cfg, path)
         lines = path.read_text().splitlines()
+        assert lines[0] == "# channels=ch0|ch1"
         assert lines[1] == "window_start_time,l,m,kl"
         assert len(lines) == 2 + 4  # one window, 2x2 matrix
         cells = [line.split(",") for line in lines[2:]]
-        assert [float(c[3]) for c in cells] == result.kl[0].ravel().tolist()
-
-    def test_kl_dump_needs_matrices(self, tmp_path):
-        panel = noise_panel(m=2, length=128)
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(analyze(panel, AnalysisConfig(width=128)), path)
-        with pytest.raises(ValueError):
-            write_kl_csv(read_metrics_csv(path), tmp_path / "kl.csv")
+        (kl,) = chunk_arrays(panel, cfg, "kl")
+        assert [float(c[3]) for c in cells] == kl[0].ravel().tolist()
 
     def test_spectra_dump(self, tmp_path):
         panel = noise_panel(m=2, length=128)
-        result = analyze(panel, AnalysisConfig(width=128), keep_spectra=True)
+        cfg = AnalysisConfig(width=128)
         path = tmp_path / "spectra.csv"
-        write_spectra_csv(result, path)
+        write_spectra_csv(panel, cfg, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "window_start_time,channel,frequency,prob"
         assert len(lines) == 1 + 2 * 127
-        assert lines[1] == f"1970-01-01T00:00:00Z,ch0,{1 / 128!r},{float(result.spectra[0, 0, 0])!r}"
+        (spectra,) = chunk_arrays(panel, cfg, "spectra")
+        assert lines[1] == f"1970-01-01T00:00:00Z,ch0,{1 / 128!r},{float(spectra[0, 0, 0])!r}"
 
-    def test_spectra_dump_requires_keep(self, tmp_path):
-        panel = noise_panel(m=2, length=128)
-        result = analyze(panel, AnalysisConfig(width=128))
-        with pytest.raises(ValueError):
-            write_spectra_csv(result, tmp_path / "x.csv")
+    @pytest.mark.parametrize("chunk_windows", [1, 2, 3])
+    def test_dumps_stream_every_scored_window_once(self, tmp_path, chunk_windows):
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(3, 448))
+        values[1, 96:224] = 0.5  # windows at 96, 128 and 160 are skipped
+        panel = SignalPanel(values, ("a", "b", "c"), 1.0)
+        cfg = AnalysisConfig(width=64, stride=32, channels=("c", "a", "b"))
+        whole = tmp_path / "whole"
+        whole.mkdir()
+        write_kl_csv(panel, cfg, whole / "kl.csv")
+        write_spectra_csv(panel, cfg, whole / "spectra.csv")
+        with mock.patch.object(pipeline, "CHUNK_SAMPLES", chunk_windows * 3 * 64):
+            write_kl_csv(panel, cfg, tmp_path / "kl.csv")
+            write_spectra_csv(panel, cfg, tmp_path / "spectra.csv")
+        for name in ("kl.csv", "spectra.csv"):
+            assert (tmp_path / name).read_bytes() == (whole / name).read_bytes()
+        result = analyze(panel, cfg)
+        assert result.js.size == 10 and result.gap_times.size == 3
+        kl_lines = (tmp_path / "kl.csv").read_text().splitlines()
+        assert kl_lines[0] == "# channels=c|a|b"
+        kl_stamps = [line.split(",")[0] for line in kl_lines[2:]]
+        spectra_lines = (tmp_path / "spectra.csv").read_text().splitlines()[1:]
+        spectra_stamps = [line.split(",")[0] for line in spectra_lines]
+        stamps = [pipeline._format_time(t) for t in result.timestamps.tolist()]
+        assert kl_stamps == [s for s in stamps for _ in range(9)]
+        assert spectra_stamps == [s for s in stamps for _ in range(3 * 63)]
+
+    @pytest.mark.parametrize("write", [write_kl_csv, write_spectra_csv])
+    def test_refused_panel_leaves_no_dump(self, tmp_path, write):
+        path = tmp_path / "dump.csv"
+        with pytest.raises(AnalysisError, match="need at least 2 channels"):
+            write(noise_panel(m=1, length=128), AnalysisConfig(width=128), path)
+        with pytest.raises(AnalysisError, match="shorter than window"):
+            write(noise_panel(m=2, length=100), AnalysisConfig(width=128), path)
+        assert not path.exists()
 
 
 def metric_result(js, stamps=None, mean_kl=None, stride="64"):
