@@ -101,16 +101,15 @@ def js_divergences(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.maximum(entropies(mixture) - entropies(probs) @ weights, 0.0)
 
 
-def kl_matrices(probs: np.ndarray, floor: float) -> np.ndarray:
+def kl_matrices(probs: np.ndarray) -> np.ndarray:
     """Pairwise KL distances of each (M, B) ensemble in a (..., M, B) stack.
 
     Entry (l, m) is KL(p_l, p_m) = sum p_l*log(p_l) - sum p_l*log(p_m).
-    With floor > 0 every distribution is `floored` first.  With floor = 0
-    bins where p_l = 0 contribute nothing, and a bin with p_l > 0 but
-    p_m = 0 makes the entry +inf.
+    Bins where p_l = 0 contribute nothing, and a bin with p_l > 0 but
+    p_m = 0 makes the entry +inf; callers that want a finite result pass
+    `floored` distributions.
     The diagonal is exactly zero and every entry is nonnegative.
     """
-    probs = floored(probs, floor)
     live = probs > 0
     log_p = np.log(np.where(live, probs, 1.0))
     # Both terms go through einsum: identical members then cancel exactly.
@@ -140,7 +139,7 @@ def kl_spectral_distance(
     definition is applied literally: bins where p = 0 contribute nothing,
     and a bin with p > 0 but q = 0 makes the distance +inf.
     """
-    return float(kl_matrices(_stack((p, q)), floor)[0, 1])
+    return float(kl_matrices(floored(_stack((p, q)), floor))[0, 1])
 
 
 def js_spectral_divergence(
@@ -167,7 +166,7 @@ def kl_matrix(
 
     The diagonal is exactly zero.  The matrix is generally asymmetric.
     """
-    return kl_matrices(_stack(spectra), floor)
+    return kl_matrices(floored(_stack(spectra), floor))
 
 
 def mean_kl(matrix: np.ndarray) -> float:

@@ -16,6 +16,7 @@ import csv
 import gzip
 import heapq
 import math
+import re
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -36,39 +37,28 @@ MALFORMED_ABORT_FRACTION = 0.01
 _MAX_REPORTED_PROBLEMS = 20
 
 
-def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC-3339 timestamp; naive times are taken as UTC."""
-    s = text.strip()
-    if s.endswith(("Z", "z")):
-        s = s[:-1] + "+00:00"
-    # Python 3.10 only accepts 3- or 6-digit fractional seconds; pad to 6.
-    if "." in s:
-        date_part, _, frac_part = s.partition(".")
-        digits = ""
-        while frac_part and frac_part[0].isdigit():
-            digits += frac_part[0]
-            frac_part = frac_part[1:]
-        if not 1 <= len(digits) <= 6:
-            raise ValueError(f"bad fractional seconds in {text!r}")
-        s = f"{date_part}.{digits:<06s}{frac_part}"
-    t = datetime.fromisoformat(s)
-    if t.tzinfo is None:
-        t = t.replace(tzinfo=timezone.utc)
-    return t.astimezone(timezone.utc)
+_RFC3339 = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt ]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.([0-9]{1,6}))?"
+    r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?"
+)
 
 
-def format_rfc3339(t: datetime) -> str:
-    """Render a UTC timestamp as RFC-3339 with a Z suffix."""
-    t = t.astimezone(timezone.utc)
-    return t.strftime("%Y-%m-%dT%H:%M:%S.%fZ" if t.microsecond else "%Y-%m-%dT%H:%M:%SZ")
+def parse_rfc3339(text: str) -> float:
+    """Epoch seconds of `YYYY-MM-DD[Tt ]HH:MM:SS[.f{1,6}][Z|z|±HH:MM]` text,
+    UTC when it has no zone; any other text is a `ValueError`."""
+    match = _RFC3339.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"bad RFC-3339 time: {text!r}")
+    date, time, fraction, zone = match.groups()
+    zone = "+00:00" if zone in (None, "Z", "z") else zone
+    # The one shape `fromisoformat` reads on every supported Python; it
+    # still checks the ranges (month 13, hour 24, February 30).
+    return datetime.fromisoformat(f"{date}T{time}.{fraction or '':0<6}{zone}").timestamp()
 
 
-def _epoch_ms(t: datetime) -> int:
-    return round(t.timestamp() * 1000.0)
-
-
-def _from_epoch_ms(ms: float) -> datetime:
-    return datetime.fromtimestamp(ms / 1000.0, tz=timezone.utc)
+def format_rfc3339(seconds: float) -> str:
+    """RFC-3339 text with a Z suffix of epoch seconds, to the microsecond."""
+    return datetime.fromtimestamp(seconds, tz=timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 @dataclass
@@ -113,38 +103,39 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
     malformed = 0
     problems: list[str] = []
 
-    def reject(line: int, reason: str) -> None:
+    def reject(reason: str) -> None:
         nonlocal malformed
         malformed += 1
         if len(problems) < _MAX_REPORTED_PROBLEMS:
-            problems.append(f"line {line}: {reason}")
+            # The file line the record ends on: a quoted field may span lines.
+            problems.append(f"line {reader.line_num}: {reason}")
 
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != 4:
-            reject(lineno, f"expected 4 fields, got {len(row)}")
+            reject(f"expected 4 fields, got {len(row)}")
             continue
         raw_ts, instrument, side, raw_price = (c.strip() for c in row)
         side = side.lower()
         if side not in SIDES:
-            reject(lineno, f"unknown side {side!r}")
+            reject(f"unknown side {side!r}")
             continue
         if not instrument:
-            reject(lineno, "empty instrument")
+            reject("empty instrument")
             continue
         try:
-            ts = _epoch_ms(parse_rfc3339(raw_ts))
+            ts = round(parse_rfc3339(raw_ts) * 1000.0)
         except ValueError:
-            reject(lineno, f"bad timestamp {raw_ts!r}")
+            reject(f"bad timestamp {raw_ts!r}")
             continue
         try:
             price = float(raw_price)
         except ValueError:
-            reject(lineno, f"bad price {raw_price!r}")
+            reject(f"bad price {raw_price!r}")
             continue
         if not (math.isfinite(price) and price > 0):
-            reject(lineno, f"price must be positive, got {raw_price!r}")
+            reject(f"price must be positive, got {raw_price!r}")
             continue
         stamps.append(ts)
         codes.append(names.setdefault(instrument, len(names)))
@@ -174,10 +165,8 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
 def read_ticks(path: str | Path) -> ParsedTicks:
     """Parse a tick CSV file; gzip-compressed input is accepted by extension."""
     path = Path(path)
-    if path.suffix == ".gz":
-        with gzip.open(path, "rt", encoding="utf-8", newline="") as fh:
-            return parse_ticks(fh)
-    with open(path, encoding="utf-8", newline="") as fh:
+    opener = gzip.open if path.suffix == ".gz" else open
+    with opener(path, "rt", encoding="utf-8", newline="") as fh:
         return parse_ticks(fh)
 
 
@@ -225,18 +214,9 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
 
     labels = tuple(ticks.instruments[i] for i in present.tolist())
     return (
-        SignalPanel(activity, labels, dt, _from_epoch_ms(origin)),
-        SignalPanel(rates, labels, dt, _from_epoch_ms(origin + first * dt_ms)),
+        SignalPanel(activity, labels, dt, origin / 1000.0),
+        SignalPanel(rates, labels, dt, (origin + first * dt_ms) / 1000.0),
     )
-
-
-def log_returns(values: np.ndarray) -> np.ndarray:
-    """Row-wise log(v[k]) - log(v[k-1]); requires strictly positive input."""
-    v = np.asarray(values, dtype=np.float64)
-    if np.any(~np.isfinite(v)) or np.any(v <= 0):
-        raise TransformError("log-return requires strictly positive, finite values")
-    logs = np.log(v)
-    return logs[..., 1:] - logs[..., :-1]
 
 
 TRANSFORMS = ("raw", "log-return")
@@ -250,27 +230,30 @@ def transform_panel(panel: SignalPanel, transform: str) -> SignalPanel:
     # transformed panel stays on the raw panel's window grid.
     if transform == "raw":
         return panel
-    values = log_returns(panel.values)
-    return SignalPanel(values, panel.labels, panel.dt, panel.t0)
+    if np.any(panel.values <= 0):
+        raise TransformError("log-return requires strictly positive values")
+    logs = np.log(panel.values)
+    return SignalPanel(logs[:, 1:] - logs[:, :-1], panel.labels, panel.dt, panel.t0)
 
 
-def _format_time(seconds: float) -> str:
-    """RFC-3339 text of an epoch time in seconds, to the microsecond."""
-    return format_rfc3339(datetime.fromtimestamp(seconds, tz=timezone.utc))
+def _check_names(path, names, also: str = "") -> None:
+    """`FormatError` for a name a reader could not split back out of a line: one
+    with a comma, double quote, line break or character of `also` in it, or
+    whitespace at either end."""
+    for name in names:
+        if name != name.strip() or any(c in name for c in ',"\r\n' + also):
+            raise FormatError(f"{path}: column name {name!r} cannot be written to a table")
 
 
 def _write_table(path, header, times, rows, meta: Mapping[str, str], marks=()) -> None:
     """Write a stamped table: a `# key=value ...` line of `meta`, the header,
     and one `<time>,<repr of each float>` row per increasing epoch time in
     seconds.  Each `(key, seconds)` of `marks` becomes a `# key=<time>` line
-    among the rows, in time order.  A column name the reader could not
-    read back (a comma, double quote or line break in it, or whitespace at
-    either end) is a `FormatError`, raised before the file is opened."""
-    for name in header:
-        if name != name.strip() or any(c in name for c in ',"\r\n'):
-            raise FormatError(f"{path}: column name {name!r} cannot be written to a table")
-    body = ((t, f"{_format_time(t)},{','.join(map(repr, row))}\n") for t, row in zip(times, rows))
-    notes = ((t, f"# {key}={_format_time(t)}\n") for key, t in marks)
+    among the rows, in time order.  A header name `_check_names` refuses is
+    a `FormatError`, raised before the file is opened."""
+    _check_names(path, header)
+    body = ((t, f"{format_rfc3339(t)},{','.join(map(repr, row))}\n") for t, row in zip(times, rows))
+    notes = ((t, f"# {key}={format_rfc3339(t)}\n") for key, t in marks)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         fh.write(",".join(header) + "\n")
@@ -309,7 +292,7 @@ def _read_table(path, time_column: str):
             for cells in reader:
                 if len(cells) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
-                t = parse_rfc3339(cells[0]).timestamp()
+                t = parse_rfc3339(cells[0])
                 rows.append([float(c) for c in cells[1:]])
                 if times and t <= times[-1]:
                     raise ValueError(f"time {cells[0].strip()} does not strictly increase")
@@ -333,7 +316,7 @@ def write_panel_csv(
     """
     if panel.length < 2:
         raise AnalysisError(f"{path}: a panel needs at least two rows, got {panel.length}")
-    ms = _epoch_ms(panel.t0) + np.arange(panel.length) * (panel.dt * 60_000.0)
+    ms = round(panel.t0 * 1000.0) + np.arange(panel.length) * (panel.dt * 60_000.0)
     rows = (column.tolist() for column in panel.values.T)
     meta = {**(meta or {}), "dt": repr(panel.dt)}
     _write_table(path, ("time", *panel.labels), (ms / 1000.0).tolist(), rows, meta)
@@ -362,4 +345,4 @@ def read_panel_csv(path: str | Path) -> SignalPanel:
             # Each stamp is off by at most half a millisecond.
             if not abs(dt * 60_000.0 - deltas[0]) < 2:
                 raise FormatError(f"{path}: line {line}: dt={text} disagrees with the rows' spacing")
-    return SignalPanel(values.T, tuple(labels), dt, _from_epoch_ms(int(stamps[0])))
+    return SignalPanel(values.T, tuple(labels), dt, stamps[0] / 1000.0)

@@ -39,7 +39,9 @@ from .errors import (
     FormatError,
     InvalidWindowError,
 )
-from .ingest import TRANSFORMS, _format_time, _read_table, _write_table, parse_rfc3339, transform_panel
+from .ingest import (
+    TRANSFORMS, _check_names, _read_table, _write_table, format_rfc3339, parse_rfc3339, transform_panel
+)
 from .simulator import SimConfig, run_simulation
 from .spectra import (
     SignalPanel,
@@ -151,7 +153,7 @@ def _score_chunk(segments: np.ndarray, weights: np.ndarray, floor: float, dt: fl
     # JS and KL see the same floored distributions, which makes Lin's bound
     # checked in `analyze` a theorem.
     dists = floored(probs, floor)
-    kl = kl_matrices(dists, 0.0)
+    kl = kl_matrices(dists)
     return constant, silent, {
         "spectra": probs,
         "js": js_divergences(dists, weights),
@@ -197,7 +199,7 @@ def _scored_chunks(panel: SignalPanel, cfg: AnalysisConfig):
         chunk = windows[lo : lo + step]
         constant, silent, metrics = _score_chunk(chunk, weights.weights, cfg.kl_floor, panel.dt)
         starts = np.arange(lo, lo + len(chunk)) * stride
-        times = panel.t0.timestamp() + starts * panel.dt * 60.0
+        times = panel.t0 + starts * panel.dt * 60.0
         yield {"starts": starts, "times": times, "constant": constant, "silent": silent, **metrics}
 
 
@@ -353,7 +355,7 @@ def read_metrics_csv(path) -> AnalysisResult:
             provenance[key] = value
             continue
         try:
-            gaps.append(parse_rfc3339(value).timestamp())
+            gaps.append(parse_rfc3339(value))
         except ValueError:
             raise FormatError(f"{path}: line {line}: bad gap time {value!r}") from None
     return AnalysisResult(
@@ -371,9 +373,11 @@ def read_metrics_csv(path) -> AnalysisResult:
 def write_kl_csv(panel: SignalPanel, config: AnalysisConfig, path) -> None:
     """Long-format dump of every scored window's KL matrix: window time, row,
     column, value.  The windows are scored as `analyze` scores them and
-    written one chunk at a time; a panel `analyze` refuses leaves no file."""
+    written one chunk at a time; a panel `analyze` refuses leaves no file, as
+    does a label that `_check_names` refuses or that holds a `|`."""
     chunks = _scored_chunks(panel, config)
     panel = next(chunks)
+    _check_names(path, panel.labels, also="|")
     m = panel.n_channels
     pairs = [(l, j) for l in range(m) for j in range(m)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -381,7 +385,7 @@ def write_kl_csv(panel: SignalPanel, config: AnalysisConfig, path) -> None:
         fh.write("window_start_time,l,m,kl\n")
         for chunk in chunks:
             for t, matrix in zip(_scored_times(chunk), chunk["kl"]):
-                stamp = _format_time(t)
+                stamp = format_rfc3339(t)
                 for (l, j), value in zip(pairs, matrix.ravel().tolist()):
                     fh.write(f"{stamp},{l},{j},{value!r}\n")
 
@@ -391,12 +395,13 @@ def write_spectra_csv(panel: SignalPanel, config: AnalysisConfig, path) -> None:
     time, channel, frequency, probability.  Streamed like `write_kl_csv`."""
     chunks = _scored_chunks(panel, config)
     panel = next(chunks)
+    _check_names(path, panel.labels)
     freqs = bin_frequencies(config.width, panel.dt).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("window_start_time,channel,frequency,prob\n")
         for chunk in chunks:
             for t, window in zip(_scored_times(chunk), chunk["spectra"]):
-                stamp = _format_time(t)
+                stamp = format_rfc3339(t)
                 for name, probs in zip(panel.labels, window.tolist()):
                     for freq, prob in zip(freqs, probs):
                         fh.write(f"{stamp},{name},{freq!r},{prob!r}\n")

@@ -17,13 +17,10 @@ frequency axis, so the same code scores one window or a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidWindowError, OutOfRangeError
-
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 # Probabilities at or below this are treated as exact zeros in entropy sums
 # (the 0*log(0) = 0 convention, extended to denormal-range values).
@@ -48,8 +45,8 @@ class SignalPanel:
         Channel names, length M, unique.
     dt : float
         Sampling period in minutes.
-    t0 : datetime
-        Timestamp of the first sample (UTC).  Defaults to the epoch.
+    t0 : float
+        Time of the first sample in epoch seconds.  Defaults to the epoch.
 
     The panel is immutable after construction; an empty panel (L = 0) is
     allowed as a no-data marker, otherwise at least two samples are
@@ -59,7 +56,7 @@ class SignalPanel:
     values: np.ndarray
     labels: tuple[str, ...]
     dt: float
-    t0: datetime = EPOCH
+    t0: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -79,11 +76,12 @@ class SignalPanel:
             raise ValueError("channel labels must be unique")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"sampling period must be positive, got {self.dt}")
-        if self.t0.tzinfo is None:
-            object.__setattr__(self, "t0", self.t0.replace(tzinfo=timezone.utc))
+        if not np.isfinite(self.t0):
+            raise ValueError(f"start time t0 must be finite epoch seconds, got {self.t0}")
         object.__setattr__(self, "values", _frozen_array(v))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "t0", float(self.t0))
 
     @property
     def n_channels(self) -> int:

@@ -116,6 +116,19 @@ class TestAnalyzeCommand:
         assert spectra.read_text().startswith("window_start_time,channel,frequency,prob")
         assert kl.read_text().splitlines()[1] == "window_start_time,l,m,kl"
 
+    def test_kl_dump_of_a_barred_label_is_format_error(self, tmp_path, capsys):
+        panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)
+        panel_csv.write_text(panel_csv.read_text().replace("time,ch0,ch1", "time,c0|1,ch1"))
+        kl = tmp_path / "kl.csv"
+        code = run(
+            "analyze", str(panel_csv), "--window", "128", "--out", str(tmp_path / "m.csv"),
+            "--dump-kl", str(kl),
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "kind=FormatError" in err and "'c0|1'" in err
+        assert not kl.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         panel_csv = self.make_panel_csv(tmp_path, length=512, seed=13)
         first, second = tmp_path / "m1.csv", tmp_path / "m2.csv"
@@ -163,7 +176,7 @@ class TestAnalyzeCommand:
     def test_bound_violation_is_internal_error(self, tmp_path, capsys, monkeypatch):
         panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)
         monkeypatch.setattr(
-            pipeline, "kl_matrices", lambda probs, floor: np.zeros(probs.shape[:-1] + (2,))
+            pipeline, "kl_matrices", lambda probs: np.zeros(probs.shape[:-1] + (2,))
         )
         code = run("analyze", str(panel_csv), "--window", "128", "--out", str(tmp_path / "m.csv"))
         assert code == 1

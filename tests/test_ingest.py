@@ -2,7 +2,6 @@ import gzip
 import io
 import math
 import re
-from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -28,6 +27,27 @@ from conftest import DATA_DIR
 from oracles import scalar_resample
 
 MINUTE_MS = 60_000
+
+# 2006-10-16T00:03:00Z in epoch seconds.
+T_0003 = 1_160_956_980.0
+
+# Times outside `YYYY-MM-DD[Tt ]HH:MM:SS[.f{1,6}][Z|z|±HH:MM]`.  `fromisoformat`
+# alone takes several, and which depends on the Python version: 3.11 takes the
+# first four, 3.10 does not.
+GRAMMAR_REJECTS = [
+    "2006-W42-1T00:03:00Z",  # week date
+    "20061016T000300Z",  # basic format
+    "2006-10-16T00:03:00,5Z",  # comma fraction
+    "2006-10-16T00:03:00+0100",  # offset without a colon
+    "2006-10-16",  # date only
+    "2006-10-16T00",  # hour only
+    "2006-10-16T00:03Z",  # no seconds
+    "2006-10-16T00:03:00.1234567Z",  # 7 fraction digits
+    "2006-10-16T00:03:00.Z",  # no fraction digit
+    "2006-10-16X00:03:00Z",  # another separator
+    "2006-10-16T00:03:00+01:60",  # offset minute out of range
+    "2006-10-16T00:03:00+01:00:30",  # offset seconds
+]
 
 
 def tick(minute_offset, instrument="EUR/USD", side="ask", price=1.0, second=0):
@@ -125,6 +145,15 @@ class TestParseTicks:
         parsed = parse_ticks(io.StringIO(body))
         assert parsed.malformed == 1
 
+    def test_problem_names_the_file_line_after_a_quoted_line_break(self):
+        rows = [f"2006-10-16T00:{k // 60:02d}:{k % 60:02d}Z,EUR/USD,ask,1.1\n" for k in range(201)]
+        rows[0] = rows[0].replace("EUR/USD", '"EUR\nUSD"')
+        body = "timestamp,instrument,side,price\n" + "".join(rows) + "2006-10-16T01:00:00Z,EUR/USD,mid,1.1\n"
+        assert body.count("\n") == 204
+        parsed = parse_ticks(io.StringIO(body))
+        assert parsed.malformed == 1
+        assert parsed.problems == ["line 204: unknown side 'mid'"]
+
     def test_gzip_by_extension(self, tmp_path):
         path = tmp_path / "ticks.csv.gz"
         with gzip.open(path, "wt", encoding="utf-8") as fh:
@@ -143,13 +172,53 @@ class TestParseTicks:
 
 
 class TestRfc3339:
+    @pytest.mark.parametrize(
+        "text, seconds",
+        [
+            ("2006-10-16T00:03:00Z", T_0003),
+            ("2006-10-16T00:03:00z", T_0003),
+            ("2006-10-16t00:03:00Z", T_0003),
+            ("2006-10-16 00:03:00Z", T_0003),
+            ("2006-10-16T00:03:00", T_0003),  # no zone: UTC
+            ("2006-10-16T09:03:00+09:00", T_0003),
+            ("2006-10-15T23:03:00-01:00", T_0003),
+            ("2006-10-16T00:03:00-00:00", T_0003),
+            (" 2006-10-16T00:03:00Z ", T_0003),
+            ("2006-10-16T00:03:00.5Z", T_0003 + 0.5),
+            ("2006-10-16T00:03:00.25z", T_0003 + 0.25),
+            ("2006-10-16T00:03:00.125", T_0003 + 0.125),
+            ("2006-10-16T00:03:00.0625Z", T_0003 + 0.0625),
+            ("2006-10-16T01:03:00.03125+01:00", T_0003 + 0.03125),
+            ("2006-10-16T00:03:00.015625Z", T_0003 + 0.015625),
+        ],
+    )
+    def test_grammar_accepts(self, text, seconds):
+        assert parse_rfc3339(text) == seconds
+
+    @pytest.mark.parametrize(
+        "text",
+        GRAMMAR_REJECTS + ["2006-13-16T00:03:00Z", "2006-02-30T00:03:00Z", "2006-10-16T24:00:00Z", ""],
+    )
+    def test_grammar_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_rfc3339(text)
+
+    @pytest.mark.parametrize("text", GRAMMAR_REJECTS)
+    def test_rejected_time_is_a_counted_malformed_row(self, text):
+        body = "timestamp,instrument,side,price\n" + "".join(
+            f"2006-10-16T00:{k // 60:02d}:{k % 60:02d}Z,EUR/USD,ask,1.1\n" for k in range(100)
+        )
+        parsed = parse_ticks(io.StringIO(body + f'"{text}",EUR/USD,ask,1.1\n'))
+        assert parsed.malformed == 1 and parsed.timestamp_ms.size == 100
+        assert parsed.problems == [f"line 102: bad timestamp {text!r}"]
+
     def test_round_trip_whole_seconds(self):
         text = "2006-10-16T00:03:00Z"
         assert format_rfc3339(parse_rfc3339(text)) == text
 
     def test_fractional_seconds_preserved(self):
         parsed = parse_rfc3339("2006-10-16T00:03:00.25Z")
-        assert parsed.microsecond == 250000
+        assert parsed == 1_160_956_980.25
         assert format_rfc3339(parsed) == "2006-10-16T00:03:00.250000Z"
 
 
@@ -233,7 +302,7 @@ class TestBestRates:
         ticks = [tick(0, side="bid"), tick(2, price=1.5), tick(3, side="bid")]
         panel = rates_of(ticks)
         assert row(panel) == [1.5, 1.5]
-        assert panel.t0.timestamp() == 2 * 60.0
+        assert panel.t0 == 2 * 60.0
 
     def test_values_are_extrema_or_exact_copies(self):
         rng = np.random.default_rng(4)
@@ -246,7 +315,7 @@ class TestBestRates:
         for t in ticks:
             per_bucket.setdefault(t[0] // MINUTE_MS, []).append(t[3])
         first = min(per_bucket)
-        assert panel.t0.timestamp() == first * 60.0
+        assert panel.t0 == first * 60.0
         previous = math.nan
         for k, value in enumerate(row(panel), start=first):
             if k in per_bucket:
@@ -278,7 +347,7 @@ class TestBuildPanel:
         ticks += [tick(k, "A/B", price=1.0) for k in range(3)]
         panel = transform_panel(rates_of(ticks), "log-return")
         assert panel.length == 2
-        assert panel.t0.timestamp() == 0.0
+        assert panel.t0 == 0.0
         assert row(panel, "X/Y") == pytest.approx([1.0, 0.0], abs=1e-15)
 
     def test_leading_gap_trims_to_common_coverage(self):
@@ -291,7 +360,7 @@ class TestBuildPanel:
         ]
         panel = rates_of(ticks)
         assert panel.length == 2
-        assert panel.t0.timestamp() == 2 * 60.0
+        assert panel.t0 == 2 * 60.0
         assert row(panel, "X/Y") == [2.0, 2.5] and row(panel, "A/B") == [1.0, 1.1]
 
     def test_activity_panel_identity(self):
@@ -300,7 +369,7 @@ class TestBuildPanel:
         assert panel.labels == ("A/B", "X/Y")
         assert np.all(panel.values == 1.0)
         assert panel.length == 2
-        assert panel.t0.timestamp() == 0.0
+        assert panel.t0 == 0.0
 
     def test_log_return_rejects_nonpositive(self):
         ticks = [tick(k, "X/Y", price=p) for k, p in enumerate([1.0, 0.0, 2.0])]
@@ -361,8 +430,8 @@ class TestResample:
             assert activity.dt == rates.dt == dt
             assert activity.values.tolist() == activity_rows
             assert rates.values.tolist() == rate_rows
-            assert activity.t0 == datetime.fromtimestamp(a_start / 1000, tz=timezone.utc)
-            assert rates.t0 == datetime.fromtimestamp(r_start / 1000, tz=timezone.utc)
+            assert activity.t0 == a_start / 1000
+            assert rates.t0 == r_start / 1000
 
 
 class TestPanelCsv:
@@ -424,7 +493,7 @@ class TestPanelCsv:
         labels = data.draw(
             st.lists(st.text("abcXYZ/_.", min_size=1, max_size=6), min_size=m, max_size=m, unique=True)
         )
-        t0 = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=t0_ms)
+        t0 = t0_ms / 1000
         panel = SignalPanel(values.reshape(m, length), labels, dt, t0)
         path = tmp_path_factory.mktemp("panel") / "panel.csv"
         write_panel_csv(panel, path)
@@ -449,7 +518,7 @@ class TestPanelCsv:
         [
             (5, "2006-10-16T00:01:00Z,1.5,abc", "could not convert string to float: 'abc'"),
             (5, "2006-10-16T00:01:00Z,1.5,nan", "panel values must be finite"),
-            (5, "2006-10-16T00:0x:00Z,1.5,2.5", "Invalid isoformat"),
+            (5, "2006-10-16T00:0x:00Z,1.5,2.5", "bad RFC-3339 time"),
             (7, "2006-10-16T00:02:00Z,1.25", "expected 3 fields, got 2"),
             (2, "time,a,a", "a column name repeats"),
             (2, "when,a,b", "expected header `time,...`"),
@@ -468,6 +537,13 @@ class TestPanelCsv:
             read_panel_csv(path)
         assert str(info.value).startswith(f"{path}: line {line}: ")
         assert reason in str(info.value)
+
+    @pytest.mark.parametrize("text", GRAMMAR_REJECTS)
+    def test_rejected_time_names_its_line(self, tmp_path, text):
+        path = tmp_path / "panel.csv"
+        path.write_text(self.PANEL.replace("2006-10-16T00:01:00Z", f'"{text}"'))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 5: bad RFC-3339 time: {text!r}")):
+            read_panel_csv(path)
 
     @pytest.mark.parametrize("name", ["EUR,USD", 'EUR"USD', "EUR\nUSD", "EUR\rUSD", " EUR", "USD\t"])
     def test_unreadable_column_name_is_refused_before_writing(self, tmp_path, name):

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -18,6 +19,7 @@ from specdist.errors import (
     InvalidWindowError,
     TransformError,
 )
+from specdist.ingest import format_rfc3339
 from specdist.pipeline import (
     AnalysisConfig,
     AnalysisResult,
@@ -59,7 +61,7 @@ class TestAnalyze:
         panel = noise_panel(length=128)
         result = analyze(panel, AnalysisConfig(width=128, stride=17))
         assert result.js.size == 1
-        assert result.timestamps.tolist() == [panel.t0.timestamp()]
+        assert result.timestamps.tolist() == [panel.t0]
 
     def test_window_count_formula(self):
         panel = noise_panel(length=700)
@@ -91,7 +93,7 @@ class TestAnalyze:
         values[1, :64] = 5.0  # first window of channel 1 is constant
         panel = SignalPanel(values, ("a", "b"), 1.0)
         result = analyze(panel, AnalysisConfig(width=64, stride=64))
-        assert result.gap_times.tolist() == [panel.t0.timestamp()]
+        assert result.gap_times.tolist() == [panel.t0]
         assert result.js.size == 3
 
     def test_too_few_channels_rejected(self):
@@ -115,7 +117,7 @@ class TestAnalyze:
         values = np.exp(rng.normal(scale=1e-3, size=(2, 257)).cumsum(axis=1))
         panel = SignalPanel(values, ("a", "b"), 1.0)
         result = analyze(panel, AnalysisConfig(width=128, stride=64, transform="log-return"))
-        assert result.timestamps[0] == panel.t0.timestamp()
+        assert result.timestamps[0] == panel.t0
         assert result.js.size == (256 - 128) // 64 + 1
 
     def test_log_return_rejects_nonpositive(self):
@@ -166,7 +168,7 @@ class TestAnalyze:
         result = analyze(panel, cfg)
         assert result.js.size == 2 and np.all(result.mean_kl >= result.js - 1e-9)
 
-        def no_divergence(probs, floor):
+        def no_divergence(probs):
             return np.zeros(probs.shape[:-1] + probs.shape[-2:-1])
 
         with mock.patch.object(pipeline, "kl_matrices", no_divergence):
@@ -436,7 +438,7 @@ class TestMetricsCsv:
         "line, text, reason",
         [
             (3, "1970-01-01T00:00:00Z,0.1,abc,1.0,1.1,0.25,0.5", "could not convert string to float: 'abc'"),
-            (6, "1970-01-0xT00:08:00Z,0.3,0.4,1.2,1.3,0.25,0.25", "Invalid isoformat"),
+            (6, "1970-01-0xT00:08:00Z,0.3,0.4,1.2,1.3,0.25,0.25", "bad RFC-3339 time"),
             (6, "1970-01-01T00:08:00Z,0.3,0.4,1.2,1.3,0.25", "expected 7 fields, got 6"),
             (2, "window_start_time,js,mean_kl,H_a,H_a,mode_a,mode_a", "a column name repeats"),
             (6, "1970-01-01T00:00:00Z,0.3,0.4,1.2,1.3,0.25,0.25", "does not strictly increase"),
@@ -505,7 +507,7 @@ class TestMetricsCsv:
         kl_stamps = [line.split(",")[0] for line in kl_lines[2:]]
         spectra_lines = (tmp_path / "spectra.csv").read_text().splitlines()[1:]
         spectra_stamps = [line.split(",")[0] for line in spectra_lines]
-        stamps = [pipeline._format_time(t) for t in result.timestamps.tolist()]
+        stamps = [format_rfc3339(t) for t in result.timestamps.tolist()]
         assert kl_stamps == [s for s in stamps for _ in range(9)]
         assert spectra_stamps == [s for s in stamps for _ in range(3 * 63)]
 
@@ -517,6 +519,26 @@ class TestMetricsCsv:
         with pytest.raises(AnalysisError, match="shorter than window"):
             write(noise_panel(m=2, length=100), AnalysisConfig(width=128), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "write, label",
+        [(write_kl_csv, "a,b"), (write_kl_csv, "a|b"), (write_spectra_csv, "a,b"), (write_spectra_csv, ' a"b')],
+    )
+    def test_unsplittable_label_is_refused_before_writing(self, tmp_path, write, label):
+        panel = SignalPanel(noise_panel(m=2, length=128).values, (label, "c"), 1.0)
+        path = tmp_path / "dump.csv"
+        with pytest.raises(FormatError, match=re.escape(f"column name {label!r} cannot be written")):
+            write(panel, AnalysisConfig(width=128), path)
+        assert not path.exists()
+
+    def test_dump_labels_keep_inner_spaces_and_spectra_bars(self, tmp_path):
+        panel = SignalPanel(noise_panel(m=2, length=128).values, ("a b", "c|d"), 1.0)
+        write_spectra_csv(panel, AnalysisConfig(width=128), tmp_path / "spectra.csv")
+        channels = {line.split(",")[1] for line in (tmp_path / "spectra.csv").read_text().splitlines()[1:]}
+        assert channels == {"a b", "c|d"}
+        spaced = SignalPanel(panel.values, ("a b", "c"), 1.0)
+        write_kl_csv(spaced, AnalysisConfig(width=128), tmp_path / "kl.csv")
+        assert (tmp_path / "kl.csv").read_text().startswith("# channels=a b|c\n")
 
 
 def metric_result(js, stamps=None, mean_kl=None, stride="64"):

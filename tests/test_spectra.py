@@ -227,6 +227,16 @@ class TestPanelValidation:
         with pytest.raises(ValueError):
             SignalPanel([[1.0, np.nan]], ("a",), 1.0)
 
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_start_time(self, t0):
+        with pytest.raises(ValueError, match="t0 must be finite epoch seconds"):
+            SignalPanel(np.ones((2, 4)), ("a", "b"), 1.0, t0)
+
+    def test_start_time_is_float_epoch_seconds(self):
+        assert make_panel(np.ones(4)).t0 == 0.0
+        panel = SignalPanel(np.ones((1, 4)), ("a",), 1.0, 1_160_956_800)
+        assert type(panel.t0) is float and panel.t0 == 1_160_956_800.0
+
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError):
             SignalPanel(np.ones((2, 4)), ("only",), 1.0)
