@@ -170,13 +170,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         weights=weights,
         kl_floor=args.floor,
     )
-    pipeline.write_metrics_csv(pipeline.analyze(panel, cfg), args.out)
-    # Each dump scores the windows again and streams them.  `path=` by
-    # keyword: bench/tracer.py reads the dump's size from it.
-    if args.dump_spectra:
-        pipeline.write_spectra_csv(panel, cfg, path=args.dump_spectra)
-    if args.dump_kl:
-        pipeline.write_kl_csv(panel, cfg, path=args.dump_kl)
+    result = pipeline.analyze(panel, cfg, dump_kl=args.dump_kl, dump_spectra=args.dump_spectra)
+    pipeline.write_metrics_csv(result, args.out)
     return EXIT_OK
 
 

@@ -13,8 +13,10 @@ comparisons can refuse rows computed with a different window geometry.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
+import os
 from dataclasses import dataclass, replace
 from typing import TextIO
 
@@ -118,7 +120,7 @@ class AnalysisResult:
 
     `timestamps` are window starts in epoch seconds; `gap_times` are the
     starts of skipped windows.  The KL matrices and spectra are not kept:
-    `write_kl_csv` and `write_spectra_csv` stream them.
+    `analyze` streams them to its dumps.
     """
 
     timestamps: np.ndarray
@@ -129,13 +131,6 @@ class AnalysisResult:
     labels: tuple[str, ...]
     provenance: dict[str, str]
     gap_times: np.ndarray
-
-
-def _select_channels(panel: SignalPanel, channels: tuple[str, ...] | None) -> SignalPanel:
-    if channels is None:
-        return panel
-    rows = [panel.channel_index(name) for name in channels]
-    return SignalPanel(panel.values[rows], channels, panel.dt, panel.t0)
 
 
 def _score_chunk(segments: np.ndarray, weights: np.ndarray, floor: float, dt: float):
@@ -167,17 +162,12 @@ def _score_chunk(segments: np.ndarray, weights: np.ndarray, floor: float, dt: fl
     }
 
 
-def _scored_chunks(panel: SignalPanel, cfg: AnalysisConfig):
-    """Check `panel` against `cfg`, then score its windows chunk by chunk.
-
-    The first item is the panel as analyzed (channels selected and
-    transformed), so a caller can run the checks before it writes
-    anything.  Each later item is one chunk: the sample index (`starts`)
-    and epoch seconds (`times`) of each window's start, the masks of
-    windows skipped for a constant channel (`constant`) and for zero AC
-    power (`silent`), and `_score_chunk`'s metrics of the windows scored.
-    """
-    panel = _select_channels(panel, cfg.channels)
+def _prepared(panel: SignalPanel, cfg: AnalysisConfig) -> tuple[SignalPanel, np.ndarray]:
+    """The panel as analyzed (channels selected and transformed) and its
+    mixture weights; an `AnalysisError` for a panel `cfg` cannot score."""
+    if cfg.channels is not None:
+        rows = [panel.channel_index(name) for name in cfg.channels]
+        panel = SignalPanel(panel.values[rows], cfg.channels, panel.dt, panel.t0)
     if panel.n_channels < 2:
         raise AnalysisError(f"need at least 2 channels, have {panel.n_channels}")
     panel = transform_panel(panel, cfg.transform)
@@ -190,56 +180,90 @@ def _scored_chunks(panel: SignalPanel, cfg: AnalysisConfig):
     )
     if weights.size != panel.n_channels:
         raise AnalysisError(f"{weights.size} weights for {panel.n_channels} channels")
-    yield panel
-
-    stride = cfg.effective_stride
-    windows = sliding_window_view(panel.values, cfg.width, axis=1)[:, ::stride].swapaxes(0, 1)
-    step = max(1, CHUNK_SAMPLES // (panel.n_channels * cfg.width))
-    for lo in range(0, len(windows), step):
-        chunk = windows[lo : lo + step]
-        constant, silent, metrics = _score_chunk(chunk, weights.weights, cfg.kl_floor, panel.dt)
-        starts = np.arange(lo, lo + len(chunk)) * stride
-        times = panel.t0 + starts * panel.dt * 60.0
-        yield {"starts": starts, "times": times, "constant": constant, "silent": silent, **metrics}
+    return panel, weights.weights
 
 
-def _scored_times(chunk: dict) -> list[float]:
-    return chunk["times"][~(chunk["constant"] | chunk["silent"])].tolist()
-
-
-# What `analyze` keeps of each chunk: nothing that grows with channels^2 or bins.
-_KEPT = ("starts", "times", "constant", "silent", "js", "mean_kl", "bound", "entropies", "modes")
-
-
-def analyze(panel: SignalPanel, config: AnalysisConfig | None = None) -> AnalysisResult:
+def analyze(
+    panel: SignalPanel, config: AnalysisConfig | None = None, *, dump_kl=None, dump_spectra=None
+) -> AnalysisResult:
     """Slide a window across the panel and score each position.
 
     Returns the metrics of every scored window plus the start times of
-    skipped (degenerate) windows.
+    skipped (degenerate) windows.  Each chunk of windows is scored once; its
+    KL matrices (window time, row, column, value) and normalized spectra
+    (window time, channel, frequency, probability) go to the `dump_kl` and
+    `dump_spectra` files before the next chunk is scored.  Every check, of
+    the panel and of the labels (`_check_names`; the KL dump's `# channels=`
+    line also refuses `|`), runs before a dump is opened, and a failure
+    after that removes the dumps.
     """
     cfg = config if config is not None else AnalysisConfig()
-    chunks = _scored_chunks(panel, cfg)
-    panel = next(chunks)
-    parts = [[chunk[key] for key in _KEPT] for chunk in chunks]
-    out = dict(zip(_KEPT, map(np.concatenate, zip(*parts))))
+    panel, weights = _prepared(panel, cfg)
+    dumps = {}  # kind -> (path, header lines)
+    if dump_kl is not None:
+        _check_names(dump_kl, panel.labels, also="|")
+        head = "# channels=" + "|".join(panel.labels) + "\n"
+        dumps["kl"] = (dump_kl, head + "window_start_time,l,m,kl\n")
+    if dump_spectra is not None:
+        _check_names(dump_spectra, panel.labels)
+        if dump_kl is not None and os.path.abspath(dump_kl) == os.path.abspath(dump_spectra):
+            raise ConfigurationError(f"{dump_spectra}: the KL and spectra dumps need two files")
+        dumps["spectra"] = (dump_spectra, "window_start_time,channel,frequency,prob\n")
+    m = panel.n_channels
+    pairs = [f"{l},{j}" for l in range(m) for j in range(m)]
+    freqs = [repr(f) for f in bin_frequencies(cfg.width, panel.dt).tolist()]
+    stride = cfg.effective_stride
+    windows = sliding_window_view(panel.values, cfg.width, axis=1)[:, ::stride].swapaxes(0, 1)
+    step = max(1, CHUNK_SAMPLES // (m * cfg.width))
+    kept, files = [], {}
+    try:
+        for kind, (path, head) in dumps.items():
+            files[kind] = open(path, "w", encoding="utf-8", newline="")
+            files[kind].write(head)
+        for lo in range(0, len(windows), step):
+            chunk = windows[lo : lo + step]
+            constant, silent, metrics = _score_chunk(chunk, weights, cfg.kl_floor, panel.dt)
+            starts = np.arange(lo, lo + len(chunk)) * stride
+            scored = ~(constant | silent)
+            js, bound = metrics["js"], metrics["bound"]
+            above = js > bound + 1e-9
+            if above.any():
+                i = int(np.argmax(above))
+                raise RuntimeError(
+                    f"window at {starts[scored][i]}: JS {float(js[i])!r} exceeds "
+                    f"the weighted mean KL {float(bound[i])!r} (Lin's bound)"
+                )
+            times = panel.t0 + starts * panel.dt * 60.0
+            stamps = [format_rfc3339(t) for t in times[scored].tolist()] if files else []
+            if "kl" in files:
+                for stamp, row in zip(stamps, metrics["kl"].reshape(len(stamps), m * m).tolist()):
+                    files["kl"].writelines(f"{stamp},{ij},{v!r}\n" for ij, v in zip(pairs, row))
+            if "spectra" in files:
+                for stamp, window in zip(stamps, metrics["spectra"].tolist()):
+                    for name, probs in zip(panel.labels, window):
+                        files["spectra"].writelines(
+                            f"{stamp},{name},{f},{p!r}\n" for f, p in zip(freqs, probs)
+                        )
+            kept.append((starts, times, constant, silent, js, metrics["mean_kl"],
+                         metrics["entropies"], metrics["modes"]))
+        for fh in files.values():
+            fh.close()
+    except BaseException:
+        for fh in files.values():
+            with contextlib.suppress(OSError):
+                fh.close()
+            os.remove(fh.name)
+        raise
 
-    starts, times, constant, silent = out["starts"], out["times"], out["constant"], out["silent"]
+    starts, times, constant, silent, js, mean_kl, ents, modes = map(np.concatenate, zip(*kept))
     skipped = constant | silent
     _log_skipped(starts, constant, silent)
-    js, bound = out["js"], out["bound"]
-    above = js > bound + 1e-9
-    if above.any():
-        i = int(np.argmax(above))
-        raise RuntimeError(
-            f"window at {starts[~skipped][i]}: JS {float(js[i])!r} exceeds "
-            f"the weighted mean KL {float(bound[i])!r} (Lin's bound)"
-        )
     return AnalysisResult(
         timestamps=times[~skipped],
         js=js,
-        mean_kl=out["mean_kl"],
-        entropies=out["entropies"],
-        modes=out["modes"],
+        mean_kl=mean_kl,
+        entropies=ents,
+        modes=modes,
         labels=panel.labels,
         provenance=cfg.provenance(),
         gap_times=times[skipped],
@@ -370,43 +394,6 @@ def read_metrics_csv(path) -> AnalysisResult:
     )
 
 
-def write_kl_csv(panel: SignalPanel, config: AnalysisConfig, path) -> None:
-    """Long-format dump of every scored window's KL matrix: window time, row,
-    column, value.  The windows are scored as `analyze` scores them and
-    written one chunk at a time; a panel `analyze` refuses leaves no file, as
-    does a label that `_check_names` refuses or that holds a `|`."""
-    chunks = _scored_chunks(panel, config)
-    panel = next(chunks)
-    _check_names(path, panel.labels, also="|")
-    m = panel.n_channels
-    pairs = [(l, j) for l in range(m) for j in range(m)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# channels=" + "|".join(panel.labels) + "\n")
-        fh.write("window_start_time,l,m,kl\n")
-        for chunk in chunks:
-            for t, matrix in zip(_scored_times(chunk), chunk["kl"]):
-                stamp = format_rfc3339(t)
-                for (l, j), value in zip(pairs, matrix.ravel().tolist()):
-                    fh.write(f"{stamp},{l},{j},{value!r}\n")
-
-
-def write_spectra_csv(panel: SignalPanel, config: AnalysisConfig, path) -> None:
-    """Long-format dump of every scored window's normalized spectra: window
-    time, channel, frequency, probability.  Streamed like `write_kl_csv`."""
-    chunks = _scored_chunks(panel, config)
-    panel = next(chunks)
-    _check_names(path, panel.labels)
-    freqs = bin_frequencies(config.width, panel.dt).tolist()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("window_start_time,channel,frequency,prob\n")
-        for chunk in chunks:
-            for t, window in zip(_scored_times(chunk), chunk["spectra"]):
-                stamp = format_rfc3339(t)
-                for name, probs in zip(panel.labels, window.tolist()):
-                    for freq, prob in zip(freqs, probs):
-                        fh.write(f"{stamp},{name},{freq!r},{prob!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # Parameter-diversity sweep
 # ---------------------------------------------------------------------------
@@ -488,8 +475,6 @@ __all__ = [
     "compare_metric_series",
     "entropy_sweep",
     "read_metrics_csv",
-    "write_kl_csv",
     "write_metrics_csv",
-    "write_spectra_csv",
     "write_sweep_csv",
 ]

@@ -46,7 +46,8 @@ class SignalPanel:
     dt : float
         Sampling period in minutes.
     t0 : float
-        Time of the first sample in epoch seconds.  Defaults to the epoch.
+        Time of the first sample in epoch seconds, kept to the whole ms (the
+        resolution of ticks and of every file stamp).  Defaults to the epoch.
 
     The panel is immutable after construction; an empty panel (L = 0) is
     allowed as a no-data marker, otherwise at least two samples are
@@ -81,7 +82,7 @@ class SignalPanel:
         object.__setattr__(self, "values", _frozen_array(v))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "t0", round(float(self.t0) * 1000) / 1000)
 
     @property
     def n_channels(self) -> int:
@@ -192,12 +193,14 @@ def mode_frequencies(probs: np.ndarray, dt: float) -> np.ndarray:
     """Frequency of each spectrum's largest bin, at or below Nyquist.
 
     Bin n and its mirror N-n (the same frequency for a real signal) are
-    summed first, so the mode is never above 1/(2*dt); ties go to the
-    lowest frequency.
+    summed first, so the mode is never above 1/(2*dt); the Nyquist bin of
+    an even N is its own mirror and counts once.  Ties go to the lowest
+    frequency.
     """
-    half = (probs.shape[-1] + 1) // 2
-    folded = probs[..., :half] + probs[..., ::-1][..., :half]
-    return bin_frequencies(probs.shape[-1] + 1, dt)[np.argmax(folded, axis=-1)]
+    n = probs.shape[-1] + 1
+    folded = probs[..., : n // 2].copy()
+    folded[..., : (n - 1) // 2] += probs[..., ::-1][..., : (n - 1) // 2]
+    return bin_frequencies(n, dt)[np.argmax(folded, axis=-1)]
 
 
 def periodogram(panel: SignalPanel, channel: int, start: int, width: int) -> np.ndarray:

@@ -58,8 +58,9 @@ def scalar_kl(p, q, floor):
 
 
 def folded_mode(p, width, dt):
-    """Frequency of the largest of p[n] + p[N-n], n = 1..N/2; ties to the lowest."""
-    folded = [p[i] + p[width - 2 - i] for i in range(width // 2)]
+    """Frequency of the largest of p[n] + p[N-n], n = 1..N/2, with the Nyquist
+    bin n = N/2 of an even N counted once; ties to the lowest."""
+    folded = [p[i] + (p[width - 2 - i] if 2 * i != width - 2 else 0.0) for i in range(width // 2)]
     return (folded.index(max(folded)) + 1) / (width * dt)
 
 

@@ -128,6 +128,18 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "kind=FormatError" in err and "'c0|1'" in err
         assert not kl.exists()
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_one_file_for_both_dumps_is_config_error(self, tmp_path, capsys):
+        panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)
+        out, dump = tmp_path / "m.csv", tmp_path / "dump.csv"
+        code = run(
+            "analyze", str(panel_csv), "--window", "128", "--out", str(out),
+            "--dump-kl", str(dump), "--dump-spectra", str(dump),
+        )
+        assert code == 5
+        assert "kind=ConfigurationError" in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         panel_csv = self.make_panel_csv(tmp_path, length=512, seed=13)
@@ -178,9 +190,11 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(
             pipeline, "kl_matrices", lambda probs: np.zeros(probs.shape[:-1] + (2,))
         )
-        code = run("analyze", str(panel_csv), "--window", "128", "--out", str(tmp_path / "m.csv"))
+        out, kl = tmp_path / "m.csv", tmp_path / "kl.csv"
+        code = run("analyze", str(panel_csv), "--window", "128", "--out", str(out), "--dump-kl", str(kl))
         assert code == 1
         assert "kind=RuntimeError" in capsys.readouterr().err
+        assert not out.exists() and not kl.exists()
 
     def test_unknown_channel_is_config_error(self, tmp_path):
         panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)

@@ -446,6 +446,14 @@ class TestPanelCsv:
         assert loaded.t0 == panel.t0
         assert np.array_equal(loaded.values, panel.values)
 
+    def test_sub_millisecond_t0_survives_round_trip(self, tmp_path):
+        panel = SignalPanel(np.arange(8.0).reshape(2, 4) + 1.0, ("a", "b"), 1.0, t0=1_700_000_000.0004)
+        assert panel.t0 == 1_700_000_000.0
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        assert read_panel_csv(path).t0 == panel.t0
+        assert SignalPanel(panel.values, panel.labels, 1.0, t0=-0.0126).t0 == -0.013
+
     def test_reader_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("when,x\n2006-10-16T00:00:00Z,1.0\n")

@@ -1,7 +1,9 @@
 import logging
 import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdist import pipeline
-from specdist.distances import cross_correlation, fit_proportionality, kl_matrix
+from specdist.distances import cross_correlation, fit_proportionality, kl_matrices, kl_matrix
 from specdist.errors import (
     AlignmentError,
     AnalysisError,
@@ -27,9 +29,7 @@ from specdist.pipeline import (
     compare_metric_series,
     entropy_sweep,
     read_metrics_csv,
-    write_kl_csv,
     write_metrics_csv,
-    write_spectra_csv,
 )
 from specdist.simulator import SimConfig
 from specdist.spectra import NormalizedSpectrum, SignalPanel
@@ -50,10 +50,22 @@ def noise_panel(m=2, length=512, seed=0, dt=1.0):
     return SignalPanel(values, tuple(f"ch{i}" for i in range(m)), dt)
 
 
-def chunk_arrays(panel, cfg, *keys):
-    """Each key's per-chunk arrays from the analysis kernel, joined in window order."""
-    chunks = list(pipeline._scored_chunks(panel, cfg))[1:]
-    return [np.concatenate([chunk[key] for chunk in chunks]) for key in keys]
+def dumped(panel, cfg):
+    """`analyze`'s result, KL matrices (W, M, M) and spectra (W, M, N-1), the
+    last two read back from its dumps: `repr` floats, so exactly as scored."""
+    with tempfile.TemporaryDirectory() as tmp:
+        kl_path, spectra_path = Path(tmp, "kl.csv"), Path(tmp, "spectra.csv")
+        result = analyze(panel, cfg, dump_kl=kl_path, dump_spectra=spectra_path)
+        kl, spectra = (
+            [float(line.rsplit(",", 1)[1]) for line in path.read_text().splitlines()[skip:]]
+            for path, skip in ((kl_path, 2), (spectra_path, 1))
+        )
+    w, m = result.js.size, len(result.labels)
+    return result, np.reshape(kl, (w, m, m)), np.reshape(spectra, (w, m, cfg.width - 1))
+
+
+# Test ids of the dump keywords, kept from the writer functions they replaced.
+DUMP_IDS = {"dump_kl": "write_kl_csv", "dump_spectra": "write_spectra_csv"}
 
 
 class TestAnalyze:
@@ -237,8 +249,7 @@ class TestKernelOracle:
         # inside the window range.
         chunk = pipeline.CHUNK_SAMPLES if chunk_windows is None else chunk_windows * m * width
         with mock.patch.object(pipeline, "CHUNK_SAMPLES", chunk):
-            result = analyze(panel, cfg)
-            spectra, kls = chunk_arrays(panel, cfg, "spectra", "kl")
+            result, kls, spectra = dumped(panel, cfg)
 
         scored = np.flatnonzero(~flat)
         assert result.gap_times.tolist() == (np.flatnonzero(flat) * width * 60.0).tolist()
@@ -311,8 +322,7 @@ class TestLinBound:
         panel = SignalPanel(np.vstack([a] + [b] * 11), tuple(f"c{i:02d}" for i in range(12)), 1.0)
         weights = (0.45,) + (0.01,) * 10 + (0.45,)
         cfg = AnalysisConfig(width=128, weights=weights)
-        result = analyze(panel, cfg)
-        (kl,) = chunk_arrays(panel, cfg, "kl")
+        result, kl, _ = dumped(panel, cfg)
         w = np.array(weights)
         assert result.js[0] <= w @ kl[0] @ w
         # The uniform mean is no bound once the weights are skewed.
@@ -344,8 +354,7 @@ class TestLinBound:
             width=width, stride=width, weights=weights, kl_floor=floor_share / (width - 1)
         )
         panel = SignalPanel(values, tuple(f"c{i}" for i in range(m)), 1.0)
-        result = analyze(panel, cfg)
-        (kl,) = chunk_arrays(panel, cfg, "kl")
+        result, kl, _ = dumped(panel, cfg)
         w = np.full(m, 1 / m) if uniform else np.array(weights)
         assert np.all(result.js <= np.einsum("m,wmn,n->w", w, kl, w) + 1e-9)
         if uniform:
@@ -462,27 +471,29 @@ class TestMetricsCsv:
 
     def test_kl_dump_long_format(self, tmp_path):
         panel = noise_panel(m=2, length=128)
-        cfg = AnalysisConfig(width=128)
         path = tmp_path / "kl.csv"
-        write_kl_csv(panel, cfg, path)
+        result = analyze(panel, AnalysisConfig(width=128), dump_kl=path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# channels=ch0|ch1"
         assert lines[1] == "window_start_time,l,m,kl"
         assert len(lines) == 2 + 4  # one window, 2x2 matrix
         cells = [line.split(",") for line in lines[2:]]
-        (kl,) = chunk_arrays(panel, cfg, "kl")
-        assert [float(c[3]) for c in cells] == kl[0].ravel().tolist()
+        assert [c[:3] for c in cells] == [["1970-01-01T00:00:00Z", l, j] for l in "01" for j in "01"]
+        kl = [float(c[3]) for c in cells]
+        assert kl[0] == kl[3] == 0.0 and kl[1] > 0.0 and kl[2] > 0.0
+        assert result.mean_kl[0] == pytest.approx(sum(kl) / 4, rel=1e-12)
 
     def test_spectra_dump(self, tmp_path):
         panel = noise_panel(m=2, length=128)
-        cfg = AnalysisConfig(width=128)
         path = tmp_path / "spectra.csv"
-        write_spectra_csv(panel, cfg, path)
+        analyze(panel, AnalysisConfig(width=128), dump_spectra=path)
         lines = path.read_text().splitlines()
         assert lines[0] == "window_start_time,channel,frequency,prob"
         assert len(lines) == 1 + 2 * 127
-        (spectra,) = chunk_arrays(panel, cfg, "spectra")
-        assert lines[1] == f"1970-01-01T00:00:00Z,ch0,{1 / 128!r},{float(spectra[0, 0, 0])!r}"
+        stamp, channel, freq, prob = lines[1].split(",")
+        assert (stamp, channel, freq) == ("1970-01-01T00:00:00Z", "ch0", repr(1 / 128))
+        power = direct_periodogram(panel.values[0], 1.0)[1:]
+        assert float(prob) == pytest.approx(power[0] / power.sum(), rel=1e-10)
 
     @pytest.mark.parametrize("chunk_windows", [1, 2, 3])
     def test_dumps_stream_every_scored_window_once(self, tmp_path, chunk_windows):
@@ -493,14 +504,11 @@ class TestMetricsCsv:
         cfg = AnalysisConfig(width=64, stride=32, channels=("c", "a", "b"))
         whole = tmp_path / "whole"
         whole.mkdir()
-        write_kl_csv(panel, cfg, whole / "kl.csv")
-        write_spectra_csv(panel, cfg, whole / "spectra.csv")
+        result = analyze(panel, cfg, dump_kl=whole / "kl.csv", dump_spectra=whole / "spectra.csv")
         with mock.patch.object(pipeline, "CHUNK_SAMPLES", chunk_windows * 3 * 64):
-            write_kl_csv(panel, cfg, tmp_path / "kl.csv")
-            write_spectra_csv(panel, cfg, tmp_path / "spectra.csv")
+            analyze(panel, cfg, dump_kl=tmp_path / "kl.csv", dump_spectra=tmp_path / "spectra.csv")
         for name in ("kl.csv", "spectra.csv"):
             assert (tmp_path / name).read_bytes() == (whole / name).read_bytes()
-        result = analyze(panel, cfg)
         assert result.js.size == 10 and result.gap_times.size == 3
         kl_lines = (tmp_path / "kl.csv").read_text().splitlines()
         assert kl_lines[0] == "# channels=c|a|b"
@@ -511,34 +519,87 @@ class TestMetricsCsv:
         assert kl_stamps == [s for s in stamps for _ in range(9)]
         assert spectra_stamps == [s for s in stamps for _ in range(3 * 63)]
 
-    @pytest.mark.parametrize("write", [write_kl_csv, write_spectra_csv])
-    def test_refused_panel_leaves_no_dump(self, tmp_path, write):
+    @pytest.mark.parametrize("dump", DUMP_IDS, ids=DUMP_IDS.get)
+    def test_refused_panel_leaves_no_dump(self, tmp_path, dump):
         path = tmp_path / "dump.csv"
         with pytest.raises(AnalysisError, match="need at least 2 channels"):
-            write(noise_panel(m=1, length=128), AnalysisConfig(width=128), path)
+            analyze(noise_panel(m=1, length=128), AnalysisConfig(width=128), **{dump: path})
         with pytest.raises(AnalysisError, match="shorter than window"):
-            write(noise_panel(m=2, length=100), AnalysisConfig(width=128), path)
+            analyze(noise_panel(m=2, length=100), AnalysisConfig(width=128), **{dump: path})
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "write, label",
-        [(write_kl_csv, "a,b"), (write_kl_csv, "a|b"), (write_spectra_csv, "a,b"), (write_spectra_csv, ' a"b')],
+        "dump, label",
+        [("dump_kl", "a,b"), ("dump_kl", "a|b"), ("dump_spectra", "a,b"), ("dump_spectra", ' a"b')],
+        ids=DUMP_IDS.get,
     )
-    def test_unsplittable_label_is_refused_before_writing(self, tmp_path, write, label):
+    def test_unsplittable_label_is_refused_before_writing(self, tmp_path, dump, label):
         panel = SignalPanel(noise_panel(m=2, length=128).values, (label, "c"), 1.0)
         path = tmp_path / "dump.csv"
+        other = {"dump_kl": "dump_spectra", "dump_spectra": "dump_kl"}[dump]
         with pytest.raises(FormatError, match=re.escape(f"column name {label!r} cannot be written")):
-            write(panel, AnalysisConfig(width=128), path)
-        assert not path.exists()
+            analyze(panel, AnalysisConfig(width=128), **{dump: path, other: tmp_path / "other.csv"})
+        assert list(tmp_path.iterdir()) == []
 
     def test_dump_labels_keep_inner_spaces_and_spectra_bars(self, tmp_path):
         panel = SignalPanel(noise_panel(m=2, length=128).values, ("a b", "c|d"), 1.0)
-        write_spectra_csv(panel, AnalysisConfig(width=128), tmp_path / "spectra.csv")
+        analyze(panel, AnalysisConfig(width=128), dump_spectra=tmp_path / "spectra.csv")
         channels = {line.split(",")[1] for line in (tmp_path / "spectra.csv").read_text().splitlines()[1:]}
         assert channels == {"a b", "c|d"}
         spaced = SignalPanel(panel.values, ("a b", "c"), 1.0)
-        write_kl_csv(spaced, AnalysisConfig(width=128), tmp_path / "kl.csv")
+        analyze(spaced, AnalysisConfig(width=128), dump_kl=tmp_path / "kl.csv")
         assert (tmp_path / "kl.csv").read_text().startswith("# channels=a b|c\n")
+
+    def test_both_dumps_score_each_window_once(self, tmp_path):
+        panel = noise_panel(m=3, length=64 * 11, seed=4)
+        cfg = AnalysisConfig(width=64, stride=64)
+        spectra = mock.Mock(wraps=pipeline.power_spectra)
+        with mock.patch.object(pipeline, "CHUNK_SAMPLES", 2 * 3 * 64), \
+                mock.patch.object(pipeline, "power_spectra", spectra):
+            result = analyze(panel, cfg, dump_kl=tmp_path / "kl.csv", dump_spectra=tmp_path / "s.csv")
+        assert result.js.size == 11
+        assert [call.args[0].shape for call in spectra.call_args_list] == [(2, 3, 64)] * 5 + [(1, 3, 64)]
+
+    def test_one_file_for_both_dumps_is_refused(self, tmp_path):
+        path = tmp_path / "dump.csv"
+        with pytest.raises(ConfigurationError, match="need two files"):
+            analyze(noise_panel(m=2, length=128), AnalysisConfig(width=128), dump_kl=path,
+                    dump_spectra=tmp_path / "." / "dump.csv")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("failure", ["Lin's bound", "write error"])
+    def test_failure_after_opening_removes_the_dumps(self, tmp_path, failure):
+        # The second of four chunks breaks Lin's bound or fills the disk.
+        panel = noise_panel(m=2, length=512, seed=7)
+        kl, spectra = tmp_path / "kl.csv", tmp_path / "spectra.csv"
+        spectra.write_text("an older dump\n")
+        chunks = []
+
+        def zero_on_second_chunk(probs):
+            chunks.append(probs.shape)
+            out = kl_matrices(probs)
+            return out * 0.0 if len(chunks) == 2 and failure == "Lin's bound" else out
+
+        def full_disk(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            write = fh.writelines
+
+            def writelines(lines):
+                if len(chunks) == 2 and failure == "write error":
+                    raise OSError(28, "No space left on device")
+                write(lines)
+
+            fh.writelines = writelines
+            return fh
+
+        error = RuntimeError if failure == "Lin's bound" else OSError
+        with mock.patch.object(pipeline, "CHUNK_SAMPLES", 2 * 2 * 64), \
+                mock.patch.object(pipeline, "kl_matrices", zero_on_second_chunk), \
+                mock.patch.object(pipeline, "open", full_disk, create=True):
+            with pytest.raises(error):
+                analyze(panel, AnalysisConfig(width=64, stride=64), dump_kl=kl, dump_spectra=spectra)
+        assert len(chunks) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 def metric_result(js, stamps=None, mean_kl=None, stride="64"):

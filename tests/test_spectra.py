@@ -17,7 +17,7 @@ from specdist.spectra import (
     spectral_entropy,
 )
 
-from oracles import direct_periodogram, scalar_entropy
+from oracles import direct_periodogram, folded_mode, scalar_entropy
 
 
 def make_panel(values, dt=1.0):
@@ -196,6 +196,19 @@ class TestModeFrequency:
         oracle = direct_periodogram(x, 1.0)
         assert oracle[8] == pytest.approx(float(np.max(oracle[1:])), rel=1e-12)
 
+
+    def test_nyquist_bin_counts_once(self):
+        # Nyquist holds 0.277 of the power and the tone at bin 20 0.385: the
+        # Nyquist bin is its own mirror, so adding it to itself would make
+        # it the mode.
+        n = 128
+        k = np.arange(n)
+        x = np.cos(2 * np.pi * 20 * k / n) + 0.6 * (-1.0) ** k
+        ns = normalize_spectrum(periodogram(make_panel(x), 0, 0, n), 1.0)
+        assert ns.probs[63] == pytest.approx(0.277, abs=1e-3)
+        assert ns.probs[19] + ns.probs[107] == pytest.approx(0.385, abs=1e-3)
+        assert mode_frequency(ns) == 20 / 128
+        assert folded_mode(ns.probs.tolist(), n, 1.0) == 20 / 128
 
     @given(
         width=st.integers(4, 65),
