@@ -26,9 +26,11 @@ import sys
 from dataclasses import fields, replace
 
 from . import pipeline
-from .errors import ConfigurationError, SpecdistError
+from .errors import AnalysisError, ConfigurationError, SpecdistError
 from .distances import DEFAULT_KL_FLOOR
-from .ingest import TRANSFORMS, read_panel_csv, read_ticks, resample, write_panel_csv
+from .ingest import (
+    TRANSFORMS, _removed_on_failure, read_panel_csv, read_ticks, resample, write_panel_csv
+)
 from .simulator import SimConfig, load_sim_config, run_simulation
 
 EXIT_OK = 0
@@ -148,12 +150,23 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         for problem in parsed.problems:
             print(f"specdist: warning   {problem}", file=sys.stderr)
     activity, rates = resample(parsed, args.dt, args.side)
+    if args.rates_out and rates.length == 0:
+        raise AnalysisError(
+            f"{args.ticks}: no rate series: fewer than two buckets after every instrument quoted"
+        )
     meta = {"side": args.side, "dt": repr(args.dt), "transform": "raw"}
-    if args.activity_out:
-        write_panel_csv(activity, args.activity_out, meta)
-    if args.rates_out:
-        write_panel_csv(rates, args.rates_out, meta)
+    _write_panels(meta, (args.activity_out, activity), (args.rates_out, rates))
     return EXIT_OK
+
+
+def _write_panels(meta, *outputs) -> None:
+    """Write each `(path, panel)` of `outputs` that has a path, or none of
+    them: a failed write removes the files written before it."""
+    with _removed_on_failure() as written:
+        for path, panel in outputs:
+            if path:
+                write_panel_csv(panel, path, meta)
+                written.append(path)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -170,8 +183,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         weights=weights,
         kl_floor=args.floor,
     )
-    result = pipeline.analyze(panel, cfg, dump_kl=args.dump_kl, dump_spectra=args.dump_spectra)
-    pipeline.write_metrics_csv(result, args.out)
+    # The metrics file is written after `analyze` has closed its dumps, so
+    # a failed write removes them too.
+    with _removed_on_failure() as written:
+        result = pipeline.analyze(
+            panel, cfg, dump_kl=args.dump_kl, dump_spectra=args.dump_spectra
+        )
+        written.extend(path for path in (args.dump_kl, args.dump_spectra) if path)
+        pipeline.write_metrics_csv(result, args.out)
     return EXIT_OK
 
 
@@ -198,10 +217,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     rates, activity = run_simulation(cfg)
     meta = {"source": "simulate", **cfg.provenance(), "transform": "raw"}
-    if args.rates_out:
-        write_panel_csv(rates, args.rates_out, meta)
-    if args.activity_out:
-        write_panel_csv(activity, args.activity_out, meta)
+    _write_panels(meta, (args.rates_out, rates), (args.activity_out, activity))
     return EXIT_OK
 
 

@@ -6,79 +6,29 @@ their mixture, the Kullback-Leibler distance measures how far one member
 sits from another (asymmetric), and the mean of the full KL matrix
 (diagonal included) gives a single dispersion number per window.  All
 values are in nats.
+
+Each metric is one array kernel over a (..., M, B) stack of M member
+distributions on B bins, frequency on the last axis: `js_divergences`,
+`kl_matrices` and `mean_kls`, with `floored` for the KL floor.  The
+kernels take rows as `spectra.normalize_power` makes them (nonnegative,
+summing to one) and weights as `AnalysisConfig` checks them; they do not
+re-check either.  The fits below guard their own inputs.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateFitError,
-    DimensionError,
-    UndefinedCorrelationError,
-)
-from .spectra import NormalizedSpectrum, entropies
+from .errors import DegenerateFitError, DimensionError, UndefinedCorrelationError
+from .spectra import entropies
 
 # Default clamp applied to both arguments of a KL distance before
 # renormalizing.  Keeps distances finite on spectra with empty bins while
 # leaving typical tapered-periodogram spectra (strictly positive bins)
 # untouched.  Pass floor=0 for the literal definition, which may be +inf.
 DEFAULT_KL_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Strictly positive mixture weights summing to one."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a non-empty 1-D array")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("weights must be finite and strictly positive")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 within 1e-12, got {float(w.sum())!r}")
-        frozen = w.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(self, "weights", frozen)
-
-    @classmethod
-    def uniform(cls, m: int) -> "WeightVector":
-        if m < 1:
-            raise ValueError("need at least one weight")
-        return cls(np.full(m, 1.0 / m))
-
-    @property
-    def size(self) -> int:
-        return self.weights.size
-
-    def entropy(self) -> float:
-        """Shannon entropy of the weights; an upper bound for the JS divergence."""
-        return float(entropies(self.weights))
-
-
-def _check_same_grid(p: NormalizedSpectrum, q: NormalizedSpectrum) -> None:
-    if p.probs.size != q.probs.size or p.dt != q.dt:
-        raise DimensionError(
-            f"spectra on different grids: ({p.probs.size} bins, dt={p.dt}) vs "
-            f"({q.probs.size} bins, dt={q.dt})"
-        )
-
-
-def _stack(spectra: Sequence[NormalizedSpectrum]) -> np.ndarray:
-    """Member distributions of an ensemble as an (M, N-1) array."""
-    spectra = tuple(spectra)
-    if len(spectra) < 2:
-        raise DimensionError("an ensemble needs at least two spectra")
-    for s in spectra[1:]:
-        _check_same_grid(spectra[0], s)
-    return np.vstack([s.probs for s in spectra])
 
 
 def floored(probs: np.ndarray, floor: float) -> np.ndarray:
@@ -95,7 +45,8 @@ def js_divergences(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """JS divergence of each (M, B) ensemble in a (..., M, B) stack.
 
     H(sum_j pi_j p_j) - sum_j pi_j H(p_j), clamped at zero against
-    rounding.
+    rounding: zero exactly when all members coincide, and at most the
+    entropy of the weights.
     """
     mixture = np.matmul(weights, probs)
     return np.maximum(entropies(mixture) - entropies(probs) @ weights, 0.0)
@@ -127,54 +78,6 @@ def mean_kls(kl: np.ndarray) -> np.ndarray:
     """Mean of all M*M entries of each KL matrix, zero diagonal included."""
     m = kl.shape[-1]
     return kl.sum(axis=(-2, -1)) / (m * m)
-
-
-def kl_spectral_distance(
-    p: NormalizedSpectrum, q: NormalizedSpectrum, floor: float = DEFAULT_KL_FLOOR
-) -> float:
-    """Relative entropy sum p*log(p/q) between two spectra, in nats.
-
-    With floor > 0 both distributions are clamped below by `floor` and
-    renormalized first, which keeps the result finite.  With floor = 0 the
-    definition is applied literally: bins where p = 0 contribute nothing,
-    and a bin with p > 0 but q = 0 makes the distance +inf.
-    """
-    return float(kl_matrices(floored(_stack((p, q)), floor))[0, 1])
-
-
-def js_spectral_divergence(
-    spectra: Sequence[NormalizedSpectrum], weights: WeightVector | None = None
-) -> float:
-    """Jensen-Shannon divergence of two or more spectra, in nats.
-
-    H(sum_j pi_j p_j) - sum_j pi_j H(p_j) with the entropy of the
-    weighted mixture taken first.  Nonnegative, zero exactly when all
-    members coincide, and bounded above by the entropy of the weights.
-    Weights default to uniform.
-    """
-    probs = _stack(spectra)
-    w = weights if weights is not None else WeightVector.uniform(len(probs))
-    if w.size != len(probs):
-        raise DimensionError(f"{len(probs)} spectra but {w.size} weights")
-    return float(js_divergences(probs, w.weights))
-
-
-def kl_matrix(
-    spectra: Sequence[NormalizedSpectrum], floor: float = DEFAULT_KL_FLOOR
-) -> np.ndarray:
-    """All pairwise KL distances; entry (l, m) is KL(p_l, p_m).
-
-    The diagonal is exactly zero.  The matrix is generally asymmetric.
-    """
-    return kl_matrices(floored(_stack(spectra), floor))
-
-
-def mean_kl(matrix: np.ndarray) -> float:
-    """Mean of all M*M entries of a KL matrix, zero diagonal included."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return float(mean_kls(a))
 
 
 def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:

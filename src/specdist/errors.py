@@ -25,7 +25,7 @@ class AlignmentError(FormatError):
 
 
 class DimensionError(FormatError):
-    """Mismatched lengths, frequency grids, or non-square matrices."""
+    """Metric series of mismatched shape or length, or too short to fit."""
 
 
 class ConfigurationError(SpecdistError):
@@ -44,10 +44,6 @@ class AnalysisError(SpecdistError):
     exit_code = 6
 
 
-class DegenerateSpectrumError(AnalysisError):
-    """All AC power is zero; no probability distribution can be formed."""
-
-
 class TransformError(AnalysisError):
     """Requested value transform is undefined for the given data."""
 
@@ -58,7 +54,3 @@ class UndefinedCorrelationError(AnalysisError):
 
 class DegenerateFitError(AnalysisError):
     """Proportionality fit requested against an all-zero regressor."""
-
-
-class OutOfRangeError(AnalysisError):
-    """Requested window does not fit inside the series."""

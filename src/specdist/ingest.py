@@ -12,10 +12,12 @@ bucket where every instrument has one.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import heapq
 import math
+import os
 import re
 from array import array
 from dataclasses import dataclass, field
@@ -245,16 +247,33 @@ def _check_names(path, names, also: str = "") -> None:
             raise FormatError(f"{path}: column name {name!r} cannot be written to a table")
 
 
+@contextlib.contextmanager
+def _removed_on_failure():
+    """Yield a list for the paths of the files the block has opened for
+    writing; if the block raises, remove each of them and re-raise.  A file
+    the block never opened is not in the list, so it stays untouched."""
+    written: list = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _write_table(path, header, times, rows, meta: Mapping[str, str], marks=()) -> None:
     """Write a stamped table: a `# key=value ...` line of `meta`, the header,
     and one `<time>,<repr of each float>` row per increasing epoch time in
     seconds.  Each `(key, seconds)` of `marks` becomes a `# key=<time>` line
     among the rows, in time order.  A header name `_check_names` refuses is
-    a `FormatError`, raised before the file is opened."""
+    a `FormatError`, raised before the file is opened; a failed write
+    removes the file."""
     _check_names(path, header)
     body = ((t, f"{format_rfc3339(t)},{','.join(map(repr, row))}\n") for t, row in zip(times, rows))
     notes = ((t, f"# {key}={format_rfc3339(t)}\n") for key, t in marks)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _removed_on_failure() as written, open(path, "w", encoding="utf-8", newline="") as fh:
+        written.append(path)
         fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         fh.write(",".join(header) + "\n")
         fh.writelines(line for _, line in heapq.merge(body, notes, key=itemgetter(0)))

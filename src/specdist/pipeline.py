@@ -24,7 +24,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .distances import (
-    WeightVector,
     cross_correlation,
     fit_affine,
     fit_proportionality,
@@ -42,7 +41,14 @@ from .errors import (
     InvalidWindowError,
 )
 from .ingest import (
-    TRANSFORMS, _check_names, _read_table, _write_table, format_rfc3339, parse_rfc3339, transform_panel
+    TRANSFORMS,
+    _check_names,
+    _read_table,
+    _removed_on_failure,
+    _write_table,
+    format_rfc3339,
+    parse_rfc3339,
+    transform_panel,
 )
 from .simulator import SimConfig, run_simulation
 from .spectra import (
@@ -65,7 +71,11 @@ CHUNK_SAMPLES = 1 << 14
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Window geometry and metric options for a sliding-window run."""
+    """Window geometry and metric options for a sliding-window run.
+
+    Custom `weights` must be finite, strictly positive and sum to one within
+    1e-12; `analyze` checks that there is one per analyzed channel.
+    """
 
     width: int = 128
     stride: int | None = None
@@ -89,13 +99,19 @@ class AnalysisConfig:
                 f"KL floor must be in [0, 1/(width-1)) = [0, {1 / (self.width - 1)!r}), "
                 f"got {self.kl_floor!r}"
             )
+        if self.weights is not None:
+            w = np.array([float(x) for x in self.weights])
+            if not (np.all(np.isfinite(w)) and np.all(w > 0)):
+                raise ConfigurationError(f"weights must be finite and positive, got {w.tolist()!r}")
+            total = float(w.sum())
+            if abs(total - 1.0) > 1e-12:
+                raise ConfigurationError(f"weights must sum to 1 within 1e-12, got {total!r}")
+            object.__setattr__(self, "weights", tuple(w.tolist()))
         object.__setattr__(self, "width", int(self.width))
         if self.stride is not None:
             object.__setattr__(self, "stride", int(self.stride))
         if self.channels is not None:
             object.__setattr__(self, "channels", tuple(self.channels))
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     @property
     def effective_stride(self) -> int:
@@ -107,7 +123,7 @@ class AnalysisConfig:
             "stride": str(self.effective_stride),
             "transform": self.transform,
             "floor": repr(self.kl_floor),
-            "weights": "custom" if self.weights else "uniform",
+            "weights": ",".join(map(repr, self.weights)) if self.weights else "uniform",
         }
         spec = " ".join(f"{k}={v}" for k, v in fields.items())
         return {"cfg": hashlib.sha256(spec.encode()).hexdigest()[:12], **fields}
@@ -173,14 +189,11 @@ def _prepared(panel: SignalPanel, cfg: AnalysisConfig) -> tuple[SignalPanel, np.
     panel = transform_panel(panel, cfg.transform)
     if panel.length < cfg.width:
         raise AnalysisError(f"panel of {panel.length} samples is shorter than window {cfg.width}")
-    weights = (
-        WeightVector(np.array(cfg.weights))
-        if cfg.weights is not None
-        else WeightVector.uniform(panel.n_channels)
-    )
-    if weights.size != panel.n_channels:
-        raise AnalysisError(f"{weights.size} weights for {panel.n_channels} channels")
-    return panel, weights.weights
+    m = panel.n_channels
+    weights = np.array(cfg.weights) if cfg.weights is not None else np.full(m, 1.0 / m)
+    if weights.size != m:
+        raise AnalysisError(f"{weights.size} weights for {m} channels")
+    return panel, weights
 
 
 def analyze(
@@ -216,9 +229,10 @@ def analyze(
     windows = sliding_window_view(panel.values, cfg.width, axis=1)[:, ::stride].swapaxes(0, 1)
     step = max(1, CHUNK_SAMPLES // (m * cfg.width))
     kept, files = [], {}
-    try:
+    with _removed_on_failure() as written, contextlib.ExitStack() as opened:
         for kind, (path, head) in dumps.items():
-            files[kind] = open(path, "w", encoding="utf-8", newline="")
+            files[kind] = opened.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            written.append(path)
             files[kind].write(head)
         for lo in range(0, len(windows), step):
             chunk = windows[lo : lo + step]
@@ -246,14 +260,6 @@ def analyze(
                         )
             kept.append((starts, times, constant, silent, js, metrics["mean_kl"],
                          metrics["entropies"], metrics["modes"]))
-        for fh in files.values():
-            fh.close()
-    except BaseException:
-        for fh in files.values():
-            with contextlib.suppress(OSError):
-                fh.close()
-            os.remove(fh.name)
-        raise
 
     starts, times, constant, silent, js, mean_kl, ents, modes = map(np.concatenate, zip(*kept))
     skipped = constant | silent

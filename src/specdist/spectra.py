@@ -7,11 +7,13 @@ over positive frequencies.  Spectral entropy (in nats) and the mode
 frequency are statistics of that distribution: a flat spectrum maximizes
 the entropy at log(N-1), a single-bin spectrum has entropy zero.
 
-Each estimator is written once, over arrays whose last axis is the
-frequency axis, so the same code scores one window or a
-(windows, channels, bins) stack of them.  The one-window functions
-(`periodogram`, `normalize_spectrum`, `spectral_entropy`,
-`mode_frequency`) validate their input and call those array kernels.
+Each estimator is one array kernel whose last axis is the frequency
+axis, so the same call scores one segment or a (windows, channels, bins)
+stack of them: `power_spectra` (raw bins, DC first), `normalize_power`
+(probabilities and a mask of spectra with no AC power), `entropies` and
+`mode_frequencies`.  The kernels take rows as `normalize_power` makes
+them and do not re-check them; the checks guard outside input instead
+(`SignalPanel`, `hanning_window`, `AnalysisConfig`).
 """
 
 from __future__ import annotations
@@ -20,17 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InvalidWindowError, OutOfRangeError
+from .errors import InvalidWindowError
 
 # Probabilities at or below this are treated as exact zeros in entropy sums
 # (the 0*log(0) = 0 convention, extended to denormal-range values).
 ENTROPY_PROB_FLOOR = 1e-300
-
-
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,9 @@ class SignalPanel:
             raise ValueError(f"sampling period must be positive, got {self.dt}")
         if not np.isfinite(self.t0):
             raise ValueError(f"start time t0 must be finite epoch seconds, got {self.t0}")
-        object.__setattr__(self, "values", _frozen_array(v))
+        v = v.copy(order="K")  # keeps the layout, which sets numpy's summation order
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "t0", round(float(self.t0) * 1000) / 1000)
@@ -102,42 +100,6 @@ class SignalPanel:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"no channel named {label!r}") from None
-
-
-@dataclass(frozen=True)
-class NormalizedSpectrum:
-    """Probability distribution over the N-1 positive-frequency bins.
-
-    The DC bin is absent by construction; `probs[i]` is the mass at bin
-    n = i+1, frequency (i+1)/(N*dt).
-    """
-
-    probs: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("normalized spectrum must be a non-empty 1-D array")
-        if not np.all(np.isfinite(p)) or np.any(p < 0):
-            raise ValueError("probabilities must be finite and nonnegative")
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"sampling period must be positive, got {self.dt}")
-        object.__setattr__(self, "probs", _frozen_array(p))
-        object.__setattr__(self, "dt", float(self.dt))
-
-    @property
-    def width(self) -> int:
-        """The underlying window width N (one more than the bin count)."""
-        return self.probs.size + 1
-
-    @property
-    def freqs(self) -> np.ndarray:
-        """Bin frequencies f_n = n/(N*dt), n = 1..N-1."""
-        return bin_frequencies(self.width, self.dt)
 
 
 def hanning_window(width: int) -> np.ndarray:
@@ -183,7 +145,9 @@ def normalize_power(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def entropies(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy -sum p*log(p) over the last axis, in nats.
 
-    Bins at or below ENTROPY_PROB_FLOOR contribute nothing.
+    Bins at or below ENTROPY_PROB_FLOOR contribute nothing.  A distribution
+    over B bins scores in [0, log(B)], reaching the top exactly when it is
+    uniform.
     """
     live = np.where(probs > ENTROPY_PROB_FLOOR, probs, 1.0)
     return -(probs * np.log(live)).sum(axis=-1) + 0.0
@@ -202,40 +166,3 @@ def mode_frequencies(probs: np.ndarray, dt: float) -> np.ndarray:
     folded[..., : (n - 1) // 2] += probs[..., ::-1][..., : (n - 1) // 2]
     return bin_frequencies(n, dt)[np.argmax(folded, axis=-1)]
 
-
-def periodogram(panel: SignalPanel, channel: int, start: int, width: int) -> np.ndarray:
-    """Raw periodogram bins P(f_n), n = 0..N-1, of one channel segment.
-
-    The segment is `width` samples of row `channel` from offset `start`.
-    """
-    if start < 0 or start + width > panel.length:
-        raise OutOfRangeError(
-            f"window [{start}, {start + width}) overruns series of length {panel.length}"
-        )
-    return power_spectra(panel.values[channel, start : start + width])
-
-
-def normalize_spectrum(power: np.ndarray, dt: float) -> NormalizedSpectrum:
-    """Turn raw periodogram bins (DC first) into a NormalizedSpectrum.
-
-    Raises DegenerateSpectrumError when the AC bins carry no power at all
-    (a constant window); the caller decides whether to skip or substitute.
-    """
-    probs, empty = normalize_power(np.asarray(power, dtype=np.float64))
-    if np.any(empty):
-        raise DegenerateSpectrumError("all AC power is zero (constant window)")
-    return NormalizedSpectrum(probs, dt)
-
-
-def spectral_entropy(spectrum: NormalizedSpectrum) -> float:
-    """Shannon entropy of the spectrum, in nats.
-
-    Zero-probability bins contribute nothing; the result lies in
-    [0, log(N-1)], reaching the top exactly when the spectrum is uniform.
-    """
-    return float(entropies(spectrum.probs))
-
-
-def mode_frequency(spectrum: NormalizedSpectrum) -> float:
-    """Frequency of the largest folded bin (see `mode_frequencies`)."""
-    return float(mode_frequencies(spectrum.probs, spectrum.dt))

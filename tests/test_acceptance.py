@@ -15,19 +15,19 @@ from specdist.cli import main as cli_main
 from specdist.distances import (
     cross_correlation,
     fit_proportionality,
-    js_spectral_divergence,
-    kl_matrix,
-    mean_kl,
+    floored,
+    js_divergences,
+    kl_matrices,
+    mean_kls,
 )
 from specdist.pipeline import AnalysisConfig, analyze, compare_metric_series, entropy_sweep
 from specdist.simulator import SimConfig, run_simulation
 from specdist.spectra import (
-    NormalizedSpectrum,
     SignalPanel,
-    mode_frequency,
-    normalize_spectrum,
-    periodogram,
-    spectral_entropy,
+    entropies,
+    mode_frequencies,
+    normalize_power,
+    power_spectra,
 )
 
 from conftest import DATA_DIR
@@ -96,11 +96,9 @@ def test_criterion_1_mean_kl_dominates_js(
         m = (2, 5, 20)[i % 3]
         bins = (15, 127)[i % 2]  # windows of width 16 and 128
         sharpness = rng.uniform(0.3, 6.0)
-        members = tuple(
-            NormalizedSpectrum(random_spectrum(rng, bins, sharpness), 1.0)
-            for _ in range(m)
-        )
-        gap = mean_kl(kl_matrix(members, floor=1e-12)) - js_spectral_divergence(members)
+        members = np.array([random_spectrum(rng, bins, sharpness) for _ in range(m)])
+        mean_kl = mean_kls(kl_matrices(floored(members, 1e-12)))
+        gap = float(mean_kl - js_divergences(members, np.full(m, 1.0 / m)))
         worst = min(worst, gap)
         checked += 1
 
@@ -148,8 +146,7 @@ def test_criterion_4_periodogram_oracle():
     for i in range(100):
         n = (8, 64, 128, 256)[i % 4]
         x = rng.normal(size=n)
-        panel = SignalPanel(x[None, :], ("x",), 1.0)
-        fast = periodogram(panel, 0, 0, n)
+        fast = power_spectra(x)
         direct = direct_periodogram(x, 1.0)
         rel = np.abs(fast - direct) / np.maximum(np.abs(direct), 1e-300)
         worst = max(worst, float(rel.max()))
@@ -159,9 +156,8 @@ def test_criterion_4_periodogram_oracle():
 
 def tone_stats(n, tone_bin):
     x = np.cos(2 * np.pi * np.arange(n) * tone_bin / n)
-    panel = SignalPanel(x[None, :], ("tone",), 1.0)
-    spectrum = normalize_spectrum(periodogram(panel, 0, 0, n), panel.dt)
-    return spectral_entropy(spectrum), mode_frequency(spectrum)
+    probs, _ = normalize_power(power_spectra(x))
+    return float(entropies(probs)), float(mode_frequencies(probs, 1.0))
 
 
 def test_criterion_5_entropy_extremes():
@@ -175,10 +171,10 @@ def test_criterion_5_entropy_extremes():
     """
     delta = np.zeros(127)
     delta[8] = 1.0
-    h_delta = spectral_entropy(NormalizedSpectrum(delta, 1.0))
+    h_delta = float(entropies(delta))
 
     uniform = np.full(127, 1.0 / 127)
-    h_uniform = spectral_entropy(NormalizedSpectrum(uniform, 1.0))
+    h_uniform = float(entropies(uniform))
 
     h_nyq, mode_nyq = tone_stats(128, 64)
     h_big, mode_big = tone_stats(1024, 96)
@@ -220,8 +216,9 @@ def test_criterion_7_synthetic_diurnal_cycle(diurnal_metrics):
     js = diurnal_metrics.js
     assert js.size >= 360
     js_panel = SignalPanel(js[None, :360], ("js",), 16.0)  # stride 16 -> dt 16 min
-    spectrum = normalize_spectrum(periodogram(js_panel, 0, 0, 360), js_panel.dt)
-    mode = mode_frequency(spectrum)
+    probs, empty = normalize_power(power_spectra(js_panel.values[0]))
+    assert not empty
+    mode = float(mode_frequencies(probs, js_panel.dt))
     target = 1.0 / 1440.0
     bin_width = 1.0 / (360 * 16.0)
     ok = abs(mode - target) <= bin_width + 1e-15

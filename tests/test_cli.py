@@ -80,6 +80,21 @@ class TestIngestCommand:
         assert read_panel_csv(activity).length == 2
         assert run("ingest", str(late), "--rates-out", str(rates)) == 6
 
+    def test_refused_rate_series_writes_no_activity(self, tmp_path, capsys):
+        late = tmp_path / "late.csv"
+        late.write_text(
+            "timestamp,instrument,side,price\n"
+            "2006-10-16T00:00:05Z,EUR/USD,ask,1.2609\n"
+            "2006-10-16T00:01:05Z,EUR/USD,ask,1.2610\n"
+            "2006-10-16T00:01:10Z,USD/JPY,ask,116.2\n"
+        )
+        activity, rates = tmp_path / "a.csv", tmp_path / "r.csv"
+        activity.write_text("kept\n")
+        code = run("ingest", str(late), "--activity-out", str(activity), "--rates-out", str(rates))
+        assert code == 6
+        assert "no rate series" in capsys.readouterr().err
+        assert activity.read_text() == "kept\n" and not rates.exists()
+
 
 class TestAnalyzeCommand:
     def make_panel_csv(self, tmp_path, length=640, m=3, seed=0):
@@ -129,6 +144,25 @@ class TestAnalyzeCommand:
         assert "kind=FormatError" in err and "'c0|1'" in err
         assert not kl.exists()
         assert not (tmp_path / "m.csv").exists()
+
+    def test_unwritable_metrics_file_removes_the_dumps(self, tmp_path, capsys):
+        panel_csv = self.make_panel_csv(tmp_path, length=256, m=2)
+        kl, spectra = tmp_path / "kl.csv", tmp_path / "spectra.csv"
+        code = run(
+            "analyze", str(panel_csv), "--window", "64", "--out", str(tmp_path / "nodir" / "m.csv"),
+            "--dump-kl", str(kl), "--dump-spectra", str(spectra),
+        )
+        assert code == 3
+        assert "kind=FileNotFoundError" in capsys.readouterr().err
+        assert not kl.exists() and not spectra.exists()
+
+    @pytest.mark.parametrize("weights, code", [("-1,2", 5), ("0.5,0.25,0.25", 6)])
+    def test_bad_weights(self, tmp_path, weights, code):
+        panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)
+        out = tmp_path / "m.csv"
+        argv = ("analyze", str(panel_csv), "--window", "64", f"--weights={weights}")
+        assert run(*argv, "--out", str(out)) == code
+        assert not out.exists()
 
     def test_one_file_for_both_dumps_is_config_error(self, tmp_path, capsys):
         panel_csv = self.make_panel_csv(tmp_path, length=128, m=2)
@@ -271,6 +305,16 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "kind=ConfigurationError" in err and "horizon" in err
         assert not out.exists()
+
+    def test_unwritable_activity_file_removes_the_rates(self, tmp_path, capsys):
+        rates = tmp_path / "r.csv"
+        code = run(
+            "simulate", *SMALL_SIM, "--rates-out", str(rates),
+            "--activity-out", str(tmp_path / "nodir" / "a.csv"),
+        )
+        assert code == 3
+        assert "kind=FileNotFoundError" in capsys.readouterr().err
+        assert not rates.exists()
 
     def test_header_records_every_config_field(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -456,11 +500,9 @@ EXIT_CODES = {
     errors.ConfigurationError: 5,
     errors.InvalidWindowError: 5,
     errors.AnalysisError: 6,
-    errors.DegenerateSpectrumError: 6,
     errors.TransformError: 6,
     errors.UndefinedCorrelationError: 6,
     errors.DegenerateFitError: 6,
-    errors.OutOfRangeError: 6,
 }
 
 

@@ -6,21 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdist.distances import (
-    WeightVector,
+    DEFAULT_KL_FLOOR,
     cross_correlation,
     fit_affine,
     fit_proportionality,
-    js_spectral_divergence,
-    kl_matrix,
-    kl_spectral_distance,
-    mean_kl,
+    floored,
+    js_divergences,
+    kl_matrices,
+    mean_kls,
 )
 from specdist.errors import (
+    AnalysisError,
+    ConfigurationError,
     DegenerateFitError,
     DimensionError,
     UndefinedCorrelationError,
 )
-from specdist.spectra import NormalizedSpectrum
+from specdist.pipeline import AnalysisConfig, analyze
+from specdist.spectra import SignalPanel, entropies
 
 from oracles import (
     double_loop_mean,
@@ -31,76 +34,82 @@ from oracles import (
 )
 
 
-def spectrum(probs, dt=1.0):
-    return NormalizedSpectrum(np.asarray(probs, dtype=float), dt)
+def stack(*members):
+    """Member distributions as an (M, B) array, one row each."""
+    return np.array(members, dtype=float)
+
+
+def uniform(m):
+    return np.full(m, 1.0 / m)
+
+
+def kl_pair(p, q, floor=DEFAULT_KL_FLOOR):
+    """KL(p, q): entry (0, 1) of the KL matrix of the stack of p and q."""
+    return kl_matrices(floored(stack(p, q), floor))[0, 1]
+
+
+def kl_matrix(probs, floor=DEFAULT_KL_FLOOR):
+    return kl_matrices(floored(probs, floor))
 
 
 def random_ensemble(rng, m, bins, sharpness=1.0):
-    return tuple(spectrum(random_spectrum(rng, bins, sharpness)) for _ in range(m))
+    return stack(*(random_spectrum(rng, bins, sharpness) for _ in range(m)))
+
+
+def noise_panel(m, length=128, seed=0):
+    rng = np.random.default_rng(seed)
+    return SignalPanel(rng.normal(size=(m, length)), tuple(f"ch{i}" for i in range(m)), 1.0)
 
 
 class TestKlDistance:
     def test_identical_spectra_vanish(self):
-        p = spectrum([0.2, 0.3, 0.5])
-        assert kl_spectral_distance(p, p, floor=1e-12) <= 1e-12
+        p = [0.2, 0.3, 0.5]
+        assert kl_pair(p, p, floor=1e-12) <= 1e-12
 
     def test_disjoint_support_literal_is_infinite(self):
-        p = spectrum([1.0, 0.0, 0.0])
-        q = spectrum([0.0, 1.0, 0.0])
-        assert kl_spectral_distance(p, q, floor=0.0) == math.inf
+        assert kl_pair([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], floor=0.0) == math.inf
 
     def test_two_bin_analytic_value(self):
-        p = spectrum([0.75, 0.25])
-        q = spectrum([0.5, 0.5])
         expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
-        assert kl_spectral_distance(p, q, floor=0.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            kl_spectral_distance(spectrum([0.5, 0.5]), spectrum([0.3, 0.3, 0.4]))
-        with pytest.raises(DimensionError):
-            kl_spectral_distance(spectrum([0.5, 0.5], dt=1.0), spectrum([0.5, 0.5], dt=2.0))
+        assert kl_pair([0.75, 0.25], [0.5, 0.5], floor=0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_scalar_oracle_with_floor(self):
         rng = np.random.default_rng(5)
         for sharpness in (1.0, 4.0):
             p = random_spectrum(rng, 16, sharpness)
             q = random_spectrum(rng, 16, sharpness)
-            got = kl_spectral_distance(spectrum(p), spectrum(q), floor=1e-12)
+            got = kl_pair(p, q, floor=1e-12)
             assert got == pytest.approx(scalar_kl(p, q, 1e-12), rel=1e-10)
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_gibbs_nonnegativity(self, seed):
         rng = np.random.default_rng(seed)
-        p = spectrum(random_spectrum(rng, 12))
-        q = spectrum(random_spectrum(rng, 12))
-        assert kl_spectral_distance(p, q) >= 0.0
-        assert kl_spectral_distance(p, p) <= 1e-12
+        p = random_spectrum(rng, 12)
+        q = random_spectrum(rng, 12)
+        assert kl_pair(p, q) >= 0.0
+        assert kl_pair(p, p) <= 1e-12
 
 
 class TestJsDivergence:
     def test_identical_members_vanish(self):
-        p = spectrum([0.1, 0.2, 0.7])
-        ens = (p, p, p)
-        assert js_spectral_divergence(ens) <= 1e-12
+        p = [0.1, 0.2, 0.7]
+        assert js_divergences(stack(p, p, p), uniform(3)) <= 1e-12
 
     def test_disjoint_deltas_reach_log_two(self):
-        ens = (spectrum([1.0, 0.0]), spectrum([0.0, 1.0]))
-        assert js_spectral_divergence(ens) == pytest.approx(math.log(2), abs=1e-12)
+        js = js_divergences(stack([1.0, 0.0], [0.0, 1.0]), uniform(2))
+        assert js == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hand_computed_two_member_value(self):
-        ens = (spectrum([1.0, 0.0]), spectrum([0.5, 0.5]))
         mixture = [0.75, 0.25]
         expected = scalar_entropy(mixture) - 0.5 * scalar_entropy([1.0, 0.0]) - 0.5 * scalar_entropy([0.5, 0.5])
-        got = js_spectral_divergence(ens)
+        got = js_divergences(stack([1.0, 0.0], [0.5, 0.5]), uniform(2))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.21576, abs=5e-6)
 
     def test_weight_mismatch_rejected(self):
-        ens = (spectrum([0.5, 0.5]), spectrum([0.4, 0.6]))
-        with pytest.raises(DimensionError):
-            js_spectral_divergence(ens, WeightVector.uniform(3))
+        with pytest.raises(AnalysisError, match="3 weights for 2 channels"):
+            analyze(noise_panel(2), AnalysisConfig(width=64, weights=(0.5, 0.25, 0.25)))
 
     @given(
         seed=st.integers(0, 2**16),
@@ -112,24 +121,24 @@ class TestJsDivergence:
         rng = np.random.default_rng(seed)
         ens = random_ensemble(rng, m, bins, sharpness=rng.uniform(0.5, 5.0))
         raw = rng.random(m) + 0.05
-        weights = WeightVector(raw / raw.sum())
-        js = js_spectral_divergence(ens, weights)
-        assert 0.0 <= js <= weights.entropy() + 1e-9
+        weights = raw / raw.sum()
+        js = js_divergences(ens, weights)
+        assert 0.0 <= js <= entropies(weights) + 1e-9
 
     @given(seed=st.integers(0, 2**16), m=st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
     def test_mean_kl_dominates_js(self, seed, m):
         rng = np.random.default_rng(seed)
         ens = random_ensemble(rng, m, 24, sharpness=rng.uniform(0.5, 6.0))
-        js = js_spectral_divergence(ens)
-        mk = mean_kl(kl_matrix(ens, floor=1e-12))
+        js = js_divergences(ens, uniform(m))
+        mk = mean_kls(kl_matrix(ens, floor=1e-12))
         assert mk >= js - 1e-9
 
 
 class TestKlMatrix:
     def test_identical_members_give_zero_matrix(self):
-        p = spectrum([0.25, 0.25, 0.5])
-        matrix = kl_matrix((p, p, p))
+        p = [0.25, 0.25, 0.5]
+        matrix = kl_matrix(stack(p, p, p))
         assert np.all(matrix == 0.0)
 
     def test_diagonal_zero_entries_nonnegative(self):
@@ -141,35 +150,28 @@ class TestKlMatrix:
     def test_matches_per_entry_recomputation(self):
         rng = np.random.default_rng(17)
         members = [random_spectrum(rng, 15) for _ in range(3)]
-        ens = tuple(spectrum(p) for p in members)
-        matrix = kl_matrix(ens, floor=1e-12)
+        matrix = kl_matrix(stack(*members), floor=1e-12)
         for l in range(3):
             for m in range(3):
                 expected = 0.0 if l == m else scalar_kl(members[l], members[m], 1e-12)
                 assert matrix[l, m] == pytest.approx(expected, rel=1e-10, abs=1e-15)
 
     def test_asymmetry_is_real(self):
-        p = spectrum([0.9, 0.05, 0.05])
-        q = spectrum([1 / 3, 1 / 3, 1 / 3])
-        matrix = kl_matrix((p, q))
+        matrix = kl_matrix(stack([0.9, 0.05, 0.05], [1 / 3, 1 / 3, 1 / 3]))
         assert matrix[0, 1] != matrix[1, 0]
 
 
 class TestMeanKl:
     def test_zero_matrix(self):
-        assert mean_kl(np.zeros((3, 3))) == 0.0
+        assert mean_kls(np.zeros((3, 3))) == 0.0
 
     def test_two_by_two(self):
-        assert mean_kl(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.5
+        assert mean_kls(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.5
 
     def test_random_matrix_matches_double_loop(self):
         rng = np.random.default_rng(31)
         matrix = rng.random((20, 20))
-        assert mean_kl(matrix) == pytest.approx(double_loop_mean(matrix.tolist()), rel=1e-12)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            mean_kl(np.zeros((2, 3)))
+        assert mean_kls(matrix) == pytest.approx(double_loop_mean(matrix.tolist()), rel=1e-12)
 
 
 class TestCrossCorrelation:
@@ -241,14 +243,13 @@ class TestProportionalityFit:
 
 class TestContainers:
     def test_weight_vector_validation(self):
-        with pytest.raises(ValueError):
-            WeightVector(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            WeightVector(np.array([1.0, 0.0]))
-        assert WeightVector.uniform(4).entropy() == pytest.approx(math.log(4))
+        for weights in ((0.5, 0.6), (1.0, 0.0), (1.5, -0.5), (0.5, math.nan), (math.inf, 1.0)):
+            with pytest.raises(ConfigurationError, match="weights must"):
+                AnalysisConfig(weights=weights)
+        assert AnalysisConfig(weights=[0.25] * 4).weights == (0.25,) * 4
 
     def test_ensemble_needs_two_members(self):
-        with pytest.raises(DimensionError):
-            kl_matrix((spectrum([1.0]),))
-        with pytest.raises(DimensionError):
-            js_spectral_divergence((spectrum([1.0]),))
+        with pytest.raises(AnalysisError, match="need at least 2 channels"):
+            analyze(noise_panel(1), AnalysisConfig(width=64))
+        with pytest.raises(AnalysisError, match="need at least 2 channels"):
+            analyze(noise_panel(3), AnalysisConfig(width=64, channels=("ch1",)))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdist import pipeline
-from specdist.distances import cross_correlation, fit_proportionality, kl_matrices, kl_matrix
+from specdist.distances import cross_correlation, fit_proportionality, floored, kl_matrices
 from specdist.errors import (
     AlignmentError,
     AnalysisError,
@@ -32,7 +32,7 @@ from specdist.pipeline import (
     write_metrics_csv,
 )
 from specdist.simulator import SimConfig
-from specdist.spectra import NormalizedSpectrum, SignalPanel
+from specdist.spectra import SignalPanel
 
 from oracles import (
     direct_periodogram,
@@ -290,16 +290,16 @@ class TestKernelOracle:
             raw = rng.random(12) * (rng.random(12) < 0.6)
             raw[rng.integers(12)] += 0.5
             members.append(raw / raw.sum())
-        matrix = kl_matrix(tuple(NormalizedSpectrum(p, 1.0) for p in members), floor=0.0)
+        matrix = kl_matrices(floored(np.array(members), 0.0))
         for l in range(m):
             for j in range(m):
                 expected = 0.0 if l == j else scalar_kl(members[l], members[j], 0.0)
                 assert matrix[l, j] == pytest.approx(expected, rel=1e-10, abs=1e-15)
 
     def test_disjoint_support_with_zero_floor_is_infinite(self):
-        p = NormalizedSpectrum(np.array([0.5, 0.5, 0.0, 0.0]), 1.0)
-        q = NormalizedSpectrum(np.array([0.0, 0.0, 0.25, 0.75]), 1.0)
-        matrix = kl_matrix((p, q, p), floor=0.0)
+        p = [0.5, 0.5, 0.0, 0.0]
+        q = [0.0, 0.0, 0.25, 0.75]
+        matrix = kl_matrices(floored(np.array([p, q, p]), 0.0))
         assert matrix[0, 1] == math.inf and matrix[1, 0] == math.inf
         assert matrix[0, 2] == 0.0 and np.all(np.diag(matrix) == 0.0)
 
@@ -377,6 +377,27 @@ class TestMetricsCsv:
         assert np.array_equal(table.entropies, result.entropies)
         assert np.array_equal(table.modes, result.modes)
         assert table.entropies.shape == (result.js.size, 3)
+
+    def test_header_records_the_weights(self, tmp_path):
+        panel = noise_panel(m=3, length=256, seed=11)
+        cfg = AnalysisConfig(width=128, stride=64, weights=(0.8, 0.1, 0.1))
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(analyze(panel, cfg), path)
+        header = read_metrics_csv(path).provenance
+        assert header["weights"] == "0.8,0.1,0.1"
+        again = AnalysisConfig(
+            width=int(header["width"]),
+            stride=int(header["stride"]),
+            transform=header["transform"],
+            weights=tuple(float(w) for w in header["weights"].split(",")),
+            kl_floor=float(header["floor"]),
+        )
+        assert again == cfg and again.provenance() == header
+        # Uniform weights keep their token, and so their digest.
+        assert AnalysisConfig(width=128, stride=64).provenance() == {
+            "cfg": "18a6825c7a7c", "width": "128", "stride": "64", "transform": "raw",
+            "floor": "1e-12", "weights": "uniform",
+        }
 
     def test_gap_rows_are_comments(self, tmp_path):
         rng = np.random.default_rng(3)

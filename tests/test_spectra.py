@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdist.errors import DegenerateSpectrumError, InvalidWindowError, OutOfRangeError
+from specdist.errors import InvalidWindowError
 from specdist.pipeline import AnalysisConfig, analyze
 from specdist.spectra import (
-    NormalizedSpectrum,
     SignalPanel,
+    bin_frequencies,
+    entropies,
     hanning_window,
-    mode_frequency,
-    normalize_spectrum,
-    periodogram,
-    spectral_entropy,
+    mode_frequencies,
+    normalize_power,
+    power_spectra,
 )
 
 from oracles import direct_periodogram, folded_mode, scalar_entropy
@@ -51,14 +51,13 @@ class TestHanningWindow:
 
 class TestPeriodogram:
     def test_zero_input_gives_zero_spectrum(self):
-        panel = make_panel(np.zeros(32))
-        ps = periodogram(panel, 0, 0, 32)
+        ps = power_spectra(np.zeros(32))
         assert np.all(ps == 0.0)
 
     def test_constant_input_scales_window_leakage(self):
         n = 32
-        unit = periodogram(make_panel(np.ones(n)), 0, 0, n)
-        scaled = periodogram(make_panel(np.full(n, 3.0)), 0, 0, n)
+        unit = power_spectra(np.ones(n))
+        scaled = power_spectra(np.full(n, 3.0))
         assert np.allclose(
             scaled, 9.0 * unit, rtol=1e-10, atol=1e-16 * unit.max()
         )
@@ -66,7 +65,7 @@ class TestPeriodogram:
     def test_sinusoid_peaks_at_injected_bin(self):
         n = 128
         x = np.cos(2 * np.pi * np.arange(n) * 8 / n)
-        ps = periodogram(make_panel(x), 0, 0, n)
+        ps = power_spectra(x)
         # Bins 8 and 120 tie by conjugate symmetry; argmax takes the lower.
         assert int(np.argmax(ps[1:])) + 1 == 8
         oracle = direct_periodogram(x, 1.0)
@@ -75,88 +74,82 @@ class TestPeriodogram:
     def test_fast_path_matches_direct_sum_on_noise(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=128)
-        ps = periodogram(make_panel(x), 0, 0, 128)
+        ps = power_spectra(x)
         oracle = direct_periodogram(x, 1.0)
         rel = np.abs(ps - oracle) / np.maximum(oracle, 1e-300)
         assert np.max(rel) <= 1e-10
 
-    def test_window_overrun_rejected(self):
-        panel = make_panel(np.arange(16.0))
-        with pytest.raises(OutOfRangeError):
-            periodogram(panel, 0, 10, 8)
-        with pytest.raises(OutOfRangeError):
-            periodogram(panel, 0, -1, 8)
-
     def test_offset_window_uses_the_right_samples(self):
+        # Each segment of a stack is transformed on its own samples only.
         rng = np.random.default_rng(3)
         x = rng.normal(size=64)
         panel = make_panel(x)
-        shifted = periodogram(panel, 0, 20, 32)
-        fresh = periodogram(make_panel(x[20:52]), 0, 0, 32)
-        assert np.array_equal(shifted, fresh)
+        stacked = power_spectra(np.stack([panel.values[0, :32], panel.values[0, 20:52]]))
+        fresh = power_spectra(x[20:52])
+        assert np.array_equal(stacked[1], fresh)
 
     def test_bin_frequencies(self):
         panel = make_panel(np.sin(np.arange(64.0)), dt=2.0)
-        ns = normalize_spectrum(periodogram(panel, 0, 0, 64), panel.dt)
-        assert ns.freqs.size == 63
-        assert ns.freqs[0] == pytest.approx(1.0 / 128.0)
+        probs, _ = normalize_power(power_spectra(panel.values[0]))
+        freqs = bin_frequencies(64, panel.dt)
+        assert freqs.size == probs.size == 63
+        assert freqs[0] == pytest.approx(1.0 / 128.0)
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0), seed=st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
     def test_scale_equivariance(self, scale, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=64)
-        base = periodogram(make_panel(x), 0, 0, 64)
-        scaled = periodogram(make_panel(scale * x), 0, 0, 64)
+        base = power_spectra(x)
+        scaled = power_spectra(scale * x)
         assert np.allclose(scaled, scale**2 * base, rtol=1e-9, atol=1e-300)
 
 
 class TestNormalizeSpectrum:
     def test_dc_dropped_uniform_remainder(self):
-        ns = normalize_spectrum([5.0, 1.0, 1.0, 1.0], 1.0)
-        assert np.allclose(ns.probs, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
+        probs, empty = normalize_power(np.array([5.0, 1.0, 1.0, 1.0]))
+        assert np.allclose(probs, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
+        assert not empty
 
     def test_single_bin_mass(self):
-        ns = normalize_spectrum([0.0, 2.0, 0.0, 0.0], 1.0)
-        assert ns.probs.tolist() == [1.0, 0.0, 0.0]
+        probs, _ = normalize_power(np.array([0.0, 2.0, 0.0, 0.0]))
+        assert probs.tolist() == [1.0, 0.0, 0.0]
 
     def test_degenerate_all_zero_ac(self):
-        with pytest.raises(DegenerateSpectrumError):
-            normalize_spectrum([7.0, 0.0, 0.0, 0.0], 1.0)
+        # A spectrum with no AC power is flagged and left as a zero row; the
+        # other spectra of the stack normalize as usual.
+        probs, empty = normalize_power(np.array([[7.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 2.0]]))
+        assert empty.tolist() == [True, False]
+        assert probs.tolist() == [[0.0, 0.0, 0.0], [0.25, 0.25, 0.5]]
 
     @given(seed=st.integers(0, 2**16), bins=st.integers(2, 64))
     @settings(max_examples=50, deadline=None)
     def test_sums_to_one(self, seed, bins):
         rng = np.random.default_rng(seed)
-        ns = normalize_spectrum(rng.random(bins + 1), 1.0)
-        assert abs(float(ns.probs.sum()) - 1.0) <= 1e-12
+        probs, _ = normalize_power(rng.random(bins + 1))
+        assert abs(float(probs.sum()) - 1.0) <= 1e-12
 
     def test_entropy_invariant_under_scaling(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=64)
-        h1 = spectral_entropy(normalize_spectrum(periodogram(make_panel(x), 0, 0, 64), 1.0))
-        h2 = spectral_entropy(
-            normalize_spectrum(periodogram(make_panel(-2.5 * x), 0, 0, 64), 1.0)
-        )
+        h1 = entropies(normalize_power(power_spectra(x))[0])
+        h2 = entropies(normalize_power(power_spectra(-2.5 * x))[0])
         assert h1 == pytest.approx(h2, rel=1e-12)
 
 
 class TestSpectralEntropy:
     def test_uniform_reaches_log_bins(self):
-        ns = NormalizedSpectrum(np.full(127, 1.0 / 127), 1.0)
-        assert spectral_entropy(ns) == pytest.approx(math.log(127), abs=1e-12)
+        assert entropies(np.full(127, 1.0 / 127)) == pytest.approx(math.log(127), abs=1e-12)
 
     def test_delta_spectrum_is_zero(self):
         probs = np.zeros(127)
         probs[8] = 1.0
-        assert spectral_entropy(NormalizedSpectrum(probs, 1.0)) == 0.0
+        assert entropies(probs) == 0.0
 
     def test_two_equal_bins(self):
         probs = np.zeros(16)
         probs[0] = probs[1] = 0.5
-        assert spectral_entropy(NormalizedSpectrum(probs, 1.0)) == pytest.approx(
-            math.log(2), abs=1e-12
-        )
+        assert entropies(probs) == pytest.approx(math.log(2), abs=1e-12)
 
     @given(seed=st.integers(0, 2**16), bins=st.integers(2, 100))
     @settings(max_examples=60, deadline=None)
@@ -164,7 +157,7 @@ class TestSpectralEntropy:
         rng = np.random.default_rng(seed)
         raw = rng.random(bins)
         probs = raw / raw.sum()
-        h = spectral_entropy(NormalizedSpectrum(probs, 1.0))
+        h = entropies(probs)
         assert 0.0 <= h <= math.log(bins) + 1e-12
         if np.max(np.abs(probs - 1.0 / bins)) > 1e-3:
             assert h < math.log(bins)
@@ -173,29 +166,25 @@ class TestSpectralEntropy:
         rng = np.random.default_rng(23)
         raw = rng.random(50)
         probs = raw / raw.sum()
-        h = spectral_entropy(NormalizedSpectrum(probs, 1.0))
-        assert h == pytest.approx(scalar_entropy(probs), rel=1e-12)
+        assert entropies(probs) == pytest.approx(scalar_entropy(probs), rel=1e-12)
 
 
 class TestModeFrequency:
     def test_delta_mode(self):
         probs = np.zeros(127)
         probs[7] = 1.0  # bin n=8 of a 128-wide window
-        ns = NormalizedSpectrum(probs, 1.0)
-        assert mode_frequency(ns) == pytest.approx(8 / 128)
+        assert mode_frequencies(probs, 1.0) == pytest.approx(8 / 128)
 
     def test_uniform_ties_break_to_lowest_frequency(self):
-        ns = NormalizedSpectrum(np.full(127, 1.0 / 127), 1.0)
-        assert mode_frequency(ns) == pytest.approx(1 / 128)
+        assert mode_frequencies(np.full(127, 1.0 / 127), 1.0) == pytest.approx(1 / 128)
 
     def test_sinusoid_panel_mode(self):
         n = 128
         x = np.cos(2 * np.pi * np.arange(n) * 8 / n)
-        ns = normalize_spectrum(periodogram(make_panel(x), 0, 0, n), 1.0)
-        assert mode_frequency(ns) == pytest.approx(8 / 128)
+        probs, _ = normalize_power(power_spectra(make_panel(x).values[0]))
+        assert mode_frequencies(probs, 1.0) == pytest.approx(8 / 128)
         oracle = direct_periodogram(x, 1.0)
         assert oracle[8] == pytest.approx(float(np.max(oracle[1:])), rel=1e-12)
-
 
     def test_nyquist_bin_counts_once(self):
         # Nyquist holds 0.277 of the power and the tone at bin 20 0.385: the
@@ -204,11 +193,11 @@ class TestModeFrequency:
         n = 128
         k = np.arange(n)
         x = np.cos(2 * np.pi * 20 * k / n) + 0.6 * (-1.0) ** k
-        ns = normalize_spectrum(periodogram(make_panel(x), 0, 0, n), 1.0)
-        assert ns.probs[63] == pytest.approx(0.277, abs=1e-3)
-        assert ns.probs[19] + ns.probs[107] == pytest.approx(0.385, abs=1e-3)
-        assert mode_frequency(ns) == 20 / 128
-        assert folded_mode(ns.probs.tolist(), n, 1.0) == 20 / 128
+        probs, _ = normalize_power(power_spectra(x))
+        assert probs[63] == pytest.approx(0.277, abs=1e-3)
+        assert probs[19] + probs[107] == pytest.approx(0.385, abs=1e-3)
+        assert mode_frequencies(probs, 1.0) == 20 / 128
+        assert folded_mode(probs.tolist(), n, 1.0) == 20 / 128
 
     @given(
         width=st.integers(4, 65),
@@ -221,8 +210,8 @@ class TestModeFrequency:
         rng = np.random.default_rng(seed)
         panel = SignalPanel(rng.normal(size=(4, 2 * width)), ("a", "b", "c", "d"), dt)
         result = analyze(panel, AnalysisConfig(width=width, stride=1))
-        skewed = NormalizedSpectrum(rng.dirichlet(np.ones(width - 1)), dt)
-        modes = np.append(result.modes.ravel(), mode_frequency(skewed))
+        skewed = rng.dirichlet(np.ones(width - 1))
+        modes = np.append(result.modes.ravel(), mode_frequencies(skewed, dt))
         # Bin n sits at n/(N*dt); Nyquist is n = N/2.
         assert np.all(np.rint(modes * width * dt) <= width // 2)
 
