@@ -1,13 +1,13 @@
 """Tick-stream parsing and resampling into activity and best-rate panels.
 
-Input is a quote-event CSV (`timestamp,instrument,side,price`), parsed row
-by row into columns.  `resample` buckets the events on a uniform grid with
-half-open buckets [k*dt, (k+1)*dt): the activity series counts
-side-matching quotes per unit time, the best-rate series takes the bucket
-minimum for asks (maximum for bids) and carries the previous value through
-empty buckets.  Buckets before an instrument's first quote have no
-defensible value and stay missing; rate panels are trimmed to the first
-bucket where every instrument has one.
+Input is a quote-event CSV (`timestamp,instrument,side,price`), parsed a
+block of lines at a time into columns.  `resample` buckets the events on
+a uniform grid with half-open buckets [k*dt, (k+1)*dt): the activity
+series counts side-matching quotes per unit time, the best-rate series
+takes the bucket minimum for asks (maximum for bids) and carries the
+previous value through empty buckets.  Buckets before an instrument's
+first quote have no defensible value and stay missing; rate panels are
+trimmed to the first bucket where every instrument has one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import heapq
 import math
 import os
 import re
-from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -27,6 +26,7 @@ from pathlib import Path
 from typing import Mapping, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalysisError, ConfigurationError, FormatError, TransformError
 from .spectra import SignalPanel
@@ -84,9 +84,10 @@ class ParsedTicks:
 def parse_ticks(stream: TextIO) -> ParsedTicks:
     """Read quote events from a tick CSV stream.
 
-    Malformed rows are counted and reported, never silently dropped; when
-    more than 1% of the data rows are bad the whole parse aborts with a
-    summary.  An unrecognizable header aborts immediately.
+    Lines end at `\r\n`, `\r` or `\n`, as in a file opened with
+    `newline=""`.  Malformed rows are counted and reported, never silently
+    dropped; when more than 1% of the data rows are bad the whole parse
+    aborts with a summary.  An unrecognizable header aborts immediately.
     """
     reader = csv.reader(stream)
     try:
@@ -98,53 +99,40 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
             f"bad tick header {header!r}, expected {','.join(TICK_HEADER)}"
         )
 
-    # Columns are appended row by row; instruments get codes in order of
-    # first appearance, renumbered to sorted order at the end.
-    stamps, codes, asks, prices = array("q"), array("q"), array("b"), array("d")
+    # The body is read a block of whole lines at a time and each block is
+    # checked column by column.  Instruments get codes in order of first
+    # appearance, renumbered to sorted order at the end.
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.intp), np.zeros(0, bool), np.zeros(0))]
     names: dict[str, int] = {}
     malformed = 0
     problems: list[str] = []
+    line, text, last = reader.line_num, "", False
+    while not last:
+        chunk = stream.read(_BLOCK_CHARS)
+        text, last = text + chunk, not chunk
+        # Cut after the last line end; a final `\r` may be half of a `\r\n`.
+        cut = len(text) if last else max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+        block = text[:cut]
+        if not block:
+            continue
+        # Only `csv` knows where a quoted field ends; it also refuses a NUL
+        # on Python 3.10 and reads it on 3.11.
+        records = None if '"' in block or "\0" in block else _split_records(block, line)
+        if records is None:
+            records = _csv_records(block, line, last)
+        if records is None:  # a quoted record runs on past the block
+            continue
+        text, (line, lines, counts, fields) = text[cut:], records
+        room = _MAX_REPORTED_PROBLEMS - len(problems)
+        bad, reasons, (stamps, instruments, asks, prices) = _check_records(lines, counts, fields, room)
+        malformed += bad
+        problems += reasons
+        present, codes = np.unique(instruments, return_inverse=True)
+        recode = np.array([names.setdefault(name, len(names)) for name in present.tolist()], np.intp)
+        parts.append((stamps, recode[codes], asks, prices))
 
-    def reject(reason: str) -> None:
-        nonlocal malformed
-        malformed += 1
-        if len(problems) < _MAX_REPORTED_PROBLEMS:
-            # The file line the record ends on: a quoted field may span lines.
-            problems.append(f"line {reader.line_num}: {reason}")
-
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 4:
-            reject(f"expected 4 fields, got {len(row)}")
-            continue
-        raw_ts, instrument, side, raw_price = (c.strip() for c in row)
-        side = side.lower()
-        if side not in SIDES:
-            reject(f"unknown side {side!r}")
-            continue
-        if not instrument:
-            reject("empty instrument")
-            continue
-        try:
-            ts = round(parse_rfc3339(raw_ts) * 1000.0)
-        except ValueError:
-            reject(f"bad timestamp {raw_ts!r}")
-            continue
-        try:
-            price = float(raw_price)
-        except ValueError:
-            reject(f"bad price {raw_price!r}")
-            continue
-        if not (math.isfinite(price) and price > 0):
-            reject(f"price must be positive, got {raw_price!r}")
-            continue
-        stamps.append(ts)
-        codes.append(names.setdefault(instrument, len(names)))
-        asks.append(side == "ask")
-        prices.append(price)
-
-    total = len(stamps) + malformed
+    stamps, codes, asks, prices = (np.concatenate(column) for column in zip(*parts))
+    total = stamps.size + malformed
     if total and malformed / total > MALFORMED_ABORT_FRACTION:
         summary = "; ".join(problems[:5])
         raise FormatError(
@@ -154,14 +142,213 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
     rank = {name: r for r, name in enumerate(instruments)}
     renumber = np.array([rank[name] for name in names], dtype=np.intp)
     return ParsedTicks(
-        timestamp_ms=np.array(stamps, dtype=np.int64),
-        instrument=renumber[np.array(codes, dtype=np.intp)],
+        timestamp_ms=stamps,
+        instrument=renumber[codes],
         instruments=instruments,
-        is_ask=np.array(asks, dtype=bool),
-        price=np.array(prices, dtype=np.float64),
+        is_ask=asks,
+        price=prices,
         malformed=malformed,
         problems=problems,
     )
+
+
+# Tick text is parsed this many characters at a time (about 6,000 rows of
+# a typical file), so memory does not grow with the file's length.
+_BLOCK_CHARS = 1 << 18
+_FIELDS = len(TICK_HEADER)
+# A line with its end, as a file opened with newline="" yields it.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
+
+
+def _split_records(block: str, line: int):
+    """The records of a block of whole lines without quotes or NULs, split
+    as `csv.reader` splits them: `(last line number, the line number and
+    field count of each non-blank record, the four field columns of the
+    records with four fields)`.  None when a line is longer than `csv`'s
+    field size limit, which `csv.reader` refuses."""
+    if "\r" in block:
+        block = block.replace("\r\n", "\n").replace("\r", "\n")
+    if not block.endswith("\n"):
+        block += "\n"
+    chars = np.array([block]).view(np.uint32)
+    ends = np.flatnonzero(chars == ord("\n"))
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    longest = int((ends - starts).max(initial=0))
+    if longest > csv.field_size_limit():
+        return None
+    commas = np.flatnonzero(chars == ord(","))
+    row = np.searchsorted(ends, commas)
+    counts = np.bincount(row, minlength=ends.size) + 1
+    filled = ends > starts
+    full = filled & (counts == _FIELDS)
+    inner = commas[full[row]].reshape(-1, _FIELDS - 1)
+    lo = np.column_stack((starts[full], inner + 1))
+    hi = np.column_stack((inner, ends[full]))
+    chars = np.concatenate((chars, np.zeros(longest + 1, np.uint32)))
+    fields = [_cells(chars, lo[:, k], hi[:, k]) for k in range(_FIELDS)]
+    return line + ends.size, line + 1 + np.flatnonzero(filled), counts[filled], fields
+
+
+def _cells(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The text of `chars[lo:hi]` for each pair of bounds, as one str array;
+    `chars` runs on for at least the widest cell past its last bound."""
+    size = hi - lo
+    width = max(int(size.max(initial=0)), 1)
+    cells = sliding_window_view(chars, width)[lo]
+    cells *= np.arange(width) < size[:, None]
+    return cells.view(f"U{width}")[:, 0]
+
+
+def _csv_records(block: str, line: int, last: bool):
+    """`_split_records` by `csv.reader`, for a block that may hold quoted
+    fields.  None when the block's last record is not over at its end and
+    more of the file follows."""
+    lines = _LINE.findall(block)
+    ended = []
+
+    def feed():
+        yield from lines
+        ended.append(True)
+
+    reader = csv.reader(feed())
+    rows, at = [], []
+    for fields in reader:
+        if ended and not last:
+            return None
+        if fields:
+            rows.append(fields)
+            at.append(line + reader.line_num)
+    full = [fields for fields in rows if len(fields) == _FIELDS]
+    columns = [np.array(column, dtype=str) for column in zip(*full)] or [np.array([], str)] * _FIELDS
+    counts = np.array([len(fields) for fields in rows], dtype=np.intp)
+    return line + len(lines), np.array(at, dtype=np.int64), counts, columns
+
+
+def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarray], room: int):
+    """Validate a block's records column by column: `(the number of
+    malformed records, a problem line for each of the first `room` of them,
+    (stamps in ms, instrument names, is-ask, prices) of the good ones)`.  A
+    record's problem is its first failing check, in the order field count,
+    side, instrument, stamp, price."""
+    raw_ts, instrument, side, raw_price = (np.char.strip(f) for f in fields)
+    is_ask, is_bid = side == "ask", side == "bid"
+    for i in np.flatnonzero(~(is_ask | is_bid)).tolist():
+        lowered = str(side[i]).lower()
+        is_ask[i], is_bid[i] = lowered == "ask", lowered == "bid"
+    stamps, stamped = _epoch_ms(raw_ts)
+    prices, priced = _floats(raw_price)
+    positive = priced & np.isfinite(prices) & (prices > 0)
+    checks = (is_ask | is_bid, np.char.str_len(instrument) > 0, stamped, priced, positive)
+    # Per record: 0 if good, 1 for a wrong field count, else 2 + the index
+    # of its first failing check.
+    failed = np.zeros(raw_ts.size, dtype=np.intp)
+    for k, passed in reversed(list(enumerate(checks, start=2))):
+        failed[~passed] = k
+    full = counts == _FIELDS
+    reason = np.ones(counts.size, dtype=np.intp)
+    reason[full] = failed
+    row = np.cumsum(full) - 1  # each record's row in `fields`
+    bad = np.flatnonzero(reason)
+    messages = [
+        f"line {lines[i]}: " + (
+            f"expected {_FIELDS} fields, got {counts[i]}" if reason[i] == 1
+            else f"unknown side {str(side[row[i]]).lower()!r}" if reason[i] == 2
+            else "empty instrument" if reason[i] == 3
+            else f"bad timestamp {str(raw_ts[row[i]])!r}" if reason[i] == 4
+            else f"bad price {str(raw_price[row[i]])!r}" if reason[i] == 5
+            else f"price must be positive, got {str(raw_price[row[i]])!r}"
+        )
+        for i in bad[:max(room, 0)].tolist()
+    ]
+    good = failed == 0
+    return bad.size, messages, (stamps[good], instrument[good], is_ask[good], prices[good])
+
+
+def _plain_shapes(width: int) -> np.ndarray:
+    """Row `2 * n + z` is the stamp of the plain shape with n characters, a
+    Z last when z is 1, every digit written as 0 and padded with NULs to
+    `width`; 0xFFFFFFFF, which no character matches, where no plain stamp
+    has that length and ending, and for every n above `width`."""
+    rows = np.full((2 * width + 4, width), 0xFFFFFFFF, dtype=np.uint32)
+    for fraction in ("", *(f".{'0' * k}" for k in range(1, 7))):
+        for zone in ("", "Z"):
+            shape = f"0000-00-00T00:00:00{fraction}{zone}"
+            rows[2 * len(shape) + len(zone)] = [*map(ord, shape)] + [0] * (width - len(shape))
+    return rows
+
+
+_PLAIN_WIDTH = 27  # YYYY-MM-DDTHH:MM:SS.ffffffZ
+_PLAIN = _plain_shapes(_PLAIN_WIDTH)
+# Where numpy refuses a whole column, runs of this many stamps are cast on
+# their own, so one bad stamp sends only its run down the per-row path.
+_RUN = 256
+
+
+def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch milliseconds of each stripped stamp, rounded as
+    `round(parse_rfc3339(t) * 1000.0)` rounds them, and whether it parsed.
+
+    Stamps of the plain shape `YYYY-MM-DDTHH:MM:SS[.f{1,6}][Z]` convert in
+    one `datetime64[us]` cast.  The rest go through `parse_rfc3339` one by
+    one, as do the runs the cast refuses (a day or hour out of range) and
+    stamps too far from 1970 for a float to hold their microseconds
+    exactly (among them year 0000, which numpy reads and Python does not).
+    """
+    n, width = stamps.size, stamps.dtype.itemsize // 4
+    code = np.zeros((n, _PLAIN_WIDTH), np.uint32)
+    code[:, :min(width, _PLAIN_WIDTH)] = stamps.view(np.uint32).reshape(n, width)[:, :_PLAIN_WIDTH]
+    length = np.minimum(np.char.str_len(stamps), _PLAIN_WIDTH + 1)
+    zulu = code[np.arange(n), np.clip(length - 1, 0, _PLAIN_WIDTH - 1)] == ord("Z")
+    digits = np.where(code - ord("0") < 10, ord("0"), code)
+    at = np.flatnonzero((digits == _PLAIN[2 * length + zulu]).all(axis=1))
+    text = code[at]
+    dropped = np.flatnonzero(zulu[at])
+    text[dropped, length[at[dropped]] - 1] = 0  # the Z
+    text = text.view(f"U{_PLAIN_WIDTH}")[:, 0]
+    try:
+        us, cast = text.astype("datetime64[us]"), np.ones(at.size, dtype=bool)
+    except ValueError:
+        us, cast = np.zeros(at.size, "datetime64[us]"), np.zeros(at.size, dtype=bool)
+        for k in range(0, at.size, _RUN):
+            with contextlib.suppress(ValueError):
+                us[k:k + _RUN] = text[k:k + _RUN].astype("datetime64[us]")
+                cast[k:k + _RUN] = True
+    us = us.view(np.int64)
+    exact = cast & (np.abs(us) <= 2**53)
+    ms = np.zeros(n, dtype=np.int64)
+    ms[at[exact]] = np.rint(us[exact] / 1e6 * 1000.0)
+    parsed = np.zeros(n, dtype=bool)
+    parsed[at[exact]] = True
+    for i in np.flatnonzero(~parsed).tolist():
+        with contextlib.suppress(ValueError):
+            ms[i] = round(parse_rfc3339(str(stamps[i])) * 1000.0)
+            parsed[i] = True
+    return ms, parsed
+
+
+# The characters of decimal text, and NUL, which pads numpy's str cells;
+# the last entry stands for every code point above 127.
+_DECIMAL = np.isin(np.arange(129), [0, *map(ord, "0123456789.+-eE")])
+
+
+def _floats(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`float` of each text, and whether it parsed.  Texts of decimal
+    characters go through one `map(float, ...)`, which reads them faster
+    than numpy's str-to-float cast; the others, and all of them when that
+    map raises, one at a time."""
+    values = np.full(texts.size, math.nan)
+    parsed = np.zeros(texts.size, dtype=bool)
+    code = texts.view(np.uint32).reshape(texts.size, texts.dtype.itemsize // 4)
+    decimal = np.flatnonzero(_DECIMAL[np.minimum(code, _DECIMAL.size - 1)].all(axis=1))
+    with contextlib.suppress(ValueError):
+        values[decimal] = np.fromiter(map(float, texts[decimal].tolist()), np.float64, decimal.size)
+        parsed[decimal] = True
+    for i in np.flatnonzero(~parsed).tolist():
+        with contextlib.suppress(ValueError):
+            values[i] = float(texts[i])
+            parsed[i] = True
+    return values, parsed
 
 
 def read_ticks(path: str | Path) -> ParsedTicks:
@@ -180,7 +367,8 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
     is the bucket's quote count divided by dt.  The best rate is the bucket
     minimum for asks (maximum for bids), carried forward through empty
     buckets; the rate panel starts at the first bucket where every channel
-    has quoted, and is empty when fewer than two buckets remain.  Bucket
+    has quoted, and is empty when fewer than two buckets remain.  Ticks
+    that all fall in one bucket are an `AnalysisError`: a panel needs two.  Bucket
     assignment depends only on timestamps, so the input order is irrelevant.
     """
     if not (math.isfinite(dt) and dt > 0):
@@ -198,6 +386,8 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
     on_side = ticks.is_ask == (side == "ask")
     if not on_side.any():
         raise AnalysisError(f"no {side} quotes to resample")
+    if count < 2:
+        raise AnalysisError(f"every tick falls in one {dt!r}-minute bucket: a panel needs at least two")
     bucket = np.floor((t[on_side] - origin) / dt_ms).astype(np.intp)
     present, channel = np.unique(ticks.instrument[on_side], return_inverse=True)
     m = present.size

@@ -5,9 +5,14 @@ avoiding the code paths under test: no FFT, no vectorized KL, no shared
 helpers.
 """
 
+import csv
 import math
+from array import array
 
 import numpy as np
+
+from specdist.errors import FormatError
+from specdist.ingest import MALFORMED_ABORT_FRACTION, SIDES, TICK_HEADER, ParsedTicks, parse_rfc3339
 
 
 def direct_periodogram(segment, dt):
@@ -129,6 +134,86 @@ def scalar_resample(ticks, dt, side):
         start = count
     rates = [row[start:] for row in rates]
     return labels, first_bucket * width, activity, (first_bucket + start) * width, rates
+
+
+def row_parse_ticks(stream):
+    """`ingest.parse_ticks` one `csv.reader` row at a time, as it was before
+    it read the file in columnar blocks.
+
+    Each row is stripped and checked in order (field count, side, empty
+    instrument, RFC-3339 stamp, price, positive price); the first failing
+    check makes it malformed, and the first 20 are reported with the file
+    line the record ends on.  More than 1% malformed aborts.
+    """
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError("empty tick file: missing header") from None
+    if tuple(h.strip().lower() for h in header) != TICK_HEADER:
+        raise FormatError(f"bad tick header {header!r}, expected {','.join(TICK_HEADER)}")
+
+    stamps, codes, asks, prices = array("q"), array("q"), array("b"), array("d")
+    names = {}
+    malformed = 0
+    problems = []
+
+    def reject(reason):
+        nonlocal malformed
+        malformed += 1
+        if len(problems) < 20:
+            problems.append(f"line {reader.line_num}: {reason}")
+
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 4:
+            reject(f"expected 4 fields, got {len(row)}")
+            continue
+        raw_ts, instrument, side, raw_price = (c.strip() for c in row)
+        side = side.lower()
+        if side not in SIDES:
+            reject(f"unknown side {side!r}")
+            continue
+        if not instrument:
+            reject("empty instrument")
+            continue
+        try:
+            ts = round(parse_rfc3339(raw_ts) * 1000.0)
+        except ValueError:
+            reject(f"bad timestamp {raw_ts!r}")
+            continue
+        try:
+            price = float(raw_price)
+        except ValueError:
+            reject(f"bad price {raw_price!r}")
+            continue
+        if not (math.isfinite(price) and price > 0):
+            reject(f"price must be positive, got {raw_price!r}")
+            continue
+        stamps.append(ts)
+        codes.append(names.setdefault(instrument, len(names)))
+        asks.append(side == "ask")
+        prices.append(price)
+
+    total = len(stamps) + malformed
+    if total and malformed / total > MALFORMED_ABORT_FRACTION:
+        summary = "; ".join(problems[:5])
+        raise FormatError(
+            f"{malformed} of {total} rows malformed (>{MALFORMED_ABORT_FRACTION:.0%}): {summary}"
+        )
+    instruments = tuple(sorted(names))
+    rank = {name: r for r, name in enumerate(instruments)}
+    renumber = np.array([rank[name] for name in names], dtype=np.intp)
+    return ParsedTicks(
+        timestamp_ms=np.array(stamps, dtype=np.int64),
+        instrument=renumber[np.array(codes, dtype=np.intp)],
+        instruments=instruments,
+        is_ask=np.array(asks, dtype=bool),
+        price=np.array(prices, dtype=np.float64),
+        malformed=malformed,
+        problems=problems,
+    )
 
 
 def scalar_simulation(cfg):

@@ -80,6 +80,21 @@ class TestIngestCommand:
         assert read_panel_csv(activity).length == 2
         assert run("ingest", str(late), "--rates-out", str(rates)) == 6
 
+    def test_ticks_in_one_bucket_are_a_data_error(self, tmp_path, capsys):
+        ticks = tmp_path / "one.csv"
+        ticks.write_text(
+            "timestamp,instrument,side,price\n"
+            "2006-10-16T00:00:05Z,EUR/USD,ask,1.2609\n"
+            "2006-10-16T00:00:15Z,EUR/USD,ask,1.2610\n"
+        )
+        activity = tmp_path / "a.csv"
+        assert run("ingest", str(ticks), "--activity-out", str(activity)) == 6
+        assert capsys.readouterr().err == (
+            "specdist: error code=6 kind=AnalysisError "
+            'msg="every tick falls in one 1.0-minute bucket: a panel needs at least two"\n'
+        )
+        assert not activity.exists()
+
     def test_refused_rate_series_writes_no_activity(self, tmp_path, capsys):
         late = tmp_path / "late.csv"
         late.write_text(

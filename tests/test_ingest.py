@@ -1,13 +1,20 @@
 import gzip
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdist import ingest
 from specdist.errors import AnalysisError, ConfigurationError, FormatError, TransformError
 from specdist.ingest import (
     ParsedTicks,
@@ -24,7 +31,7 @@ from specdist.ingest import (
 from specdist.spectra import SignalPanel
 
 from conftest import DATA_DIR
-from oracles import scalar_resample
+from oracles import row_parse_ticks, scalar_resample
 
 MINUTE_MS = 60_000
 
@@ -169,6 +176,158 @@ class TestParseTicks:
         )
         parsed = parse_ticks(io.StringIO(body))
         assert parsed.timestamp_ms[0] == parsed.timestamp_ms[1]
+
+
+HEADER = "timestamp,instrument,side,price"
+PLAIN_ROW = "2006-10-16T00:03:00.250Z,EUR/USD,ask,1.2612"
+
+# Stamp text: mostly the plain shape, with days, hours and years out of
+# range, every separator and zone the grammar takes and some it does not.
+stamp_text = st.builds(
+    "{}{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}{}{}".format,
+    st.sampled_from(["", "", "", " ", "\t", "\u3000"]),
+    st.sampled_from([2006, 2024, 2024, 2024, 1970, 1969, 0, 1, 1500, 2300, 9999]),
+    st.sampled_from([1, 2, 2, 10, 12, 0, 13]),
+    st.sampled_from([1, 16, 28, 29, 30, 31, 0, 32]),
+    st.sampled_from(["T", "T", "T", "t", " ", "X"]),
+    st.sampled_from([0, 9, 23, 24]),
+    st.sampled_from([0, 3, 59, 60]),
+    st.sampled_from([0, 1, 59, 60]),
+    st.sampled_from(["", "", ".5", ".25", ".0005", ".123456", ".000500", ".1234567", "."]),
+    st.sampled_from(["Z", "Z", "Z", "", "z", "+09:00", "-00:30", "+24:00", "+0100", "ZZ"]),
+    st.sampled_from(["", "", "", " ", "\x1c"]),
+)
+instrument_text = st.sampled_from(
+    ["EUR/USD", "EUR/USD", "USD/JPY", " GBP/USD ", "", "  ", "é/ü", '"EUR\nUSD"', '"EUR\r\nUSD"',
+     '"A,B"', '"Q""T"', 'EU"R', '"EUR/USD"']
+)
+side_text = st.sampled_from(["ask", "ask", "bid", "bid", "ASK", " Bid ", "mid", "", "AS\u212a", '"ask"'])
+price_text = st.sampled_from(
+    ["1.2612", "116.2", "1.5", " 1.5 ", "-1", "0", "n/a", "inf", "nan", "1_000", "1e-3", "", '"1.25"',
+     "\uff11\uff12", "0x10"]
+)
+row_text = st.one_of(
+    st.builds(lambda *f: ",".join(f), stamp_text, instrument_text, side_text, price_text),
+    st.builds(lambda *f: ",".join(f), stamp_text, instrument_text, price_text),  # a field short
+    st.builds(lambda *f: ",".join(f), stamp_text, instrument_text, side_text, price_text, price_text),
+    st.builds(lambda t: f"{t[:9]}x{t[10:]},EUR/USD,ask,1.1", stamp_text),
+    st.sampled_from(["", "   ", PLAIN_ROW]),
+)
+line_end = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+def parse_outcome(parse, text):
+    """The ParsedTicks of `parse` on `text` as a file opened with
+    newline="" reads it, or the type and text of what it raised."""
+    try:
+        return parse(io.StringIO(text, newline=""))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def outline(outcome):
+    """A parse outcome as plain values, so that a mismatch is cheap to report."""
+    if not isinstance(outcome, ParsedTicks):
+        return outcome
+    columns = (outcome.timestamp_ms, outcome.instrument, outcome.is_ask, outcome.price)
+    return (
+        outcome.instruments, outcome.malformed, outcome.problems,
+        *((column.dtype.str, column.tolist()) for column in columns),
+    )
+
+
+def assert_same_parse(got, want):
+    assert outline(got) == outline(want)
+
+
+class TestColumnarParse:
+    """`parse_ticks` reads blocks of lines column by column; the row parser
+    it replaced is the oracle."""
+
+    @given(
+        rows=st.lists(st.tuples(row_text, line_end), max_size=30),
+        bulk=st.sampled_from([0, 0, 0, 2100]),
+        at=st.integers(0, 30),
+        last_end=st.booleans(),
+        block=st.sampled_from([8, 64, 300, 1 << 18]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_row_parser(self, rows, bulk, at, last_end, block):
+        if bulk:  # keep the number of blocks, and the test's time, small
+            block = max(block, 4096)
+        body = [row + end for row, end in rows]
+        # 2100 good rows let up to 21 malformed ones through the 1% abort.
+        body.insert(min(at, len(body)), (PLAIN_ROW + "\n") * bulk)
+        text = HEADER + "\r\n" + "".join(body)
+        if not last_end:
+            text = text.rstrip("\r\n")
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+            got = parse_outcome(parse_ticks, text)
+        assert_same_parse(got, parse_outcome(row_parse_ticks, text))
+
+    @pytest.mark.parametrize("block", [256, 1 << 18])
+    def test_more_than_twenty_malformed_rows(self, block):
+        rows = [PLAIN_ROW] * 2500
+        for k in range(25):
+            rows[k * 97 + 3] = ("2006-10-16T00:03:00Z,EUR/USD,mid,1.1", "x,EUR/USD,ask,1", "a,b,c")[k % 3]
+        text = HEADER + "\n" + "\r\n".join(rows) + "\n"
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+            got = parse_outcome(parse_ticks, text)
+        want = parse_outcome(row_parse_ticks, text)
+        assert want.malformed == 25 and len(want.problems) == 20
+        assert_same_parse(got, want)
+
+    def test_out_of_range_stamps_in_a_long_file_are_counted_rows(self, tmp_path):
+        """numpy 2.4 can crash the interpreter casting a bytes array of
+        5,000 or more stamps that holds a bad one to datetime64; a parse of
+        such a file, run in its own interpreter, must count both bad stamps
+        as the row parser does."""
+        rows = [
+            f"2024-02-01T{k // 3600:02d}:{k // 60 % 60:02d}:{k % 60:02d}.000Z,EUR/USD,ask,1.1"
+            for k in range(9000)
+        ]
+        rows[4321] = "2024-02-30T00:00:00.000Z,EUR/USD,ask,1.1"
+        rows[7000] = "2024-02-01X00:00:00.000Z,EUR/USD,bid,1.1"
+        path = tmp_path / "ticks.csv"
+        path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        script = (
+            "import sys; from specdist.ingest import read_ticks; p = read_ticks(sys.argv[1]); "
+            "print(p.malformed, p.timestamp_ms.size); print(*p.problems, sep='\\n')"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(ingest.__file__).parents[1])},
+        )
+        assert run.returncode == 0, run.stderr
+        with open(path, encoding="utf-8", newline="") as fh:
+            want = row_parse_ticks(fh)
+        assert want.problems == [
+            "line 4323: bad timestamp '2024-02-30T00:00:00.000Z'",
+            "line 7002: bad timestamp '2024-02-01X00:00:00.000Z'",
+        ]
+        assert run.stdout.splitlines() == [f"{want.malformed} {want.timestamp_ms.size}", *want.problems]
+
+    def test_memory_does_not_grow_with_the_file(self):
+        """Bound, fixed before measuring: parsing 200,000 rows (8.4 MB of
+        text) allocates at most 40 MB at its peak beyond the file's bytes.
+        The columns it returns take 5 MB.  A parse of the whole body at once
+        holds the 34 MB of the text as UCS-4 and several index and cell
+        arrays per row: 150 MB."""
+        text = HEADER + "\n" + "".join(
+            f"2006-10-16T{k // 3600 % 24:02d}:{k // 60 % 60:02d}:{k % 60:02d}.{k % 1000:03d}Z,"
+            f"FX{k % 12:02d},{'ask' if k % 2 else 'bid'},{1 + k % 997 / 1000:.5f}\n"
+            for k in range(200_000)
+        )
+        # Read as a file is: a StringIO would hold the whole text as UCS-4.
+        stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
+        tracemalloc.start()
+        try:
+            parsed = parse_ticks(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.timestamp_ms.size == 200_000 and parsed.malformed == 0
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestRfc3339:
@@ -419,7 +578,7 @@ class TestResample:
             return
         labels, a_start, activity_rows, r_start, rate_rows = scalar_resample(ticks, dt, side)
         if len(activity_rows[0]) < 2:
-            with pytest.raises(ValueError, match="two samples"):
+            with pytest.raises(AnalysisError, match="every tick falls in one"):
                 resample(columns(ticks), dt, side)
             return
         shuffled = list(ticks)
