@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Mapping, TextIO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalysisError, ConfigurationError, FormatError, TransformError
 from .spectra import SignalPanel
@@ -115,21 +114,28 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
         block = text[:cut]
         if not block:
             continue
-        # Only `csv` knows where a quoted field ends; it also refuses a NUL
-        # on Python 3.10 and reads it on 3.11.
-        records = None if '"' in block or "\0" in block else _split_records(block, line)
+        # numpy's str cells drop trailing NULs, so a NUL is read as a lone
+        # surrogate the block does not hold (UTF-8 text never does) and put
+        # back in names and messages.
+        nul = "\0"
+        if nul in block:
+            nul = next(c for c in map(chr, range(0xD800, 0xE000)) if c not in block)
+            block = block.replace("\0", nul)
+        # Only `csv` knows where a quoted field ends.
+        records = None if '"' in block else _split_records(block, line)
         if records is None:
             records = _csv_records(block, line, last)
         if records is None:  # a quoted record runs on past the block
             continue
-        text, (line, lines, counts, fields) = text[cut:], records
-        room = _MAX_REPORTED_PROBLEMS - len(problems)
-        bad, reasons, (stamps, instruments, asks, prices) = _check_records(lines, counts, fields, room)
-        malformed += bad
-        problems += reasons
-        present, codes = np.unique(instruments, return_inverse=True)
-        recode = np.array([names.setdefault(name, len(names)) for name in present.tolist()], np.intp)
-        parts.append((stamps, recode[codes], asks, prices))
+        text, (line, runs) = text[cut:], records
+        for lines, counts, fields in runs:
+            room = _MAX_REPORTED_PROBLEMS - len(problems)
+            bad, reasons, (stamps, instruments, asks, prices) = _check_records(lines, counts, fields, room, nul)
+            malformed += bad
+            problems += reasons
+            present, codes = np.unique(instruments, return_inverse=True)
+            recode = [names.setdefault(name.replace(nul, "\0"), len(names)) for name in present.tolist()]
+            parts.append((stamps, np.array(recode, np.intp)[codes], asks, prices))
 
     stamps, codes, asks, prices = (np.concatenate(column) for column in zip(*parts))
     total = stamps.size + malformed
@@ -155,17 +161,21 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
 # Tick text is parsed this many characters at a time (about 6,000 rows of
 # a typical file), so memory does not grow with the file's length.
 _BLOCK_CHARS = 1 << 18
+# A block's records are checked in runs of consecutive records, each run
+# one record or few enough that every field column, whose cells numpy pads
+# to the widest, holds at most this many characters: one long line does
+# not widen the cells of the whole block.
+_RUN_CHARS = 1 << 20
 _FIELDS = len(TICK_HEADER)
 # A line with its end, as a file opened with newline="" yields it.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
 
 
 def _split_records(block: str, line: int):
-    """The records of a block of whole lines without quotes or NULs, split
-    as `csv.reader` splits them: `(last line number, the line number and
-    field count of each non-blank record, the four field columns of the
-    records with four fields)`.  None when a line is longer than `csv`'s
-    field size limit, which `csv.reader` refuses."""
+    """The records of a block of whole lines without quotes, split as
+    `csv.reader` splits them: `(last line number, the runs of `_runs`)`.
+    None when a line is longer than `csv`'s field size limit, which
+    `csv.reader` refuses."""
     if "\r" in block:
         block = block.replace("\r\n", "\n").replace("\r", "\n")
     if not block.endswith("\n"):
@@ -174,20 +184,25 @@ def _split_records(block: str, line: int):
     ends = np.flatnonzero(chars == ord("\n"))
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
-    longest = int((ends - starts).max(initial=0))
+    widths = ends - starts
+    longest = int(widths.max(initial=0))
     if longest > csv.field_size_limit():
         return None
     commas = np.flatnonzero(chars == ord(","))
     row = np.searchsorted(ends, commas)
     counts = np.bincount(row, minlength=ends.size) + 1
-    filled = ends > starts
+    filled = widths > 0
     full = filled & (counts == _FIELDS)
     inner = commas[full[row]].reshape(-1, _FIELDS - 1)
     lo = np.column_stack((starts[full], inner + 1))
     hi = np.column_stack((inner, ends[full]))
     chars = np.concatenate((chars, np.zeros(longest + 1, np.uint32)))
-    fields = [_cells(chars, lo[:, k], hi[:, k]) for k in range(_FIELDS)]
-    return line + ends.size, line + 1 + np.flatnonzero(filled), counts[filled], fields
+
+    def fields(rows: slice) -> list[np.ndarray]:
+        return [_cells(chars, lo[rows, k], hi[rows, k]) for k in range(_FIELDS)]
+
+    runs = _runs(line + 1 + np.flatnonzero(filled), counts[filled], widths[filled], fields)
+    return line + ends.size, runs
 
 
 def _cells(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -195,7 +210,7 @@ def _cells(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     `chars` runs on for at least the widest cell past its last bound."""
     size = hi - lo
     width = max(int(size.max(initial=0)), 1)
-    cells = sliding_window_view(chars, width)[lo]
+    cells = chars[lo[:, None] + np.arange(width)]
     cells *= np.arange(width) < size[:, None]
     return cells.view(f"U{width}")[:, 0]
 
@@ -213,24 +228,45 @@ def _csv_records(block: str, line: int, last: bool):
 
     reader = csv.reader(feed())
     rows, at = [], []
-    for fields in reader:
+    for record in reader:
         if ended and not last:
             return None
-        if fields:
-            rows.append(fields)
+        if record:
+            rows.append(record)
             at.append(line + reader.line_num)
-    full = [fields for fields in rows if len(fields) == _FIELDS]
-    columns = [np.array(column, dtype=str) for column in zip(*full)] or [np.array([], str)] * _FIELDS
-    counts = np.array([len(fields) for fields in rows], dtype=np.intp)
-    return line + len(lines), np.array(at, dtype=np.int64), counts, columns
+    full = [record for record in rows if len(record) == _FIELDS]
+
+    def fields(records: slice) -> list[np.ndarray]:
+        return [np.array(column, dtype=str) for column in zip(*full[records])] or [np.array([], str)] * _FIELDS
+
+    counts = np.array([len(record) for record in rows], dtype=np.intp)
+    widths = np.array([max(map(len, record)) for record in rows], dtype=np.intp)
+    return line + len(lines), _runs(np.array(at, dtype=np.int64), counts, widths, fields)
 
 
-def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarray], room: int):
-    """Validate a block's records column by column: `(the number of
+def _runs(lines: np.ndarray, counts: np.ndarray, widths: np.ndarray, fields):
+    """Yield a block's records as runs `(line numbers, field counts, the
+    four field columns of the records with four fields)` of consecutive
+    records, halving a run until `_RUN_CHARS` holds its widest record once
+    per record, or it holds one.  `widths` bound each record's widest field
+    and `fields(slice)` gives the columns of a slice of the four-field
+    records."""
+    full = np.concatenate(([0], np.cumsum(counts == _FIELDS)))
+    spans = [(0, counts.size)]
+    while spans:
+        a, b = spans.pop()
+        if b - a > 1 and (b - a) * int(widths[a:b].max()) > _RUN_CHARS:
+            spans += [((a + b) // 2, b), (a, (a + b) // 2)]
+        else:
+            yield lines[a:b], counts[a:b], fields(slice(full[a], full[b]))
+
+
+def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarray], room: int, nul: str):
+    """Validate a run's records column by column: `(the number of
     malformed records, a problem line for each of the first `room` of them,
     (stamps in ms, instrument names, is-ask, prices) of the good ones)`.  A
     record's problem is its first failing check, in the order field count,
-    side, instrument, stamp, price."""
+    side, instrument, stamp, price.  The problem lines show `nul` as NUL."""
     raw_ts, instrument, side, raw_price = (np.char.strip(f) for f in fields)
     is_ask, is_bid = side == "ask", side == "bid"
     for i in np.flatnonzero(~(is_ask | is_bid)).tolist():
@@ -250,14 +286,18 @@ def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarra
     reason[full] = failed
     row = np.cumsum(full) - 1  # each record's row in `fields`
     bad = np.flatnonzero(reason)
+
+    def cell(column: np.ndarray, i: int) -> str:
+        return str(column[row[i]]).replace(nul, "\0")
+
     messages = [
         f"line {lines[i]}: " + (
             f"expected {_FIELDS} fields, got {counts[i]}" if reason[i] == 1
-            else f"unknown side {str(side[row[i]]).lower()!r}" if reason[i] == 2
+            else f"unknown side {cell(side, i).lower()!r}" if reason[i] == 2
             else "empty instrument" if reason[i] == 3
-            else f"bad timestamp {str(raw_ts[row[i]])!r}" if reason[i] == 4
-            else f"bad price {str(raw_price[row[i]])!r}" if reason[i] == 5
-            else f"price must be positive, got {str(raw_price[row[i]])!r}"
+            else f"bad timestamp {cell(raw_ts, i)!r}" if reason[i] == 4
+            else f"bad price {cell(raw_price, i)!r}" if reason[i] == 5
+            else f"price must be positive, got {cell(raw_price, i)!r}"
         )
         for i in bad[:max(room, 0)].tolist()
     ]
@@ -280,9 +320,6 @@ def _plain_shapes(width: int) -> np.ndarray:
 
 _PLAIN_WIDTH = 27  # YYYY-MM-DDTHH:MM:SS.ffffffZ
 _PLAIN = _plain_shapes(_PLAIN_WIDTH)
-# Where numpy refuses a whole column, runs of this many stamps are cast on
-# their own, so one bad stamp sends only its run down the per-row path.
-_RUN = 256
 
 
 def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,9 +328,10 @@ def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Stamps of the plain shape `YYYY-MM-DDTHH:MM:SS[.f{1,6}][Z]` convert in
     one `datetime64[us]` cast.  The rest go through `parse_rfc3339` one by
-    one, as do the runs the cast refuses (a day or hour out of range) and
-    stamps too far from 1970 for a float to hold their microseconds
-    exactly (among them year 0000, which numpy reads and Python does not).
+    one, as do all of a run's stamps when the cast refuses one (a day or
+    hour out of range), and stamps too far from 1970 for a float to hold
+    their microseconds exactly (among them year 0000, which numpy reads
+    and Python does not).
     """
     n, width = stamps.size, stamps.dtype.itemsize // 4
     code = np.zeros((n, _PLAIN_WIDTH), np.uint32)
@@ -307,15 +345,10 @@ def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     text[dropped, length[at[dropped]] - 1] = 0  # the Z
     text = text.view(f"U{_PLAIN_WIDTH}")[:, 0]
     try:
-        us, cast = text.astype("datetime64[us]"), np.ones(at.size, dtype=bool)
+        us = text.astype("datetime64[us]").view(np.int64)
     except ValueError:
-        us, cast = np.zeros(at.size, "datetime64[us]"), np.zeros(at.size, dtype=bool)
-        for k in range(0, at.size, _RUN):
-            with contextlib.suppress(ValueError):
-                us[k:k + _RUN] = text[k:k + _RUN].astype("datetime64[us]")
-                cast[k:k + _RUN] = True
-    us = us.view(np.int64)
-    exact = cast & (np.abs(us) <= 2**53)
+        at, us = at[:0], np.zeros(0, np.int64)
+    exact = np.abs(us) <= 2**53
     ms = np.zeros(n, dtype=np.int64)
     ms[at[exact]] = np.rint(us[exact] / 1e6 * 1000.0)
     parsed = np.zeros(n, dtype=bool)

@@ -180,6 +180,9 @@ class TestParseTicks:
 
 HEADER = "timestamp,instrument,side,price"
 PLAIN_ROW = "2006-10-16T00:03:00.250Z,EUR/USD,ask,1.2612"
+# `csv` reads a NUL as any other character from Python 3.11 on; before
+# that the row parser refuses the line, so NULs are only generated there.
+NULS = sys.version_info >= (3, 11)
 
 # Stamp text: mostly the plain shape, with days, hours and years out of
 # range, every separator and zone the grammar takes and some it does not.
@@ -195,16 +198,18 @@ stamp_text = st.builds(
     st.sampled_from([0, 1, 59, 60]),
     st.sampled_from(["", "", ".5", ".25", ".0005", ".123456", ".000500", ".1234567", "."]),
     st.sampled_from(["Z", "Z", "Z", "", "z", "+09:00", "-00:30", "+24:00", "+0100", "ZZ"]),
-    st.sampled_from(["", "", "", " ", "\x1c"]),
+    st.sampled_from(["", "", "", " ", "\x1c", *["\0", "\0 "] * NULS]),
 )
 instrument_text = st.sampled_from(
     ["EUR/USD", "EUR/USD", "USD/JPY", " GBP/USD ", "", "  ", "é/ü", '"EUR\nUSD"', '"EUR\r\nUSD"',
-     '"A,B"', '"Q""T"', 'EU"R', '"EUR/USD"']
+     '"A,B"', '"Q""T"', 'EU"R', '"EUR/USD"', *["EUR/USD\0", "EUR\0/USD", "\0", "\0\0 "] * NULS]
 )
-side_text = st.sampled_from(["ask", "ask", "bid", "bid", "ASK", " Bid ", "mid", "", "AS\u212a", '"ask"'])
+side_text = st.sampled_from(
+    ["ask", "ask", "bid", "bid", "ASK", " Bid ", "mid", "", "AS\u212a", '"ask"', *["ask\0", "\0bid"] * NULS]
+)
 price_text = st.sampled_from(
     ["1.2612", "116.2", "1.5", " 1.5 ", "-1", "0", "n/a", "inf", "nan", "1_000", "1e-3", "", '"1.25"',
-     "\uff11\uff12", "0x10"]
+     "\uff11\uff12", "0x10", *["1.5\0", "1\0.5", "\0"] * NULS]
 )
 row_text = st.one_of(
     st.builds(lambda *f: ",".join(f), stamp_text, instrument_text, side_text, price_text),
@@ -250,20 +255,43 @@ class TestColumnarParse:
         at=st.integers(0, 30),
         last_end=st.booleans(),
         block=st.sampled_from([8, 64, 300, 1 << 18]),
+        run=st.sampled_from([1, 100, 1000, 1 << 20]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_row_parser(self, rows, bulk, at, last_end, block):
-        if bulk:  # keep the number of blocks, and the test's time, small
-            block = max(block, 4096)
+    def test_matches_the_row_parser(self, rows, bulk, at, last_end, block, run):
+        if bulk:  # keep the number of blocks and runs, and the test's time, small
+            block, run = max(block, 4096), max(run, 4096)
         body = [row + end for row, end in rows]
         # 2100 good rows let up to 21 malformed ones through the 1% abort.
         body.insert(min(at, len(body)), (PLAIN_ROW + "\n") * bulk)
         text = HEADER + "\r\n" + "".join(body)
         if not last_end:
             text = text.rstrip("\r\n")
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block), mock.patch.object(ingest, "_RUN_CHARS", run):
             got = parse_outcome(parse_ticks, text)
         assert_same_parse(got, parse_outcome(row_parse_ticks, text))
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_a_nul_is_read_as_any_other_character(self, quote):
+        """numpy's str cells drop trailing NULs; the parse must not: a
+        name ending in NUL is a name of its own, and a NUL in any other
+        field makes the row malformed, on every Python."""
+        text = HEADER + "\n" + (PLAIN_ROW + "\n") * 500 + (
+            f"{quote}2006-10-16T00:03:00Z{quote},EUR/USD\0,ask,1.5\n"
+            "2006-10-16T00:03:00Z,EUR/USD,ask,1.5\0\n"
+            "2006-10-16T00:03:00Z,EUR/USD,ask\0,1.5\n"
+            "2006-10-16T00:03:00Z\0,EUR/USD,ask,1.5\n"
+            "2006-10-16T00:03:00Z,\0,bid,1\0.5\n"
+        )
+        parsed = parse_ticks(io.StringIO(text, newline=""))
+        assert parsed.instruments == ("EUR/USD", "EUR/USD\0")
+        assert parsed.instrument.tolist() == [0] * 500 + [1]
+        assert parsed.problems == [
+            "line 503: bad price '1.5\\x00'",
+            "line 504: unknown side 'ask\\x00'",
+            "line 505: bad timestamp '2006-10-16T00:03:00Z\\x00'",
+            "line 506: bad price '1\\x00.5'",
+        ]
 
     @pytest.mark.parametrize("block", [256, 1 << 18])
     def test_more_than_twenty_malformed_rows(self, block):
@@ -327,6 +355,26 @@ class TestColumnarParse:
         finally:
             tracemalloc.stop()
         assert parsed.timestamp_ms.size == 200_000 and parsed.malformed == 0
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_one_wide_field_does_not_widen_a_block(self, quote):
+        """Bound, fixed before measuring: as for 200,000 plain rows, 40 MB,
+        when one row among them has a 120,000-character instrument.  Cells
+        padded to that width for a whole block of about 6,000 rows would
+        take 2.9 GB."""
+        wide = "W" * 120_000
+        rows = [PLAIN_ROW] * 200_000
+        rows[100_000] = f"2006-10-16T00:03:00Z,{quote}{wide}{quote},bid,1.5"
+        stream = io.TextIOWrapper(io.BytesIO((HEADER + "\n" + "\n".join(rows)).encode()), encoding="utf-8", newline="")
+        tracemalloc.start()
+        try:
+            parsed = parse_ticks(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.instruments == ("EUR/USD", wide) and parsed.malformed == 0
+        assert parsed.instrument.tolist().index(1) == 100_000 and not parsed.is_ask[100_000]
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
