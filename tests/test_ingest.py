@@ -335,19 +335,25 @@ class TestColumnarParse:
         ]
         assert run.stdout.splitlines() == [f"{want.malformed} {want.timestamp_ms.size}", *want.problems]
 
-    def test_memory_does_not_grow_with_the_file(self):
+    @pytest.mark.parametrize("wide", ["", "W" * 120_000, '"' + "W" * 120_000 + '"'], ids=["", "wide", "quoted-wide"])
+    def test_memory_does_not_grow_with_the_file(self, wide):
         """Bound, fixed before measuring: parsing 200,000 rows (8.4 MB of
-        text) allocates at most 40 MB at its peak beyond the file's bytes.
-        The columns it returns take 5 MB.  A parse of the whole body at once
+        text) allocates at most 40 MB at its peak beyond the file's bytes,
+        also when one row's instrument is 120,000 characters long.  The
+        columns it returns take 5 MB.  A parse of the whole body at once
         holds the 34 MB of the text as UCS-4 and several index and cell
-        arrays per row: 150 MB."""
-        text = HEADER + "\n" + "".join(
+        arrays per row: 150 MB.  Cells padded to the long instrument for a
+        whole block of about 6,000 rows would take 2.9 GB."""
+        rows = [
             f"2006-10-16T{k // 3600 % 24:02d}:{k // 60 % 60:02d}:{k % 60:02d}.{k % 1000:03d}Z,"
             f"FX{k % 12:02d},{'ask' if k % 2 else 'bid'},{1 + k % 997 / 1000:.5f}\n"
             for k in range(200_000)
-        )
+        ]
+        if wide:
+            rows[100_000] = f"2006-10-16T00:03:00Z,{wide},bid,1.5\n"
         # Read as a file is: a StringIO would hold the whole text as UCS-4.
-        stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
+        stream = io.TextIOWrapper(io.BytesIO((HEADER + "\n" + "".join(rows)).encode()), encoding="utf-8", newline="")
+        del rows
         tracemalloc.start()
         try:
             parsed = parse_ticks(stream)
@@ -355,26 +361,8 @@ class TestColumnarParse:
         finally:
             tracemalloc.stop()
         assert parsed.timestamp_ms.size == 200_000 and parsed.malformed == 0
-        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
-
-    @pytest.mark.parametrize("quote", ["", '"'])
-    def test_one_wide_field_does_not_widen_a_block(self, quote):
-        """Bound, fixed before measuring: as for 200,000 plain rows, 40 MB,
-        when one row among them has a 120,000-character instrument.  Cells
-        padded to that width for a whole block of about 6,000 rows would
-        take 2.9 GB."""
-        wide = "W" * 120_000
-        rows = [PLAIN_ROW] * 200_000
-        rows[100_000] = f"2006-10-16T00:03:00Z,{quote}{wide}{quote},bid,1.5"
-        stream = io.TextIOWrapper(io.BytesIO((HEADER + "\n" + "\n".join(rows)).encode()), encoding="utf-8", newline="")
-        tracemalloc.start()
-        try:
-            parsed = parse_ticks(stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert parsed.instruments == ("EUR/USD", wide) and parsed.malformed == 0
-        assert parsed.instrument.tolist().index(1) == 100_000 and not parsed.is_ask[100_000]
+        if wide:
+            assert parsed.instruments[parsed.instrument[100_000]] == wide.strip('"')
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
