@@ -60,6 +60,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral-distance analytics for multi-channel market series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags of two commands.  A flag setting a SimConfig field stores under its name.
+    windows = argparse.ArgumentParser(add_help=False)
+    windows.add_argument("--window", type=int, default=pipeline.AnalysisConfig.width,
+                         help="window width in samples")
+    windows.add_argument("--stride", type=int, default=None, help="samples between window starts")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--seed", type=int, help="seed (of the first run for sweep)")
+    model.add_argument("--steps", type=int, dest="horizon", metavar="STEPS",
+                       help="recorded steps after warm-up, per run")
+    model.add_argument("--agents", type=int, dest="n_agents", metavar="AGENTS")
+    model.add_argument("--commodities", type=int, dest="n_commodities", metavar="COMMODITIES")
+    model.add_argument("--gamma", type=float)
 
     p = sub.add_parser("ingest", help="tick CSV -> activity/rate panel CSVs")
     p.add_argument("ticks", help="tick CSV file (gzip accepted by .gz extension)")
@@ -67,36 +79,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1.0, help="bucket width in minutes")
     p.add_argument("--activity-out", help="write the quotation-frequency panel here")
     p.add_argument("--rates-out", help="write the best-rate panel here")
-    p.set_defaults(func=_cmd_ingest)
+    p.set_defaults(func=_cmd_ingest, files=(("ticks",), ("--activity-out", "--rates-out")))
 
-    p = sub.add_parser("analyze", help="panel CSV -> windowed metrics CSV")
+    p = sub.add_parser("analyze", parents=[windows], help="panel CSV -> windowed metrics CSV")
     p.add_argument("panel", help="panel CSV (`time,<channel>,...`)")
     p.add_argument("--out", required=True, help="metrics CSV destination")
-    p.add_argument("--window", type=int, default=pipeline.AnalysisConfig.width,
-                   help="window width in samples")
-    p.add_argument("--stride", type=int, default=None, help="samples between window starts")
     p.add_argument("--transform", choices=TRANSFORMS, default="raw")
     p.add_argument("--channels", help="comma-separated channel subset")
     p.add_argument("--weights", help="comma-separated mixture weights (default uniform)")
     p.add_argument("--floor", type=float, default=DEFAULT_KL_FLOOR, help="KL probability floor")
     p.add_argument("--dump-spectra", help="also write per-window spectra here")
     p.add_argument("--dump-kl", help="also write per-window KL matrices here")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, files=(("panel",), ("--out", "--dump-spectra", "--dump-kl")))
 
-    # The `simulate` and `sweep` flags that set a SimConfig field store under
-    # the field's name (see `_sim_config`).
-    p = sub.add_parser("simulate", help="agent-based model -> panel CSVs")
+    p = sub.add_parser("simulate", parents=[model], help="agent-based model -> panel CSVs")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--rates-out", help="write the simulated rate panel here")
     p.add_argument("--activity-out", help="write the simulated activity panel here")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int, dest="horizon", metavar="STEPS",
-                   help="recorded steps after warm-up")
     p.add_argument("--warmup", type=int)
-    p.add_argument("--agents", type=int, dest="n_agents", metavar="AGENTS")
-    p.add_argument("--commodities", type=int, dest="n_commodities", metavar="COMMODITIES")
     p.add_argument("--ma-span", type=int)
-    p.add_argument("--gamma", type=float)
     p.add_argument("--sigma-xi", type=float)
     p.add_argument("--sigma-s", type=float)
     p.add_argument("--theta-buy", type=float, nargs=2, dest="theta_buy_range",
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-range", type=float, nargs=2, metavar=("A1", "A2"))
     p.add_argument("--resample-params", action="store_true", default=None,
                    help="redraw agent parameters every step")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, files=(("--config",), ("--rates-out", "--activity-out")))
 
     p = sub.add_parser("compare", help="two metrics CSVs -> correlation and slope")
     p.add_argument("left", help="metrics CSV providing the x series")
@@ -118,29 +119,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", choices=("origin", "affine"), default="origin")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("sweep", help="parameter-entropy sweep -> (H_a, mean JS) table")
+    p = sub.add_parser("sweep", parents=[model, windows],
+                       help="parameter-entropy sweep -> (H_a, mean JS) table")
     p.add_argument("--ha", required=True,
                    help="comma-separated parameter-entropy values, e.g. -1,0,1")
     p.add_argument("--seeds", type=int, default=3, help="seeds averaged per value")
     p.add_argument("--center", type=float,
                    help="center of the swept sensitivity range")
-    p.add_argument("--steps", type=int, dest="horizon", metavar="STEPS",
-                   help="recorded steps per run")
-    p.add_argument("--seed", type=int, help="base seed")
-    p.add_argument("--agents", type=int, dest="n_agents", metavar="AGENTS")
-    p.add_argument("--commodities", type=int, dest="n_commodities", metavar="COMMODITIES")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--window", type=int, default=pipeline.AnalysisConfig.width)
-    p.add_argument("--stride", type=int, default=None)
     p.add_argument("--out", help="write the table as CSV instead of stdout")
     p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
+def _check_files(args: argparse.Namespace) -> None:
+    """`ConfigurationError` unless the command has an output and each output is
+    a file of its own, by absolute path: no other output or input."""
+    inputs, outputs = getattr(args, "files", ((), ()))
+    paths = {name: getattr(args, name.lstrip("-").replace("-", "_")) for name in inputs + outputs}
+    if outputs and not any(paths[name] for name in outputs):
+        raise ConfigurationError(f"nothing to do: pass {' and/or '.join(outputs)}")
+    taken = {}  # absolute path -> the argument that names it
+    for name, path in paths.items():
+        other = taken.setdefault(os.path.abspath(path), name) if path else name
+        if other != name and name in outputs:
+            raise ConfigurationError(f"{path}: {other} and {name} name one file")
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    if not (args.activity_out or args.rates_out):
-        raise ConfigurationError("nothing to do: pass --activity-out and/or --rates-out")
     parsed = read_ticks(args.ticks)
     if parsed.malformed:
         print(
@@ -150,7 +156,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         for problem in parsed.problems:
             print(f"specdist: warning   {problem}", file=sys.stderr)
     activity, rates = resample(parsed, args.dt, args.side)
-    if args.rates_out and rates.length == 0:
+    if args.rates_out and rates is None:
         raise AnalysisError(
             f"{args.ticks}: no rate series: fewer than two buckets after every instrument quoted"
         )
@@ -208,13 +214,7 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if not (args.rates_out or args.activity_out):
-        raise ConfigurationError("nothing to do: pass --rates-out and/or --activity-out")
     cfg = _sim_config(args)
-    if cfg.horizon < 2:
-        raise ConfigurationError(
-            f"horizon must be at least 2 to write a panel, got {cfg.horizon}"
-        )
     rates, activity = run_simulation(cfg)
     meta = {"source": "simulate", **cfg.provenance(), "transform": "raw"}
     _write_panels(meta, (args.rates_out, rates), (args.activity_out, activity))
@@ -268,6 +268,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_files(args)
         return args.func(args)
     except Exception as exc:  # every failure is one stderr line and its exit code
         return _fail(exc)

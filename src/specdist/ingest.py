@@ -19,6 +19,7 @@ import heapq
 import math
 import os
 import re
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -86,13 +87,15 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
     Lines end at `\r\n`, `\r` or `\n`, as in a file opened with
     `newline=""`.  Malformed rows are counted and reported, never silently
     dropped; when more than 1% of the data rows are bad the whole parse
-    aborts with a summary.  An unrecognizable header aborts immediately.
+    aborts with a summary.  A bad header or a field over csv's limit aborts.
     """
     reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
         raise FormatError("empty tick file: missing header") from None
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}") from None
     if tuple(h.strip().lower() for h in header) != TICK_HEADER:
         raise FormatError(
             f"bad tick header {header!r}, expected {','.join(TICK_HEADER)}"
@@ -228,12 +231,15 @@ def _csv_records(block: str, line: int, last: bool):
 
     reader = csv.reader(feed())
     rows, at = [], []
-    for record in reader:
-        if ended and not last:
-            return None
-        if record:
-            rows.append(record)
-            at.append(line + reader.line_num)
+    try:
+        for record in reader:
+            if ended and not last:
+                return None
+            if record:
+                rows.append(record)
+                at.append(line + reader.line_num)
+    except csv.Error as exc:
+        raise FormatError(f"line {line + reader.line_num}: {exc}") from None
     full = [record for record in rows if len(record) == _FIELDS]
 
     def fields(records: slice) -> list[np.ndarray]:
@@ -385,14 +391,17 @@ def _floats(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_ticks(path: str | Path) -> ParsedTicks:
-    """Parse a tick CSV file; gzip-compressed input is accepted by extension."""
+    """Parse a tick CSV file (gzip by `.gz` extension); an unreadable one is a `FormatError`."""
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8", newline="") as fh:
-        return parse_ticks(fh)
+    try:
+        with opener(path, "rt", encoding="utf-8", newline="") as fh:
+            return parse_ticks(fh)
+    except (FormatError, UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
-def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, SignalPanel]:
+def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, SignalPanel | None]:
     """Activity and best-rate panels of one side, on one grid of dt-minute buckets.
 
     The grid is the smallest dt-aligned one holding every tick of either
@@ -400,7 +409,7 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
     is the bucket's quote count divided by dt.  The best rate is the bucket
     minimum for asks (maximum for bids), carried forward through empty
     buckets; the rate panel starts at the first bucket where every channel
-    has quoted, and is empty when fewer than two buckets remain.  Ticks
+    has quoted, and is None when fewer than two buckets remain.  Ticks
     that all fall in one bucket are an `AnalysisError`: a panel needs two.  Bucket
     assignment depends only on timestamps, so the input order is irrelevant.
     """
@@ -433,15 +442,12 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
     quoted = np.isfinite(best)
     last = np.maximum.accumulate(np.where(quoted, np.arange(count), -1), axis=1)
     first = int(np.argmax(quoted, axis=1).max())
-    if count - first < 2:
-        first = count
-    rates = np.take_along_axis(best, last[:, first:], axis=1)
-
     labels = tuple(ticks.instruments[i] for i in present.tolist())
-    return (
-        SignalPanel(activity, labels, dt, origin / 1000.0),
-        SignalPanel(rates, labels, dt, (origin + first * dt_ms) / 1000.0),
-    )
+    activity = SignalPanel(activity, labels, dt, origin / 1000.0)
+    if count - first < 2:
+        return activity, None
+    rates = np.take_along_axis(best, last[:, first:], axis=1)
+    return activity, SignalPanel(rates, labels, dt, (origin + first * dt_ms) / 1000.0)
 
 
 TRANSFORMS = ("raw", "log-return")
@@ -455,6 +461,8 @@ def transform_panel(panel: SignalPanel, transform: str) -> SignalPanel:
     # transformed panel stays on the raw panel's window grid.
     if transform == "raw":
         return panel
+    if panel.length == 2:
+        raise TransformError("log-return of a 2-sample panel leaves one return: a panel needs two")
     if np.any(panel.values <= 0):
         raise TransformError("log-return requires strictly positive values")
     logs = np.log(panel.values)
@@ -554,10 +562,7 @@ def write_panel_csv(
     """Write a panel as `time,<channel>,...` rows with RFC-3339 timestamps.
 
     The `# key=value ...` line records `meta` and the sampling period `dt`.
-    Panels shorter than two rows are refused: they could not be read back.
     """
-    if panel.length < 2:
-        raise AnalysisError(f"{path}: a panel needs at least two rows, got {panel.length}")
     ms = round(panel.t0 * 1000.0) + np.arange(panel.length) * (panel.dt * 60_000.0)
     rows = (column.tolist() for column in panel.values.T)
     meta = {**(meta or {}), "dt": repr(panel.dt)}

@@ -64,8 +64,8 @@ class SimConfig:
             fail(f"need at least one agent, got {self.n_agents}")
         if self.n_commodities < 1:
             fail(f"need at least one commodity, got {self.n_commodities}")
-        if self.horizon < 0 or self.horizon == 1:
-            fail(f"horizon must be 0 or at least 2 steps, got {self.horizon}")
+        if self.horizon < 2:
+            fail(f"horizon must be at least 2 steps, got {self.horizon}")
         if self.ma_span < 1:
             fail(f"moving-average span must be >= 1, got {self.ma_span}")
         if not self.gamma > 0:

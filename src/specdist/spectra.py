@@ -45,9 +45,10 @@ class SignalPanel:
         Time of the first sample in epoch seconds, kept to the whole ms (the
         resolution of ticks and of every file stamp).  Defaults to the epoch.
 
-    The panel is immutable after construction; an empty panel (L = 0) is
-    allowed as a no-data marker, otherwise at least two samples are
-    required.
+    The panel holds at least one channel of at least two samples and is
+    immutable.  Its values are a float64 copy in C order whatever the
+    caller's layout, which sets numpy's summation order, so a panel gives
+    the same bits however it was built.
     """
 
     values: np.ndarray
@@ -56,15 +57,13 @@ class SignalPanel:
     t0: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64, order="C")
         if v.ndim != 2:
             raise ValueError(f"panel values must be 2-D (channels, samples), got ndim={v.ndim}")
         m, length = v.shape
-        if m < 1:
-            raise ValueError("panel needs at least one channel")
-        if 0 < length < 2:
-            raise ValueError("panel needs at least two samples (or none at all)")
-        if length and not np.all(np.isfinite(v)):
+        if m < 1 or length < 2:
+            raise ValueError(f"panel needs at least one channel and two samples, got {v.shape}")
+        if not np.all(np.isfinite(v)):
             raise ValueError("panel values must all be finite")
         labels = tuple(str(x) for x in self.labels)
         if len(labels) != m:
@@ -75,7 +74,6 @@ class SignalPanel:
             raise ValueError(f"sampling period must be positive, got {self.dt}")
         if not np.isfinite(self.t0):
             raise ValueError(f"start time t0 must be finite epoch seconds, got {self.t0}")
-        v = v.copy(order="K")  # keeps the layout, which sets numpy's summation order
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "labels", labels)
@@ -89,11 +87,6 @@ class SignalPanel:
     @property
     def length(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def nyquist(self) -> float:
-        """Highest resolvable frequency, 1/(2*dt)."""
-        return 1.0 / (2.0 * self.dt)
 
     def channel_index(self, label: str) -> int:
         try:

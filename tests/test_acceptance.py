@@ -115,14 +115,21 @@ def test_criterion_1_mean_kl_dominates_js(
 
 
 def test_criterion_2_proportionality_reproduction(long_run_activity_metrics):
-    """Origin slope of JS vs <KL> in [0.27, 0.57] with correlation > 0.85."""
+    """Origin slope of JS vs <KL> in [0.27, 0.57] with correlation > 0.85.
+
+    The report also gives the quartiles of the per-window JS/<KL>, which
+    tends to 1/2 for spectra close to their mixture (see
+    `test_half_the_weighted_mean_kl_for_close_members`).
+    """
     res = long_run_activity_metrics
     assert res.js.size >= 300, f"only {res.js.size} windows"
     slope = fit_proportionality(res.mean_kl, res.js)
     corr = cross_correlation(res.js, res.mean_kl)
+    q1, median, q3 = np.percentile(res.js / res.mean_kl, [25, 50, 75])
     ok = 0.27 <= slope <= 0.57 and corr > 0.85
     report(2, ok, f"slope={slope:.4f} (band [0.27, 0.57]) corr={corr:.4f} "
-                  f"windows={res.js.size}")
+                  f"windows={res.js.size} JS/<KL> median={median:.4f} "
+                  f"quartiles=[{q1:.4f}, {q3:.4f}]")
 
 
 def test_criterion_3_parameter_entropy_sweep():

@@ -1,10 +1,14 @@
+import gzip
+import re
+
 import numpy as np
 import pytest
 
 from specdist import cli, errors, pipeline
 from specdist.cli import main
 from specdist.distances import cross_correlation, fit_proportionality
-from specdist.ingest import read_panel_csv
+from specdist.ingest import read_panel_csv, write_panel_csv
+from specdist.spectra import SignalPanel
 
 from conftest import DATA_DIR
 
@@ -111,11 +115,55 @@ class TestIngestCommand:
         assert activity.read_text() == "kept\n" and not rates.exists()
 
 
+TICK_HEAD = "timestamp,instrument,side,price\n"
+TICK_ROWS = "".join(
+    f"2006-10-16T{k // 3600:02d}:{k // 60 % 60:02d}:{k % 60:02d}Z,EUR/USD,ask,1.26\n"
+    for k in range(20_000)
+)
+# (file name, bytes, the message after the file name) of tick files that
+# cannot be read row by row.
+UNREADABLE_TICKS = {
+    # The quote never closes, so its field runs on past csv's size limit.
+    "unclosed_quote": (
+        "t.csv",
+        (TICK_HEAD + '2006-10-16T00:00:00Z,"EUR/USD,ask,1.26\n' + TICK_ROWS).encode(),
+        r"line \d+: field larger than field limit",
+    ),
+    "field_over_csv_limit": (
+        "t.csv",
+        (TICK_HEAD + "x" * 200_000 + "\n" + TICK_ROWS).encode(),
+        r"line 2: field larger than field limit",
+    ),
+    "not_utf8": (
+        "t.csv",
+        TICK_HEAD.encode() + b"2006-10-16T00:00:00Z,EUR\xff,ask,1.26\n" + TICK_ROWS.encode(),
+        "'utf-8' codec can't decode byte 0xff",
+    ),
+    "truncated_gzip": (
+        "t.csv.gz",
+        gzip.compress((TICK_HEAD + TICK_ROWS).encode())[:-100],
+        "Compressed file ended before the end-of-stream marker",
+    ),
+    "not_gzip": ("t.csv.gz", (TICK_HEAD + TICK_ROWS).encode(), "Not a gzipped file"),
+}
+
+
+class TestUnreadableTickFile:
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_TICKS))
+    def test_is_format_error_naming_the_file(self, tmp_path, capsys, case):
+        name, content, message = UNREADABLE_TICKS[case]
+        ticks = tmp_path / name
+        ticks.write_bytes(content)
+        activity, rates = tmp_path / "a.csv", tmp_path / "r.csv"
+        code = run("ingest", str(ticks), "--activity-out", str(activity), "--rates-out", str(rates))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert re.search(f'kind=FormatError msg="{re.escape(str(ticks))}: {message}', err), err
+        assert not activity.exists() and not rates.exists()
+
+
 class TestAnalyzeCommand:
     def make_panel_csv(self, tmp_path, length=640, m=3, seed=0):
-        from specdist.ingest import write_panel_csv
-        from specdist.spectra import SignalPanel
-
         rng = np.random.default_rng(seed)
         panel = SignalPanel(
             rng.normal(size=(m, length)), tuple(f"ch{i}" for i in range(m)), 1.0
@@ -177,6 +225,31 @@ class TestAnalyzeCommand:
         out = tmp_path / "m.csv"
         argv = ("analyze", str(panel_csv), "--window", "64", f"--weights={weights}")
         assert run(*argv, "--out", str(out)) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("transform", ["raw", "log-return"])
+    def test_matches_library_analyze_bit_for_bit(self, tmp_path, transform):
+        rng = np.random.default_rng(3)
+        values = np.exp(rng.normal(scale=1e-2, size=(12, 2000)).cumsum(axis=1))
+        panel = SignalPanel(values, tuple(f"ch{i}" for i in range(12)), 1.0)
+        path, out = tmp_path / "panel.csv", tmp_path / "m.csv"
+        write_panel_csv(panel, path)
+        argv = ("analyze", str(path), "--window", "128", "--stride", "32", "--transform", transform)
+        assert run(*argv, "--out", str(out)) == 0
+        from_file = pipeline.read_metrics_csv(out)
+        library = pipeline.analyze(
+            panel, pipeline.AnalysisConfig(width=128, stride=32, transform=transform)
+        )
+        for name in ("timestamps", "js", "mean_kl", "entropies", "modes"):
+            assert np.array_equal(getattr(from_file, name), getattr(library, name)), name
+
+    def test_log_return_of_two_rows_is_data_error(self, tmp_path, capsys):
+        path, out = tmp_path / "panel.csv", tmp_path / "m.csv"
+        write_panel_csv(SignalPanel([[1.0, 2.0], [3.0, 4.0]], ("a", "b"), 1.0), path)
+        code = run("analyze", str(path), "--window", "4", "--transform", "log-return", "--out", str(out))
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "kind=TransformError" in err and "2-sample panel leaves one return" in err
         assert not out.exists()
 
     def test_one_file_for_both_dumps_is_config_error(self, tmp_path, capsys):
@@ -497,6 +570,33 @@ class TestSweepCommand:
 
     def test_bad_ha_list(self):
         assert run("sweep", "--ha", "abc") == 5
+
+
+class TestDistinctFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ingest", TICKS, "--activity-out", "x.csv", "--rates-out", "./x.csv"),
+            ("simulate", *SMALL_SIM, "--rates-out", "x.csv", "--activity-out", "{dir}/x.csv"),
+            ("simulate", "--config", "sim.cfg", "--rates-out", "sim.cfg"),
+            ("analyze", "panel.csv", "--out", "x.csv", "--dump-kl", "x.csv"),
+            ("analyze", "panel.csv", "--out", "panel.csv"),
+            ("analyze", "panel.csv", "--out", "m.csv", "--dump-kl", "{dir}/panel.csv"),
+        ],
+        ids=[
+            "ingest_both_panels", "simulate_both_panels", "simulate_over_config",
+            "analyze_out_and_kl_dump", "analyze_over_input",
+            "analyze_kl_dump_over_input",
+        ],
+    )
+    def test_clash_is_config_error_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_panel_csv(SignalPanel(np.arange(256.0).reshape(2, 128) % 7, ("a", "b"), 1.0), "panel.csv")
+        (tmp_path / "sim.cfg").write_text("n_agents = 40\nn_commodities = 2\nhorizon = 24\n")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert run(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == 5
+        assert "kind=ConfigurationError" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestUsageErrors:

@@ -135,6 +135,46 @@ class TestJsDivergence:
         assert mk >= js - 1e-9
 
 
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 12),
+        bins=st.integers(2, 256),
+        eps=st.floats(1e-3, 0.02),
+        uniform_weights=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_half_the_weighted_mean_kl_for_close_members(self, seed, m, bins, eps, uniform_weights):
+        """JS / sum_ij pi_i pi_j KL_ij -> 1/2 as the members close in on their mixture.
+
+        With x_i = p_i / mbar - 1 and eta = max |x_i| < 1, S = sum_i pi_i sum_b
+        mbar x_i^2, and a = eta / (3 (1 - eta)^2):
+        - JS = sum_i pi_i KL(p_i, mbar) = sum_i pi_i sum_b mbar f(x_i) with
+          f(x) = (1+x) log(1+x) - x = x^2/2 + R, |R| <= |x|^3 / (6 (1-eta)^2),
+          so JS = S/2 (1 + t) with |t| <= a;
+        - KL_ij + KL_ji = sum_b mbar (x_i - x_j)(log(1+x_i) - log(1+x_j)), and
+          by the mean value theorem each bin's term is (x_i - x_j)^2 / (1 + xi),
+          |xi| <= eta; since sum_i pi_i x_i = 0, 1/2 sum_ij pi_i pi_j sum_b
+          mbar (x_i - x_j)^2 = S, so the weighted mean KL lies in
+          [S / (1 + eta), S / (1 - eta)].
+        Hence |ratio - 1/2| <= (eta + a (1 + eta)) / 2, which is at most
+        eta for eta <= 0.1: the law holds to O(eta), whatever M, the bins and
+        the weights.  Members q (1 + eps u_i), u_i uniform on [-1, 1], keep
+        eta <= ((1 + eps) / (1 - eps))^2 - 1 < 0.1 for eps <= 0.02.
+        """
+        rng = np.random.default_rng(seed)
+        base = rng.dirichlet(np.ones(bins)) + 1e-3
+        members = base * (1.0 + eps * rng.uniform(-1.0, 1.0, size=(m, bins)))
+        probs = members / members.sum(axis=1, keepdims=True)
+        weights = uniform(m) if uniform_weights else rng.dirichlet(np.ones(m))
+        eta = float(np.abs(probs / (weights @ probs) - 1.0).max())
+        assert eta <= 0.1
+        js = float(js_divergences(probs, weights))
+        weighted_kl = float(weights @ kl_matrices(probs) @ weights)
+        if uniform_weights:
+            assert weighted_kl == pytest.approx(float(mean_kls(kl_matrices(probs))), rel=1e-12)
+        assert abs(js / weighted_kl - 0.5) <= eta
+
+
 class TestKlMatrix:
     def test_identical_members_give_zero_matrix(self):
         p = [0.25, 0.25, 0.5]

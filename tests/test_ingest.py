@@ -519,13 +519,11 @@ class TestBestRates:
                 assert value == previous
             previous = value
 
-    def test_fewer_than_two_complete_buckets_give_an_empty_panel(self, tmp_path):
+    def test_fewer_than_two_complete_buckets_give_no_rate_panel(self):
         ticks = [tick(0, "A/B"), tick(1, "A/B"), tick(1, "X/Y")]
         activity, rates = resample(columns(ticks), 1.0, "ask")
-        assert activity.length == 2
-        assert rates.length == 0 and rates.labels == ("A/B", "X/Y")
-        with pytest.raises(AnalysisError, match="two rows"):
-            write_panel_csv(rates, tmp_path / "rates.csv")
+        assert activity.length == 2 and activity.labels == ("A/B", "X/Y")
+        assert rates is None
 
 
 class TestBuildPanel:
@@ -621,11 +619,14 @@ class TestResample:
         order.shuffle(shuffled)
         for panel_input in (ticks, shuffled):
             activity, rates = resample(columns(panel_input), dt, side)
-            assert activity.labels == rates.labels == tuple(labels)
-            assert activity.dt == rates.dt == dt
+            assert activity.labels == tuple(labels) and activity.dt == dt
             assert activity.values.tolist() == activity_rows
-            assert rates.values.tolist() == rate_rows
             assert activity.t0 == a_start / 1000
+            if not rate_rows[0]:  # fewer than two buckets where every channel has quoted
+                assert rates is None
+                continue
+            assert rates.labels == tuple(labels) and rates.dt == dt
+            assert rates.values.tolist() == rate_rows
             assert rates.t0 == r_start / 1000
 
 

@@ -132,6 +132,11 @@ class TestAnalyze:
         assert result.timestamps[0] == panel.t0
         assert result.js.size == (256 - 128) // 64 + 1
 
+    def test_log_return_of_two_samples_names_the_cause(self):
+        panel = SignalPanel([[1.0, 2.0], [3.0, 4.0]], ("a", "b"), 1.0)
+        with pytest.raises(TransformError, match="2-sample panel leaves one return"):
+            analyze(panel, AnalysisConfig(width=4, transform="log-return"))
+
     def test_log_return_rejects_nonpositive(self):
         values = np.ones((2, 256))
         values[0, 3] = -1.0
@@ -153,6 +158,19 @@ class TestAnalyze:
         two = analyze(panel, cfg)
         assert np.array_equal(one.js, two.js)
         assert np.array_equal(one.mean_kl, two.mean_kl)
+
+    @pytest.mark.parametrize("transform", ["raw", "log-return"])
+    def test_memory_layout_moves_no_bit(self, transform):
+        # numpy's summation order follows the array's layout; the panel
+        # stores C order, so a Fortran-order caller gets the same bits.
+        rng = np.random.default_rng(12)
+        values = np.exp(rng.normal(scale=1e-2, size=(12, 2000)).cumsum(axis=1))
+        labels = tuple(f"ch{i}" for i in range(12))
+        cfg = AnalysisConfig(width=128, stride=32, transform=transform)
+        c_order = analyze(SignalPanel(values, labels, 1.0), cfg)
+        f_order = analyze(SignalPanel(np.asfortranarray(values), labels, 1.0), cfg)
+        for name in ("timestamps", "js", "mean_kl", "entropies", "modes", "gap_times"):
+            assert np.array_equal(getattr(c_order, name), getattr(f_order, name)), name
 
     def test_window_geometry_validation(self):
         with pytest.raises(InvalidWindowError):

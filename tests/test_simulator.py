@@ -202,14 +202,15 @@ ORACLE_GRID = {
 
 
 class TestRunSimulation:
-    def test_zero_horizon_empty_panels(self):
-        rates, activity = run_simulation(SimConfig(n_agents=5, n_commodities=2, horizon=0, warmup=2))
-        assert rates.length == 0 and activity.length == 0
-
     def test_one_step_horizon_rejected(self):
         # A one-sample panel cannot exist, so the config fails before any step runs.
         with pytest.raises(ConfigurationError, match="horizon"):
             SimConfig(n_agents=5, n_commodities=2, horizon=1)
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_zero_or_negative_horizon_rejected(self, horizon):
+        with pytest.raises(ConfigurationError, match="horizon must be at least 2"):
+            SimConfig(n_agents=5, n_commodities=2, horizon=horizon)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_GRID))
     def test_matches_scalar_oracle(self, case):

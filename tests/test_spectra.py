@@ -221,9 +221,16 @@ class TestPanelValidation:
         with pytest.raises(ValueError):
             SignalPanel(np.ones((2, 1)), ("a", "b"), 1.0)
 
-    def test_allows_empty_marker_panel(self):
-        panel = SignalPanel(np.empty((2, 0)), ("a", "b"), 1.0)
-        assert panel.length == 0
+    def test_rejects_empty_panel(self):
+        with pytest.raises(ValueError, match=r"at least one channel and two samples, got \(2, 0\)"):
+            SignalPanel(np.empty((2, 0)), ("a", "b"), 1.0)
+
+    def test_values_are_a_c_order_float_copy(self):
+        values = np.asfortranarray(np.arange(12).reshape(3, 4))
+        panel = SignalPanel(values, ("a", "b", "c"), 1.0)
+        assert panel.values.flags.c_contiguous and panel.values.dtype == np.float64
+        assert not np.shares_memory(panel.values, values)
+        assert np.array_equal(panel.values, values)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -251,6 +258,3 @@ class TestPanelValidation:
         panel = make_panel(np.ones(8))
         with pytest.raises(ValueError):
             panel.values[0, 0] = 2.0
-
-    def test_nyquist(self):
-        assert make_panel(np.ones(8), dt=1.0).nyquist == 0.5
