@@ -20,6 +20,7 @@ Log verbosity is controlled only by the SPECDIST_LOG environment variable
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -248,14 +249,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError("--ha needs at least one value")
     base = _sim_config(args)
     analysis = pipeline.AnalysisConfig(width=args.window, stride=args.stride)
-    points = pipeline.entropy_sweep(
-        h_a_values, base, analysis, seeds=args.seeds, center=args.center
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            pipeline.write_sweep_csv(points, fh)
-    else:
-        pipeline.write_sweep_csv(points, sys.stdout)
+    # The table is opened before the first run, and removed if the sweep fails.
+    with _removed_on_failure() as written, (
+        open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    ) as out:
+        if args.out:
+            written.append(args.out)
+        points = pipeline.entropy_sweep(
+            h_a_values, base, analysis, seeds=args.seeds, center=args.center
+        )
+        pipeline.write_sweep_csv(points, out)
     return EXIT_OK
 
 

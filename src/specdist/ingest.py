@@ -16,6 +16,8 @@ import contextlib
 import csv
 import gzip
 import heapq
+import io
+import itertools
 import math
 import os
 import re
@@ -87,9 +89,10 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
     Lines end at `\r\n`, `\r` or `\n`, as in a file opened with
     `newline=""`.  Malformed rows are counted and reported, never silently
     dropped; when more than 1% of the data rows are bad the whole parse
-    aborts with a summary.  A bad header or a field over csv's limit aborts.
+    aborts with a summary.  A bad header, a field over csv's limit or a
+    quote that does not open and close a whole field aborts.
     """
-    reader = csv.reader(stream)
+    reader = csv.reader(stream, strict=True)
     try:
         header = next(reader)
     except StopIteration:
@@ -108,36 +111,19 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
     names: dict[str, int] = {}
     malformed = 0
     problems: list[str] = []
-    line, text, last = reader.line_num, "", False
-    while not last:
-        chunk = stream.read(_BLOCK_CHARS)
-        text, last = text + chunk, not chunk
-        # Cut after the last line end; a final `\r` may be half of a `\r\n`.
-        cut = len(text) if last else max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
-        block = text[:cut]
-        if not block:
-            continue
-        # numpy's str cells drop trailing NULs, so a NUL is read as a lone
-        # surrogate the block does not hold (UTF-8 text never does) and put
-        # back in names and messages.
-        nul = "\0"
-        if nul in block:
-            nul = next(c for c in map(chr, range(0xD800, 0xE000)) if c not in block)
-            block = block.replace("\0", nul)
+    line = reader.line_num
+    while chunk := stream.read(_BLOCK_CHARS):
+        block = _nul_free(chunk + stream.readline())
         # Only `csv` knows where a quoted field ends.
         records = None if '"' in block else _split_records(block, line)
-        if records is None:
-            records = _csv_records(block, line, last)
-        if records is None:  # a quoted record runs on past the block
-            continue
-        text, (line, runs) = text[cut:], records
+        line, runs = records or _csv_records(block, stream, line)
         for lines, counts, fields in runs:
             room = _MAX_REPORTED_PROBLEMS - len(problems)
-            bad, reasons, (stamps, instruments, asks, prices) = _check_records(lines, counts, fields, room, nul)
+            bad, reasons, (stamps, instruments, asks, prices) = _check_records(lines, counts, fields, room)
             malformed += bad
             problems += reasons
             present, codes = np.unique(instruments, return_inverse=True)
-            recode = [names.setdefault(name.replace(nul, "\0"), len(names)) for name in present.tolist()]
+            recode = [names.setdefault(name.replace(_NUL, "\0"), len(names)) for name in present.tolist()]
             parts.append((stamps, np.array(recode, np.intp)[codes], asks, prices))
 
     stamps, codes, asks, prices = (np.concatenate(column) for column in zip(*parts))
@@ -161,8 +147,9 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
     )
 
 
-# Tick text is parsed this many characters at a time (about 6,000 rows of
-# a typical file), so memory does not grow with the file's length.
+# Tick text is parsed this many characters, and the rest of their last
+# line, at a time (about 6,000 rows of a typical file), so memory does not
+# grow with the file's length.
 _BLOCK_CHARS = 1 << 18
 # A block's records are checked in runs of consecutive records, each run
 # one record or few enough that every field column, whose cells numpy pads
@@ -170,8 +157,16 @@ _BLOCK_CHARS = 1 << 18
 # not widen the cells of the whole block.
 _RUN_CHARS = 1 << 20
 _FIELDS = len(TICK_HEADER)
-# A line with its end, as a file opened with newline="" yields it.
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
+# numpy's str cells drop trailing NULs, so a NUL is read as this lone
+# surrogate, which UTF-8 text never holds, and put back in names and messages.
+_NUL = "\udfff"
+
+
+def _nul_free(text: str) -> str:
+    """`text` with each NUL as `_NUL`; text that holds `_NUL` is a `FormatError`."""
+    if _NUL in text:
+        raise FormatError(f"tick text holds {_NUL!r}, which the parser reserves for NUL")
+    return text.replace("\0", _NUL)
 
 
 def _split_records(block: str, line: int):
@@ -218,26 +213,20 @@ def _cells(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return cells.view(f"U{width}")[:, 0]
 
 
-def _csv_records(block: str, line: int, last: bool):
+def _csv_records(block: str, stream: TextIO, line: int):
     """`_split_records` by `csv.reader`, for a block that may hold quoted
-    fields.  None when the block's last record is not over at its end and
-    more of the file follows."""
-    lines = _LINE.findall(block)
-    ended = []
-
-    def feed():
-        yield from lines
-        ended.append(True)
-
-    reader = csv.reader(feed())
+    fields.  A record still open at the block's end reads the rest of its
+    lines on from `stream`."""
+    lines = io.StringIO(block, newline="").readlines()
+    reader = csv.reader(itertools.chain(lines, map(_nul_free, stream)), strict=True)
     rows, at = [], []
     try:
         for record in reader:
-            if ended and not last:
-                return None
             if record:
                 rows.append(record)
                 at.append(line + reader.line_num)
+            if reader.line_num >= len(lines):
+                break
     except csv.Error as exc:
         raise FormatError(f"line {line + reader.line_num}: {exc}") from None
     full = [record for record in rows if len(record) == _FIELDS]
@@ -247,7 +236,7 @@ def _csv_records(block: str, line: int, last: bool):
 
     counts = np.array([len(record) for record in rows], dtype=np.intp)
     widths = np.array([max(map(len, record)) for record in rows], dtype=np.intp)
-    return line + len(lines), _runs(np.array(at, dtype=np.int64), counts, widths, fields)
+    return line + reader.line_num, _runs(np.array(at, dtype=np.int64), counts, widths, fields)
 
 
 def _runs(lines: np.ndarray, counts: np.ndarray, widths: np.ndarray, fields):
@@ -267,12 +256,12 @@ def _runs(lines: np.ndarray, counts: np.ndarray, widths: np.ndarray, fields):
             yield lines[a:b], counts[a:b], fields(slice(full[a], full[b]))
 
 
-def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarray], room: int, nul: str):
+def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarray], room: int):
     """Validate a run's records column by column: `(the number of
     malformed records, a problem line for each of the first `room` of them,
     (stamps in ms, instrument names, is-ask, prices) of the good ones)`.  A
     record's problem is its first failing check, in the order field count,
-    side, instrument, stamp, price.  The problem lines show `nul` as NUL."""
+    side, instrument, stamp, price.  The problem lines show `_NUL` as NUL."""
     raw_ts, instrument, side, raw_price = (np.char.strip(f) for f in fields)
     is_ask, is_bid = side == "ask", side == "bid"
     for i in np.flatnonzero(~(is_ask | is_bid)).tolist():
@@ -294,7 +283,7 @@ def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarra
     bad = np.flatnonzero(reason)
 
     def cell(column: np.ndarray, i: int) -> str:
-        return str(column[row[i]]).replace(nul, "\0")
+        return str(column[row[i]]).replace(_NUL, "\0")
 
     messages = [
         f"line {lines[i]}: " + (
@@ -396,8 +385,11 @@ def read_ticks(path: str | Path) -> ParsedTicks:
     opener = gzip.open if path.suffix == ".gz" else open
     try:
         with opener(path, "rt", encoding="utf-8", newline="") as fh:
-            return parse_ticks(fh)
-    except (FormatError, UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            try:
+                return parse_ticks(fh)
+            except UnicodeDecodeError as exc:  # `exc.object` is the decoder's input, read last
+                raise FormatError(f"byte {fh.buffer.tell() - len(exc.object) + exc.start}: not UTF-8 text") from None
+    except (FormatError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 

@@ -143,11 +143,20 @@ def row_parse_ticks(stream):
     Each row is stripped and checked in order (field count, side, empty
     instrument, RFC-3339 stamp, price, positive price); the first failing
     check makes it malformed, and the first 20 are reported with the file
-    line the record ends on.  More than 1% malformed aborts.
+    line the record ends on.  More than 1% malformed aborts, as does any
+    error of strict `csv`, named by the line it stopped on.
     """
-    reader = csv.reader(stream)
+    reader = csv.reader(stream, strict=True)
+
+    def records():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise FormatError(f"line {reader.line_num}: {exc}") from None
+
+    rows = records()
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise FormatError("empty tick file: missing header") from None
     if tuple(h.strip().lower() for h in header) != TICK_HEADER:
@@ -164,7 +173,7 @@ def row_parse_ticks(stream):
         if len(problems) < 20:
             problems.append(f"line {reader.line_num}: {reason}")
 
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         if len(row) != 4:

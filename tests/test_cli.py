@@ -120,6 +120,7 @@ TICK_ROWS = "".join(
     f"2006-10-16T{k // 3600:02d}:{k // 60 % 60:02d}:{k % 60:02d}Z,EUR/USD,ask,1.26\n"
     for k in range(20_000)
 )
+THOUSAND_ROWS = "".join(TICK_ROWS.splitlines(keepends=True)[:1000])
 # (file name, bytes, the message after the file name) of tick files that
 # cannot be read row by row.
 UNREADABLE_TICKS = {
@@ -134,10 +135,22 @@ UNREADABLE_TICKS = {
         (TICK_HEAD + "x" * 200_000 + "\n" + TICK_ROWS).encode(),
         r"line 2: field larger than field limit",
     ),
+    # Strict csv: a quote that never closes reaches the end of the file
+    # inside its field, and a closing quote must end its field.
+    "short_unclosed_quote": (
+        "t.csv",
+        (TICK_HEAD + THOUSAND_ROWS + '2020-01-01T01:00:00Z,"EUR,ask,1.5\n' + THOUSAND_ROWS[:3_800]).encode(),
+        "line 1102: unexpected end of data",
+    ),
+    "text_after_a_closing_quote": (
+        "t.csv",
+        (TICK_HEAD + THOUSAND_ROWS + '2020-01-01T01:00:00Z,"EUR"x,ask,1.5\n' + THOUSAND_ROWS[:3_800]).encode(),
+        "line 1002: ',' expected after",
+    ),
     "not_utf8": (
         "t.csv",
         TICK_HEAD.encode() + b"2006-10-16T00:00:00Z,EUR\xff,ask,1.26\n" + TICK_ROWS.encode(),
-        "'utf-8' codec can't decode byte 0xff",
+        "byte 56: not UTF-8 text",
     ),
     "truncated_gzip": (
         "t.csv.gz",
@@ -570,6 +583,26 @@ class TestSweepCommand:
 
     def test_bad_ha_list(self):
         assert run("sweep", "--ha", "abc") == 5
+
+    def test_missing_directory_is_io_error_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(cfg):
+            raise AssertionError("simulated for a table that cannot be written")
+
+        monkeypatch.setattr(pipeline, "run_simulation", no_simulation)
+        code = run("sweep", "--ha=0", "--seeds", "1", "--steps", "96", "--out", str(tmp_path / "nodir" / "s.csv"))
+        assert code == 3
+        assert "kind=FileNotFoundError" in capsys.readouterr().err
+
+    def test_failed_sweep_removes_the_table_it_opened(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        out.write_text("an earlier table\n")
+        code = run(
+            "sweep", "--ha=0", "--seeds", "1", "--steps", "96", "--agents", "30",
+            "--commodities", "2", "--window", "128", "--center", "2.0", "--out", str(out),
+        )
+        assert code == 6
+        assert "shorter than window 128" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDistinctFiles:

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specdist import ingest
@@ -168,6 +168,18 @@ class TestParseTicks:
         parsed = read_ticks(path)
         assert parsed.instruments[parsed.instrument[0]] == "USD/JPY"
 
+    @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+    def test_a_byte_that_is_not_utf8_is_named_by_its_file_offset(self, tmp_path, suffix):
+        """Far past the decoder's first chunk; in a `.gz` file, the offset
+        in the decompressed text."""
+        data = bytearray(f"{HEADER}\n{PLAIN_ROW}\n".encode() + f"{PLAIN_ROW}\n".encode() * 5_999)
+        at = len(HEADER) + 1 + 4_000 * (len(PLAIN_ROW) + 1) + 26  # a letter of the instrument
+        data[at] = 0xFF
+        path = tmp_path / f"ticks{suffix}"
+        path.write_bytes(gzip.compress(data) if suffix == ".csv.gz" else data)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: byte {at}: not UTF-8 text$"):
+            read_ticks(path)
+
     def test_timestamp_offsets_normalize_to_utc(self):
         body = (
             "timestamp,instrument,side,price\n"
@@ -292,6 +304,21 @@ class TestColumnarParse:
             "line 505: bad timestamp '2006-10-16T00:03:00Z\\x00'",
             "line 506: bad price '1\\x00.5'",
         ]
+
+    def test_a_nul_in_a_line_read_past_the_block(self):
+        text = HEADER + '\n2006-10-16T00:03:00Z,"EUR\n/USD\0",ask,1.5\n'
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 8):
+            parsed = parse_ticks(io.StringIO(text, newline=""))
+        assert parsed.instruments == ("EUR\n/USD\0",)
+
+    @pytest.mark.parametrize("block", [8, 1 << 18])
+    def test_the_nul_stand_in_is_refused(self, block):
+        """A lone surrogate stands for NUL inside the parse; no UTF-8 file
+        holds one, and a stream that does is refused, also in a line csv
+        reads on from the stream past the block (block size 8)."""
+        text = HEADER + '\n2006-10-16T00:03:00Z,"EUR\n/USD\udfff",ask,1.5\n'
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block), pytest.raises(FormatError, match="reserves for NUL"):
+            parse_ticks(io.StringIO(text, newline=""))
 
     @pytest.mark.parametrize("block", [256, 1 << 18])
     def test_more_than_twenty_malformed_rows(self, block):
@@ -446,6 +473,7 @@ class TestQuotationFrequency:
         assert row(activity_of(ticks, "bid")) == [2.0, 1.0]
 
     @given(seed=st.integers(0, 2**16))
+    @example(seed=14)  # fewer than two complete buckets: no rate panel
     @settings(max_examples=25, deadline=None)
     def test_count_conservation_and_order_invariance(self, seed):
         rng = np.random.default_rng(seed)
@@ -466,6 +494,9 @@ class TestQuotationFrequency:
         shuffled = list(ticks)
         rng.shuffle(shuffled)
         for before, after in zip((activity, rates), resample(columns(shuffled), 1.0, "ask")):
+            if before is None:
+                assert after is None
+                continue
             assert after.labels == before.labels and after.t0 == before.t0
             assert np.array_equal(after.values, before.values)
 
