@@ -98,7 +98,7 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
     except StopIteration:
         raise FormatError("empty tick file: missing header") from None
     except csv.Error as exc:
-        raise FormatError(f"line {reader.line_num}: {exc}") from None
+        raise FormatError(f"line 1: {exc}") from None
     if tuple(h.strip().lower() for h in header) != TICK_HEADER:
         raise FormatError(
             f"bad tick header {header!r}, expected {','.join(TICK_HEADER)}"
@@ -116,8 +116,8 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
         block = _nul_free(chunk + stream.readline())
         # Only `csv` knows where a quoted field ends.
         records = None if '"' in block else _split_records(block, line)
-        line, runs = records or _csv_records(block, stream, line)
-        for lines, counts, fields in runs:
+        line, records = records or _csv_records(block, stream, line)
+        for lines, counts, fields in _runs(*records):
             room = _MAX_REPORTED_PROBLEMS - len(problems)
             bad, reasons, (stamps, instruments, asks, prices) = _check_records(lines, counts, fields, room)
             malformed += bad
@@ -153,7 +153,7 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
 _BLOCK_CHARS = 1 << 18
 # A block's records are checked in runs of consecutive records, each run
 # one record or few enough that every field column, whose cells numpy pads
-# to the widest, holds at most this many characters: one long line does
+# to the widest, holds at most this many characters: one long cell does
 # not widen the cells of the whole block.
 _RUN_CHARS = 1 << 20
 _FIELDS = len(TICK_HEADER)
@@ -171,7 +171,7 @@ def _nul_free(text: str) -> str:
 
 def _split_records(block: str, line: int):
     """The records of a block of whole lines without quotes, split as
-    `csv.reader` splits them: `(last line number, the runs of `_runs`)`.
+    `csv.reader` splits them: `(last line number, the arguments of `_runs`)`.
     None when a line is longer than `csv`'s field size limit, which
     `csv.reader` refuses."""
     if "\r" in block:
@@ -179,28 +179,23 @@ def _split_records(block: str, line: int):
     if not block.endswith("\n"):
         block += "\n"
     chars = np.array([block]).view(np.uint32)
-    ends = np.flatnonzero(chars == ord("\n"))
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 1
-    widths = ends - starts
-    longest = int(widths.max(initial=0))
-    if longest > csv.field_size_limit():
+    found = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
+    # Each comma and line end after a -1, the end of the line before the
+    # block, and before `_FIELDS` entries that keep `at` below in bounds.
+    delims = np.concatenate(([-1], found, np.zeros(_FIELDS, np.intp)))
+    ends = np.flatnonzero(chars[found] == ord("\n")) + 1  # each line's end in `delims`
+    counts = np.diff(ends, prepend=0)
+    starts = delims[ends - counts] + 1
+    widths = delims[ends] - starts
+    if int(widths.max(initial=0)) > csv.field_size_limit():
         return None
-    commas = np.flatnonzero(chars == ord(","))
-    row = np.searchsorted(ends, commas)
-    counts = np.bincount(row, minlength=ends.size) + 1
+    full = counts == _FIELDS
+    # Field k of a line of four lies between its delimiters k and k + 1;
+    # the other lines index the start of `delims` and get empty cells.
+    at = np.where(full, ends - _FIELDS, 0)[:, None] + np.arange(_FIELDS)
+    lo, hi = (delims[at] + 1) * full[:, None], delims[at + 1] * full[:, None]
     filled = widths > 0
-    full = filled & (counts == _FIELDS)
-    inner = commas[full[row]].reshape(-1, _FIELDS - 1)
-    lo = np.column_stack((starts[full], inner + 1))
-    hi = np.column_stack((inner, ends[full]))
-    chars = np.concatenate((chars, np.zeros(longest + 1, np.uint32)))
-
-    def fields(rows: slice) -> list[np.ndarray]:
-        return [_cells(chars, lo[rows, k], hi[rows, k]) for k in range(_FIELDS)]
-
-    runs = _runs(line + 1 + np.flatnonzero(filled), counts[filled], widths[filled], fields)
-    return line + ends.size, runs
+    return line + ends.size, (line + 1 + np.flatnonzero(filled), counts[filled], chars, lo[filled], hi[filled])
 
 
 def _cells(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -216,44 +211,43 @@ def _cells(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _csv_records(block: str, stream: TextIO, line: int):
     """`_split_records` by `csv.reader`, for a block that may hold quoted
     fields.  A record still open at the block's end reads the rest of its
-    lines on from `stream`."""
+    lines on from `stream`; a `csv` error names the line its record starts on."""
     lines = io.StringIO(block, newline="").readlines()
     reader = csv.reader(itertools.chain(lines, map(_nul_free, stream)), strict=True)
-    rows, at = [], []
+    at, counts, cells = [], [], []
+    done = 0  # lines read by the records before the current one
     try:
         for record in reader:
             if record:
-                rows.append(record)
                 at.append(line + reader.line_num)
-            if reader.line_num >= len(lines):
+                counts.append(len(record))
+                cells += record if len(record) == _FIELDS else [""] * _FIELDS
+            done = reader.line_num
+            if done >= len(lines):
                 break
     except csv.Error as exc:
-        raise FormatError(f"line {line + reader.line_num}: {exc}") from None
-    full = [record for record in rows if len(record) == _FIELDS]
-
-    def fields(records: slice) -> list[np.ndarray]:
-        return [np.array(column, dtype=str) for column in zip(*full[records])] or [np.array([], str)] * _FIELDS
-
-    counts = np.array([len(record) for record in rows], dtype=np.intp)
-    widths = np.array([max(map(len, record)) for record in rows], dtype=np.intp)
-    return line + reader.line_num, _runs(np.array(at, dtype=np.int64), counts, widths, fields)
+        raise FormatError(f"line {line + done + 1}: {exc}") from None
+    sizes = np.fromiter(map(len, cells), np.intp, len(cells)).reshape(-1, _FIELDS)
+    hi = np.cumsum(sizes).reshape(sizes.shape)
+    chars = np.array(["".join(cells)]).view(np.uint32)
+    return line + reader.line_num, (np.array(at, np.int64), np.array(counts, np.intp), chars, hi - sizes, hi)
 
 
-def _runs(lines: np.ndarray, counts: np.ndarray, widths: np.ndarray, fields):
+def _runs(lines: np.ndarray, counts: np.ndarray, chars: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Yield a block's records as runs `(line numbers, field counts, the
-    four field columns of the records with four fields)` of consecutive
-    records, halving a run until `_RUN_CHARS` holds its widest record once
-    per record, or it holds one.  `widths` bound each record's widest field
-    and `fields(slice)` gives the columns of a slice of the four-field
-    records."""
-    full = np.concatenate(([0], np.cumsum(counts == _FIELDS)))
+    four field columns)` of consecutive records, halving a run until
+    `_RUN_CHARS` holds its widest cell once per record, or it holds one.
+    Field k of record i is `chars[lo[i, k]:hi[i, k]]`, and a record without
+    four fields has four empty cells."""
+    sizes = hi - lo
+    chars = np.concatenate((chars, np.zeros(int(sizes.max(initial=0)) + 1, np.uint32)))
     spans = [(0, counts.size)]
     while spans:
         a, b = spans.pop()
-        if b - a > 1 and (b - a) * int(widths[a:b].max()) > _RUN_CHARS:
+        if b - a > 1 and (b - a) * int(sizes[a:b].max()) > _RUN_CHARS:
             spans += [((a + b) // 2, b), (a, (a + b) // 2)]
         else:
-            yield lines[a:b], counts[a:b], fields(slice(full[a], full[b]))
+            yield lines[a:b], counts[a:b], [_cells(chars, lo[a:b, k], hi[a:b, k]) for k in range(_FIELDS)]
 
 
 def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarray], room: int):
@@ -270,20 +264,15 @@ def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarra
     stamps, stamped = _epoch_ms(raw_ts)
     prices, priced = _floats(raw_price)
     positive = priced & np.isfinite(prices) & (prices > 0)
-    checks = (is_ask | is_bid, np.char.str_len(instrument) > 0, stamped, priced, positive)
-    # Per record: 0 if good, 1 for a wrong field count, else 2 + the index
-    # of its first failing check.
-    failed = np.zeros(raw_ts.size, dtype=np.intp)
-    for k, passed in reversed(list(enumerate(checks, start=2))):
-        failed[~passed] = k
-    full = counts == _FIELDS
-    reason = np.ones(counts.size, dtype=np.intp)
-    reason[full] = failed
-    row = np.cumsum(full) - 1  # each record's row in `fields`
+    checks = (counts == _FIELDS, is_ask | is_bid, np.char.str_len(instrument) > 0, stamped, priced, positive)
+    # Per record: 0 if good, else 1 + the index of its first failing check.
+    reason = np.zeros(counts.size, dtype=np.intp)
+    for k, passed in reversed(list(enumerate(checks, start=1))):
+        reason[~passed] = k
     bad = np.flatnonzero(reason)
 
     def cell(column: np.ndarray, i: int) -> str:
-        return str(column[row[i]]).replace(_NUL, "\0")
+        return str(column[i]).replace(_NUL, "\0")
 
     messages = [
         f"line {lines[i]}: " + (
@@ -296,7 +285,7 @@ def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarra
         )
         for i in bad[:max(room, 0)].tolist()
     ]
-    good = failed == 0
+    good = reason == 0
     return bad.size, messages, (stamps[good], instrument[good], is_ask[good], prices[good])
 
 
@@ -363,12 +352,12 @@ _DECIMAL = np.isin(np.arange(129), [0, *map(ord, "0123456789.+-eE")])
 def _floats(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`float` of each text, and whether it parsed.  Texts of decimal
     characters go through one `map(float, ...)`, which reads them faster
-    than numpy's str-to-float cast; the others, and all of them when that
-    map raises, one at a time."""
+    than numpy's str-to-float cast; the others (an empty text among them),
+    and all of them when that map raises, one at a time."""
     values = np.full(texts.size, math.nan)
     parsed = np.zeros(texts.size, dtype=bool)
     code = texts.view(np.uint32).reshape(texts.size, texts.dtype.itemsize // 4)
-    decimal = np.flatnonzero(_DECIMAL[np.minimum(code, _DECIMAL.size - 1)].all(axis=1))
+    decimal = np.flatnonzero(_DECIMAL[np.minimum(code, _DECIMAL.size - 1)].all(axis=1) & (code[:, 0] > 0))
     with contextlib.suppress(ValueError):
         values[decimal] = np.fromiter(map(float, texts[decimal].tolist()), np.float64, decimal.size)
         parsed[decimal] = True

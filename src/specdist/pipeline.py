@@ -434,7 +434,10 @@ def entropy_sweep(
     if seeds < 1:
         raise ValueError("need at least one seed")
     mid = center if center is not None else 0.5 * (base.a_range[0] + base.a_range[1])
-    # Every H_a is checked before the first (slow) simulation starts.
+    # The analysis, on a stand-in of the activity panel, and every H_a are
+    # checked before the first (slow) simulation starts.
+    stand_in = SignalPanel(np.ones((base.n_commodities, base.horizon)), base.labels, base.dt)
+    _prepared(stand_in, analysis if analysis is not None else AnalysisConfig())
     sweep: list[tuple[float, SimConfig]] = []
     for h_a in h_a_values:
         half = 0.5 * float(np.exp(h_a))

@@ -51,6 +51,12 @@ class SimConfig:
     warmup: int = DEFAULT_WARMUP
     resample_params: bool = False
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The panels' channel names c1, c2, ..., zero-padded to one width."""
+        width = len(str(self.n_commodities))
+        return tuple(f"c{j + 1:0{width}d}" for j in range(self.n_commodities))
+
     def __post_init__(self):
         def fail(msg: str) -> None:
             raise ConfigurationError(msg)
@@ -158,9 +164,7 @@ def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
         if i >= 0:
             rates[:, i] = rate
             activity[:, i] = np.abs(attitudes).sum(axis=0, dtype=np.float64) / cfg.dt
-    width = len(str(m))
-    labels = tuple(f"c{j + 1:0{width}d}" for j in range(m))
-    return SignalPanel(rates, labels, cfg.dt), SignalPanel(activity, labels, cfg.dt)
+    return SignalPanel(rates, cfg.labels, cfg.dt), SignalPanel(activity, cfg.labels, cfg.dt)
 
 
 def load_sim_config(path: str | Path) -> SimConfig:

@@ -144,15 +144,18 @@ def row_parse_ticks(stream):
     instrument, RFC-3339 stamp, price, positive price); the first failing
     check makes it malformed, and the first 20 are reported with the file
     line the record ends on.  More than 1% malformed aborts, as does any
-    error of strict `csv`, named by the line it stopped on.
+    error of strict `csv`, named by the line its record starts on.
     """
     reader = csv.reader(stream, strict=True)
 
     def records():
+        done = 0  # lines read by the records before the current one
         try:
-            yield from reader
+            for record in reader:
+                yield record
+                done = reader.line_num
         except csv.Error as exc:
-            raise FormatError(f"line {reader.line_num}: {exc}") from None
+            raise FormatError(f"line {done + 1}: {exc}") from None
 
     rows = records()
     try:

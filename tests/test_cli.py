@@ -128,7 +128,7 @@ UNREADABLE_TICKS = {
     "unclosed_quote": (
         "t.csv",
         (TICK_HEAD + '2006-10-16T00:00:00Z,"EUR/USD,ask,1.26\n' + TICK_ROWS).encode(),
-        r"line \d+: field larger than field limit",
+        "line 2: field larger than field limit",
     ),
     "field_over_csv_limit": (
         "t.csv",
@@ -140,7 +140,7 @@ UNREADABLE_TICKS = {
     "short_unclosed_quote": (
         "t.csv",
         (TICK_HEAD + THOUSAND_ROWS + '2020-01-01T01:00:00Z,"EUR,ask,1.5\n' + THOUSAND_ROWS[:3_800]).encode(),
-        "line 1102: unexpected end of data",
+        "line 1002: unexpected end of data",
     ),
     "text_after_a_closing_quote": (
         "t.csv",
@@ -592,6 +592,22 @@ class TestSweepCommand:
         code = run("sweep", "--ha=0", "--seeds", "1", "--steps", "96", "--out", str(tmp_path / "nodir" / "s.csv"))
         assert code == 3
         assert "kind=FileNotFoundError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--window", "128"), "panel of 96 samples is shorter than window 128"),
+            (("--commodities", "1", "--window", "32"), "need at least 2 channels, have 1"),
+        ],
+        ids=["window", "channels"],
+    )
+    def test_panel_the_analysis_refuses_is_refused_before_simulating(self, capsys, monkeypatch, argv, message):
+        def no_simulation(cfg):
+            raise AssertionError("simulated a panel the analysis cannot score")
+
+        monkeypatch.setattr(pipeline, "run_simulation", no_simulation)
+        assert run("sweep", "--ha=0", "--seeds", "1", "--steps", "96", *argv) == 6
+        assert message in capsys.readouterr().err
 
     def test_failed_sweep_removes_the_table_it_opened(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -192,6 +192,7 @@ class TestParseTicks:
 
 HEADER = "timestamp,instrument,side,price"
 PLAIN_ROW = "2006-10-16T00:03:00.250Z,EUR/USD,ask,1.2612"
+ROWS = (PLAIN_ROW + "\n") * 20
 # `csv` reads a NUL as any other character from Python 3.11 on; before
 # that the row parser refuses the line, so NULs are only generated there.
 NULS = sys.version_info >= (3, 11)
@@ -320,6 +321,40 @@ class TestColumnarParse:
         with mock.patch.object(ingest, "_BLOCK_CHARS", block), pytest.raises(FormatError, match="reserves for NUL"):
             parse_ticks(io.StringIO(text, newline=""))
 
+    @pytest.mark.parametrize("block", [8, 300, 1 << 18])
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (HEADER + "\n" + ROWS + '\n2006-10-16T00:03:00Z,"EUR\n/USD,ask,1.5\n' + ROWS, 23),
+            ('"' + HEADER + "\n" + ROWS, 1),
+        ],
+        ids=["body", "header"],
+    )
+    def test_a_csv_error_names_the_line_its_record_starts_on(self, block, text, line):
+        """An unclosed quote runs to the end of the file; the error names
+        the line the quote opens on (after 20 rows and a blank line, or in
+        the header), not the one `csv` stopped on."""
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+            got = parse_outcome(parse_ticks, text)
+        assert got == (FormatError, f"line {line}: unexpected end of data")
+        assert parse_outcome(row_parse_ticks, text) == got
+
+    def test_an_empty_price_leaves_the_other_prices_in_one_conversion(self):
+        """The decimal prices of a run go through one `map(float)`; an empty
+        price must not make it raise and convert every price a second time."""
+        rows = [PLAIN_ROW] * 1000
+        rows[500] = "2006-10-16T00:03:00Z,EUR/USD,ask,"
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return float(text)
+
+        with mock.patch.object(ingest, "float", counted, create=True):
+            parsed = parse_ticks(io.StringIO(HEADER + "\n" + "\n".join(rows) + "\n"))
+        assert parsed.problems == ["line 502: bad price ''"]
+        assert len(calls) == 1000
+
     @pytest.mark.parametrize("block", [256, 1 << 18])
     def test_more_than_twenty_malformed_rows(self, block):
         rows = [PLAIN_ROW] * 2500
@@ -362,11 +397,16 @@ class TestColumnarParse:
         ]
         assert run.stdout.splitlines() == [f"{want.malformed} {want.timestamp_ms.size}", *want.problems]
 
-    @pytest.mark.parametrize("wide", ["", "W" * 120_000, '"' + "W" * 120_000 + '"'], ids=["", "wide", "quoted-wide"])
-    def test_memory_does_not_grow_with_the_file(self, wide):
+    @pytest.mark.parametrize(
+        "wide, fields",
+        [("", 4), ("W" * 120_000, 4), ('"' + "W" * 120_000 + '"', 4), ("W" * 120_000, 3)],
+        ids=["", "wide", "quoted-wide", "wide-three-fields"],
+    )
+    def test_memory_does_not_grow_with_the_file(self, wide, fields):
         """Bound, fixed before measuring: parsing 200,000 rows (8.4 MB of
         text) allocates at most 40 MB at its peak beyond the file's bytes,
-        also when one row's instrument is 120,000 characters long.  The
+        also when one row's instrument is 120,000 characters long, in a row
+        of four fields or in a malformed one of three.  The
         columns it returns take 5 MB.  A parse of the whole body at once
         holds the 34 MB of the text as UCS-4 and several index and cell
         arrays per row: 150 MB.  Cells padded to the long instrument for a
@@ -377,7 +417,8 @@ class TestColumnarParse:
             for k in range(200_000)
         ]
         if wide:
-            rows[100_000] = f"2006-10-16T00:03:00Z,{wide},bid,1.5\n"
+            side = ",bid" if fields == 4 else ""
+            rows[100_000] = f"2006-10-16T00:03:00Z,{wide}{side},1.5\n"
         # Read as a file is: a StringIO would hold the whole text as UCS-4.
         stream = io.TextIOWrapper(io.BytesIO((HEADER + "\n" + "".join(rows)).encode()), encoding="utf-8", newline="")
         del rows
@@ -387,8 +428,11 @@ class TestColumnarParse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert parsed.timestamp_ms.size == 200_000 and parsed.malformed == 0
-        if wide:
+        malformed = int(fields == 3)
+        assert parsed.timestamp_ms.size == 200_000 - malformed and parsed.malformed == malformed
+        if malformed:
+            assert parsed.problems == ["line 100002: expected 4 fields, got 3"]
+        elif wide:
             assert parsed.instruments[parsed.instrument[100_000]] == wide.strip('"')
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
