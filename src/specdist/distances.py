@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from .errors import DegenerateFitError, DimensionError, UndefinedCorrelationError
-from .spectra import entropies
 
 # Default clamp applied to both arguments of a KL distance before
 # renormalizing.  Keeps distances finite on spectra with empty bins while
@@ -41,15 +40,36 @@ def floored(probs: np.ndarray, floor: float) -> np.ndarray:
     return clipped / clipped.sum(axis=-1, keepdims=True)
 
 
+def _log_ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """log(p / q) for positive p and q, through log1p where p is close to q.
+
+    There p - q is exact, so the log keeps its relative precision instead
+    of taking the absolute error of rounding p / q.
+    """
+    x = (p - q) / q
+    with np.errstate(divide="ignore"):  # x = -1 where p / q underflows; not picked
+        near = np.log1p(x)
+    return np.where(np.abs(x) < 0.5, near, np.log(p / q))
+
+
 def js_divergences(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """JS divergence of each (M, B) ensemble in a (..., M, B) stack.
 
-    H(sum_j pi_j p_j) - sum_j pi_j H(p_j), clamped at zero against
-    rounding: zero exactly when all members coincide, and at most the
+    H(mbar) - sum_j pi_j H(p_j) with mbar = sum_j pi_j p_j, summed bin by
+    bin as sum_j pi_j (p_j log(p_j / mbar) - p_j + mbar): the added terms
+    total zero, and each bin's term is nonnegative and small for close
+    members.  So the rounding error shrinks with the divergence instead of
+    staying at the size of the entropies, and a rounding of the weights'
+    or the rows' sums moves the result only at second order.  Clamped at
+    zero against rounding: zero when all members coincide, and at most the
     entropy of the weights.
     """
-    mixture = np.matmul(weights, probs)
-    return np.maximum(entropies(mixture) - entropies(probs) @ weights, 0.0)
+    mixture = np.matmul(weights, probs)[..., None, :]
+    # With positive weights, p_j > 0 makes mbar > 0 unless it underflows.
+    live = (probs > 0) & (mixture > 0)
+    log_ratio = _log_ratios(np.where(live, probs, 1.0), np.where(live, mixture, 1.0))
+    terms = probs * log_ratio - (probs - mixture)
+    return np.maximum(terms.sum(axis=-1) @ weights, 0.0)
 
 
 def kl_matrices(probs: np.ndarray) -> np.ndarray:
@@ -62,7 +82,11 @@ def kl_matrices(probs: np.ndarray) -> np.ndarray:
     The diagonal is exactly zero and every entry is nonnegative.
     """
     live = probs > 0
-    log_p = np.log(np.where(live, probs, 1.0))
+    # Logs relative to the largest member in each bin: the reference cancels
+    # from every entry, and for close members the terms are small, so the
+    # two sums below do not cancel digits of the order of an entropy.
+    top = probs.max(axis=-2, keepdims=True)
+    log_p = _log_ratios(np.where(live, probs, 1.0), np.where(live, top, 1.0))
     # Both terms go through einsum: identical members then cancel exactly.
     self_term = np.einsum("...mb,...mb->...m", probs, log_p)
     kl = self_term[..., None] - np.einsum("...mb,...nb->...mn", probs, log_p)

@@ -107,6 +107,20 @@ class TestJsDivergence:
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.21576, abs=5e-6)
 
+    def test_close_members_keep_their_digits(self):
+        """JS and KL of members 6e-6 apart, against 50-digit references.
+
+        Taken as differences of entropies near 0.48, these values would keep
+        only about four digits.  The JS reference uses the weights scaled to
+        sum exactly to one; as floats they sum to 1 - 1.1e-16.
+        """
+        probs = stack([0.18501585134402115, 0.8149841486559789], [0.1850170005976704, 0.8149829994023295])
+        weights = np.array([0.47859044117810257, 0.5214095588218973])
+        assert js_divergences(probs, weights) == pytest.approx(1.0929131171280618e-12, rel=1e-9, abs=0.0)
+        kl = kl_matrices(probs)
+        assert kl[0, 1] == pytest.approx(4.3797901825105766e-12, rel=1e-9, abs=0.0)
+        assert kl[1, 0] == pytest.approx(4.3795751475509163e-12, rel=1e-9, abs=0.0)
+
     def test_weight_mismatch_rejected(self):
         with pytest.raises(AnalysisError, match="3 weights for 2 channels"):
             analyze(noise_panel(2), AnalysisConfig(width=64, weights=(0.5, 0.25, 0.25)))
