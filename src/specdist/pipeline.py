@@ -429,7 +429,9 @@ def entropy_sweep(
     parameter diversity without shifting the typical sensitivity.  For
     every value the simulator runs `seeds` independent seeds (base.seed,
     base.seed+1, ...), the activity panel is analyzed, and the
-    time-averaged JS is averaged over seeds.
+    time-averaged JS is averaged over seeds.  The runs are independent and
+    go to a pool of forked worker processes; each owns its seed, so the
+    points do not depend on the number of workers.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -444,18 +446,27 @@ def entropy_sweep(
         if mid - half <= 0:
             raise ConfigurationError(f"H_a={h_a!r} makes the range touch zero (center {mid!r})")
         sweep.append((h_a, replace(base, a_range=(mid - half, mid + half))))
+    # Imported here: at the top they would add their import time to every
+    # command, and only `sweep` uses them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    runs = [(h_a, replace(swept, seed=base.seed + k), analysis)
+            for h_a, swept in sweep for k in range(seeds)]
+    # One worker per CPU this process may use, capped at the runs (an empty
+    # sweep submits nothing, so none starts).  Forked workers inherit the
+    # imported modules instead of importing numpy again.  `map` gives the
+    # results, and raises the first failed run's error, in input order;
+    # `shutdown` then cancels the runs not yet handed to the workers.
+    workers = max(1, min(len(runs), len(os.sched_getaffinity(0))))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        means = list(pool.map(_sweep_run, runs))
+    finally:
+        pool.shutdown(cancel_futures=True)
     points: list[SweepPoint] = []
-    for h_a, swept in sweep:
-        per_seed: list[float] = []
-        for k in range(seeds):
-            cfg = replace(swept, seed=base.seed + k)
-            _, activity = run_simulation(cfg)
-            result = analyze(activity, analysis)
-            if result.js.size == 0:
-                raise AnalysisError(
-                    f"no usable windows at H_a={h_a!r} seed={cfg.seed}"
-                )
-            per_seed.append(float(np.mean(result.js)))
+    for i, (h_a, swept) in enumerate(sweep):
+        per_seed = means[i * seeds : (i + 1) * seeds]
         points.append(
             SweepPoint(
                 h_a=float(h_a),
@@ -465,6 +476,16 @@ def entropy_sweep(
             )
         )
     return points
+
+
+def _sweep_run(run: tuple[float, SimConfig, AnalysisConfig | None]) -> float:
+    """Time-averaged JS of one simulation's activity panel (a pool task)."""
+    h_a, cfg, analysis = run
+    _, activity = run_simulation(cfg)
+    result = analyze(activity, analysis)
+    if result.js.size == 0:
+        raise AnalysisError(f"no usable windows at H_a={h_a!r} seed={cfg.seed}")
+    return float(np.mean(result.js))
 
 
 def write_sweep_csv(points: list[SweepPoint], out: TextIO) -> None:

@@ -1,8 +1,12 @@
 import logging
 import math
+import multiprocessing
+import os
 import re
 import tempfile
+import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -31,7 +35,7 @@ from specdist.pipeline import (
     read_metrics_csv,
     write_metrics_csv,
 )
-from specdist.simulator import SimConfig
+from specdist.simulator import SimConfig, run_simulation
 from specdist.spectra import SignalPanel
 
 from oracles import (
@@ -741,6 +745,60 @@ class TestEntropySweep:
             assert width == pytest.approx(math.exp(h), rel=1e-12)
             assert len(point.per_seed) == 2
             assert point.mean_js == pytest.approx(float(np.mean(point.per_seed)))
+
+    def test_pool_computes_what_each_run_computes_alone(self, monkeypatch):
+        base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=5)
+        analysis = AnalysisConfig(width=32, stride=32)
+        points = entropy_sweep([-1.0, 0.0], base, analysis, seeds=2, center=2.0)
+        assert multiprocessing.active_children() == []
+        # H_a first, then seed: a wrong slice of the runs would scramble these.
+        for point in points:
+            for k, got in enumerate(point.per_seed):
+                cfg = replace(base, a_range=point.a_range, seed=base.seed + k)
+                assert got == float(np.mean(analyze(run_simulation(cfg)[1], analysis).js))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # a pool of one
+        assert entropy_sweep([-1.0, 0.0], base, analysis, seeds=2, center=2.0) == points
+        assert entropy_sweep([], base, analysis, seeds=2) == []
+
+    def test_first_failed_run_in_input_order_fails_the_sweep(self, monkeypatch):
+        # Runs go H_a first, then seed.  Seed 0 fails after a pause and seed 1
+        # at once, so on a pool of two the second run fails first in time.
+        pause = {0: 0.5, 1: 0.0}
+
+        def simulate(cfg):
+            rates, activity = run_simulation(cfg)
+            time.sleep(pause[cfg.seed])
+            # A constant panel: every window is skipped, none scores.
+            return rates, SignalPanel(np.ones(activity.values.shape), activity.labels, activity.dt)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(pipeline, "run_simulation", simulate)
+        base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=0)
+        with pytest.raises(AnalysisError) as raised:
+            entropy_sweep([-1.0, 0.0], base, AnalysisConfig(width=32, stride=32), seeds=2, center=2.0)
+        assert str(raised.value) == "no usable windows at H_a=-1.0 seed=0"
+        assert multiprocessing.active_children() == []
+
+    def test_failed_run_cancels_the_pending_runs(self, tmp_path, monkeypatch):
+        started = tmp_path / "started"
+
+        def simulate(cfg):
+            with open(started, "a") as fh:
+                fh.write(f"{cfg.seed}\n")
+            if cfg.seed == 0:
+                raise AnalysisError("the first run fails")
+            time.sleep(0.3)
+            return run_simulation(cfg)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(pipeline, "run_simulation", simulate)
+        base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=0)
+        with pytest.raises(AnalysisError, match="the first run fails"):
+            entropy_sweep([0.0], base, AnalysisConfig(width=32, stride=32), seeds=12, center=2.0)
+        assert multiprocessing.active_children() == []
+        # The two workers' runs and the three queued for them finish; the
+        # rest never start.
+        assert len(started.read_text().split()) < 12
 
     def test_range_touching_zero_rejected(self, monkeypatch):
         def no_simulation(cfg):
