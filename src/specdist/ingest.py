@@ -289,21 +289,12 @@ def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarra
     return bad.size, messages, (stamps[good], instrument[good], is_ask[good], prices[good])
 
 
-def _plain_shapes(width: int) -> np.ndarray:
-    """Row `2 * n + z` is the stamp of the plain shape with n characters, a
-    Z last when z is 1, every digit written as 0 and padded with NULs to
-    `width`; 0xFFFFFFFF, which no character matches, where no plain stamp
-    has that length and ending, and for every n above `width`."""
-    rows = np.full((2 * width + 4, width), 0xFFFFFFFF, dtype=np.uint32)
-    for fraction in ("", *(f".{'0' * k}" for k in range(1, 7))):
-        for zone in ("", "Z"):
-            shape = f"0000-00-00T00:00:00{fraction}{zone}"
-            rows[2 * len(shape) + len(zone)] = [*map(ord, shape)] + [0] * (width - len(shape))
-    return rows
-
-
-_PLAIN_WIDTH = 27  # YYYY-MM-DDTHH:MM:SS.ffffffZ
-_PLAIN = _plain_shapes(_PLAIN_WIDTH)
+# A plain stamp's body is this template's first 19 characters, or its
+# first 21 to 26 (`_PLAIN_BODY`, by length), every digit written as 0; a Z
+# may follow it.
+_TEMPLATE = np.array([*map(ord, "0000-00-00T00:00:00.000000")], np.uint32)
+_PLAIN_WIDTH = _TEMPLATE.size + 1  # YYYY-MM-DDTHH:MM:SS.ffffffZ
+_PLAIN_BODY = np.isin(np.arange(_PLAIN_WIDTH + 2), [19, *range(21, _PLAIN_WIDTH)])
 
 
 def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,12 +313,12 @@ def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     code[:, :min(width, _PLAIN_WIDTH)] = stamps.view(np.uint32).reshape(n, width)[:, :_PLAIN_WIDTH]
     length = np.minimum(np.char.str_len(stamps), _PLAIN_WIDTH + 1)
     zulu = code[np.arange(n), np.clip(length - 1, 0, _PLAIN_WIDTH - 1)] == ord("Z")
-    digits = np.where(code - ord("0") < 10, ord("0"), code)
-    at = np.flatnonzero((digits == _PLAIN[2 * length + zulu]).all(axis=1))
-    text = code[at]
-    dropped = np.flatnonzero(zulu[at])
-    text[dropped, length[at[dropped]] - 1] = 0  # the Z
-    text = text.view(f"U{_PLAIN_WIDTH}")[:, 0]
+    body = length - zulu
+    digits = np.where(code[:, :-1] - ord("0") < 10, ord("0"), code[:, :-1])
+    # No character past the body (a Z, then NULs) matches the template.
+    at = np.flatnonzero((np.count_nonzero(digits == _TEMPLATE, axis=1) == body) & _PLAIN_BODY[body])
+    text = code[at, :-1] * (np.arange(_TEMPLATE.size) < body[at, None])  # the body alone
+    text = text.view(f"U{_TEMPLATE.size}")[:, 0]
     try:
         us = text.astype("datetime64[us]").view(np.int64)
     except ValueError:

@@ -212,56 +212,50 @@ def analyze(
     """
     cfg = config if config is not None else AnalysisConfig()
     panel, weights = _prepared(panel, cfg)
-    dumps = {}  # kind -> (path, header lines)
+    m = panel.n_channels
+    dumps = {}  # kind -> (path, header lines, the row keys of a window)
     if dump_kl is not None:
         _check_names(dump_kl, panel.labels, also="|")
         head = "# channels=" + "|".join(panel.labels) + "\n"
-        dumps["kl"] = (dump_kl, head + "window_start_time,l,m,kl\n")
+        dumps["kl"] = (dump_kl, head + "window_start_time,l,m,kl\n",
+                       [f"{l},{j}" for l in range(m) for j in range(m)])
     if dump_spectra is not None:
         _check_names(dump_spectra, panel.labels)
         if dump_kl is not None and os.path.abspath(dump_kl) == os.path.abspath(dump_spectra):
             raise ConfigurationError(f"{dump_spectra}: the KL and spectra dumps need two files")
-        dumps["spectra"] = (dump_spectra, "window_start_time,channel,frequency,prob\n")
-    m = panel.n_channels
-    pairs = [f"{l},{j}" for l in range(m) for j in range(m)]
-    freqs = [repr(f) for f in bin_frequencies(cfg.width, panel.dt).tolist()]
+        freqs = bin_frequencies(cfg.width, panel.dt).tolist()
+        dumps["spectra"] = (dump_spectra, "window_start_time,channel,frequency,prob\n",
+                            [f"{name},{f!r}" for name in panel.labels for f in freqs])
     stride = cfg.effective_stride
     windows = sliding_window_view(panel.values, cfg.width, axis=1)[:, ::stride].swapaxes(0, 1)
+    starts = np.arange(len(windows)) * stride
+    times = panel.t0 + starts * panel.dt * 60.0
     step = max(1, CHUNK_SAMPLES // (m * cfg.width))
-    kept, files = [], {}
+    kept, files = [], []
     with _removed_on_failure() as written, contextlib.ExitStack() as opened:
-        for kind, (path, head) in dumps.items():
-            files[kind] = opened.enter_context(open(path, "w", encoding="utf-8", newline=""))
+        for kind, (path, head, keys) in dumps.items():
+            fh = opened.enter_context(open(path, "w", encoding="utf-8", newline=""))
             written.append(path)
-            files[kind].write(head)
+            fh.write(head)
+            files.append((fh, kind, keys))
         for lo in range(0, len(windows), step):
-            chunk = windows[lo : lo + step]
-            constant, silent, metrics = _score_chunk(chunk, weights, cfg.kl_floor, panel.dt)
-            starts = np.arange(lo, lo + len(chunk)) * stride
-            scored = ~(constant | silent)
+            constant, silent, metrics = _score_chunk(windows[lo : lo + step], weights, cfg.kl_floor, panel.dt)
+            scored = lo + np.flatnonzero(~(constant | silent))
             js, bound = metrics["js"], metrics["bound"]
             above = js > bound + 1e-9
             if above.any():
                 i = int(np.argmax(above))
                 raise RuntimeError(
-                    f"window at {starts[scored][i]}: JS {float(js[i])!r} exceeds "
+                    f"window at {starts[scored[i]]}: JS {float(js[i])!r} exceeds "
                     f"the weighted mean KL {float(bound[i])!r} (Lin's bound)"
                 )
-            times = panel.t0 + starts * panel.dt * 60.0
             stamps = [format_rfc3339(t) for t in times[scored].tolist()] if files else []
-            if "kl" in files:
-                for stamp, row in zip(stamps, metrics["kl"].reshape(len(stamps), m * m).tolist()):
-                    files["kl"].writelines(f"{stamp},{ij},{v!r}\n" for ij, v in zip(pairs, row))
-            if "spectra" in files:
-                for stamp, window in zip(stamps, metrics["spectra"].tolist()):
-                    for name, probs in zip(panel.labels, window):
-                        files["spectra"].writelines(
-                            f"{stamp},{name},{f},{p!r}\n" for f, p in zip(freqs, probs)
-                        )
-            kept.append((starts, times, constant, silent, js, metrics["mean_kl"],
-                         metrics["entropies"], metrics["modes"]))
+            for fh, kind, keys in files:
+                for stamp, row in zip(stamps, metrics[kind].reshape(len(stamps), len(keys)).tolist()):
+                    fh.writelines(f"{stamp},{key},{v!r}\n" for key, v in zip(keys, row))
+            kept.append((constant, silent, js, metrics["mean_kl"], metrics["entropies"], metrics["modes"]))
 
-    starts, times, constant, silent, js, mean_kl, ents, modes = map(np.concatenate, zip(*kept))
+    constant, silent, js, mean_kl, ents, modes = map(np.concatenate, zip(*kept))
     skipped = constant | silent
     _log_skipped(starts, constant, silent)
     return AnalysisResult(
@@ -321,7 +315,8 @@ def compare_metric_series(
     (a skipped window, a shorter log-return panel) are left out, and the
     report counts the pairs.  Inputs computed with a different window
     width or stride, or sharing fewer than two window starts, raise
-    `AlignmentError`.
+    `AlignmentError`, unless every window of one side paired: that side
+    scored fewer than two windows, an `AnalysisError`.
     """
     for key in ("width", "stride"):
         a, b = left.provenance.get(key), right.provenance.get(key)
@@ -334,6 +329,9 @@ def compare_metric_series(
         left.timestamps, right.timestamps, assume_unique=True, return_indices=True
     )
     if common.size < MIN_COMMON_WINDOWS:
+        for side, result in (("left", left), ("right", right)):
+            if result.timestamps.size == common.size:
+                raise AnalysisError(f"{side} input has {common.size} scored window(s), need {MIN_COMMON_WINDOWS}")
         raise AlignmentError(
             f"window grids differ between inputs: {common.size} common window start(s) "
             f"of {left.timestamps.size} and {right.timestamps.size}, "
@@ -443,9 +441,11 @@ def entropy_sweep(
     sweep: list[tuple[float, SimConfig]] = []
     for h_a in h_a_values:
         half = 0.5 * float(np.exp(h_a))
-        if mid - half <= 0:
-            raise ConfigurationError(f"H_a={h_a!r} makes the range touch zero (center {mid!r})")
-        sweep.append((h_a, replace(base, a_range=(mid - half, mid + half))))
+        a_range = (mid - half, mid + half)
+        if not 0 < a_range[0] < a_range[1] < np.inf:
+            need = "must not touch zero" if a_range[0] <= 0 else "must be finite with 0 < a1 < a2"
+            raise ConfigurationError(f"H_a={h_a!r} gives the range {a_range!r}, which {need} (center {mid!r})")
+        sweep.append((h_a, replace(base, a_range=a_range)))
     # Imported here: at the top they would add their import time to every
     # command, and only `sweep` uses them.
     import multiprocessing
@@ -464,18 +464,9 @@ def entropy_sweep(
         means = list(pool.map(_sweep_run, runs))
     finally:
         pool.shutdown(cancel_futures=True)
-    points: list[SweepPoint] = []
-    for i, (h_a, swept) in enumerate(sweep):
-        per_seed = means[i * seeds : (i + 1) * seeds]
-        points.append(
-            SweepPoint(
-                h_a=float(h_a),
-                a_range=swept.a_range,
-                mean_js=float(np.mean(per_seed)),
-                per_seed=tuple(per_seed),
-            )
-        )
-    return points
+    per_seed = np.reshape(means, (len(sweep), seeds))
+    return [SweepPoint(float(h_a), swept.a_range, float(np.mean(js)), tuple(js.tolist()))
+            for (h_a, swept), js in zip(sweep, per_seed)]
 
 
 def _sweep_run(run: tuple[float, SimConfig, AnalysisConfig | None]) -> float:

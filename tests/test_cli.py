@@ -477,6 +477,18 @@ class TestCompareCommand:
         printed = capsys.readouterr().out
         assert printed.startswith("C=")
 
+    def test_input_without_scored_windows_is_analysis_error(self, tmp_path, capsys):
+        # Every window of a constant panel is skipped: its metrics file has no rows.
+        panel_csv, empty = tmp_path / "constant_panel.csv", tmp_path / "empty.csv"
+        write_panel_csv(SignalPanel(np.ones((2, 512)), ("a", "b"), 1.0), panel_csv)
+        assert run("analyze", str(panel_csv), "--window", "128", "--stride", "64", "--out", str(empty)) == 0
+        scored = self.make_metrics(tmp_path, 3, "scored")
+        capsys.readouterr()
+        assert run("compare", str(empty), str(empty)) == 6
+        assert "left input has 0 scored window(s), need 2" in capsys.readouterr().err
+        assert run("compare", str(scored), str(empty)) == 6
+        assert "right input has 0 scored window(s), need 2" in capsys.readouterr().err
+
     def test_misaligned_inputs_rejected(self, tmp_path):
         left = self.make_metrics(tmp_path, 6, "left")
         # Different stride -> different grid -> refused.
@@ -580,6 +592,18 @@ class TestSweepCommand:
         )
         assert code == 5
         assert "touch zero" in capsys.readouterr().err
+        for ha, center, message in [
+            ("nan", "1.0", "H_a=nan gives the range (nan, nan)"),
+            ("-inf", "1.0", "H_a=-inf gives the range (1.0, 1.0)"),
+            ("-800", "1.0", "H_a=-800.0 gives the range (1.0, 1.0)"),
+            ("0", "nan", "H_a=0.0 gives the range (nan, nan), which must be finite with 0 < a1 < a2 (center nan)"),
+        ]:
+            code = run(
+                "sweep", f"--ha={ha}", "--center", center, "--steps", "96", "--seeds", "1",
+                "--agents", "30", "--window", "16",
+            )
+            assert code == 5
+            assert message in capsys.readouterr().err
 
     def test_bad_ha_list(self):
         assert run("sweep", "--ha", "abc") == 5

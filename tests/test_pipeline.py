@@ -223,6 +223,18 @@ class TestAnalyze:
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         assert debug == ["windows skipped (constant channel) at starts [0, 64, 384, 448]"]
 
+    @pytest.mark.parametrize("m", [2, 5, 20])
+    def test_js_noise_floor_of_independent_channels(self, m):
+        """Independent N(0, 1) channels share one flat spectrum, so all of
+        their JS is estimation noise, and it is not 0.  A periodogram bin
+        scatters about its mean like an exponential variable (relative
+        variance 1), so chi^2 of each member against the mixture is about 1
+        and, to leading order, JS = (M - 1) / (2M).  The higher-order terms
+        pull it below that law: the mean JS lies in [1/2, 1] of it."""
+        js = analyze(noise_panel(m=m, length=6144, seed=m), AnalysisConfig(width=128, stride=64)).js
+        law = (m - 1) / (2 * m)
+        assert 0.5 * law <= js.mean() <= law
+
 
 class TestMemory:
     def test_analyze_keeps_no_kl_matrices(self):
@@ -635,11 +647,12 @@ class TestMetricsCsv:
             fh.writelines = writelines
             return fh
 
-        error = RuntimeError if failure == "Lin's bound" else OSError
+        # The second chunk's first window starts at sample 128.
+        error, match = (RuntimeError, "window at 128: ") if failure == "Lin's bound" else (OSError, None)
         with mock.patch.object(pipeline, "CHUNK_SAMPLES", 2 * 2 * 64), \
                 mock.patch.object(pipeline, "kl_matrices", zero_on_second_chunk), \
                 mock.patch.object(pipeline, "open", full_disk, create=True):
-            with pytest.raises(error):
+            with pytest.raises(error, match=match):
                 analyze(panel, AnalysisConfig(width=64, stride=64), dump_kl=kl, dump_spectra=spectra)
         assert len(chunks) == 2
         assert list(tmp_path.iterdir()) == []
@@ -708,6 +721,13 @@ class TestCompare:
         b = metric_result([1.0, 2.0, 3.0], stamps=np.array([60.0, 150.0, 210.0]))
         with pytest.raises(AlignmentError, match="window grids differ between inputs: 1 common"):
             compare_metric_series(a, b)
+
+    def test_input_with_too_few_windows_rejected(self):
+        a = metric_result([1.0, 2.0, 3.0])
+        with pytest.raises(AnalysisError, match=r"right input has 1 scored window\(s\), need 2"):
+            compare_metric_series(a, metric_result([1.0]))
+        with pytest.raises(AnalysisError, match=r"left input has 0 scored window\(s\), need 2"):
+            compare_metric_series(metric_result([]), a)
 
     def test_non_finite_paired_value_rejected(self):
         a = metric_result([1.0, 2.0, 3.0, np.inf])
@@ -808,3 +828,12 @@ class TestEntropySweep:
         base = SimConfig(n_agents=10, n_commodities=2, horizon=64, warmup=0)
         with pytest.raises(ConfigurationError, match="touch zero"):
             entropy_sweep([0.0, 3.0], base, AnalysisConfig(width=16), seeds=1, center=1.0)
+        # A range that is not finite, or has no width, names the H_a and the center.
+        for h_a, center, message in [
+            (math.nan, 1.0, "H_a=nan gives the range (nan, nan), which must be finite with 0 < a1 < a2 (center 1.0)"),
+            (-math.inf, 1.0, "H_a=-inf gives the range (1.0, 1.0)"),
+            (-800.0, 1.0, "H_a=-800.0 gives the range (1.0, 1.0)"),
+            (0.0, math.nan, "H_a=0.0 gives the range (nan, nan), which must be finite with 0 < a1 < a2 (center nan)"),
+        ]:
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                entropy_sweep([0.0, h_a], base, AnalysisConfig(width=16), seeds=1, center=center)
