@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import logging
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import TextIO
@@ -440,10 +441,13 @@ def entropy_sweep(
     _prepared(stand_in, analysis if analysis is not None else AnalysisConfig())
     sweep: list[tuple[float, SimConfig]] = []
     for h_a in h_a_values:
-        half = 0.5 * float(np.exp(h_a))
+        try:
+            half = 0.5 * math.exp(h_a)
+        except OverflowError:
+            half = math.inf
         a_range = (mid - half, mid + half)
-        if not 0 < a_range[0] < a_range[1] < np.inf:
-            need = "must not touch zero" if a_range[0] <= 0 else "must be finite with 0 < a1 < a2"
+        if not 0 < a_range[0] < a_range[1] < math.inf:
+            need = "must not touch zero" if -math.inf < a_range[0] <= 0 else "must be finite with 0 < a1 < a2"
             raise ConfigurationError(f"H_a={h_a!r} gives the range {a_range!r}, which {need} (center {mid!r})")
         sweep.append((h_a, replace(base, a_range=a_range)))
     # Imported here: at the top they would add their import time to every

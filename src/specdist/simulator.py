@@ -4,8 +4,8 @@ N agents hold buy/sell thresholds and a sensitivity for each of M
 commodities.  Each step an agent forms a scalar perception from
 attention-weighted recent returns plus private exogenous noise, scales it
 by its sensitivity, and acts on each commodity whose threshold the signal
-crosses: +1 buy, -1 sell, 0 wait.  Net attitudes move log rates, gross
-attitudes are the quotation activity.  Runs are deterministic given the
+crosses: buy, sell, or wait.  Buyers minus sellers move log rates, buyers
+plus sellers are the quotation activity.  Runs are deterministic given the
 seed: parameter draws, then per-step noise draws, always in the same
 order.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .spectra import SignalPanel
 
-# Return scale per unit net attitude.  The attention weights are of order
+# Return scale per net buyer.  The attention weights are of order
 # 1/theta^2 ~ 2.5e3, so the loop gain of the endogenous feedback is roughly
 # gamma * M * attention * response-density; gamma above ~1e-6 drives the
 # market into permanently saturated herding.  The default keeps the
@@ -66,8 +66,8 @@ class SimConfig:
             numbers = value if isinstance(value, tuple) else (value,)
             if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
                 fail(f"{f.name} must be finite, got {value!r}")
-        if self.n_agents < 1:
-            fail(f"need at least one agent, got {self.n_agents}")
+        if not 1 <= self.n_agents < 2**31:
+            fail(f"n_agents must be between 1 and 2**31 - 1 (int32 counts), got {self.n_agents}")
         if self.n_commodities < 1:
             fail(f"need at least one commodity, got {self.n_commodities}")
         if self.horizon < 2:
@@ -103,12 +103,15 @@ class SimConfig:
 
 
 def init_population(cfg: SimConfig, rng: np.random.Generator | None = None):
-    """Sample (theta_buy, theta_sell, sensitivity, attention), each (N, M).
+    """Sample (theta_buy, theta_sell, sensitivity, attention).
 
     Thresholds and sensitivities are i.i.d. uniform over the configured
-    ranges, drawn in that order, so the same seed gives the same bits.
-    `attention` is 1/(theta_sell^2 + theta_buy^2), the coupling of each
-    agent's perception to each commodity's recent returns.
+    ranges, drawn as (N, M) in that order, so the same seed gives the same
+    bits, and returned as C-order (M, N) copies: one contiguous row per
+    commodity.  `attention` is 1/(theta_sell^2 + theta_buy^2), the
+    coupling of each agent's perception to each commodity's recent
+    returns; it stays (N, M), as a transposed matvec operand would change
+    BLAS's summation order and so the panels' last bits.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -116,18 +119,19 @@ def init_population(cfg: SimConfig, rng: np.random.Generator | None = None):
     theta_buy = rng.uniform(*cfg.theta_buy_range, shape)
     theta_sell = rng.uniform(*cfg.theta_sell_range, shape)
     sensitivity = rng.uniform(*cfg.a_range, shape)
-    return theta_buy, theta_sell, sensitivity, 1.0 / (theta_sell**2 + theta_buy**2)
+    attention = 1.0 / (theta_sell**2 + theta_buy**2)
+    return theta_buy.T.copy(), theta_sell.T.copy(), sensitivity.T.copy(), attention
 
 
 def step_market(params, history: np.ndarray, cfg: SimConfig, rng: np.random.Generator):
-    """One tick: return the (N, M) int8 attitudes and the (M,) log returns.
+    """One tick: return the (M,) int32 counts of buyers and of sellers.
 
     `history` holds the last `ma_span` returns, newest first.  Draw order:
     fresh parameters when `cfg.resample_params` is set, then exogenous
     perception noise s, then interpretation noise xi.  Each agent perceives
-    its attention-weighted mean recent return plus s, and buys (+1) where
-    sensitivity * (perception + xi) is at or above theta_buy, sells (-1) at
-    or below theta_sell, and waits otherwise.  Inputs are not mutated.
+    its attention-weighted mean recent return plus s, and buys where
+    sensitivity * (perception + xi) is at or above theta_buy, sells at or
+    below theta_sell, and waits otherwise.  Inputs are not mutated.
     """
     if cfg.resample_params:
         params = init_population(cfg, rng)
@@ -135,17 +139,20 @@ def step_market(params, history: np.ndarray, cfg: SimConfig, rng: np.random.Gene
     s = rng.normal(0.0, cfg.sigma_s, cfg.n_agents)
     xi = rng.normal(0.0, cfg.sigma_xi, cfg.n_agents)
     perception = attention @ history.mean(axis=0) + s
-    signal = sensitivity * (perception + xi)[:, None]
-    attitudes = (signal >= theta_buy).astype(np.int8) - (signal <= theta_sell).astype(np.int8)
-    return attitudes, (cfg.gamma / cfg.n_agents) * attitudes.sum(axis=0, dtype=np.float64)
+    signal = sensitivity * (perception + xi)
+    # A uint8 view of the bools sums in int32 without a cast pass; integer
+    # sums are exact in any order (SimConfig keeps N below 2**31).
+    buyers = np.add.reduce((signal >= theta_buy).view(np.uint8), axis=1, dtype=np.int32)
+    sellers = np.add.reduce((signal <= theta_sell).view(np.uint8), axis=1, dtype=np.int32)
+    return buyers, sellers
 
 
 def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
     """Run warm-up plus horizon steps and return (rates, activity) panels.
 
-    Rates start at 1 and grow by exp(return) each step; activity is the
-    count of non-waiting attitudes per unit time.  The warm-up is
-    discarded; both panels share labels, dt, and length `cfg.horizon`.
+    Rates start at 1 and grow each step by exp(gamma/N * (buyers -
+    sellers)); activity is buyers plus sellers per unit time.  The warm-up
+    is discarded; both panels share labels, dt, and length `cfg.horizon`.
     Same seed, same panels, bit for bit.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -156,14 +163,15 @@ def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
     rates = np.empty((m, cfg.horizon))
     activity = np.empty((m, cfg.horizon))
     for step in range(cfg.warmup + cfg.horizon):
-        attitudes, returns = step_market(params, history, cfg, rng)
+        buyers, sellers = step_market(params, history, cfg, rng)
+        returns = (cfg.gamma / cfg.n_agents) * (buyers - sellers)
         rate = rate * np.exp(returns)
         history[1:] = history[:-1]
         history[0] = returns
         i = step - cfg.warmup
         if i >= 0:
             rates[:, i] = rate
-            activity[:, i] = np.abs(attitudes).sum(axis=0, dtype=np.float64) / cfg.dt
+            activity[:, i] = (buyers + sellers) / cfg.dt
     return SignalPanel(rates, cfg.labels, cfg.dt), SignalPanel(activity, cfg.labels, cfg.dt)
 
 

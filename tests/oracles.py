@@ -279,3 +279,48 @@ def scalar_simulation(cfg):
                 rates[j].append(rate[j])
                 activity[j].append(gross[j] / cfg.dt)
     return rates, activity
+
+
+def attitude_simulation(cfg):
+    """The simulator as an (N, M) array loop over int8 attitudes.
+
+    The same random stream as the library: (N, M) uniform buy thresholds,
+    sell thresholds and sensitivities (redrawn at the start of every step
+    when `cfg.resample_params` is set), then N noises s and N noises xi
+    per step.  Each agent's attitude per commodity is +1 buy, -1 sell or
+    0 wait; returns are gamma/N times the attitudes' column sums, activity
+    their absolute column sums over dt.  The perception is the same
+    (N, M) matvec as the library's, so the two agree bit for bit on any
+    machine.  Returns (rates, activity) as (M, horizon) float64 arrays.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    shape = (cfg.n_agents, cfg.n_commodities)
+
+    def draw():
+        theta_buy = rng.uniform(*cfg.theta_buy_range, shape)
+        theta_sell = rng.uniform(*cfg.theta_sell_range, shape)
+        sensitivity = rng.uniform(*cfg.a_range, shape)
+        return theta_buy, theta_sell, sensitivity, 1.0 / (theta_sell**2 + theta_buy**2)
+
+    params = draw()
+    rate = np.ones(cfg.n_commodities)
+    history = np.zeros((cfg.ma_span, cfg.n_commodities))
+    rates = np.empty((cfg.n_commodities, cfg.horizon))
+    activity = np.empty((cfg.n_commodities, cfg.horizon))
+    for step in range(cfg.warmup + cfg.horizon):
+        if cfg.resample_params:
+            params = draw()
+        theta_buy, theta_sell, sensitivity, attention = params
+        s = rng.normal(0.0, cfg.sigma_s, cfg.n_agents)
+        xi = rng.normal(0.0, cfg.sigma_xi, cfg.n_agents)
+        perception = attention @ history.mean(axis=0) + s
+        signal = sensitivity * (perception + xi)[:, None]
+        attitudes = (signal >= theta_buy).astype(np.int8) - (signal <= theta_sell).astype(np.int8)
+        returns = (cfg.gamma / cfg.n_agents) * attitudes.sum(axis=0, dtype=np.float64)
+        rate = rate * np.exp(returns)
+        history[1:] = history[:-1]
+        history[0] = returns
+        if step >= cfg.warmup:
+            rates[:, step - cfg.warmup] = rate
+            activity[:, step - cfg.warmup] = np.abs(attitudes).sum(axis=0, dtype=np.float64) / cfg.dt
+    return rates, activity

@@ -1,5 +1,6 @@
 import gzip
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -386,8 +387,9 @@ class TestSimulateCommand:
             (("--a-range", "1", "inf"), "a_range"),
             (("--theta-buy", "0.01", "inf"), "theta_buy_range"),
             (("--steps", "1"), "horizon"),
+            (("--agents", str(2**31)), "n_agents must be between 1 and 2**31 - 1"),
         ],
-        ids=["sigma_xi_nan", "sigma_s_inf", "a_range_inf", "theta_buy_inf", "one_step"],
+        ids=["sigma_xi_nan", "sigma_s_inf", "a_range_inf", "theta_buy_inf", "one_step", "agents_2_31"],
     )
     def test_non_finite_or_one_step_is_config_error(self, tmp_path, capsys, flags, field):
         out = tmp_path / "x.csv"
@@ -597,13 +599,20 @@ class TestSweepCommand:
             ("-inf", "1.0", "H_a=-inf gives the range (1.0, 1.0)"),
             ("-800", "1.0", "H_a=-800.0 gives the range (1.0, 1.0)"),
             ("0", "nan", "H_a=0.0 gives the range (nan, nan), which must be finite with 0 < a1 < a2 (center nan)"),
+            ("800", "1.0", "H_a=800.0 gives the range (-inf, inf), which must be finite with 0 < a1 < a2"),
         ]:
-            code = run(
-                "sweep", f"--ha={ha}", "--center", center, "--steps", "96", "--seeds", "1",
-                "--agents", "30", "--window", "16",
-            )
+            # Warnings are recorded, not shown by pytest: with none, the
+            # error line is all the command writes to stderr.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(
+                    "sweep", f"--ha={ha}", "--center", center, "--steps", "96", "--seeds", "1",
+                    "--agents", "30", "--window", "16",
+                )
             assert code == 5
-            assert message in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert message in err
+            assert [str(w.message) for w in caught] == [] and len(err.splitlines()) == 1
 
     def test_bad_ha_list(self):
         assert run("sweep", "--ha", "abc") == 5

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import scalar_simulation
+from oracles import attitude_simulation, scalar_simulation
 from specdist.errors import ConfigurationError
 from specdist.simulator import (
     SimConfig,
@@ -15,13 +15,20 @@ from specdist.simulator import (
 
 
 def manual_params(theta_buy, theta_sell, sensitivity):
+    """Hand-set (N, M) parameters in init_population's layout: (M, N) rows
+    for thresholds and sensitivities, (N, M) attention."""
     tb, ts, a = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (theta_buy, theta_sell, sensitivity))
-    return tb, ts, a, 1.0 / (ts**2 + tb**2)
+    return tb.T.copy(), ts.T.copy(), a.T.copy(), 1.0 / (ts**2 + tb**2)
+
+
+def net_return(cfg, buyers, sellers):
+    """The (M,) log returns of one step's counts: gamma/N per net buyer."""
+    return cfg.gamma / cfg.n_agents * (buyers - sellers)
 
 
 def quiet_step(params, history):
     """step_market with zero noise on hand-set parameters and history."""
-    n, m = params[0].shape
+    n, m = params[3].shape
     history = np.atleast_2d(np.asarray(history, dtype=float))
     cfg = SimConfig(n_agents=n, n_commodities=m, ma_span=len(history), sigma_xi=0.0, sigma_s=0.0)
     return step_market(params, history, cfg, np.random.default_rng(0))
@@ -31,11 +38,14 @@ class TestInitPopulation:
     def test_support_bounds(self):
         cfg = SimConfig(n_agents=200, n_commodities=5, seed=1)
         theta_buy, theta_sell, sensitivity, attention = init_population(cfg)
+        for rows in (theta_buy, theta_sell, sensitivity):
+            assert rows.shape == (5, 200) and rows.flags.c_contiguous  # one row per commodity
+        assert attention.shape == (200, 5)
         assert theta_buy.min() >= 0.01 and theta_buy.max() <= 0.02
         assert theta_sell.min() >= -0.02 and theta_sell.max() <= -0.01
         a1, a2 = cfg.a_range
         assert sensitivity.min() >= a1 and sensitivity.max() <= a2
-        assert np.array_equal(attention, 1.0 / (theta_sell**2 + theta_buy**2))
+        assert np.array_equal(attention, 1.0 / (theta_sell.T**2 + theta_buy.T**2))
 
     def test_degenerate_width_collapses_sensitivity(self):
         cfg = SimConfig(n_agents=50, n_commodities=2, a_range=(1.0, 1.0 + 1e-9), seed=0)
@@ -57,64 +67,72 @@ class TestPerceive:
 
     def test_zero_history_zero_noise(self):
         # Thresholds of 1e-150 trade on any perception but an exact zero.
+        # No buyer and no seller on a commodity means every agent waits on it.
         tiny = np.full((3, 2), 1e-150)
-        attitudes, returns = quiet_step(manual_params(tiny, -tiny, np.ones((3, 2))), np.zeros((1, 2)))
-        assert np.all(attitudes == 0) and np.all(returns == 0.0)
+        buyers, sellers = quiet_step(manual_params(tiny, -tiny, np.ones((3, 2))), np.zeros((1, 2)))
+        assert buyers.tolist() == [0, 0] and sellers.tolist() == [0, 0]
 
     def test_single_commodity_analytic(self):
         # attention = 1/(0.5^2 + 0.5^2) = 2, so the perception is exactly
         # 2 * 0.25 = 0.5: a sensitivity of 1 meets the 0.5 buy threshold,
-        # one ulp less misses it.
+        # one ulp less misses it.  One agent: its counts are its attitude.
         below_one = np.nextafter(1.0, 0.0)
-        params = manual_params([[0.5], [0.5]], [[-0.5], [-0.5]], [[1.0], [below_one]])
-        attitudes, _ = quiet_step(params, [[0.25]])
-        assert attitudes.tolist() == [[1], [0]]
+        buyers, sellers = quiet_step(manual_params([[0.5]], [[-0.5]], [[1.0]]), [[0.25]])
+        assert buyers.tolist() == [1] and sellers.tolist() == [0]
+        buyers, sellers = quiet_step(manual_params([[0.5]], [[-0.5]], [[below_one]]), [[0.25]])
+        assert buyers.tolist() == [0] and sellers.tolist() == [0]
 
     def test_matches_scalar_loop(self):
         cfg = SimConfig(n_agents=7, n_commodities=3, ma_span=4, seed=5)
         params = init_population(cfg)
         history = np.random.default_rng(6).normal(scale=1e-6, size=(4, 3))
         before = [a.copy() for a in (*params, history)]
-        attitudes, returns = step_market(params, history, cfg, np.random.default_rng(5))
+        buyers, sellers = step_market(params, history, cfg, np.random.default_rng(5))
         for kept, now in zip(before, (*params, history)):
             assert np.array_equal(kept, now)  # inputs are not mutated
 
         noise = np.random.default_rng(5)
         s = noise.normal(0.0, cfg.sigma_s, 7)
         xi = noise.normal(0.0, cfg.sigma_xi, 7)
-        theta_buy, theta_sell, sensitivity, _ = params
+        theta_buy, theta_sell, sensitivity, _ = params  # rows: [commodity, agent]
+        expected_buyers, expected_sellers = [0, 0, 0], [0, 0, 0]
         for i in range(7):
             x = s[i]
             for k in range(3):
-                c = 1.0 / (theta_sell[i, k] ** 2 + theta_buy[i, k] ** 2)
+                c = 1.0 / (theta_sell[k, i] ** 2 + theta_buy[k, i] ** 2)
                 x += c * sum(history[tau, k] for tau in range(4)) / 4
             for j in range(3):
-                signal = sensitivity[i, j] * (x + xi[i])
-                expected = int(signal >= theta_buy[i, j]) - int(signal <= theta_sell[i, j])
-                assert attitudes[i, j] == expected
-        assert np.array_equal(returns, cfg.gamma / 7 * attitudes.sum(axis=0))
+                signal = sensitivity[j, i] * (x + xi[i])
+                expected_buyers[j] += int(signal >= theta_buy[j, i])
+                expected_sellers[j] += int(signal <= theta_sell[j, i])
+        assert buyers.tolist() == expected_buyers
+        assert sellers.tolist() == expected_sellers
 
 
 class TestDecide:
-    """Threshold rule: +1 at or above theta_buy, -1 at or below theta_sell."""
+    """Threshold rule: buy at or above theta_buy, sell at or below theta_sell.
+
+    Each case is one agent, so its (buyers, sellers) counts are its attitude.
+    """
 
     def test_zero_signal_waits(self):
-        attitudes, returns = quiet_step(manual_params([[0.01]], [[-0.01]], [[2.0]]), [[0.0]])
-        assert attitudes.tolist() == [[0]] and returns.tolist() == [0.0]
+        buyers, sellers = quiet_step(manual_params([[0.01]], [[-0.01]], [[2.0]]), [[0.0]])
+        assert buyers.tolist() == [0] and sellers.tolist() == [0]
 
     def test_buy_boundary_inclusive(self):
         # attention = 1/(0.25^2 + 0.25^2) = 8 and history +-1/32 put the
         # signal exactly on a threshold; both boundaries count as crossed.
         params = manual_params([[0.25]], [[-0.25]], [[1.0]])
-        assert quiet_step(params, [[1 / 32]])[0].tolist() == [[1]]
-        assert quiet_step(params, [[-1 / 32]])[0].tolist() == [[-1]]
+        buyers, sellers = quiet_step(params, [[1 / 32]])
+        assert buyers.tolist() == [1] and sellers.tolist() == [0]
+        buyers, sellers = quiet_step(params, [[-1 / 32]])
+        assert buyers.tolist() == [0] and sellers.tolist() == [1]
 
     def test_sell_threshold_crossed(self):
         # attention 1250, history -8.8e-6: perception -0.011, signal -0.022.
         params = manual_params([[0.02]], [[-0.02]], [[2.0]])
-        attitudes, returns = quiet_step(params, [[-8.8e-6]])
-        assert attitudes.tolist() == [[-1]]
-        assert returns[0] == -SimConfig().gamma
+        buyers, sellers = quiet_step(params, [[-8.8e-6]])
+        assert buyers.tolist() == [0] and sellers.tolist() == [1]
 
 
 class TestStepMarket:
@@ -127,34 +145,38 @@ class TestStepMarket:
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
         params = init_population(cfg, rng)
-        attitudes, returns = step_market(params, np.zeros((1, 3)), cfg, rng)
-        assert np.all(attitudes == 0)
-        assert np.all(returns == 0.0)
+        buyers, sellers = step_market(params, np.zeros((1, 3)), cfg, rng)
+        assert buyers.tolist() == [0, 0, 0] and sellers.tolist() == [0, 0, 0]
 
     def test_unanimous_buying_saturates(self):
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
         params = init_population(cfg, rng)
         history = np.full((1, 3), 1.0)  # huge shared return signal
-        attitudes, returns = step_market(params, history, cfg, rng)
-        assert np.all(attitudes == 1)
-        assert np.all(returns == pytest.approx(cfg.gamma, rel=1e-12))
-        assert np.all(np.abs(attitudes).sum(axis=0) == cfg.n_agents)
+        buyers, sellers = step_market(params, history, cfg, rng)
+        # Every agent buys every commodity: N buyers, no seller.
+        assert buyers.tolist() == [cfg.n_agents] * 3 and sellers.tolist() == [0, 0, 0]
+        assert np.all(net_return(cfg, buyers, sellers) == pytest.approx(cfg.gamma, rel=1e-12))
 
     def test_returns_bounded_by_gamma(self):
-        cfg = SimConfig(n_agents=60, n_commodities=4, seed=9)
-        rng = np.random.default_rng(9)
-        params = init_population(cfg, rng)
-        history = np.zeros((1, 4))
-        for _ in range(200):
-            attitudes, returns = step_market(params, history, cfg, rng)
-            assert np.all(np.abs(returns) <= cfg.gamma * (1 + 1e-12))
-            assert set(np.unique(attitudes)) <= {-1, 0, 1}
-            history = returns[None, :]
-        _, activity = run_simulation(replace(cfg, horizon=200, warmup=0, dt=2.5))
-        counts = activity.values * 2.5
-        assert np.all(counts == np.round(counts))
-        assert np.all(counts <= cfg.n_agents)
+        # With one agent the counts are its attitude; with 60 they bound it.
+        for n_agents in (1, 60):
+            cfg = SimConfig(n_agents=n_agents, n_commodities=4, seed=9)
+            rng = np.random.default_rng(9)
+            params = init_population(cfg, rng)
+            history = np.zeros((1, 4))
+            for _ in range(200):
+                buyers, sellers = step_market(params, history, cfg, rng)
+                # Each agent buys, sells or waits: at most one action per commodity.
+                assert np.all(buyers >= 0) and np.all(sellers >= 0)
+                assert np.all(buyers + sellers <= n_agents)
+                history = net_return(cfg, buyers, sellers)[None, :]
+                assert np.all(np.abs(history) <= cfg.gamma * (1 + 1e-12))
+            rates, activity = run_simulation(replace(cfg, horizon=200, warmup=0, dt=2.5))
+            assert np.all(np.abs(np.diff(np.log(rates.values))) <= cfg.gamma * (1 + 1e-6))
+            counts = activity.values * 2.5
+            assert np.all(counts == np.round(counts))
+            assert np.all(counts <= n_agents)
 
     def test_rates_telescope_from_returns(self):
         cfg = SimConfig(n_agents=50, n_commodities=4, gamma=1e-3, a_range=(2.0, 4.0), seed=21,
@@ -164,7 +186,7 @@ class TestStepMarket:
         history = np.zeros((1, 4))
         total = np.zeros(4)
         for _ in range(cfg.horizon):
-            _, history[0] = step_market(params, history, cfg, rng)
+            history[0] = net_return(cfg, *step_market(params, history, cfg, rng))
             total += history[0]
         rates, _ = run_simulation(cfg)
         assert np.allclose(rates.values[:, -1], np.exp(total), rtol=1e-9)
@@ -200,6 +222,14 @@ ORACLE_GRID = {
                                  a_range=(0.5, 6.0), sigma_s=0.01, seed=5),
 }
 
+# The bit contract against the (N, M) int8-attitude loop: the oracle grid
+# plus two default-size (2000 x 20) runs.
+ATTITUDE_GRID = {
+    **ORACLE_GRID,
+    "default_size": dict(horizon=300, warmup=0, seed=0),
+    "default_size_resampled": dict(horizon=300, warmup=0, seed=1, resample_params=True),
+}
+
 
 class TestRunSimulation:
     def test_one_step_horizon_rejected(self):
@@ -220,6 +250,14 @@ class TestRunSimulation:
         assert np.array_equal(activity.values, np.array(ref_activity).reshape(activity.values.shape))
         assert np.allclose(rates.values, np.array(ref_rates).reshape(rates.values.shape),
                            rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", sorted(ATTITUDE_GRID))
+    def test_matches_attitude_oracle(self, case):
+        cfg = SimConfig(**ATTITUDE_GRID[case])
+        rates, activity = run_simulation(cfg)
+        ref_rates, ref_activity = attitude_simulation(cfg)
+        assert rates.values.tobytes() == ref_rates.tobytes()
+        assert activity.values.tobytes() == ref_activity.tobytes()
 
     def test_silent_market_stays_at_rest(self):
         cfg = SimConfig(n_agents=10, n_commodities=2, sigma_xi=0.0, sigma_s=0.0, horizon=20, warmup=5)
@@ -283,3 +321,11 @@ class TestConfigFile:
             SimConfig(ma_span=0)
         with pytest.raises(ConfigurationError):
             SimConfig(gamma=0.0)
+
+    def test_agent_count_beyond_int32_counts_rejected(self):
+        # The step counts buyers and sellers in int32; the config is refused
+        # before any array is built.
+        for n_agents in (2**31, 2**40):
+            with pytest.raises(ConfigurationError, match=r"n_agents must be between 1 and 2\*\*31 - 1"):
+                SimConfig(n_agents=n_agents)
+        assert SimConfig(n_agents=2**31 - 1).n_agents == 2**31 - 1
