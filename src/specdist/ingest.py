@@ -290,11 +290,8 @@ def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarra
 
 
 # A plain stamp's body is this template's first 19 characters, or its
-# first 21 to 26 (`_PLAIN_BODY`, by length), every digit written as 0; a Z
-# may follow it.
+# first 21 to 26, every digit written as 0; one Z may follow the body.
 _TEMPLATE = np.array([*map(ord, "0000-00-00T00:00:00.000000")], np.uint32)
-_PLAIN_WIDTH = _TEMPLATE.size + 1  # YYYY-MM-DDTHH:MM:SS.ffffffZ
-_PLAIN_BODY = np.isin(np.arange(_PLAIN_WIDTH + 2), [19, *range(21, _PLAIN_WIDTH)])
 
 
 def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,19 +305,16 @@ def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     their microseconds exactly (among them year 0000, which numpy reads
     and Python does not).
     """
-    n, width = stamps.size, stamps.dtype.itemsize // 4
-    code = np.zeros((n, _PLAIN_WIDTH), np.uint32)
-    code[:, :min(width, _PLAIN_WIDTH)] = stamps.view(np.uint32).reshape(n, width)[:, :_PLAIN_WIDTH]
-    length = np.minimum(np.char.str_len(stamps), _PLAIN_WIDTH + 1)
-    zulu = code[np.arange(n), np.clip(length - 1, 0, _PLAIN_WIDTH - 1)] == ord("Z")
-    body = length - zulu
-    digits = np.where(code[:, :-1] - ord("0") < 10, ord("0"), code[:, :-1])
-    # No character past the body (a Z, then NULs) matches the template.
-    at = np.flatnonzero((np.count_nonzero(digits == _TEMPLATE, axis=1) == body) & _PLAIN_BODY[body])
-    text = code[at, :-1] * (np.arange(_TEMPLATE.size) < body[at, None])  # the body alone
-    text = text.view(f"U{_TEMPLATE.size}")[:, 0]
+    n = stamps.size
+    body = np.char.rstrip(stamps, "Z")
+    length = np.char.str_len(body)
+    shaped = (np.char.str_len(stamps) - length <= 1) & ((length == 19) | ((length > 20) & (length <= 26)))
+    code = body.view(np.uint32).reshape(n, body.dtype.itemsize // 4)[:, :_TEMPLATE.size]
+    digits = np.where(code - ord("0") < 10, ord("0"), code)
+    # Every character of the body matches the template, and no NUL past it does.
+    at = np.flatnonzero(shaped & (np.count_nonzero(digits == _TEMPLATE[:code.shape[1]], axis=1) == length))
     try:
-        us = text.astype("datetime64[us]").view(np.int64)
+        us = body[at].astype("datetime64[us]").view(np.int64)
     except ValueError:
         at, us = at[:0], np.zeros(0, np.int64)
     exact = np.abs(us) <= 2**53
@@ -335,28 +329,19 @@ def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ms, parsed
 
 
-# The characters of decimal text, and NUL, which pads numpy's str cells;
-# the last entry stands for every code point above 127.
-_DECIMAL = np.isin(np.arange(129), [0, *map(ord, "0123456789.+-eE")])
-
-
 def _floats(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`float` of each text, and whether it parsed.  Texts of decimal
-    characters go through one `map(float, ...)`, which reads them faster
-    than numpy's str-to-float cast; the others (an empty text among them),
-    and all of them when that map raises, one at a time."""
-    values = np.full(texts.size, math.nan)
-    parsed = np.zeros(texts.size, dtype=bool)
-    code = texts.view(np.uint32).reshape(texts.size, texts.dtype.itemsize // 4)
-    decimal = np.flatnonzero(_DECIMAL[np.minimum(code, _DECIMAL.size - 1)].all(axis=1) & (code[:, 0] > 0))
-    with contextlib.suppress(ValueError):
-        values[decimal] = np.fromiter(map(float, texts[decimal].tolist()), np.float64, decimal.size)
-        parsed[decimal] = True
-    for i in np.flatnonzero(~parsed).tolist():
-        with contextlib.suppress(ValueError):
-            values[i] = float(texts[i])
-            parsed[i] = True
-    return values, parsed
+    """`float` of each text, and whether it parsed: one `float` call per
+    text.  The text `nan` parses, so a failure is not marked by NaN."""
+    values, failed = [], []
+    for text in texts.tolist():
+        try:
+            values.append(float(text))
+        except ValueError:
+            failed.append(len(values))
+            values.append(0.0)
+    parsed = np.ones(texts.size, dtype=bool)
+    parsed[failed] = False
+    return np.array(values, dtype=np.float64), parsed
 
 
 def read_ticks(path: str | Path) -> ParsedTicks:
@@ -385,8 +370,9 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
     that all fall in one bucket are an `AnalysisError`: a panel needs two.  Bucket
     assignment depends only on timestamps, so the input order is irrelevant.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigurationError(f"bucket width dt must be a positive number of minutes, got {dt!r}")
+    # A bucket narrower than a stamp's 1 ms is refused before its grid is allocated.
+    if not (math.isfinite(dt) and dt * 60_000.0 >= 1):
+        raise ConfigurationError(f"bucket width dt must be a finite number of minutes of at least 1 ms, got {dt!r}")
     if side not in SIDES:
         raise ConfigurationError(f"side must be one of {SIDES}, got {side!r}")
     t = ticks.timestamp_ms

@@ -2,10 +2,11 @@
 
 The estimator tapers a length-N segment with a raised-cosine (Hanning)
 window, takes the squared magnitude of its DFT scaled by 1/N^2, drops the
-DC bin, and rescales the remaining bins into a probability distribution
-over positive frequencies.  Spectral entropy (in nats) and the mode
-frequency are statistics of that distribution: a flat spectrum maximizes
-the entropy at log(N-1), a single-bin spectrum has entropy zero.
+DC bin, and rescales the N-1 AC bins, those above N/2 mirroring the
+negative frequencies, into a probability distribution.  Spectral entropy
+(in nats) and the mode frequency are statistics of that distribution: a
+flat spectrum maximizes the entropy at log(N-1), a single-bin spectrum
+has entropy zero.
 
 Each estimator is one array kernel whose last axis is the frequency
 axis, so the same call scores one segment or a (windows, channels, bins)
@@ -107,7 +108,8 @@ def hanning_window(width: int) -> np.ndarray:
 
 
 def bin_frequencies(width: int, dt: float) -> np.ndarray:
-    """Frequencies f_n = n/(N*dt) of the positive-frequency bins n = 1..N-1."""
+    """Frequencies f_n = n/(N*dt) of the AC bins n = 1..N-1; the bins above
+    N/2 mirror the negative frequencies (n - N)/(N*dt)."""
     return np.arange(1, width) / (width * dt)
 
 

@@ -49,6 +49,22 @@ class TestIngestCommand:
         assert code == 5
         assert "kind=ConfigurationError" in err and "bucket width" in err
 
+    def test_bucket_below_a_millisecond_is_config_error(self, tmp_path, capsys):
+        """A bucket narrower than a tick stamp's 1 ms is refused before the
+        grid is built.  The ticks are 1 ms apart, so that without the check
+        the grid is small and the test fails instead of exhausting memory."""
+        ticks = tmp_path / "ms.csv"
+        ticks.write_text(
+            "timestamp,instrument,side,price\n"
+            + "".join(f"2006-10-16T00:00:05.00{k}Z,EUR/USD,ask,1.26{k}\n" for k in range(5))
+        )
+        activity = tmp_path / "a.csv"
+        assert run("ingest", str(ticks), "--dt", "1e-7", "--activity-out", str(activity)) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("specdist: error code=5 kind=ConfigurationError ") and "bucket width" in err
+        assert len(err.splitlines()) == 1
+        assert not activity.exists()
+
     def test_missing_side_is_data_error(self, tmp_path, capsys):
         bids = tmp_path / "bids.csv"
         bids.write_text(

@@ -209,7 +209,7 @@ stamp_text = st.builds(
     st.sampled_from([0, 9, 23, 24]),
     st.sampled_from([0, 3, 59, 60]),
     st.sampled_from([0, 1, 59, 60]),
-    st.sampled_from(["", "", ".5", ".25", ".0005", ".123456", ".000500", ".1234567", "."]),
+    st.sampled_from(["", "", ".5", ".25", ".0005", ".123456", ".000500", ".1234567", ".", "Z.5"]),
     st.sampled_from(["Z", "Z", "Z", "", "z", "+09:00", "-00:30", "+24:00", "+0100", "ZZ"]),
     st.sampled_from(["", "", "", " ", "\x1c", *["\0", "\0 "] * NULS]),
 )
@@ -340,8 +340,8 @@ class TestColumnarParse:
         assert parse_outcome(row_parse_ticks, text) == got
 
     def test_an_empty_price_leaves_the_other_prices_in_one_conversion(self):
-        """The decimal prices of a run go through one `map(float)`; an empty
-        price must not make it raise and convert every price a second time."""
+        """Each price is converted by one `float` call; an empty price is
+        one failed call and one problem, and no price is converted twice."""
         rows = [PLAIN_ROW] * 1000
         rows[500] = "2006-10-16T00:03:00Z,EUR/USD,ask,"
         calls = []
@@ -660,6 +660,13 @@ class TestResample:
     def test_no_ticks(self):
         with pytest.raises(AnalysisError, match="no valid ticks to resample"):
             resample(columns([]), 1.0, "ask")
+
+    @pytest.mark.parametrize("dt", [1e-7, 0.99 / 60_000])
+    def test_bucket_below_a_millisecond_is_config_error(self, dt):
+        ticks = [(0, "EUR/USD", "ask", 1.0), (3, "EUR/USD", "ask", 1.0)]  # 3 ms apart
+        with pytest.raises(ConfigurationError, match="bucket width"):
+            resample(columns(ticks), dt, "ask")
+        assert resample(columns(ticks), 1 / 60_000, "ask")[0].length == 4
 
     @given(
         ticks=st.lists(
