@@ -7,7 +7,8 @@ by its sensitivity, and acts on each commodity whose threshold the signal
 crosses: buy, sell, or wait.  Buyers minus sellers move log rates, buyers
 plus sellers are the quotation activity.  Runs are deterministic given the
 seed: parameter draws, then per-step noise draws, always in the same
-order.
+order, made by `draw_steps` on a second thread one block ahead of the
+steps.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ DEFAULT_GAMMA = 2e-7
 DEFAULT_NOISE_SIGMA = 0.005
 DEFAULT_A_RANGE = (1.0, 3.0)
 DEFAULT_WARMUP = 512
+# Bytes of draws in one read-ahead block of `run_simulation`: 16 steps of
+# noise at N = 2000.  Two blocks are alive at once.
+READ_AHEAD_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -123,21 +127,17 @@ def init_population(cfg: SimConfig, rng: np.random.Generator | None = None):
     return theta_buy.T.copy(), theta_sell.T.copy(), sensitivity.T.copy(), attention
 
 
-def step_market(params, history: np.ndarray, cfg: SimConfig, rng: np.random.Generator):
-    """One tick: return the (M,) int32 counts of buyers and of sellers.
+def step_market(params, history: np.ndarray, s: np.ndarray, xi: np.ndarray):
+    """One tick on given draws: return the (M,) int32 counts of buyers and of sellers.
 
-    `history` holds the last `ma_span` returns, newest first.  Draw order:
-    fresh parameters when `cfg.resample_params` is set, then exogenous
-    perception noise s, then interpretation noise xi.  Each agent perceives
-    its attention-weighted mean recent return plus s, and buys where
-    sensitivity * (perception + xi) is at or above theta_buy, sells at or
-    below theta_sell, and waits otherwise.  Inputs are not mutated.
+    `history` holds the last `ma_span` returns, newest first; `s` and `xi`
+    are the (N,) exogenous perception noise and interpretation noise.  Each
+    agent perceives its attention-weighted mean recent return plus s, and
+    buys where sensitivity * (perception + xi) is at or above theta_buy,
+    sells at or below theta_sell, and waits otherwise.  Inputs are not
+    mutated.
     """
-    if cfg.resample_params:
-        params = init_population(cfg, rng)
     theta_buy, theta_sell, sensitivity, attention = params
-    s = rng.normal(0.0, cfg.sigma_s, cfg.n_agents)
-    xi = rng.normal(0.0, cfg.sigma_xi, cfg.n_agents)
     perception = attention @ history.mean(axis=0) + s
     signal = sensitivity * (perception + xi)
     # A uint8 view of the bools sums in int32 without a cast pass; integer
@@ -147,6 +147,27 @@ def step_market(params, history: np.ndarray, cfg: SimConfig, rng: np.random.Gene
     return buyers, sellers
 
 
+def draw_steps(cfg: SimConfig, rng: np.random.Generator, noise: np.ndarray) -> list:
+    """Make every random draw of `len(noise)` steps, in the seed's order.
+
+    Per step: fresh parameters when `cfg.resample_params` is set, then the
+    N values of s, then the N values of xi.  s and xi fill the (steps, 2, N)
+    buffer `noise` in place; the fresh parameters, one tuple per step, are
+    returned (an empty list without resampling).  `standard_normal` scaled
+    by sigma gives `normal(0, sigma)`'s values up to the sign of a zero,
+    which no threshold comparison can tell apart.
+    """
+    fresh = []
+    if cfg.resample_params:
+        for one in noise:
+            fresh.append(init_population(cfg, rng))
+            rng.standard_normal(out=one)
+    else:
+        rng.standard_normal(out=noise)
+    noise *= np.array([[cfg.sigma_s], [cfg.sigma_xi]])
+    return fresh
+
+
 def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
     """Run warm-up plus horizon steps and return (rates, activity) panels.
 
@@ -154,24 +175,47 @@ def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
     sellers)); activity is buyers plus sellers per unit time.  The warm-up
     is discarded; both panels share labels, dt, and length `cfg.horizon`.
     Same seed, same panels, bit for bit.
+
+    The draws do not depend on the market, so a second thread makes them
+    (`draw_steps`, which releases the GIL inside numpy) one block of at
+    most READ_AHEAD_BYTES, and at least one step, ahead of this thread's
+    steps, alternating between two buffers.
     """
+    # Imported here, not at the top, so that commands which do not
+    # simulate do not pay its import time.
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(cfg.seed)
     params = init_population(cfg, rng)
-    m = cfg.n_commodities
+    n, m = cfg.n_agents, cfg.n_commodities
+    steps = cfg.warmup + cfg.horizon
+    step_bytes = 8 * (2 * n + (4 * n * m if cfg.resample_params else 0))
+    block = min(steps, max(1, READ_AHEAD_BYTES // step_bytes))
+    buffers = [np.empty((block, 2, n)) for _ in range(2)]
     rate = np.ones(m)
     history = np.zeros((cfg.ma_span, m))
     rates = np.empty((m, cfg.horizon))
     activity = np.empty((m, cfg.horizon))
-    for step in range(cfg.warmup + cfg.horizon):
-        buyers, sellers = step_market(params, history, cfg, rng)
-        returns = (cfg.gamma / cfg.n_agents) * (buyers - sellers)
-        rate = rate * np.exp(returns)
-        history[1:] = history[:-1]
-        history[0] = returns
-        i = step - cfg.warmup
-        if i >= 0:
-            rates[:, i] = rate
-            activity[:, i] = (buyers + sellers) / cfg.dt
+    # Leaving the `with` joins the thread, also when a draw raised: a
+    # forked sweep worker must not inherit it, nor a caller find it alive.
+    with ThreadPoolExecutor(1) as drawer:
+        ahead = drawer.submit(draw_steps, cfg, rng, buffers[0])
+        for b, start in enumerate(range(0, steps, block)):
+            fresh = ahead.result()
+            if start + block < steps:
+                ahead = drawer.submit(draw_steps, cfg, rng, buffers[(b + 1) % 2][: steps - start - block])
+            for j, (s, xi) in enumerate(buffers[b % 2][: steps - start]):
+                if fresh:
+                    params = fresh[j]
+                buyers, sellers = step_market(params, history, s, xi)
+                returns = (cfg.gamma / n) * (buyers - sellers)
+                rate = rate * np.exp(returns)
+                history[1:] = history[:-1]
+                history[0] = returns
+                i = start + j - cfg.warmup
+                if i >= 0:
+                    rates[:, i] = rate
+                    activity[:, i] = (buyers + sellers) / cfg.dt
     return SignalPanel(rates, cfg.labels, cfg.dt), SignalPanel(activity, cfg.labels, cfg.dt)
 
 

@@ -1,11 +1,14 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import attitude_simulation, scalar_simulation
+from specdist import simulator
 from specdist.errors import ConfigurationError
 from specdist.simulator import (
+    READ_AHEAD_BYTES,
     SimConfig,
     init_population,
     load_sim_config,
@@ -28,10 +31,17 @@ def net_return(cfg, buyers, sellers):
 
 def quiet_step(params, history):
     """step_market with zero noise on hand-set parameters and history."""
-    n, m = params[3].shape
+    n = params[3].shape[0]
     history = np.atleast_2d(np.asarray(history, dtype=float))
-    cfg = SimConfig(n_agents=n, n_commodities=m, ma_span=len(history), sigma_xi=0.0, sigma_s=0.0)
-    return step_market(params, history, cfg, np.random.default_rng(0))
+    return step_market(params, history, np.zeros(n), np.zeros(n))
+
+
+def drawn_step(params, history, cfg, rng):
+    """step_market on one step's noise drawn from `rng` in the seed's order:
+    s, then xi (the parameters are fixed)."""
+    s = rng.normal(0.0, cfg.sigma_s, cfg.n_agents)
+    xi = rng.normal(0.0, cfg.sigma_xi, cfg.n_agents)
+    return step_market(params, history, s, xi)
 
 
 class TestInitPopulation:
@@ -86,14 +96,14 @@ class TestPerceive:
         cfg = SimConfig(n_agents=7, n_commodities=3, ma_span=4, seed=5)
         params = init_population(cfg)
         history = np.random.default_rng(6).normal(scale=1e-6, size=(4, 3))
-        before = [a.copy() for a in (*params, history)]
-        buyers, sellers = step_market(params, history, cfg, np.random.default_rng(5))
-        for kept, now in zip(before, (*params, history)):
-            assert np.array_equal(kept, now)  # inputs are not mutated
-
         noise = np.random.default_rng(5)
         s = noise.normal(0.0, cfg.sigma_s, 7)
         xi = noise.normal(0.0, cfg.sigma_xi, 7)
+        before = [a.copy() for a in (*params, history, s, xi)]
+        buyers, sellers = step_market(params, history, s, xi)
+        for kept, now in zip(before, (*params, history, s, xi)):
+            assert np.array_equal(kept, now)  # inputs are not mutated
+
         theta_buy, theta_sell, sensitivity, _ = params  # rows: [commodity, agent]
         expected_buyers, expected_sellers = [0, 0, 0], [0, 0, 0]
         for i in range(7):
@@ -145,7 +155,7 @@ class TestStepMarket:
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
         params = init_population(cfg, rng)
-        buyers, sellers = step_market(params, np.zeros((1, 3)), cfg, rng)
+        buyers, sellers = drawn_step(params, np.zeros((1, 3)), cfg, rng)
         assert buyers.tolist() == [0, 0, 0] and sellers.tolist() == [0, 0, 0]
 
     def test_unanimous_buying_saturates(self):
@@ -153,7 +163,7 @@ class TestStepMarket:
         rng = np.random.default_rng(0)
         params = init_population(cfg, rng)
         history = np.full((1, 3), 1.0)  # huge shared return signal
-        buyers, sellers = step_market(params, history, cfg, rng)
+        buyers, sellers = drawn_step(params, history, cfg, rng)
         # Every agent buys every commodity: N buyers, no seller.
         assert buyers.tolist() == [cfg.n_agents] * 3 and sellers.tolist() == [0, 0, 0]
         assert np.all(net_return(cfg, buyers, sellers) == pytest.approx(cfg.gamma, rel=1e-12))
@@ -166,7 +176,7 @@ class TestStepMarket:
             params = init_population(cfg, rng)
             history = np.zeros((1, 4))
             for _ in range(200):
-                buyers, sellers = step_market(params, history, cfg, rng)
+                buyers, sellers = drawn_step(params, history, cfg, rng)
                 # Each agent buys, sells or waits: at most one action per commodity.
                 assert np.all(buyers >= 0) and np.all(sellers >= 0)
                 assert np.all(buyers + sellers <= n_agents)
@@ -186,7 +196,7 @@ class TestStepMarket:
         history = np.zeros((1, 4))
         total = np.zeros(4)
         for _ in range(cfg.horizon):
-            history[0] = net_return(cfg, *step_market(params, history, cfg, rng))
+            history[0] = net_return(cfg, *drawn_step(params, history, cfg, rng))
             total += history[0]
         rates, _ = run_simulation(cfg)
         assert np.allclose(rates.values[:, -1], np.exp(total), rtol=1e-9)
@@ -222,12 +232,26 @@ ORACLE_GRID = {
                                  a_range=(0.5, 6.0), sigma_s=0.01, seed=5),
 }
 
-# The bit contract against the (N, M) int8-attitude loop: the oracle grid
-# plus two default-size (2000 x 20) runs.
+# Steps per read-ahead block of run_simulation: the byte budget over one
+# step's float64 draws, 2 x N noise values plus, when resampling, the
+# 4 x N x M parameter values.
+BLOCK = READ_AHEAD_BYTES // (8 * 2 * 2000)  # 16 at the default 2000 agents
+RESAMPLE_BLOCK = READ_AHEAD_BYTES // (8 * (2 * 30 + 4 * 30 * 4))  # 121 at 30 x 4
+
+# The bit contract against the (N, M) int8-attitude loop: the oracle grid,
+# two default-size (2000 x 20) runs, and runs that end or change from
+# warm-up to record at and around the edges of a read-ahead block.
 ATTITUDE_GRID = {
     **ORACLE_GRID,
     "default_size": dict(horizon=300, warmup=0, seed=0),
     "default_size_resampled": dict(horizon=300, warmup=0, seed=1, resample_params=True),
+    "block_minus_one_step": dict(horizon=BLOCK - 4, warmup=3, seed=6),
+    "block_exact": dict(horizon=BLOCK - 3, warmup=3, seed=7),
+    "block_plus_one_step": dict(horizon=BLOCK - 2, warmup=3, seed=8),
+    "warmup_ends_mid_block": dict(horizon=2 * BLOCK, warmup=BLOCK + BLOCK // 2, seed=9),
+    "resampled_two_blocks": dict(n_agents=30, n_commodities=4, horizon=40,
+                                 warmup=RESAMPLE_BLOCK - 20, ma_span=2, gamma=2e-6,
+                                 resample_params=True, seed=10),
 }
 
 
@@ -278,6 +302,42 @@ class TestRunSimulation:
         assert rates.labels == activity.labels
         assert rates.labels[0] == "c01" and rates.labels[-1] == "c12"
         assert rates.dt == 2.0 and rates.length == 8
+
+
+class TestReadAhead:
+    """The draw thread never outlives `run_simulation`, and its failure is the caller's."""
+
+    def test_no_thread_outlives_a_run(self):
+        before = threading.active_count()
+        run_simulation(SimConfig(n_agents=50, n_commodities=3, horizon=100, warmup=10))
+        assert threading.active_count() == before
+
+    # 50 x 3 draws both failing steps in one block; at 2000 x 20 a resampled
+    # block is one step, so the failure comes from the block drawn while the
+    # main thread steps through the one before it.
+    @pytest.mark.parametrize("n_agents, n_commodities", [(50, 3), (2000, 20)])
+    def test_failed_draw_reaches_the_caller_and_leaves_no_thread(self, monkeypatch, n_agents,
+                                                                 n_commodities):
+        real = simulator.init_population
+        calls = []
+        failure = RuntimeError("third parameter draw")
+
+        def third_call_fails(cfg, rng=None):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise failure
+            return real(cfg, rng)
+
+        monkeypatch.setattr(simulator, "init_population", third_call_fails)
+        cfg = SimConfig(n_agents=n_agents, n_commodities=n_commodities, horizon=20, warmup=0,
+                        resample_params=True)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            run_simulation(cfg)
+        assert caught.value is failure
+        assert threading.active_count() == before
+        assert len(calls) == 3 and calls[0] is threading.main_thread()
+        assert calls[2] is not threading.main_thread()  # drawn ahead, on the draw thread
 
 
 class TestConfigFile:
