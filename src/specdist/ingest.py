@@ -35,6 +35,12 @@ from .spectra import SignalPanel
 
 TICK_HEADER = ("timestamp", "instrument", "side", "price")
 SIDES = ("ask", "bid")
+# Most (instrument x bucket) cells `resample` builds.  Its arrays and the
+# panels it returns hold about 42 bytes per cell, so this keeps one
+# resample near 0.7 GB: a year of one-minute buckets for a dozen
+# instruments is 6.3 M cells, while a tick span at a `dt` of a few ms can
+# need GBs.
+MAX_CELLS = 2**24
 
 # Abort parsing when more than this fraction of data rows is malformed.
 MALFORMED_ABORT_FRACTION = 0.01
@@ -367,8 +373,10 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
     minimum for asks (maximum for bids), carried forward through empty
     buckets; the rate panel starts at the first bucket where every channel
     has quoted, and is None when fewer than two buckets remain.  Ticks
-    that all fall in one bucket are an `AnalysisError`: a panel needs two.  Bucket
-    assignment depends only on timestamps, so the input order is irrelevant.
+    that all fall in one bucket are an `AnalysisError`: a panel needs two.  A grid
+    of more than MAX_CELLS cells is a `ConfigurationError`, raised before it
+    is allocated.  Bucket assignment depends only on timestamps, so the
+    input order is irrelevant.
     """
     # A bucket narrower than a stamp's 1 ms is refused before its grid is allocated.
     if not (math.isfinite(dt) and dt * 60_000.0 >= 1):
@@ -391,6 +399,11 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
     bucket = np.floor((t[on_side] - origin) / dt_ms).astype(np.intp)
     present, channel = np.unique(ticks.instrument[on_side], return_inverse=True)
     m = present.size
+    if m * count > MAX_CELLS:
+        raise ConfigurationError(
+            f"{m} instrument(s) x {count} buckets of {dt!r} minutes is {m * count} cells, "
+            f"more than the {MAX_CELLS} a resample may hold: use a wider dt"
+        )
     cell = channel * count + bucket
     activity = np.bincount(cell, minlength=m * count).reshape(m, count) / dt
 

@@ -4,11 +4,13 @@ N agents hold buy/sell thresholds and a sensitivity for each of M
 commodities.  Each step an agent forms a scalar perception from
 attention-weighted recent returns plus private exogenous noise, scales it
 by its sensitivity, and acts on each commodity whose threshold the signal
-crosses: buy, sell, or wait.  Buyers minus sellers move log rates, buyers
-plus sellers are the quotation activity.  Runs are deterministic given the
-seed: parameter draws, then per-step noise draws, always in the same
-order, made by `draw_steps` on a second thread one block ahead of the
-steps.
+crosses: buy, sell, or wait.  The step compares the noisy perception
+itself with break-even levels, computed once per parameter draw, at which
+the scaled signal reaches each threshold.  Buyers minus sellers move log
+rates, buyers plus sellers are the quotation activity.  Runs are
+deterministic given the seed: parameter draws, then per-step noise
+draws, always in the same order, made by `draw_steps` on a second thread
+one block ahead of the steps.
 """
 
 from __future__ import annotations
@@ -127,23 +129,82 @@ def init_population(cfg: SimConfig, rng: np.random.Generator | None = None):
     return theta_buy.T.copy(), theta_sell.T.copy(), sensitivity.T.copy(), attention
 
 
-def step_market(params, history: np.ndarray, s: np.ndarray, xi: np.ndarray):
+def break_even(sensitivity: np.ndarray, threshold: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """Write into `out` the least float64 u with `sensitivity * u >= threshold`.
+
+    Elementwise, for positive float64 arrays, subnormals included; `out`
+    and `scratch` are float64 arrays of their shape that share no memory
+    with them or with each other, and `scratch` is overwritten.  The
+    rounded product a * u never falls as u rises (a > 0), so it reaches
+    the threshold exactly when u reaches this level, bit for bit; +inf
+    means only u = +inf does.
+
+    The search steps through the doubles' int64 bit patterns, which order
+    the nonnegative ones, from the rounded quotient q = threshold / a.
+    The double after q lies above the exact quotient, so where q does not
+    reach, the level is q + 1 ulp.  Where q reaches, the level is q unless
+    q - 1 ulp reaches too (about one element in twelve).  Those are
+    searched downwards towards +0, which never reaches, by steps of 1, 2,
+    4, ... ulps until a probe falls short, then by halving: one probe
+    normally, at most 126 where the product lost bits to underflow.
+    """
+    with np.errstate(over="ignore"):
+        np.divide(threshold, sensitivity, out=out)
+        bits = out.view(np.int64)
+        reaches = np.multiply(sensitivity, out, out=scratch) >= threshold
+        bits += ~reaches
+        np.subtract(bits, 1, out=scratch.view(np.int64))
+        lower = np.flatnonzero((np.multiply(sensitivity, scratch, out=scratch) >= threshold) & reaches)
+        a, theta = sensitivity.take(lower), threshold.take(lower)
+        lo, hi = np.zeros_like(lower), bits.take(lower) - 1
+        step = 1
+        while np.any(hi - lo > 1):
+            probe = hi - np.minimum(step, (hi - lo) // 2)
+            reached = a * probe.view(np.float64) >= theta
+            lo, hi = np.where(reached, lo, probe), np.where(reached, probe, hi)
+            step = min(2 * step, 2**62)  # a step past half the bracket halves it; int64 holds 2**62
+        np.put(bits, lower, hi)
+    return out
+
+
+def break_even_levels(population, out, scratch):
+    """Fill `out`, an (M, N) buy and an (M, N) sell array, with the levels each agent acts at.
+
+    An agent buys a commodity when its noisy perception u reaches the least
+    value whose product with its sensitivity reaches theta_buy, and sells
+    when u is at or below the greatest value whose product stays at or
+    below theta_sell.  Rounding to nearest is symmetric in sign, so that
+    greatest value is -break_even(a, -theta_sell).  `scratch` is an
+    (M, N) float64 array that is overwritten.  Returns the step's
+    parameters (buy_at, sell_at, attention).
+    """
+    theta_buy, theta_sell, sensitivity, attention = population
+    buy_at, sell_at = out
+    np.negative(theta_sell, out=buy_at)
+    break_even(sensitivity, buy_at, sell_at, scratch)
+    np.negative(sell_at, out=sell_at)
+    break_even(sensitivity, theta_buy, buy_at, scratch)
+    return buy_at, sell_at, attention
+
+
+def step_market(params, history: np.ndarray, s: np.ndarray, xi: np.ndarray, work) -> tuple:
     """One tick on given draws: return the (M,) int32 counts of buyers and of sellers.
 
+    `params` is `break_even_levels`' (buy_at, sell_at, attention);
     `history` holds the last `ma_span` returns, newest first; `s` and `xi`
     are the (N,) exogenous perception noise and interpretation noise.  Each
     agent perceives its attention-weighted mean recent return plus s, and
-    buys where sensitivity * (perception + xi) is at or above theta_buy,
-    sells at or below theta_sell, and waits otherwise.  Inputs are not
-    mutated.
+    buys where perception + xi is at or above buy_at, sells at or below
+    sell_at, and waits otherwise.  `work` is an (M, N) float64 and an
+    (M, N) bool buffer that the step overwrites; no other input is mutated.
     """
-    theta_buy, theta_sell, sensitivity, attention = params
-    perception = attention @ history.mean(axis=0) + s
-    signal = sensitivity * (perception + xi)
+    buy_at, sell_at, attention = params
+    u, flags = work
+    u[:] = attention @ history.mean(axis=0) + s + xi
     # A uint8 view of the bools sums in int32 without a cast pass; integer
     # sums are exact in any order (SimConfig keeps N below 2**31).
-    buyers = np.add.reduce((signal >= theta_buy).view(np.uint8), axis=1, dtype=np.int32)
-    sellers = np.add.reduce((signal <= theta_sell).view(np.uint8), axis=1, dtype=np.int32)
+    buyers = np.add.reduce(np.greater_equal(u, buy_at, out=flags).view(np.uint8), axis=1, dtype=np.int32)
+    sellers = np.add.reduce(np.less_equal(u, sell_at, out=flags).view(np.uint8), axis=1, dtype=np.int32)
     return buyers, sellers
 
 
@@ -179,15 +240,19 @@ def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
     The draws do not depend on the market, so a second thread makes them
     (`draw_steps`, which releases the GIL inside numpy) one block of at
     most READ_AHEAD_BYTES, and at least one step, ahead of this thread's
-    steps, alternating between two buffers.
+    steps, alternating between two buffers.  This thread turns each
+    parameter draw into break-even levels, in buffers allocated once per
+    run like the step's own.
     """
     # Imported here, not at the top, so that commands which do not
     # simulate do not pay its import time.
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_population(cfg, rng)
     n, m = cfg.n_agents, cfg.n_commodities
+    levels = np.empty((2, m, n))
+    work = np.empty((m, n)), np.empty((m, n), dtype=bool)
+    params = break_even_levels(init_population(cfg, rng), levels, work[0])
     steps = cfg.warmup + cfg.horizon
     step_bytes = 8 * (2 * n + (4 * n * m if cfg.resample_params else 0))
     block = min(steps, max(1, READ_AHEAD_BYTES // step_bytes))
@@ -206,8 +271,8 @@ def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
                 ahead = drawer.submit(draw_steps, cfg, rng, buffers[(b + 1) % 2][: steps - start - block])
             for j, (s, xi) in enumerate(buffers[b % 2][: steps - start]):
                 if fresh:
-                    params = fresh[j]
-                buyers, sellers = step_market(params, history, s, xi)
+                    params = break_even_levels(fresh[j], levels, work[0])
+                buyers, sellers = step_market(params, history, s, xi, work)
                 returns = (cfg.gamma / n) * (buyers - sellers)
                 rate = rate * np.exp(returns)
                 history[1:] = history[:-1]

@@ -65,6 +65,30 @@ class TestIngestCommand:
         assert len(err.splitlines()) == 1
         assert not activity.exists()
 
+    def test_grid_over_the_cell_budget_is_config_error(self, tmp_path, capsys, monkeypatch):
+        """Two ticks two days apart at `--dt 1e-4` (6 ms) need 28.8 M buckets,
+        more than `ingest.MAX_CELLS`: exit 5 with one error line and no
+        output.  The allocators are patched to fail, so that without the
+        check the test fails instead of exhausting memory."""
+        ticks = tmp_path / "days.csv"
+        ticks.write_text(
+            "timestamp,instrument,side,price\n"
+            "2006-10-16T00:00:05Z,EUR/USD,ask,1.2609\n"
+            "2006-10-18T00:00:05Z,EUR/USD,ask,1.2610\n"
+        )
+
+        def allocated(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "bincount", allocated)
+        monkeypatch.setattr(np, "full", allocated)
+        activity = tmp_path / "a.csv"
+        assert run("ingest", str(ticks), "--dt", "1e-4", "--activity-out", str(activity)) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("specdist: error code=5 kind=ConfigurationError ") and "cells" in err
+        assert len(err.splitlines()) == 1
+        assert not activity.exists()
+
     def test_missing_side_is_data_error(self, tmp_path, capsys):
         bids = tmp_path / "bids.csv"
         bids.write_text(

@@ -668,6 +668,30 @@ class TestResample:
             resample(columns(ticks), dt, "ask")
         assert resample(columns(ticks), 1 / 60_000, "ask")[0].length == 4
 
+    def test_grid_over_the_cell_budget_is_config_error(self, monkeypatch):
+        """Two days of ticks at a 6 ms bucket need 28.8 M cells per instrument.
+        The grid is refused before it is built; without the check the patched
+        allocators fail the test instead of exhausting memory."""
+        day = 86_400_000
+        ticks = [(0, "EUR/USD", "ask", 1.0), (2 * day, "EUR/USD", "ask", 1.0)]
+
+        def allocated(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "bincount", allocated)
+            patch.setattr(np, "full", allocated)
+            with pytest.raises(ConfigurationError, match=r"1 instrument\(s\) x 28800001 buckets .* more than the 16777216"):
+                resample(columns(ticks), 1e-4, "ask")
+        # The budget counts cells over every instrument, and a grid of exactly
+        # MAX_CELLS cells is built: 8 one-minute buckets pass for one
+        # instrument and not for two.
+        monkeypatch.setattr(ingest, "MAX_CELLS", 8)
+        one = [(0, "EUR/USD", "ask", 1.0), (7 * 60_000, "EUR/USD", "ask", 1.0)]
+        assert resample(columns(one), 1.0, "ask")[0].length == 8
+        with pytest.raises(ConfigurationError, match="16 cells"):
+            resample(columns(one + [(60_000, "USD/JPY", "ask", 1.0)]), 1.0, "ask")
+
     @given(
         ticks=st.lists(
             st.tuples(

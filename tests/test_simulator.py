@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import attitude_simulation, scalar_simulation
 from specdist import simulator
@@ -10,6 +12,8 @@ from specdist.errors import ConfigurationError
 from specdist.simulator import (
     READ_AHEAD_BYTES,
     SimConfig,
+    break_even,
+    break_even_levels,
     init_population,
     load_sim_config,
     run_simulation,
@@ -17,11 +21,18 @@ from specdist.simulator import (
 )
 
 
+def levels_of(population):
+    """step_market's (buy_at, sell_at, attention) for one population, in fresh buffers."""
+    m, n = population[0].shape
+    return break_even_levels(population, np.empty((2, m, n)), np.empty((m, n)))
+
+
 def manual_params(theta_buy, theta_sell, sensitivity):
-    """Hand-set (N, M) parameters in init_population's layout: (M, N) rows
-    for thresholds and sensitivities, (N, M) attention."""
+    """step_market's parameters for hand-set (N, M) thresholds and
+    sensitivities, given in init_population's layout: (M, N) rows for
+    thresholds and sensitivities, (N, M) attention."""
     tb, ts, a = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (theta_buy, theta_sell, sensitivity))
-    return tb.T.copy(), ts.T.copy(), a.T.copy(), 1.0 / (ts**2 + tb**2)
+    return levels_of((tb.T.copy(), ts.T.copy(), a.T.copy(), 1.0 / (ts**2 + tb**2)))
 
 
 def net_return(cfg, buyers, sellers):
@@ -29,11 +40,17 @@ def net_return(cfg, buyers, sellers):
     return cfg.gamma / cfg.n_agents * (buyers - sellers)
 
 
+def step(params, history, s, xi):
+    """step_market with fresh work buffers."""
+    m, n = params[0].shape
+    return step_market(params, history, s, xi, (np.empty((m, n)), np.empty((m, n), dtype=bool)))
+
+
 def quiet_step(params, history):
     """step_market with zero noise on hand-set parameters and history."""
-    n = params[3].shape[0]
+    n = params[2].shape[0]
     history = np.atleast_2d(np.asarray(history, dtype=float))
-    return step_market(params, history, np.zeros(n), np.zeros(n))
+    return step(params, history, np.zeros(n), np.zeros(n))
 
 
 def drawn_step(params, history, cfg, rng):
@@ -41,7 +58,7 @@ def drawn_step(params, history, cfg, rng):
     s, then xi (the parameters are fixed)."""
     s = rng.normal(0.0, cfg.sigma_s, cfg.n_agents)
     xi = rng.normal(0.0, cfg.sigma_xi, cfg.n_agents)
-    return step_market(params, history, s, xi)
+    return step(params, history, s, xi)
 
 
 class TestInitPopulation:
@@ -72,6 +89,46 @@ class TestInitPopulation:
             SimConfig(a_range=(2.0, 1.0))
 
 
+# Sensitivities and threshold sizes as SimConfig accepts them: any positive
+# finite double up to 1.7e308, subnormals included.
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+class TestBreakEven:
+    """A break-even level decides as the product does, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(agents=st.lists(st.tuples(POSITIVE, POSITIVE, POSITIVE), min_size=1, max_size=12),
+           noise=st.lists(st.floats(), max_size=6))
+    # Quotients that overflow (only u = +inf buys) and underflow to 0, and
+    # subnormal sensitivities beside ordinary ones in one array.
+    @example(agents=[(5e-324, 0.01, 0.02), (1e-320, 0.015, 0.011)], noise=[1.7e308, np.inf])
+    @example(agents=[(1e300, 5e-324, 1e-320), (1.7e308, 1e-310, 5e-324)], noise=[0.0, 5e-324])
+    @example(agents=[(3e-320, 7e-320, 1e-319), (2.0, 0.015, 0.01), (1e-3, 2e-310, 0.02)], noise=[2.5])
+    def test_level_decides_as_the_product(self, agents, noise):
+        sensitivity, theta_buy, theta_sell = np.array(agents).T
+        theta_sell = -theta_sell
+        population = (theta_buy[None], theta_sell[None], sensitivity[None], np.ones((len(agents), 1)))
+        buy_at, sell_at = (level[0] for level in levels_of(population)[:2])
+        with np.errstate(over="ignore"):
+            for level in (buy_at, sell_at):
+                for u in (np.nextafter(level, -np.inf), level, np.nextafter(level, np.inf),
+                          *(np.full_like(level, x) for x in noise)):
+                    assert np.array_equal(u >= buy_at, sensitivity * u >= theta_buy)
+                    assert np.array_equal(u <= sell_at, sensitivity * u <= theta_sell)
+
+    def test_least_reaching_value(self):
+        # The level is the least u whose product reaches the threshold, so
+        # one ulp below it does not; +inf where no finite u reaches.
+        a = np.array([[2.0, 3.0, 5e-324, 1e-320, 1e300]])
+        theta = np.array([[0.5, 0.1, 0.01, 1e-319, 5e-324]])
+        level = break_even(a, theta, np.empty_like(a), np.empty_like(a))
+        assert level[0, 0] == 0.25 and level[0, 2] == np.inf
+        with np.errstate(over="ignore"):
+            assert np.all(a * level >= theta)
+            assert not np.any(a * np.nextafter(level, 0.0) >= theta)
+
+
 class TestPerceive:
     """Perception: attention-weighted mean recent return plus noise s."""
 
@@ -94,17 +151,21 @@ class TestPerceive:
 
     def test_matches_scalar_loop(self):
         cfg = SimConfig(n_agents=7, n_commodities=3, ma_span=4, seed=5)
-        params = init_population(cfg)
+        population = init_population(cfg)
         history = np.random.default_rng(6).normal(scale=1e-6, size=(4, 3))
         noise = np.random.default_rng(5)
         s = noise.normal(0.0, cfg.sigma_s, 7)
         xi = noise.normal(0.0, cfg.sigma_xi, 7)
+        before = [a.copy() for a in population]
+        params = levels_of(population)
+        for kept, now in zip(before, population):
+            assert np.array_equal(kept, now)  # the draws are not mutated
         before = [a.copy() for a in (*params, history, s, xi)]
-        buyers, sellers = step_market(params, history, s, xi)
+        buyers, sellers = step(params, history, s, xi)
         for kept, now in zip(before, (*params, history, s, xi)):
             assert np.array_equal(kept, now)  # inputs are not mutated
 
-        theta_buy, theta_sell, sensitivity, _ = params  # rows: [commodity, agent]
+        theta_buy, theta_sell, sensitivity, _ = population  # rows: [commodity, agent]
         expected_buyers, expected_sellers = [0, 0, 0], [0, 0, 0]
         for i in range(7):
             x = s[i]
@@ -154,14 +215,14 @@ class TestStepMarket:
     def test_all_waiting_fixed_point(self):
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
-        params = init_population(cfg, rng)
+        params = levels_of(init_population(cfg, rng))
         buyers, sellers = drawn_step(params, np.zeros((1, 3)), cfg, rng)
         assert buyers.tolist() == [0, 0, 0] and sellers.tolist() == [0, 0, 0]
 
     def test_unanimous_buying_saturates(self):
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
-        params = init_population(cfg, rng)
+        params = levels_of(init_population(cfg, rng))
         history = np.full((1, 3), 1.0)  # huge shared return signal
         buyers, sellers = drawn_step(params, history, cfg, rng)
         # Every agent buys every commodity: N buyers, no seller.
@@ -173,7 +234,7 @@ class TestStepMarket:
         for n_agents in (1, 60):
             cfg = SimConfig(n_agents=n_agents, n_commodities=4, seed=9)
             rng = np.random.default_rng(9)
-            params = init_population(cfg, rng)
+            params = levels_of(init_population(cfg, rng))
             history = np.zeros((1, 4))
             for _ in range(200):
                 buyers, sellers = drawn_step(params, history, cfg, rng)
@@ -192,7 +253,7 @@ class TestStepMarket:
         cfg = SimConfig(n_agents=50, n_commodities=4, gamma=1e-3, a_range=(2.0, 4.0), seed=21,
                         horizon=10_000, warmup=0)
         rng = np.random.default_rng(21)
-        params = init_population(cfg, rng)
+        params = levels_of(init_population(cfg, rng))
         history = np.zeros((1, 4))
         total = np.zeros(4)
         for _ in range(cfg.horizon):
@@ -239,8 +300,9 @@ BLOCK = READ_AHEAD_BYTES // (8 * 2 * 2000)  # 16 at the default 2000 agents
 RESAMPLE_BLOCK = READ_AHEAD_BYTES // (8 * (2 * 30 + 4 * 30 * 4))  # 121 at 30 x 4
 
 # The bit contract against the (N, M) int8-attitude loop: the oracle grid,
-# two default-size (2000 x 20) runs, and runs that end or change from
-# warm-up to record at and around the edges of a read-ahead block.
+# two default-size (2000 x 20) runs, runs that end or change from warm-up
+# to record at and around the edges of a read-ahead block, and extreme
+# sensitivity ranges.
 ATTITUDE_GRID = {
     **ORACLE_GRID,
     "default_size": dict(horizon=300, warmup=0, seed=0),
@@ -252,6 +314,12 @@ ATTITUDE_GRID = {
     "resampled_two_blocks": dict(n_agents=30, n_commodities=4, horizon=40,
                                  warmup=RESAMPLE_BLOCK - 20, ma_span=2, gamma=2e-6,
                                  resample_params=True, seed=10),
+    # Sensitivities that put the break-even quotients threshold / a near the
+    # bottom (about 1e-302) and the top (about 1e300) of the normal doubles.
+    "a_up_to_1e300": dict(n_agents=200, n_commodities=6, horizon=40, warmup=8,
+                          a_range=(1e-3, 1e300), seed=11),
+    "a_subnormal_to_1e-300": dict(n_agents=200, n_commodities=6, horizon=40, warmup=8,
+                                  a_range=(5e-324, 1e-300), seed=12),
 }
 
 
