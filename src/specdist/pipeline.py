@@ -51,7 +51,7 @@ from .ingest import (
     parse_rfc3339,
     transform_panel,
 )
-from .simulator import SimConfig, run_simulation
+from .simulator import SimConfig, run_simulations
 from .spectra import (
     SignalPanel,
     bin_frequencies,
@@ -428,9 +428,17 @@ def entropy_sweep(
     parameter diversity without shifting the typical sensitivity.  For
     every value the simulator runs `seeds` independent seeds (base.seed,
     base.seed+1, ...), the activity panel is analyzed, and the
-    time-averaged JS is averaged over seeds.  The runs are independent and
-    go to a pool of forked worker processes; each owns its seed, so the
-    points do not depend on the number of workers.
+    time-averaged JS is averaged over seeds.
+
+    The runs of one seed differ only in their sensitivity range, so they
+    consume the same random stream: a contiguous slice of one seed's H_a
+    values is one task, simulated in lockstep on one set of draws
+    (`run_simulations`).  With C CPUs, each seed is cut into
+    min(len(h_a_values), C // gcd(seeds, C)) slices, so the tasks fill the
+    workers evenly.  The tasks go to a pool of forked worker processes;
+    each run's panels are those of its seed alone, so the points do not
+    depend on the number of workers.  A failure raises the error of the
+    first failed run in (seed, H_a) order.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -450,37 +458,43 @@ def entropy_sweep(
             need = "must not touch zero" if -math.inf < a_range[0] <= 0 else "must be finite with 0 < a1 < a2"
             raise ConfigurationError(f"H_a={h_a!r} gives the range {a_range!r}, which {need} (center {mid!r})")
         sweep.append((h_a, replace(base, a_range=a_range)))
+    if not sweep:
+        return []
     # Imported here: at the top they would add their import time to every
     # command, and only `sweep` uses them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    runs = [(h_a, replace(swept, seed=base.seed + k), analysis)
-            for h_a, swept in sweep for k in range(seeds)]
-    # One worker per CPU this process may use, capped at the runs (an empty
-    # sweep submits nothing, so none starts).  Forked workers inherit the
-    # imported modules instead of importing numpy again.  `map` gives the
-    # results, and raises the first failed run's error, in input order;
-    # `shutdown` then cancels the runs not yet handed to the workers.
-    workers = max(1, min(len(runs), len(os.sched_getaffinity(0))))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    cpus = len(os.sched_getaffinity(0))
+    slices = min(len(sweep), cpus // math.gcd(seeds, cpus))
+    bounds = [len(sweep) * p // slices for p in range(slices + 1)]
+    groups = [[(h_a, replace(swept, seed=base.seed + k)) for h_a, swept in sweep[lo:hi]]
+              for k in range(seeds) for lo, hi in zip(bounds, bounds[1:])]
+    # One worker per CPU this process may use, capped at the tasks.  Forked
+    # workers inherit the imported modules instead of importing numpy
+    # again.  `map` gives the results, and raises the first failed task's
+    # error, in input order; `shutdown` then cancels the tasks not yet
+    # handed to the workers.
+    pool = ProcessPoolExecutor(min(len(groups), cpus), mp_context=multiprocessing.get_context("fork"))
     try:
-        means = list(pool.map(_sweep_run, runs))
+        means = [js for part in pool.map(_sweep_group, groups, [analysis] * len(groups)) for js in part]
     finally:
         pool.shutdown(cancel_futures=True)
-    per_seed = np.reshape(means, (len(sweep), seeds))
+    per_seed = np.reshape(means, (seeds, len(sweep))).T
     return [SweepPoint(float(h_a), swept.a_range, float(np.mean(js)), tuple(js.tolist()))
             for (h_a, swept), js in zip(sweep, per_seed)]
 
 
-def _sweep_run(run: tuple[float, SimConfig, AnalysisConfig | None]) -> float:
-    """Time-averaged JS of one simulation's activity panel (a pool task)."""
-    h_a, cfg, analysis = run
-    _, activity = run_simulation(cfg)
-    result = analyze(activity, analysis)
-    if result.js.size == 0:
-        raise AnalysisError(f"no usable windows at H_a={h_a!r} seed={cfg.seed}")
-    return float(np.mean(result.js))
+def _sweep_group(group: list[tuple[float, SimConfig]], analysis: AnalysisConfig | None) -> list[float]:
+    """Time-averaged JS of each activity panel of one lockstep group, in
+    order (a pool task); the first run without a scored window fails it."""
+    means = []
+    for (h_a, cfg), (_, activity) in zip(group, run_simulations([cfg for _, cfg in group])):
+        result = analyze(activity, analysis)
+        if result.js.size == 0:
+            raise AnalysisError(f"no usable windows at H_a={h_a!r} seed={cfg.seed}")
+        means.append(float(np.mean(result.js)))
+    return means
 
 
 def write_sweep_csv(points: list[SweepPoint], out: TextIO) -> None:

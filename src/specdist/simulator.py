@@ -10,13 +10,16 @@ the scaled signal reaches each threshold.  Buyers minus sellers move log
 rates, buyers plus sellers are the quotation activity.  Runs are
 deterministic given the seed: parameter draws, then per-step noise
 draws, always in the same order, made by `draw_steps` on a second thread
-one block ahead of the steps.
+one block ahead of the steps.  Runs whose configs differ only in the
+sensitivity range consume the same stream, so `run_simulations` steps them
+in lockstep on one set of draws; `run_simulation` is a group of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,7 @@ DEFAULT_GAMMA = 2e-7
 DEFAULT_NOISE_SIGMA = 0.005
 DEFAULT_A_RANGE = (1.0, 3.0)
 DEFAULT_WARMUP = 512
-# Bytes of draws in one read-ahead block of `run_simulation`: 16 steps of
+# Bytes of draws in one read-ahead block of `run_simulations`: 16 steps of
 # noise at N = 2000.  Two blocks are alive at once.
 READ_AHEAD_BYTES = 2**19
 
@@ -97,6 +100,9 @@ class SimConfig:
             fail(f"model tick must be positive, got {self.dt}")
         if self.warmup < 0:
             fail(f"warm-up must be nonnegative, got {self.warmup}")
+        # numpy seeds only from nonnegative integers; refused here, not mid-run.
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            fail(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def provenance(self) -> dict[str, str]:
         """Each field as text `load_sim_config` reads back: ranges as `lo,hi`,
@@ -208,20 +214,36 @@ def step_market(params, history: np.ndarray, s: np.ndarray, xi: np.ndarray, work
     return buyers, sellers
 
 
-def draw_steps(cfg: SimConfig, rng: np.random.Generator, noise: np.ndarray) -> list:
-    """Make every random draw of `len(noise)` steps, in the seed's order.
+def draw_populations(cfgs, rng: np.random.Generator):
+    """Yield one `init_population` per config, each drawn from the stream
+    position `rng` is at when the first is drawn.
 
-    Per step: fresh parameters when `cfg.resample_params` is set, then the
-    N values of s, then the N values of xi.  s and xi fill the (steps, 2, N)
-    buffer `noise` in place; the fresh parameters, one tuple per step, are
+    A population's draw consumes the same stream whatever its ranges, so
+    `rng` ends where a single config's draw would leave it.  Each is drawn
+    as it is asked for: draw nothing else from `rng` in between.
+    """
+    start = rng.bit_generator.state
+    for cfg in cfgs:
+        rng.bit_generator.state = start
+        yield init_population(cfg, rng)
+
+
+def draw_steps(cfgs, rng: np.random.Generator, noise: np.ndarray) -> list:
+    """Make every random draw of `len(noise)` steps of a lockstep group, in the seed's order.
+
+    Per step: fresh parameters for every config (`draw_populations`) when
+    `resample_params` is set, then the N values of s, then the N values of
+    xi.  s and xi fill the (steps, 2, N) buffer `noise` in place; the fresh
+    parameters, one list of a population per config for each step, are
     returned (an empty list without resampling).  `standard_normal` scaled
     by sigma gives `normal(0, sigma)`'s values up to the sign of a zero,
     which no threshold comparison can tell apart.
     """
+    cfg = cfgs[0]
     fresh = []
     if cfg.resample_params:
         for one in noise:
-            fresh.append(init_population(cfg, rng))
+            fresh.append(list(draw_populations(cfgs, rng)))
             rng.standard_normal(out=one)
     else:
         rng.standard_normal(out=noise)
@@ -235,53 +257,84 @@ def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
     Rates start at 1 and grow each step by exp(gamma/N * (buyers -
     sellers)); activity is buyers plus sellers per unit time.  The warm-up
     is discarded; both panels share labels, dt, and length `cfg.horizon`.
-    Same seed, same panels, bit for bit.
+    Same seed, same panels, bit for bit.  This is `run_simulations([cfg])[0]`.
+    """
+    return run_simulations([cfg])[0]
+
+
+def run_simulations(cfgs) -> list[tuple[SignalPanel, SignalPanel]]:
+    """Run configs that differ only in `a_range` in lockstep; return each one's panels.
+
+    Each member's (rates, activity) are bit for bit `run_simulation`'s of
+    that config alone.  A config that differs from the first in any other
+    field raises ConfigurationError before any draw.  Every member draws
+    its parameters from the same stream position (`draw_populations`), so
+    the members share every other draw: one stream of (s, xi) feeds all
+    of them, and each step runs `step_market` once per member.
+    """
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        differ = [f.name for f in fields(SimConfig)
+                  if f.name != "a_range" and getattr(cfg, f.name) != getattr(first, f.name)]
+        if differ:
+            raise ConfigurationError(f"lockstep runs may differ only in a_range, not in {', '.join(differ)}")
+    # The step's buffers are freed on return, before the panels copy the values.
+    rates, activity = _lockstep(cfgs)
+    return [(SignalPanel(rates[r], cfg.labels, cfg.dt), SignalPanel(activity[r], cfg.labels, cfg.dt))
+            for r, cfg in enumerate(cfgs)]
+
+
+def _lockstep(cfgs) -> tuple[np.ndarray, np.ndarray]:
+    """The (members, M, horizon) rates and activity of `run_simulations`.
 
     The draws do not depend on the market, so a second thread makes them
     (`draw_steps`, which releases the GIL inside numpy) one block of at
     most READ_AHEAD_BYTES, and at least one step, ahead of this thread's
     steps, alternating between two buffers.  This thread turns each
-    parameter draw into break-even levels, in buffers allocated once per
-    run like the step's own.
+    parameter draw into break-even levels, in one set of buffers per
+    member allocated once per run; the step's own buffers are shared.
     """
     # Imported here, not at the top, so that commands which do not
     # simulate do not pay its import time.
     from concurrent.futures import ThreadPoolExecutor
 
-    rng = np.random.default_rng(cfg.seed)
-    n, m = cfg.n_agents, cfg.n_commodities
-    levels = np.empty((2, m, n))
+    first = cfgs[0]
+    rng = np.random.default_rng(first.seed)
+    n, m, members = first.n_agents, first.n_commodities, len(cfgs)
+    levels = np.empty((members, 2, m, n))
     work = np.empty((m, n)), np.empty((m, n), dtype=bool)
-    params = break_even_levels(init_population(cfg, rng), levels, work[0])
-    steps = cfg.warmup + cfg.horizon
-    step_bytes = 8 * (2 * n + (4 * n * m if cfg.resample_params else 0))
+    params = [break_even_levels(population, out, work[0])
+              for population, out in zip(draw_populations(cfgs, rng), levels)]
+    steps = first.warmup + first.horizon
+    step_bytes = 8 * (2 * n + (4 * n * m * members if first.resample_params else 0))
     block = min(steps, max(1, READ_AHEAD_BYTES // step_bytes))
     buffers = [np.empty((block, 2, n)) for _ in range(2)]
-    rate = np.ones(m)
-    history = np.zeros((cfg.ma_span, m))
-    rates = np.empty((m, cfg.horizon))
-    activity = np.empty((m, cfg.horizon))
+    rate = np.ones((members, m))
+    history = np.zeros((members, first.ma_span, m))
+    rates = np.empty((members, m, first.horizon))
+    activity = np.empty((members, m, first.horizon))
     # Leaving the `with` joins the thread, also when a draw raised: a
     # forked sweep worker must not inherit it, nor a caller find it alive.
     with ThreadPoolExecutor(1) as drawer:
-        ahead = drawer.submit(draw_steps, cfg, rng, buffers[0])
+        ahead = drawer.submit(draw_steps, cfgs, rng, buffers[0])
         for b, start in enumerate(range(0, steps, block)):
             fresh = ahead.result()
             if start + block < steps:
-                ahead = drawer.submit(draw_steps, cfg, rng, buffers[(b + 1) % 2][: steps - start - block])
+                ahead = drawer.submit(draw_steps, cfgs, rng, buffers[(b + 1) % 2][: steps - start - block])
             for j, (s, xi) in enumerate(buffers[b % 2][: steps - start]):
-                if fresh:
-                    params = break_even_levels(fresh[j], levels, work[0])
-                buyers, sellers = step_market(params, history, s, xi, work)
-                returns = (cfg.gamma / n) * (buyers - sellers)
-                rate = rate * np.exp(returns)
-                history[1:] = history[:-1]
-                history[0] = returns
-                i = start + j - cfg.warmup
-                if i >= 0:
-                    rates[:, i] = rate
-                    activity[:, i] = (buyers + sellers) / cfg.dt
-    return SignalPanel(rates, cfg.labels, cfg.dt), SignalPanel(activity, cfg.labels, cfg.dt)
+                i = start + j - first.warmup
+                for r in range(members):
+                    if fresh:
+                        params[r] = break_even_levels(fresh[j][r], levels[r], work[0])
+                    buyers, sellers = step_market(params[r], history[r], s, xi, work)
+                    returns = (first.gamma / n) * (buyers - sellers)
+                    rate[r] *= np.exp(returns)
+                    history[r, 1:] = history[r, :-1]
+                    history[r, 0] = returns
+                    if i >= 0:
+                        rates[r, :, i] = rate[r]
+                        activity[r, :, i] = (buyers + sellers) / first.dt
+    return rates, activity
 
 
 def load_sim_config(path: str | Path) -> SimConfig:

@@ -438,6 +438,18 @@ class TestSimulateCommand:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config_line"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, via_config):
+        # numpy refuses it only once the run starts; the config refuses it first.
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("seed = -1\n")
+        seed = ("--config", str(cfg)) if via_config else ("--seed", "-1")
+        assert run("simulate", *SMALL_SIM, *seed, "--activity-out", str(out)) == 5
+        err = capsys.readouterr().err
+        assert "kind=ConfigurationError" in err and "seed must be a nonnegative integer, got -1" in err
+        assert not out.exists()
+
     def test_zero_steps_is_config_error_before_simulating(self, tmp_path, capsys, monkeypatch):
         def no_simulation(cfg):
             raise AssertionError("simulated a horizon that cannot be written")
@@ -654,14 +666,26 @@ class TestSweepCommand:
             assert message in err
             assert [str(w.message) for w in caught] == [] and len(err.splitlines()) == 1
 
+    def test_negative_seed_is_config_error_before_the_table_opens(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(cfgs):
+            raise AssertionError("simulated a run numpy cannot seed")
+
+        monkeypatch.setattr(pipeline, "run_simulations", no_simulation)
+        out = tmp_path / "sweep.csv"
+        code = run("sweep", "--ha=0", "--seeds", "2", "--steps", "96", "--seed", "-1", "--out", str(out))
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "kind=ConfigurationError" in err and "seed must be a nonnegative integer, got -1" in err
+        assert not out.exists()
+
     def test_bad_ha_list(self):
         assert run("sweep", "--ha", "abc") == 5
 
     def test_missing_directory_is_io_error_before_simulating(self, tmp_path, capsys, monkeypatch):
-        def no_simulation(cfg):
+        def no_simulation(cfgs):
             raise AssertionError("simulated for a table that cannot be written")
 
-        monkeypatch.setattr(pipeline, "run_simulation", no_simulation)
+        monkeypatch.setattr(pipeline, "run_simulations", no_simulation)
         code = run("sweep", "--ha=0", "--seeds", "1", "--steps", "96", "--out", str(tmp_path / "nodir" / "s.csv"))
         assert code == 3
         assert "kind=FileNotFoundError" in capsys.readouterr().err
@@ -675,10 +699,10 @@ class TestSweepCommand:
         ids=["window", "channels"],
     )
     def test_panel_the_analysis_refuses_is_refused_before_simulating(self, capsys, monkeypatch, argv, message):
-        def no_simulation(cfg):
+        def no_simulation(cfgs):
             raise AssertionError("simulated a panel the analysis cannot score")
 
-        monkeypatch.setattr(pipeline, "run_simulation", no_simulation)
+        monkeypatch.setattr(pipeline, "run_simulations", no_simulation)
         assert run("sweep", "--ha=0", "--seeds", "1", "--steps", "96", *argv) == 6
         assert message in capsys.readouterr().err
 

@@ -35,7 +35,7 @@ from specdist.pipeline import (
     read_metrics_csv,
     write_metrics_csv,
 )
-from specdist.simulator import SimConfig, run_simulation
+from specdist.simulator import SimConfig, run_simulation, run_simulations
 from specdist.spectra import SignalPanel
 
 from oracles import (
@@ -780,51 +780,106 @@ class TestEntropySweep:
         assert entropy_sweep([-1.0, 0.0], base, analysis, seeds=2, center=2.0) == points
         assert entropy_sweep([], base, analysis, seeds=2) == []
 
+    # Group sizes per seed on C CPUs for three H_a values: each seed is cut
+    # into min(3, C // gcd(seeds, C)) contiguous slices.
+    @pytest.mark.parametrize("seeds, sizes_by_cpus", [
+        (1, {1: [3], 2: [1, 2], 4: [1, 1, 1]}),
+        (2, {1: [3], 2: [3], 4: [1, 2]}),
+        (3, {1: [3], 2: [1, 2], 4: [1, 1, 1]}),
+    ])
+    def test_points_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, seeds, sizes_by_cpus):
+        groups = tmp_path / "groups"
+
+        def simulate(cfgs):
+            with open(groups, "a") as fh:
+                fh.write(f"{cfgs[0].seed}:{len(cfgs)}\n")
+            return run_simulations(cfgs)
+
+        monkeypatch.setattr(pipeline, "run_simulations", simulate)
+        base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=5)
+        analysis = AnalysisConfig(width=32, stride=32)
+        h_a = [-1.0, 0.0, 0.5]
+        alone = [[float(np.mean(analyze(run_simulation(replace(base, seed=5 + k, a_range=(
+            2.0 - 0.5 * math.exp(h), 2.0 + 0.5 * math.exp(h))))[1], analysis).js)) for k in range(seeds)]
+                 for h in h_a]
+        for cpus, sizes in sizes_by_cpus.items():
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            points = entropy_sweep(h_a, base, analysis, seeds=seeds, center=2.0)
+            assert [list(p.per_seed) for p in points] == alone
+            cut = sorted(line.split(":") for line in groups.read_text().split())
+            assert cut == sorted([str(5 + k), str(size)] for k in range(seeds) for size in sizes)
+            assert multiprocessing.active_children() == []
+            groups.unlink()
+
     def test_first_failed_run_in_input_order_fails_the_sweep(self, monkeypatch):
-        # Runs go H_a first, then seed.  Seed 0 fails after a pause and seed 1
-        # at once, so on a pool of two the second run fails first in time.
+        """The reported error is that of the first failed run in (seed, H_a)
+        order: a lockstep group is one seed's slice of H_a values."""
+        # Seed 0 fails after a pause and seed 1 at once, so on a pool of two
+        # the second group fails first in time.
         pause = {0: 0.5, 1: 0.0}
 
-        def simulate(cfg):
-            rates, activity = run_simulation(cfg)
-            time.sleep(pause[cfg.seed])
-            # A constant panel: every window is skipped, none scores.
-            return rates, SignalPanel(np.ones(activity.values.shape), activity.labels, activity.dt)
+        def simulate(cfgs):
+            panels = run_simulations(cfgs)
+            time.sleep(pause[cfgs[0].seed])
+            # Constant panels: every window is skipped, none scores.
+            return [(rates, SignalPanel(np.ones(activity.values.shape), activity.labels, activity.dt))
+                    for rates, activity in panels]
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(pipeline, "run_simulation", simulate)
+        monkeypatch.setattr(pipeline, "run_simulations", simulate)
         base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=0)
         with pytest.raises(AnalysisError) as raised:
             entropy_sweep([-1.0, 0.0], base, AnalysisConfig(width=32, stride=32), seeds=2, center=2.0)
         assert str(raised.value) == "no usable windows at H_a=-1.0 seed=0"
         assert multiprocessing.active_children() == []
 
+    def test_failed_run_is_reported_in_seed_then_h_a_order(self, monkeypatch):
+        # Only (H_a=0.0, seed 0) and (H_a=-1.0, seed 1) score no window: the
+        # first in H_a order would be the second of them.
+        silent = {(0.0, 0), (-1.0, 1)}
+
+        def simulate(cfgs):
+            return [(rates, SignalPanel(np.ones(activity.values.shape), activity.labels, activity.dt))
+                    if (round(math.log(cfg.a_range[1] - cfg.a_range[0]), 9), cfg.seed) in silent else (rates, activity)
+                    for cfg, (rates, activity) in zip(cfgs, run_simulations(cfgs))]
+
+        monkeypatch.setattr(pipeline, "run_simulations", simulate)
+        base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=0)
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            with pytest.raises(AnalysisError) as raised:
+                entropy_sweep([-1.0, 0.0], base, AnalysisConfig(width=32, stride=32), seeds=2, center=2.0)
+            assert str(raised.value) == "no usable windows at H_a=0.0 seed=0"
+        silent = {(-1.0, 1)}
+        with pytest.raises(AnalysisError, match="no usable windows at H_a=-1.0 seed=1"):
+            entropy_sweep([-1.0, 0.0], base, AnalysisConfig(width=32, stride=32), seeds=2, center=2.0)
+
     def test_failed_run_cancels_the_pending_runs(self, tmp_path, monkeypatch):
         started = tmp_path / "started"
 
-        def simulate(cfg):
+        def simulate(cfgs):
             with open(started, "a") as fh:
-                fh.write(f"{cfg.seed}\n")
-            if cfg.seed == 0:
+                fh.write(f"{cfgs[0].seed}\n")
+            if cfgs[0].seed == 0:
                 raise AnalysisError("the first run fails")
             time.sleep(0.3)
-            return run_simulation(cfg)
+            return run_simulations(cfgs)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(pipeline, "run_simulation", simulate)
+        monkeypatch.setattr(pipeline, "run_simulations", simulate)
         base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=0)
         with pytest.raises(AnalysisError, match="the first run fails"):
             entropy_sweep([0.0], base, AnalysisConfig(width=32, stride=32), seeds=12, center=2.0)
         assert multiprocessing.active_children() == []
-        # The two workers' runs and the three queued for them finish; the
-        # rest never start.
+        # The two workers' groups (one run each) and the three queued for
+        # them finish; the rest never start.
         assert len(started.read_text().split()) < 12
 
     def test_range_touching_zero_rejected(self, monkeypatch):
-        def no_simulation(cfg):
+        def no_simulation(cfgs):
             raise AssertionError("simulated before every H_a was checked")
 
-        monkeypatch.setattr(pipeline, "run_simulation", no_simulation)
+        monkeypatch.setattr(pipeline, "run_simulations", no_simulation)
         base = SimConfig(n_agents=10, n_commodities=2, horizon=64, warmup=0)
         with pytest.raises(ConfigurationError, match="touch zero"):
             entropy_sweep([0.0, 3.0], base, AnalysisConfig(width=16), seeds=1, center=1.0)

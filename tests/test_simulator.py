@@ -17,6 +17,7 @@ from specdist.simulator import (
     init_population,
     load_sim_config,
     run_simulation,
+    run_simulations,
     step_market,
 )
 
@@ -408,6 +409,86 @@ class TestReadAhead:
         assert calls[2] is not threading.main_thread()  # drawn ahead, on the draw thread
 
 
+# Lockstep groups: one config per case, run with each of these sensitivity
+# ranges.  At 2000 x 20 a block is BLOCK steps whatever the group; resampled
+# at 30 x 4, three members share a block of LOCKSTEP_RESAMPLE_BLOCK steps.
+LOCKSTEP_A_RANGES = [(1.0, 3.0), (0.5, 6.0), (1.9, 2.1)]
+LOCKSTEP_RESAMPLE_BLOCK = READ_AHEAD_BYTES // (8 * (2 * 30 + 3 * 4 * 30 * 4))  # 43
+LOCKSTEP_GRID = {
+    "defaults": dict(n_agents=60, n_commodities=4, horizon=30, warmup=10, seed=12),
+    "ma_span_3": dict(n_agents=40, n_commodities=3, horizon=32, warmup=8, ma_span=3, gamma=5e-6, seed=1),
+    "no_warmup": dict(n_agents=50, n_commodities=2, horizon=40, warmup=0, dt=2.5, seed=3),
+    "ends_mid_block": dict(horizon=BLOCK + BLOCK // 2, warmup=3, seed=6),
+    "resampled_two_blocks": dict(n_agents=30, n_commodities=4, horizon=40,
+                                 warmup=LOCKSTEP_RESAMPLE_BLOCK - 20, ma_span=2, gamma=2e-6,
+                                 resample_params=True, seed=10),
+    "one_by_one": dict(n_agents=1, n_commodities=1, horizon=30, warmup=5, sigma_s=0.02, seed=4),
+}
+
+
+class TestLockstep:
+    """`run_simulations` gives each member the panels of its config run alone."""
+
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_GRID))
+    def test_members_match_their_runs_alone(self, case):
+        cfgs = [SimConfig(**LOCKSTEP_GRID[case], a_range=a_range) for a_range in LOCKSTEP_A_RANGES]
+        panels = run_simulations(cfgs)
+        for cfg, (rates, activity) in zip(cfgs, panels, strict=True):
+            alone_rates, alone_activity = run_simulation(cfg)
+            assert rates.values.tobytes() == alone_rates.values.tobytes()
+            assert activity.values.tobytes() == alone_activity.values.tobytes()
+            assert (rates.labels, rates.dt) == (alone_rates.labels, alone_rates.dt)
+        # The ranges differ, so the members do too.
+        assert panels[0][0].values.tobytes() != panels[1][0].values.tobytes()
+
+    def test_group_of_one_is_run_simulation(self):
+        cfg = SimConfig(**ATTITUDE_GRID["defaults"])
+        (rates, activity), = run_simulations([cfg])
+        ref_rates, ref_activity = attitude_simulation(cfg)
+        assert rates.values.tobytes() == ref_rates.tobytes()
+        assert activity.values.tobytes() == ref_activity.tobytes()
+
+    @pytest.mark.parametrize("change, field", [
+        (dict(seed=1), "seed"),
+        (dict(horizon=31), "horizon"),
+        (dict(resample_params=True), "resample_params"),
+        (dict(theta_buy_range=(0.01, 0.03)), "theta_buy_range"),
+        (dict(seed=1, gamma=1e-7), "gamma, seed"),
+    ])
+    def test_other_differences_refused_before_any_draw(self, monkeypatch, change, field):
+        def no_draw(*args):
+            raise AssertionError("drew for a group that cannot step together")
+
+        monkeypatch.setattr(simulator, "init_population", no_draw)
+        monkeypatch.setattr(simulator, "draw_steps", no_draw)
+        cfg = SimConfig(n_agents=10, n_commodities=2, horizon=30, seed=0)
+        other = replace(cfg, a_range=(0.5, 2.0), **change)
+        with pytest.raises(ConfigurationError, match=f"may differ only in a_range, not in {field}$"):
+            run_simulations([cfg, other])
+
+    def test_failed_draw_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        real = simulator.init_population
+        calls = []
+        failure = RuntimeError("a member's third step draw")
+
+        def fails_on_the_draw_thread(cfg, rng=None):
+            calls.append(threading.current_thread())
+            if len(calls) == 3 * 3:
+                raise failure
+            return real(cfg, rng)
+
+        monkeypatch.setattr(simulator, "init_population", fails_on_the_draw_thread)
+        cfgs = [SimConfig(n_agents=50, n_commodities=3, horizon=20, warmup=0, resample_params=True,
+                          a_range=a_range) for a_range in LOCKSTEP_A_RANGES]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            run_simulations(cfgs)
+        assert caught.value is failure
+        assert threading.active_count() == before
+        assert all(call is threading.main_thread() for call in calls[:3])
+        assert calls[-1] is not threading.main_thread()
+
+
 class TestConfigFile:
     def test_load_values_and_ranges(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -449,6 +530,19 @@ class TestConfigFile:
             SimConfig(ma_span=0)
         with pytest.raises(ConfigurationError):
             SimConfig(gamma=0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # numpy would refuse it only when the run draws its first number.
+        with pytest.raises(ConfigurationError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+            SimConfig(seed=seed)
+        assert SimConfig(seed=np.int64(3)).seed == 3
+
+    def test_negative_seed_line_rejected(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("seed = -1\n")
+        with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer, got -1"):
+            load_sim_config(path)
 
     def test_agent_count_beyond_int32_counts_rejected(self):
         # The step counts buyers and sellers in int32; the config is refused
