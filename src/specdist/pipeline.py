@@ -19,6 +19,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import TextIO
 
 import numpy as np
@@ -440,8 +441,9 @@ def entropy_sweep(
     depend on the number of workers.  A failure raises the error of the
     first failed run in (seed, H_a) order.
     """
-    if seeds < 1:
-        raise ValueError("need at least one seed")
+    # Checked before the stand-in: the slicing below needs an integer count.
+    if not isinstance(seeds, Integral) or seeds < 1:
+        raise ValueError(f"seeds must be a positive integer, got {seeds!r}")
     mid = center if center is not None else 0.5 * (base.a_range[0] + base.a_range[1])
     # The analysis, on a stand-in of the activity panel, and every H_a are
     # checked before the first (slow) simulation starts.

@@ -12,7 +12,7 @@ deterministic given the seed: parameter draws, then per-step noise
 draws, always in the same order, made by `draw_steps` on a second thread
 one block ahead of the steps.  Runs whose configs differ only in the
 sensitivity range consume the same stream, so `run_simulations` steps them
-in lockstep on one set of draws; `run_simulation` is a group of one.
+as one group along a member axis; `run_simulation` is a group of one.
 """
 
 from __future__ import annotations
@@ -75,14 +75,15 @@ class SimConfig:
             numbers = value if isinstance(value, tuple) else (value,)
             if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
                 fail(f"{f.name} must be finite, got {value!r}")
-        if not 1 <= self.n_agents < 2**31:
+        # numpy refuses a float or bool count only mid-run; each count has a least value.
+        for name, least in (("n_agents", 1), ("n_commodities", 1), ("horizon", 2), ("ma_span", 1), ("warmup", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                fail(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                fail(f"{name} must be at least {least}, got {value}")
+        if self.n_agents >= 2**31:
             fail(f"n_agents must be between 1 and 2**31 - 1 (int32 counts), got {self.n_agents}")
-        if self.n_commodities < 1:
-            fail(f"need at least one commodity, got {self.n_commodities}")
-        if self.horizon < 2:
-            fail(f"horizon must be at least 2 steps, got {self.horizon}")
-        if self.ma_span < 1:
-            fail(f"moving-average span must be >= 1, got {self.ma_span}")
         if not self.gamma > 0:
             fail(f"return scale must be positive, got {self.gamma}")
         if self.sigma_xi < 0 or self.sigma_s < 0:
@@ -98,8 +99,6 @@ class SimConfig:
             fail(f"sensitivity range needs 0 < a1 < a2, got {self.a_range}")
         if not self.dt > 0:
             fail(f"model tick must be positive, got {self.dt}")
-        if self.warmup < 0:
-            fail(f"warm-up must be nonnegative, got {self.warmup}")
         # numpy seeds only from nonnegative integers; refused here, not mid-run.
         if not isinstance(self.seed, Integral) or self.seed < 0:
             fail(f"seed must be a nonnegative integer, got {self.seed!r}")
@@ -114,33 +113,38 @@ class SimConfig:
         return text
 
 
-def init_population(cfg: SimConfig, rng: np.random.Generator | None = None):
-    """Sample (theta_buy, theta_sell, sensitivity, attention).
+def init_population(cfgs, rng: np.random.Generator):
+    """Sample (theta_buy, theta_sell, sensitivity, attention) for a lockstep group of R configs.
 
     Thresholds and sensitivities are i.i.d. uniform over the configured
     ranges, drawn as (N, M) in that order, so the same seed gives the same
-    bits, and returned as C-order (M, N) copies: one contiguous row per
-    commodity.  `attention` is 1/(theta_sell^2 + theta_buy^2), the
-    coupling of each agent's perception to each commodity's recent
-    returns; it stays (N, M), as a transposed matvec operand would change
-    BLAS's summation order and so the panels' last bits.
+    bits, and kept as C-order (M, N) rows.  The thresholds are shared; each
+    config draws its sensitivities into one (R, M, N) array from the same
+    stream position, which a draw of any range advances alike, so `rng`
+    ends where one config's draw leaves it.  `attention` is
+    1/(theta_sell^2 + theta_buy^2); it stays (N, M), as a transposed matvec
+    operand would change BLAS's summation order and so the panels' last bits.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    cfg = cfgs[0]
     shape = (cfg.n_agents, cfg.n_commodities)
     theta_buy = rng.uniform(*cfg.theta_buy_range, shape)
     theta_sell = rng.uniform(*cfg.theta_sell_range, shape)
-    sensitivity = rng.uniform(*cfg.a_range, shape)
+    start = rng.bit_generator.state
+    sensitivity = np.empty((len(cfgs), cfg.n_commodities, cfg.n_agents))
+    for member, one in zip(sensitivity, cfgs):
+        rng.bit_generator.state = start
+        member[:] = rng.uniform(*one.a_range, shape).T
     attention = 1.0 / (theta_sell**2 + theta_buy**2)
-    return theta_buy.T.copy(), theta_sell.T.copy(), sensitivity.T.copy(), attention
+    return theta_buy.T.copy(), theta_sell.T.copy(), sensitivity, attention
 
 
 def break_even(sensitivity: np.ndarray, threshold: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     """Write into `out` the least float64 u with `sensitivity * u >= threshold`.
 
-    Elementwise, for positive float64 arrays, subnormals included; `out`
-    and `scratch` are float64 arrays of their shape that share no memory
-    with them or with each other, and `scratch` is overwritten.  The
+    Elementwise, for positive float64 arrays, subnormals included, with
+    `threshold` broadcast along leading axes; `out` and `scratch` are
+    C-order float64 arrays of `sensitivity`'s shape that share no memory
+    with the inputs or each other, and `scratch` is overwritten.  The
     rounded product a * u never falls as u rises (a > 0), so it reaches
     the threshold exactly when u reaches this level, bit for bit; +inf
     means only u = +inf does.
@@ -161,7 +165,8 @@ def break_even(sensitivity: np.ndarray, threshold: np.ndarray, out: np.ndarray, 
         bits += ~reaches
         np.subtract(bits, 1, out=scratch.view(np.int64))
         lower = np.flatnonzero((np.multiply(sensitivity, scratch, out=scratch) >= threshold) & reaches)
-        a, theta = sensitivity.take(lower), threshold.take(lower)
+        # A flat index modulo the threshold's size skips its broadcast axes.
+        a, theta = sensitivity.take(lower), threshold.take(lower % threshold.size)
         lo, hi = np.zeros_like(lower), bits.take(lower) - 1
         step = 1
         while np.any(hi - lo > 1):
@@ -173,19 +178,20 @@ def break_even(sensitivity: np.ndarray, threshold: np.ndarray, out: np.ndarray, 
     return out
 
 
-def break_even_levels(population, out, scratch):
-    """Fill `out`, an (M, N) buy and an (M, N) sell array, with the levels each agent acts at.
+def break_even_levels(population, out):
+    """Fill `out`, an (R, M, N) buy and an (R, M, N) sell array, with the levels each agent acts at.
 
     An agent buys a commodity when its noisy perception u reaches the least
     value whose product with its sensitivity reaches theta_buy, and sells
     when u is at or below the greatest value whose product stays at or
     below theta_sell.  Rounding to nearest is symmetric in sign, so that
-    greatest value is -break_even(a, -theta_sell).  `scratch` is an
-    (M, N) float64 array that is overwritten.  Returns the step's
+    greatest value is -break_even(a, -theta_sell).  The (M, N) thresholds
+    broadcast against the (R, M, N) sensitivities.  Returns the step's
     parameters (buy_at, sell_at, attention).
     """
     theta_buy, theta_sell, sensitivity, attention = population
     buy_at, sell_at = out
+    scratch = np.empty_like(buy_at)
     np.negative(theta_sell, out=buy_at)
     break_even(sensitivity, buy_at, sell_at, scratch)
     np.negative(sell_at, out=sell_at)
@@ -194,56 +200,47 @@ def break_even_levels(population, out, scratch):
 
 
 def step_market(params, history: np.ndarray, s: np.ndarray, xi: np.ndarray, work) -> tuple:
-    """One tick on given draws: return the (M,) int32 counts of buyers and of sellers.
+    """One tick of a lockstep group: return the (R, M) int32 counts of buyers and of sellers.
 
     `params` is `break_even_levels`' (buy_at, sell_at, attention);
-    `history` holds the last `ma_span` returns, newest first; `s` and `xi`
-    are the (N,) exogenous perception noise and interpretation noise.  Each
-    agent perceives its attention-weighted mean recent return plus s, and
-    buys where perception + xi is at or above buy_at, sells at or below
-    sell_at, and waits otherwise.  `work` is an (M, N) float64 and an
-    (M, N) bool buffer that the step overwrites; no other input is mutated.
+    `history` holds each member's last `ma_span` returns, (R, ma_span, M),
+    newest first; `s` and `xi` are the members' (N,) exogenous perception
+    noise and interpretation noise.  Each agent perceives its
+    attention-weighted mean recent return plus s, and buys where
+    perception + xi is at or above buy_at, sells at or below sell_at, and
+    waits otherwise.  `work` is an (M, N) float64 and a (2, R, M, N) bool
+    buffer that the step overwrites; no other input is mutated.
     """
     buy_at, sell_at, attention = params
     u, flags = work
-    u[:] = attention @ history.mean(axis=0) + s + xi
+    # Member by member: a batched matvec would change BLAS's summation order,
+    # and one member's perception stays in cache for both of its compares.
+    for mean, buy, sell, buys, sells in zip(history.mean(axis=1), buy_at, sell_at, *flags):
+        u[:] = attention @ mean + s + xi
+        np.greater_equal(u, buy, out=buys)
+        np.less_equal(u, sell, out=sells)
     # A uint8 view of the bools sums in int32 without a cast pass; integer
     # sums are exact in any order (SimConfig keeps N below 2**31).
-    buyers = np.add.reduce(np.greater_equal(u, buy_at, out=flags).view(np.uint8), axis=1, dtype=np.int32)
-    sellers = np.add.reduce(np.less_equal(u, sell_at, out=flags).view(np.uint8), axis=1, dtype=np.int32)
+    buyers, sellers = np.add.reduce(flags.view(np.uint8), axis=-1, dtype=np.int32)
     return buyers, sellers
-
-
-def draw_populations(cfgs, rng: np.random.Generator):
-    """Yield one `init_population` per config, each drawn from the stream
-    position `rng` is at when the first is drawn.
-
-    A population's draw consumes the same stream whatever its ranges, so
-    `rng` ends where a single config's draw would leave it.  Each is drawn
-    as it is asked for: draw nothing else from `rng` in between.
-    """
-    start = rng.bit_generator.state
-    for cfg in cfgs:
-        rng.bit_generator.state = start
-        yield init_population(cfg, rng)
 
 
 def draw_steps(cfgs, rng: np.random.Generator, noise: np.ndarray) -> list:
     """Make every random draw of `len(noise)` steps of a lockstep group, in the seed's order.
 
-    Per step: fresh parameters for every config (`draw_populations`) when
+    Per step: the group's fresh parameters (`init_population`) when
     `resample_params` is set, then the N values of s, then the N values of
     xi.  s and xi fill the (steps, 2, N) buffer `noise` in place; the fresh
-    parameters, one list of a population per config for each step, are
-    returned (an empty list without resampling).  `standard_normal` scaled
-    by sigma gives `normal(0, sigma)`'s values up to the sign of a zero,
-    which no threshold comparison can tell apart.
+    parameters, one population per step, are returned (an empty list
+    without resampling).  `standard_normal` scaled by sigma gives
+    `normal(0, sigma)`'s values up to the sign of a zero, which no
+    threshold comparison can tell apart.
     """
     cfg = cfgs[0]
     fresh = []
     if cfg.resample_params:
         for one in noise:
-            fresh.append(list(draw_populations(cfgs, rng)))
+            fresh.append(init_population(cfgs, rng))
             rng.standard_normal(out=one)
     else:
         rng.standard_normal(out=noise)
@@ -267,10 +264,9 @@ def run_simulations(cfgs) -> list[tuple[SignalPanel, SignalPanel]]:
 
     Each member's (rates, activity) are bit for bit `run_simulation`'s of
     that config alone.  A config that differs from the first in any other
-    field raises ConfigurationError before any draw.  Every member draws
-    its parameters from the same stream position (`draw_populations`), so
-    the members share every other draw: one stream of (s, xi) feeds all
-    of them, and each step runs `step_market` once per member.
+    field raises ConfigurationError before any draw.  The members share
+    every draw but their sensitivities (`init_population`), and each step
+    runs `step_market` once for the group, along a member axis R.
     """
     first = cfgs[0]
     for cfg in cfgs[1:]:
@@ -285,14 +281,13 @@ def run_simulations(cfgs) -> list[tuple[SignalPanel, SignalPanel]]:
 
 
 def _lockstep(cfgs) -> tuple[np.ndarray, np.ndarray]:
-    """The (members, M, horizon) rates and activity of `run_simulations`.
+    """The (R, M, horizon) rates and activity of `run_simulations`.
 
     The draws do not depend on the market, so a second thread makes them
     (`draw_steps`, which releases the GIL inside numpy) one block of at
     most READ_AHEAD_BYTES, and at least one step, ahead of this thread's
     steps, alternating between two buffers.  This thread turns each
-    parameter draw into break-even levels, in one set of buffers per
-    member allocated once per run; the step's own buffers are shared.
+    parameter draw into break-even levels, in buffers allocated once.
     """
     # Imported here, not at the top, so that commands which do not
     # simulate do not pay its import time.
@@ -301,12 +296,12 @@ def _lockstep(cfgs) -> tuple[np.ndarray, np.ndarray]:
     first = cfgs[0]
     rng = np.random.default_rng(first.seed)
     n, m, members = first.n_agents, first.n_commodities, len(cfgs)
-    levels = np.empty((members, 2, m, n))
-    work = np.empty((m, n)), np.empty((m, n), dtype=bool)
-    params = [break_even_levels(population, out, work[0])
-              for population, out in zip(draw_populations(cfgs, rng), levels)]
+    levels = np.empty((2, members, m, n))
+    work = np.empty((m, n)), np.empty((2, members, m, n), dtype=bool)
+    params = break_even_levels(init_population(cfgs, rng), levels)
     steps = first.warmup + first.horizon
-    step_bytes = 8 * (2 * n + (4 * n * m * members if first.resample_params else 0))
+    # A resampled step draws two thresholds, their attention and R sensitivities, each (N, M).
+    step_bytes = 8 * (2 * n + ((3 + members) * n * m if first.resample_params else 0))
     block = min(steps, max(1, READ_AHEAD_BYTES // step_bytes))
     buffers = [np.empty((block, 2, n)) for _ in range(2)]
     rate = np.ones((members, m))
@@ -323,17 +318,16 @@ def _lockstep(cfgs) -> tuple[np.ndarray, np.ndarray]:
                 ahead = drawer.submit(draw_steps, cfgs, rng, buffers[(b + 1) % 2][: steps - start - block])
             for j, (s, xi) in enumerate(buffers[b % 2][: steps - start]):
                 i = start + j - first.warmup
-                for r in range(members):
-                    if fresh:
-                        params[r] = break_even_levels(fresh[j][r], levels[r], work[0])
-                    buyers, sellers = step_market(params[r], history[r], s, xi, work)
-                    returns = (first.gamma / n) * (buyers - sellers)
-                    rate[r] *= np.exp(returns)
-                    history[r, 1:] = history[r, :-1]
-                    history[r, 0] = returns
-                    if i >= 0:
-                        rates[r, :, i] = rate[r]
-                        activity[r, :, i] = (buyers + sellers) / first.dt
+                if fresh:
+                    params = break_even_levels(fresh[j], levels)
+                buyers, sellers = step_market(params, history, s, xi, work)
+                returns = (first.gamma / n) * (buyers - sellers)
+                rate *= np.exp(returns)
+                history[:, 1:] = history[:, :-1]
+                history[:, 0] = returns
+                if i >= 0:
+                    rates[..., i] = rate
+                    activity[..., i] = (buyers + sellers) / first.dt
     return rates, activity
 
 

@@ -875,6 +875,17 @@ class TestEntropySweep:
         # them finish; the rest never start.
         assert len(started.read_text().split()) < 12
 
+    @pytest.mark.parametrize("seeds", [0, -1, 2.0, 1.5])
+    def test_seeds_must_be_a_positive_integer(self, monkeypatch, seeds):
+        def no_simulation(cfgs):
+            raise AssertionError("simulated with a count of seeds that is not a positive integer")
+
+        monkeypatch.setattr(pipeline, "run_simulations", no_simulation)
+        base = SimConfig(n_agents=10, n_commodities=2, horizon=64, warmup=0)
+        with pytest.raises(ValueError, match=f"^seeds must be a positive integer, got {re.escape(repr(seeds))}$"):
+            entropy_sweep([0.0], base, AnalysisConfig(width=16), seeds=seeds, center=1.0)
+        assert multiprocessing.active_children() == []
+
     def test_range_touching_zero_rejected(self, monkeypatch):
         def no_simulation(cfgs):
             raise AssertionError("simulated before every H_a was checked")

@@ -24,33 +24,37 @@ from specdist.simulator import (
 
 def levels_of(population):
     """step_market's (buy_at, sell_at, attention) for one population, in fresh buffers."""
-    m, n = population[0].shape
-    return break_even_levels(population, np.empty((2, m, n)), np.empty((m, n)))
+    return break_even_levels(population, np.empty((2, *population[2].shape)))
+
+
+def drawn_population(cfgs):
+    """init_population of a group, from a fresh generator at the first config's seed."""
+    return init_population(cfgs, np.random.default_rng(cfgs[0].seed))
 
 
 def manual_params(theta_buy, theta_sell, sensitivity):
-    """step_market's parameters for hand-set (N, M) thresholds and
-    sensitivities, given in init_population's layout: (M, N) rows for
-    thresholds and sensitivities, (N, M) attention."""
+    """step_market's parameters for one member's hand-set (N, M) thresholds
+    and sensitivities, given in init_population's layout: (M, N) rows for
+    thresholds, (1, M, N) sensitivities, (N, M) attention."""
     tb, ts, a = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (theta_buy, theta_sell, sensitivity))
-    return levels_of((tb.T.copy(), ts.T.copy(), a.T.copy(), 1.0 / (ts**2 + tb**2)))
+    return levels_of((tb.T.copy(), ts.T.copy(), a.T[None].copy(), 1.0 / (ts**2 + tb**2)))
 
 
 def net_return(cfg, buyers, sellers):
-    """The (M,) log returns of one step's counts: gamma/N per net buyer."""
+    """The (R, M) log returns of one step's counts: gamma/N per net buyer."""
     return cfg.gamma / cfg.n_agents * (buyers - sellers)
 
 
 def step(params, history, s, xi):
     """step_market with fresh work buffers."""
-    m, n = params[0].shape
-    return step_market(params, history, s, xi, (np.empty((m, n)), np.empty((m, n), dtype=bool)))
+    members, m, n = params[0].shape
+    return step_market(params, history, s, xi, (np.empty((m, n)), np.empty((2, members, m, n), dtype=bool)))
 
 
 def quiet_step(params, history):
-    """step_market with zero noise on hand-set parameters and history."""
+    """step_market with zero noise on one member's hand-set parameters and (ma_span, M) history."""
     n = params[2].shape[0]
-    history = np.atleast_2d(np.asarray(history, dtype=float))
+    history = np.atleast_2d(np.asarray(history, dtype=float))[None]
     return step(params, history, np.zeros(n), np.zeros(n))
 
 
@@ -65,9 +69,10 @@ def drawn_step(params, history, cfg, rng):
 class TestInitPopulation:
     def test_support_bounds(self):
         cfg = SimConfig(n_agents=200, n_commodities=5, seed=1)
-        theta_buy, theta_sell, sensitivity, attention = init_population(cfg)
-        for rows in (theta_buy, theta_sell, sensitivity):
+        theta_buy, theta_sell, sensitivity, attention = drawn_population([cfg])
+        for rows in (theta_buy, theta_sell, sensitivity[0]):
             assert rows.shape == (5, 200) and rows.flags.c_contiguous  # one row per commodity
+        assert sensitivity.shape == (1, 5, 200) and sensitivity.flags.c_contiguous
         assert attention.shape == (200, 5)
         assert theta_buy.min() >= 0.01 and theta_buy.max() <= 0.02
         assert theta_sell.min() >= -0.02 and theta_sell.max() <= -0.01
@@ -77,17 +82,37 @@ class TestInitPopulation:
 
     def test_degenerate_width_collapses_sensitivity(self):
         cfg = SimConfig(n_agents=50, n_commodities=2, a_range=(1.0, 1.0 + 1e-9), seed=0)
-        sensitivity = init_population(cfg)[2]
+        sensitivity = drawn_population([cfg])[2]
+        assert sensitivity.shape == (1, 2, 50)
         assert np.allclose(sensitivity, 1.0, atol=2e-9)
 
     def test_same_seed_bit_identical(self):
         cfg = SimConfig(n_agents=100, n_commodities=4, seed=77)
-        for one, two in zip(init_population(cfg), init_population(cfg)):
+        for one, two in zip(drawn_population([cfg]), drawn_population([cfg])):
             assert np.array_equal(one, two)
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigurationError):
             SimConfig(a_range=(2.0, 1.0))
+
+    def test_group_shares_thresholds_and_draws_each_range_alone(self):
+        cfgs = [SimConfig(n_agents=30, n_commodities=4, seed=8, a_range=a_range)
+                for a_range in [(1.0, 3.0), (5e-324, 1e-300), (0.5, 6.0)]]
+        rng = np.random.default_rng(8)
+        theta_buy, theta_sell, sensitivity, attention = init_population(cfgs, rng)
+        assert sensitivity.shape == (3, 4, 30) and sensitivity.flags.c_contiguous
+        for cfg, member in zip(cfgs, sensitivity, strict=True):
+            alone = np.random.default_rng(8)
+            alone_buy = alone.uniform(*cfg.theta_buy_range, (30, 4))
+            alone_sell = alone.uniform(*cfg.theta_sell_range, (30, 4))
+            assert member.tobytes() == alone.uniform(*cfg.a_range, (30, 4)).T.tobytes()
+            # One shared draw of the thresholds and their attention.
+            assert theta_buy.tobytes() == alone_buy.T.tobytes()
+            assert theta_sell.tobytes() == alone_sell.T.tobytes()
+            assert attention.tobytes() == (1.0 / (alone_sell**2 + alone_buy**2)).tobytes()
+            # The group leaves the stream where one config's draw does.
+            assert rng.bit_generator.state == alone.bit_generator.state
+        assert (theta_buy.shape, theta_sell.shape, attention.shape) == ((4, 30), (4, 30), (30, 4))
 
 
 # Sensitivities and threshold sizes as SimConfig accepts them: any positive
@@ -130,6 +155,20 @@ class TestBreakEven:
             assert not np.any(a * np.nextafter(level, 0.0) >= theta)
 
 
+    def test_member_stack_equals_separate_calls(self):
+        # Broadcast thresholds against three members' sensitivities, the
+        # extreme ranges among them, and each member's levels alone.
+        cfgs = [SimConfig(n_agents=200, n_commodities=6, seed=13, a_range=a_range)
+                for a_range in [(1e-3, 1e300), (5e-324, 1e-300), (1.0, 3.0)]]
+        theta_buy, theta_sell, sensitivity, attention = drawn_population(cfgs)
+        buy_at, sell_at, shared = levels_of((theta_buy, theta_sell, sensitivity, attention))
+        assert shared is attention
+        for r, member in enumerate(sensitivity):
+            alone = levels_of((theta_buy, theta_sell, member[None].copy(), attention))
+            assert buy_at[r].tobytes() == alone[0][0].tobytes()
+            assert sell_at[r].tobytes() == alone[1][0].tobytes()
+
+
 class TestPerceive:
     """Perception: attention-weighted mean recent return plus noise s."""
 
@@ -138,7 +177,7 @@ class TestPerceive:
         # No buyer and no seller on a commodity means every agent waits on it.
         tiny = np.full((3, 2), 1e-150)
         buyers, sellers = quiet_step(manual_params(tiny, -tiny, np.ones((3, 2))), np.zeros((1, 2)))
-        assert buyers.tolist() == [0, 0] and sellers.tolist() == [0, 0]
+        assert buyers.tolist() == [[0, 0]] and sellers.tolist() == [[0, 0]]
 
     def test_single_commodity_analytic(self):
         # attention = 1/(0.5^2 + 0.5^2) = 2, so the perception is exactly
@@ -146,14 +185,14 @@ class TestPerceive:
         # one ulp less misses it.  One agent: its counts are its attitude.
         below_one = np.nextafter(1.0, 0.0)
         buyers, sellers = quiet_step(manual_params([[0.5]], [[-0.5]], [[1.0]]), [[0.25]])
-        assert buyers.tolist() == [1] and sellers.tolist() == [0]
+        assert buyers.tolist() == [[1]] and sellers.tolist() == [[0]]
         buyers, sellers = quiet_step(manual_params([[0.5]], [[-0.5]], [[below_one]]), [[0.25]])
-        assert buyers.tolist() == [0] and sellers.tolist() == [0]
+        assert buyers.tolist() == [[0]] and sellers.tolist() == [[0]]
 
     def test_matches_scalar_loop(self):
         cfg = SimConfig(n_agents=7, n_commodities=3, ma_span=4, seed=5)
-        population = init_population(cfg)
-        history = np.random.default_rng(6).normal(scale=1e-6, size=(4, 3))
+        population = drawn_population([cfg])
+        history = np.random.default_rng(6).normal(scale=1e-6, size=(1, 4, 3))
         noise = np.random.default_rng(5)
         s = noise.normal(0.0, cfg.sigma_s, 7)
         xi = noise.normal(0.0, cfg.sigma_xi, 7)
@@ -166,19 +205,19 @@ class TestPerceive:
         for kept, now in zip(before, (*params, history, s, xi)):
             assert np.array_equal(kept, now)  # inputs are not mutated
 
-        theta_buy, theta_sell, sensitivity, _ = population  # rows: [commodity, agent]
+        theta_buy, theta_sell, (sensitivity,), _ = population  # rows: [commodity, agent]
         expected_buyers, expected_sellers = [0, 0, 0], [0, 0, 0]
         for i in range(7):
             x = s[i]
             for k in range(3):
                 c = 1.0 / (theta_sell[k, i] ** 2 + theta_buy[k, i] ** 2)
-                x += c * sum(history[tau, k] for tau in range(4)) / 4
+                x += c * sum(history[0, tau, k] for tau in range(4)) / 4
             for j in range(3):
                 signal = sensitivity[j, i] * (x + xi[i])
                 expected_buyers[j] += int(signal >= theta_buy[j, i])
                 expected_sellers[j] += int(signal <= theta_sell[j, i])
-        assert buyers.tolist() == expected_buyers
-        assert sellers.tolist() == expected_sellers
+        assert buyers.tolist() == [expected_buyers]
+        assert sellers.tolist() == [expected_sellers]
 
 
 class TestDecide:
@@ -189,22 +228,22 @@ class TestDecide:
 
     def test_zero_signal_waits(self):
         buyers, sellers = quiet_step(manual_params([[0.01]], [[-0.01]], [[2.0]]), [[0.0]])
-        assert buyers.tolist() == [0] and sellers.tolist() == [0]
+        assert buyers.tolist() == [[0]] and sellers.tolist() == [[0]]
 
     def test_buy_boundary_inclusive(self):
         # attention = 1/(0.25^2 + 0.25^2) = 8 and history +-1/32 put the
         # signal exactly on a threshold; both boundaries count as crossed.
         params = manual_params([[0.25]], [[-0.25]], [[1.0]])
         buyers, sellers = quiet_step(params, [[1 / 32]])
-        assert buyers.tolist() == [1] and sellers.tolist() == [0]
+        assert buyers.tolist() == [[1]] and sellers.tolist() == [[0]]
         buyers, sellers = quiet_step(params, [[-1 / 32]])
-        assert buyers.tolist() == [0] and sellers.tolist() == [1]
+        assert buyers.tolist() == [[0]] and sellers.tolist() == [[1]]
 
     def test_sell_threshold_crossed(self):
         # attention 1250, history -8.8e-6: perception -0.011, signal -0.022.
         params = manual_params([[0.02]], [[-0.02]], [[2.0]])
         buyers, sellers = quiet_step(params, [[-8.8e-6]])
-        assert buyers.tolist() == [0] and sellers.tolist() == [1]
+        assert buyers.tolist() == [[0]] and sellers.tolist() == [[1]]
 
 
 class TestStepMarket:
@@ -216,18 +255,18 @@ class TestStepMarket:
     def test_all_waiting_fixed_point(self):
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
-        params = levels_of(init_population(cfg, rng))
-        buyers, sellers = drawn_step(params, np.zeros((1, 3)), cfg, rng)
-        assert buyers.tolist() == [0, 0, 0] and sellers.tolist() == [0, 0, 0]
+        params = levels_of(init_population([cfg], rng))
+        buyers, sellers = drawn_step(params, np.zeros((1, 1, 3)), cfg, rng)
+        assert buyers.tolist() == [[0, 0, 0]] and sellers.tolist() == [[0, 0, 0]]
 
     def test_unanimous_buying_saturates(self):
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
-        params = levels_of(init_population(cfg, rng))
-        history = np.full((1, 3), 1.0)  # huge shared return signal
+        params = levels_of(init_population([cfg], rng))
+        history = np.full((1, 1, 3), 1.0)  # huge shared return signal
         buyers, sellers = drawn_step(params, history, cfg, rng)
         # Every agent buys every commodity: N buyers, no seller.
-        assert buyers.tolist() == [cfg.n_agents] * 3 and sellers.tolist() == [0, 0, 0]
+        assert buyers.tolist() == [[cfg.n_agents] * 3] and sellers.tolist() == [[0, 0, 0]]
         assert np.all(net_return(cfg, buyers, sellers) == pytest.approx(cfg.gamma, rel=1e-12))
 
     def test_returns_bounded_by_gamma(self):
@@ -235,14 +274,14 @@ class TestStepMarket:
         for n_agents in (1, 60):
             cfg = SimConfig(n_agents=n_agents, n_commodities=4, seed=9)
             rng = np.random.default_rng(9)
-            params = levels_of(init_population(cfg, rng))
-            history = np.zeros((1, 4))
+            params = levels_of(init_population([cfg], rng))
+            history = np.zeros((1, 1, 4))
             for _ in range(200):
                 buyers, sellers = drawn_step(params, history, cfg, rng)
                 # Each agent buys, sells or waits: at most one action per commodity.
                 assert np.all(buyers >= 0) and np.all(sellers >= 0)
                 assert np.all(buyers + sellers <= n_agents)
-                history = net_return(cfg, buyers, sellers)[None, :]
+                history = net_return(cfg, buyers, sellers)[:, None, :]
                 assert np.all(np.abs(history) <= cfg.gamma * (1 + 1e-12))
             rates, activity = run_simulation(replace(cfg, horizon=200, warmup=0, dt=2.5))
             assert np.all(np.abs(np.diff(np.log(rates.values))) <= cfg.gamma * (1 + 1e-6))
@@ -254,14 +293,28 @@ class TestStepMarket:
         cfg = SimConfig(n_agents=50, n_commodities=4, gamma=1e-3, a_range=(2.0, 4.0), seed=21,
                         horizon=10_000, warmup=0)
         rng = np.random.default_rng(21)
-        params = levels_of(init_population(cfg, rng))
-        history = np.zeros((1, 4))
-        total = np.zeros(4)
+        params = levels_of(init_population([cfg], rng))
+        history = np.zeros((1, 1, 4))
+        total = np.zeros((1, 4))
         for _ in range(cfg.horizon):
-            history[0] = net_return(cfg, *drawn_step(params, history, cfg, rng))
-            total += history[0]
+            history[:, 0] = net_return(cfg, *drawn_step(params, history, cfg, rng))
+            total += history[:, 0]
         rates, _ = run_simulation(cfg)
-        assert np.allclose(rates.values[:, -1], np.exp(total), rtol=1e-9)
+        assert np.allclose(rates.values[:, -1], np.exp(total[0]), rtol=1e-9)
+
+    def test_group_step_equals_member_steps(self):
+        cfgs = [SimConfig(n_agents=60, n_commodities=4, ma_span=3, seed=14, a_range=a_range)
+                for a_range in LOCKSTEP_A_RANGES]
+        params = levels_of(drawn_population(cfgs))
+        noise = np.random.default_rng(15)
+        history = noise.normal(scale=1e-5, size=(3, 3, 4))
+        s, xi = noise.normal(0.0, 0.005, (2, 60))
+        buyers, sellers = step(params, history, s, xi)
+        assert buyers.shape == sellers.shape == (3, 4)
+        for r in range(3):
+            alone = step((params[0][r:r + 1], params[1][r:r + 1], params[2]), history[r:r + 1], s, xi)
+            assert buyers[r].tolist() == alone[0][0].tolist()
+            assert sellers[r].tolist() == alone[1][0].tolist()
 
     def test_matches_scalar_reference_implementation(self):
         """Run the default-size market 10 steps against the pure-Python rebuild."""
@@ -411,9 +464,11 @@ class TestReadAhead:
 
 # Lockstep groups: one config per case, run with each of these sensitivity
 # ranges.  At 2000 x 20 a block is BLOCK steps whatever the group; resampled
-# at 30 x 4, three members share a block of LOCKSTEP_RESAMPLE_BLOCK steps.
+# at 30 x 4, three members share a block of LOCKSTEP_RESAMPLE_BLOCK steps,
+# whose parameters are two thresholds, their attention and three
+# sensitivities, each N x M.
 LOCKSTEP_A_RANGES = [(1.0, 3.0), (0.5, 6.0), (1.9, 2.1)]
-LOCKSTEP_RESAMPLE_BLOCK = READ_AHEAD_BYTES // (8 * (2 * 30 + 3 * 4 * 30 * 4))  # 43
+LOCKSTEP_RESAMPLE_BLOCK = READ_AHEAD_BYTES // (8 * (2 * 30 + (3 + 3) * 30 * 4))  # 84
 LOCKSTEP_GRID = {
     "defaults": dict(n_agents=60, n_commodities=4, horizon=30, warmup=10, seed=12),
     "ma_span_3": dict(n_agents=40, n_commodities=3, horizon=32, warmup=8, ma_span=3, gamma=5e-6, seed=1),
@@ -469,13 +524,13 @@ class TestLockstep:
     def test_failed_draw_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
         real = simulator.init_population
         calls = []
-        failure = RuntimeError("a member's third step draw")
+        failure = RuntimeError("the group's second step draw")
 
-        def fails_on_the_draw_thread(cfg, rng=None):
+        def fails_on_the_draw_thread(cfgs, rng):
             calls.append(threading.current_thread())
-            if len(calls) == 3 * 3:
+            if len(calls) == 3:
                 raise failure
-            return real(cfg, rng)
+            return real(cfgs, rng)
 
         monkeypatch.setattr(simulator, "init_population", fails_on_the_draw_thread)
         cfgs = [SimConfig(n_agents=50, n_commodities=3, horizon=20, warmup=0, resample_params=True,
@@ -485,7 +540,8 @@ class TestLockstep:
             run_simulations(cfgs)
         assert caught.value is failure
         assert threading.active_count() == before
-        assert all(call is threading.main_thread() for call in calls[:3])
+        # One draw per group: the first on this thread, the failed one on the draw thread.
+        assert len(calls) == 3 and calls[0] is threading.main_thread()
         assert calls[-1] is not threading.main_thread()
 
 
@@ -543,6 +599,20 @@ class TestConfigFile:
         path.write_text("seed = -1\n")
         with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer, got -1"):
             load_sim_config(path)
+
+    @pytest.mark.parametrize("value", [2.0, True])
+    @pytest.mark.parametrize("field", ["n_agents", "n_commodities", "horizon", "warmup", "ma_span"])
+    def test_counts_must_be_integers(self, monkeypatch, field, value):
+        # numpy refuses either as an array size, but only mid-run.
+        def no_draw(*args):
+            raise AssertionError("drew for a config whose count is not an integer")
+
+        monkeypatch.setattr(simulator, "init_population", no_draw)
+        monkeypatch.setattr(simulator, "draw_steps", no_draw)
+        counts = dict(n_agents=20, n_commodities=2, horizon=10, warmup=0, ma_span=1)
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be an integer, got {value!r}$"):
+            run_simulation(SimConfig(**{**counts, field: value}))
+        assert getattr(SimConfig(**{**counts, field: np.int64(2)}), field) == 2
 
     def test_agent_count_beyond_int32_counts_rejected(self):
         # The step counts buyers and sellers in int32; the config is refused
