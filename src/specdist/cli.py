@@ -44,7 +44,7 @@ EXIT_CONFIG = 5
 def _fail(exc: Exception) -> int:
     if isinstance(exc, SpecdistError):
         code = exc.exit_code
-    elif isinstance(exc, (FileNotFoundError, PermissionError, IsADirectoryError)):
+    elif isinstance(exc, OSError):
         code = EXIT_IO
     elif isinstance(exc, (ValueError, KeyError)):
         code = EXIT_CONFIG
@@ -178,16 +178,12 @@ def _write_panels(meta, *outputs) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     panel = read_panel_csv(args.panel)
-    channels = tuple(args.channels.split(",")) if args.channels else None
-    weights = (
-        tuple(float(w) for w in args.weights.split(",")) if args.weights else None
-    )
     cfg = pipeline.AnalysisConfig(
         width=args.window,
         stride=args.stride,
-        channels=channels,
+        channels=args.channels.split(",") if args.channels else None,
         transform=args.transform,
-        weights=weights,
+        weights=args.weights.split(",") if args.weights else None,
         kl_floor=args.floor,
     )
     # The metrics file is written after `analyze` has closed its dumps, so
@@ -206,12 +202,8 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
     flag was given replaced; each parser defines a subset of the flags."""
     config_file = getattr(args, "config", None)
     cfg = load_sim_config(config_file) if config_file else SimConfig()
-    overrides = {}
-    for field in fields(SimConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            overrides[field.name] = tuple(value) if isinstance(value, list) else value
-    return replace(cfg, **overrides)
+    overrides = {field.name: getattr(args, field.name, None) for field in fields(SimConfig)}
+    return replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -22,6 +22,7 @@ import math
 import os
 import re
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -451,14 +452,14 @@ def _check_names(path, names, also: str = "") -> None:
 
 @contextlib.contextmanager
 def _removed_on_failure():
-    """Yield a list for the paths of the files the block has opened for
-    writing; if the block raises, remove each of them and re-raise.  A file
-    the block never opened is not in the list, so it stays untouched."""
+    """Yield a list for the paths of the files the block opens for writing; if
+    the block raises, remove each regular file of them (never a device such as
+    /dev/full) and re-raise.  A file the block never opened stays untouched."""
     written: list = []
     try:
         yield written
     except BaseException:
-        for path in written:
+        for path in filter(os.path.isfile, written):
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise
@@ -485,8 +486,9 @@ def _read_table(path, time_column: str):
     """Read a stamped table as (column names after the time column, epoch
     times in seconds, (rows, columns) values, the line of the header and of
     each row, (key, value, line) of each `key=value` token of the `#` lines).
-    Blank lines are skipped and `#` lines may appear anywhere.  Any
-    unreadable line is a `FormatError` naming the file and the line."""
+    Blank lines are skipped and `#` lines may appear anywhere.  Values go
+    into a typed array, with no Python object per cell.  Any unreadable
+    line is a `FormatError` naming the file and the line."""
     comments: list[tuple[str, str, int]] = []
     lineno = 0
 
@@ -499,13 +501,13 @@ def _read_table(path, time_column: str):
             elif line.strip():
                 yield line
 
-    times, rows = [], []
+    times, values, lines = array("d"), array("d"), array("q")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(data_lines(fh))
-        # Any ValueError below, raised here or by a parser, is an unreadable line.
+        # Any ValueError or csv.Error below, raised here or by a parser, is an unreadable line.
         try:
             header = [name.strip() for name in next(reader, [])]
-            lines = [lineno]
+            lines.append(lineno)
             if len(header) < 2 or header[0].lower() != time_column:
                 raise ValueError(f"expected header `{time_column},...`, got {header!r}")
             if len(set(header)) < len(header):
@@ -514,17 +516,17 @@ def _read_table(path, time_column: str):
                 if len(cells) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
                 t = parse_rfc3339(cells[0])
-                rows.append([float(c) for c in cells[1:]])
+                values.extend(map(float, cells[1:]))
                 if times and t <= times[-1]:
                     raise ValueError(f"time {cells[0].strip()} does not strictly increase")
                 times.append(t)
                 lines.append(lineno)
         except UnicodeDecodeError as exc:  # decoded by the block, not by the line
             raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
-    return header[1:], np.array(times), values, lines, comments
+    values = np.frombuffer(values).reshape(len(times), len(header) - 1)
+    return header[1:], np.frombuffer(times), values, lines, comments
 
 
 def write_panel_csv(

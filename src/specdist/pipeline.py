@@ -52,7 +52,7 @@ from .ingest import (
     parse_rfc3339,
     transform_panel,
 )
-from .simulator import SimConfig, run_simulations
+from .simulator import SimConfig, check_counts, run_simulations
 from .spectra import (
     SignalPanel,
     bin_frequencies,
@@ -75,8 +75,10 @@ CHUNK_SAMPLES = 1 << 14
 class AnalysisConfig:
     """Window geometry and metric options for a sliding-window run.
 
-    Custom `weights` must be finite, strictly positive and sum to one within
-    1e-12; `analyze` checks that there is one per analyzed channel.
+    Each field holds the plain value `analyze` uses and `provenance` writes:
+    `stride=None` resolves to `width // 2`.  Custom `weights` must be finite,
+    strictly positive and sum to one within 1e-12; `analyze` checks that
+    there is one per analyzed channel.
     """
 
     width: int = 128
@@ -87,10 +89,9 @@ class AnalysisConfig:
     kl_floor: float = DEFAULT_KL_FLOOR
 
     def __post_init__(self):
-        if int(self.width) != self.width or self.width < 4:
-            raise InvalidWindowError(f"window width must be an integer >= 4, got {self.width}")
-        if self.stride is not None and (int(self.stride) != self.stride or self.stride < 1):
-            raise InvalidWindowError(f"stride must be an integer >= 1, got {self.stride}")
+        if self.stride is None and isinstance(self.width, Integral):
+            object.__setattr__(self, "stride", self.width // 2)
+        check_counts(self, (("width", 4), ("stride", 1)), InvalidWindowError)
         if self.transform not in TRANSFORMS:
             raise ConfigurationError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
         # From 1/(N-1), the mean probability over the N-1 bins, the floor lifts
@@ -101,6 +102,7 @@ class AnalysisConfig:
                 f"KL floor must be in [0, 1/(width-1)) = [0, {1 / (self.width - 1)!r}), "
                 f"got {self.kl_floor!r}"
             )
+        object.__setattr__(self, "kl_floor", float(self.kl_floor))
         if self.weights is not None:
             w = np.array([float(x) for x in self.weights])
             if not (np.all(np.isfinite(w)) and np.all(w > 0)):
@@ -109,20 +111,13 @@ class AnalysisConfig:
             if abs(total - 1.0) > 1e-12:
                 raise ConfigurationError(f"weights must sum to 1 within 1e-12, got {total!r}")
             object.__setattr__(self, "weights", tuple(w.tolist()))
-        object.__setattr__(self, "width", int(self.width))
-        if self.stride is not None:
-            object.__setattr__(self, "stride", int(self.stride))
         if self.channels is not None:
             object.__setattr__(self, "channels", tuple(self.channels))
-
-    @property
-    def effective_stride(self) -> int:
-        return self.stride if self.stride is not None else max(1, self.width // 2)
 
     def provenance(self) -> dict[str, str]:
         fields = {
             "width": str(self.width),
-            "stride": str(self.effective_stride),
+            "stride": str(self.stride),
             "transform": self.transform,
             "floor": repr(self.kl_floor),
             "weights": ",".join(map(repr, self.weights)) if self.weights else "uniform",
@@ -228,7 +223,7 @@ def analyze(
         freqs = bin_frequencies(cfg.width, panel.dt).tolist()
         dumps["spectra"] = (dump_spectra, "window_start_time,channel,frequency,prob\n",
                             [f"{name},{f!r}" for name in panel.labels for f in freqs])
-    stride = cfg.effective_stride
+    stride = cfg.stride
     windows = sliding_window_view(panel.values, cfg.width, axis=1)[:, ::stride].swapaxes(0, 1)
     starts = np.arange(len(windows)) * stride
     times = panel.t0 + starts * panel.dt * 60.0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,18 @@ DEFAULT_WARMUP = 512
 # Bytes of draws in one read-ahead block of `run_simulations`: 16 steps of
 # noise at N = 2000.  Two blocks are alive at once.
 READ_AHEAD_BYTES = 2**19
+
+
+def check_counts(cfg, least, error) -> None:
+    """Store each `(name, least value)` field of the frozen `cfg` as an int; `error` naming
+    it unless it is an integer (an `Integral`, numpy's too, not a bool) of at least that value."""
+    for name, low in least:
+        value = getattr(cfg, name)
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise error(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise error(f"{name} must be at least {low}, got {value}")
+        object.__setattr__(cfg, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -70,18 +82,19 @@ class SimConfig:
         def fail(msg: str) -> None:
             raise ConfigurationError(msg)
 
+        # Numbers and ranges are stored as plain floats, so `provenance` writes
+        # what `load_sim_config` reads back, whatever number type they came as.
         for f in fields(self):
-            value = getattr(self, f.name)
-            numbers = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
-                fail(f"{f.name} must be finite, got {value!r}")
-        # numpy refuses a float or bool count only mid-run; each count has a least value.
-        for name, least in (("n_agents", 1), ("n_commodities", 1), ("horizon", 2), ("ma_span", 1), ("warmup", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                fail(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                fail(f"{name} must be at least {least}, got {value}")
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind in (float, tuple):
+                numbers = tuple(value) if kind is tuple else (value,)
+                if not all(isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x) for x in numbers):
+                    fail(f"{f.name} must be {'finite numbers' if kind is tuple else 'a finite number'}, got {value!r}")
+                object.__setattr__(self, f.name, tuple(map(float, numbers)) if kind is tuple else float(value))
+        object.__setattr__(self, "resample_params", bool(self.resample_params))
+        # numpy refuses a float or bool count, and a negative seed, only mid-run.
+        check_counts(self, (("n_agents", 1), ("n_commodities", 1), ("horizon", 2), ("ma_span", 1),
+                            ("warmup", 0), ("seed", 0)), ConfigurationError)
         if self.n_agents >= 2**31:
             fail(f"n_agents must be between 1 and 2**31 - 1 (int32 counts), got {self.n_agents}")
         if not self.gamma > 0:
@@ -99,9 +112,6 @@ class SimConfig:
             fail(f"sensitivity range needs 0 < a1 < a2, got {self.a_range}")
         if not self.dt > 0:
             fail(f"model tick must be positive, got {self.dt}")
-        # numpy seeds only from nonnegative integers; refused here, not mid-run.
-        if not isinstance(self.seed, Integral) or self.seed < 0:
-            fail(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def provenance(self) -> dict[str, str]:
         """Each field as text `load_sim_config` reads back: ranges as `lo,hi`,

@@ -1,13 +1,16 @@
+import errno
 import gzip
+import io
+import os
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from specdist import cli, errors, pipeline
+from specdist import cli, errors, ingest, pipeline
 from specdist.cli import main
-from specdist.distances import cross_correlation, fit_proportionality
+from specdist.distances import cross_correlation, fit_affine, fit_proportionality
 from specdist.ingest import read_panel_csv, write_panel_csv
 from specdist.spectra import SignalPanel
 
@@ -36,6 +39,19 @@ class TestIngestCommand:
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("ingest", str(tmp_path / "nope.csv"), "--activity-out", "x.csv") == 3
+
+    def test_malformed_rows_are_warned_with_their_lines(self, tmp_path, capsys):
+        # One bad row in 1,001 is under the 1% abort: it is skipped, counted
+        # and named on stderr, and the panel is written from the rest.
+        ticks, out = tmp_path / "t.csv", tmp_path / "a.csv"
+        rows = THOUSAND_ROWS.splitlines(keepends=True)
+        ticks.write_text(TICK_HEAD + "".join(rows[:500]) + "garbage\n" + "".join(rows[500:]))
+        assert run("ingest", str(ticks), "--activity-out", str(out)) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "specdist: warning 1 malformed row(s) skipped",
+            "specdist: warning   line 502: expected 4 fields, got 1",
+        ]
+        assert read_panel_csv(out).length == 17
 
     def test_bad_header_is_format_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -226,6 +242,24 @@ class TestAnalyzeCommand:
         write_panel_csv(panel, path)
         return path
 
+    def test_cell_over_the_csv_field_limit_is_format_error(self, tmp_path, capsys):
+        # csv refuses a field of more than 131,072 characters: a bad line (exit
+        # 4) naming where it is, not an internal error.
+        panel_csv = self.make_panel_csv(tmp_path)
+        lines = panel_csv.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace(",", "," + "7" * 200_000, 1)
+        panel_csv.write_text("".join(lines))
+        out = tmp_path / "m.csv"
+        assert run("analyze", str(panel_csv), "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert f'kind=FormatError msg="{panel_csv}: line 4: field larger than field limit (131072)"' in err
+        assert not out.exists()
+
+    def test_path_through_a_file_is_io_error(self, tmp_path, capsys):
+        panel_csv = self.make_panel_csv(tmp_path)
+        assert run("analyze", f"{panel_csv}/x", "--out", str(tmp_path / "m.csv")) == 3
+        assert "code=3 kind=NotADirectoryError" in capsys.readouterr().err
+
     def test_row_count_arithmetic(self, tmp_path):
         panel_csv = self.make_panel_csv(tmp_path, length=640)
         out = tmp_path / "metrics.csv"
@@ -392,6 +426,31 @@ def header_fields(path):
 
 
 class TestSimulateCommand:
+    def test_full_disk_is_io_error_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # The activity file's bytes cannot be written (ENOSPC, as on
+        # /dev/full): exit 3, and neither panel file is left.
+        rates, activity = tmp_path / "r.csv", tmp_path / "a.csv"
+
+        class Full(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if path != str(activity):
+                return fh
+            fh.close()
+            return io.TextIOWrapper(io.BufferedWriter(Full()), encoding="utf-8", newline="")
+
+        monkeypatch.setattr(ingest, "open", full_open, raising=False)
+        code = run("simulate", *SMALL_SIM, "--rates-out", str(rates), "--activity-out", str(activity))
+        assert code == 3
+        assert "code=3 kind=OSError" in capsys.readouterr().err
+        assert not rates.exists() and not activity.exists()
+
     def test_same_seed_byte_identical(self, tmp_path):
         args = (
             "simulate", "--seed", "7", "--steps", "48", "--warmup", "8",
@@ -447,7 +506,7 @@ class TestSimulateCommand:
         seed = ("--config", str(cfg)) if via_config else ("--seed", "-1")
         assert run("simulate", *SMALL_SIM, *seed, "--activity-out", str(out)) == 5
         err = capsys.readouterr().err
-        assert "kind=ConfigurationError" in err and "seed must be a nonnegative integer, got -1" in err
+        assert "kind=ConfigurationError" in err and "seed must be at least 0, got -1" in err
         assert not out.exists()
 
     def test_zero_steps_is_config_error_before_simulating(self, tmp_path, capsys, monkeypatch):
@@ -522,6 +581,16 @@ class TestCompareCommand:
         expected_c = cross_correlation(a, b)
         expected_slope = fit_proportionality(a, b)
         assert printed == f"C={expected_c!r} slope={expected_slope!r}"
+
+    def test_affine_fit_prints_its_intercept(self, tmp_path, capsys):
+        left = self.make_metrics(tmp_path, 3, "left")
+        right = self.make_metrics(tmp_path, 4, "right")
+        assert run("compare", str(left), str(right), "--fit", "affine") == 0
+        a = pipeline.read_metrics_csv(left).js
+        b = pipeline.read_metrics_csv(right).js
+        slope, intercept = fit_affine(a, b)
+        want = f"C={cross_correlation(a, b)!r} slope={slope!r} intercept={intercept!r}"
+        assert capsys.readouterr().out.strip() == want
 
     def test_js_vs_mean_kl_within_one_file(self, tmp_path, capsys):
         metrics = self.make_metrics(tmp_path, 5, "solo")
@@ -675,11 +744,15 @@ class TestSweepCommand:
         code = run("sweep", "--ha=0", "--seeds", "2", "--steps", "96", "--seed", "-1", "--out", str(out))
         assert code == 5
         err = capsys.readouterr().err
-        assert "kind=ConfigurationError" in err and "seed must be a nonnegative integer, got -1" in err
+        assert "kind=ConfigurationError" in err and "seed must be at least 0, got -1" in err
         assert not out.exists()
 
     def test_bad_ha_list(self):
         assert run("sweep", "--ha", "abc") == 5
+
+    def test_ha_list_of_no_value_is_config_error(self, capsys):
+        assert run("sweep", "--ha=,") == 5
+        assert "--ha needs at least one value" in capsys.readouterr().err
 
     def test_missing_directory_is_io_error_before_simulating(self, tmp_path, capsys, monkeypatch):
         def no_simulation(cfgs):

@@ -81,6 +81,11 @@ class TestKlDistance:
             got = kl_pair(p, q, floor=1e-12)
             assert got == pytest.approx(scalar_kl(p, q, 1e-12), rel=1e-10)
 
+    @pytest.mark.parametrize("floor", [-1e-12, math.nan, math.inf])
+    def test_floor_must_be_finite_and_nonnegative(self, floor):
+        with pytest.raises(ValueError, match="floor must be finite and nonnegative"):
+            floored(np.array([[0.5, 0.5]]), floor)
+
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_gibbs_nonnegativity(self, seed):
@@ -293,6 +298,10 @@ class TestProportionalityFit:
         slope, intercept = fit_affine([0.0, 1.0, 2.0, 3.0], [1.0, 1.5, 2.0, 2.5])
         assert slope == pytest.approx(0.5, abs=1e-12)
         assert intercept == pytest.approx(1.0, abs=1e-12)
+
+    def test_affine_fit_against_a_constant_series_rejected(self):
+        with pytest.raises(DegenerateFitError, match="constant series"):
+            fit_affine([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestContainers:

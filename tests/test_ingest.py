@@ -115,6 +115,12 @@ class TestParseTicks:
         assert parsed.timestamp_ms.size == 0 and parsed.malformed == 0
         assert parsed.instruments == ()
 
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "ticks.csv"
+        path.write_text("")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: empty tick file: missing header")):
+            read_ticks(path)
+
     def test_negative_price_counted_and_excluded(self):
         body = (
             "timestamp,instrument,side,price\n"
@@ -847,6 +853,48 @@ class TestPanelCsv:
             read_panel_csv(path)
         assert str(info.value).startswith(f"{path}: line {line}: ")
         assert reason in str(info.value)
+
+    def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(self.PANEL.replace("1.5,2.5", "1.5," + "7" * 200_000))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 5: field larger than field limit (131072)")):
+            read_panel_csv(path)
+
+    def test_one_row_is_not_a_panel(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("time,a,b\n2006-10-16T00:00:00Z,1.0,2.0\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: a panel needs at least two rows")):
+            read_panel_csv(path)
+
+    def test_failed_write_removes_only_regular_files(self, tmp_path):
+        # A device or pipe named as an output (/dev/full, /dev/null) is
+        # written to, never removed, when the command fails.
+        regular, fifo = tmp_path / "r.csv", tmp_path / "fifo"
+        regular.write_text("partial\n")
+        os.mkfifo(fifo)
+        with pytest.raises(RuntimeError, match="boom"), ingest._removed_on_failure() as written:
+            written.extend([str(regular), str(fifo)])
+            raise RuntimeError("boom")
+        assert not regular.exists() and fifo.is_fifo()
+
+    def test_reader_memory_has_no_object_per_cell(self, tmp_path):
+        """Bound, fixed before measuring: reading a 50,000 x 12 panel (600,000
+        cells) allocates at most 32 bytes per cell at its peak.  The values'
+        typed array, with its growth slack, and the C-order copy the panel
+        keeps take 8 bytes a cell each.  A Python list of floats per row, as
+        the reader once kept, takes about 40 bytes a cell before its copy into
+        an array."""
+        values = np.random.default_rng(6).normal(size=(12, 50_000))
+        path = tmp_path / "panel.csv"
+        write_panel_csv(SignalPanel(values, tuple(f"c{j}" for j in range(12)), 1.0), path)
+        tracemalloc.start()
+        try:
+            loaded = read_panel_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, values)
+        assert peak < 32 * 600_000, f"peak {peak / 600_000:.1f} bytes per cell"
 
     @pytest.mark.parametrize("text", GRAMMAR_REJECTS)
     def test_rejected_time_names_its_line(self, tmp_path, text):

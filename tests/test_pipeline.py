@@ -1,3 +1,4 @@
+import io
 import logging
 import math
 import multiprocessing
@@ -34,6 +35,7 @@ from specdist.pipeline import (
     entropy_sweep,
     read_metrics_csv,
     write_metrics_csv,
+    write_sweep_csv,
 )
 from specdist.simulator import SimConfig, run_simulation, run_simulations
 from specdist.spectra import SignalPanel
@@ -183,6 +185,29 @@ class TestAnalyze:
             AnalysisConfig(width=8, stride=0)
         result = analyze(noise_panel(length=10), AnalysisConfig(width=4, stride=2))
         assert result.timestamps.tolist() == [0.0, 120.0, 240.0, 360.0]
+
+    def test_config_holds_the_resolved_stride_and_plain_numbers(self):
+        assert AnalysisConfig().stride == 64
+        assert AnalysisConfig(width=100).provenance()["stride"] == "50"
+        # `replace` carries the resolved stride over; it is not re-derived.
+        assert replace(AnalysisConfig(), width=256).stride == 64
+        cfg = AnalysisConfig(width=np.int64(32), stride=np.int32(8), kl_floor=np.float64(1e-9))
+        assert (type(cfg.width), type(cfg.stride), type(cfg.kl_floor)) == (int, int, float)
+        assert cfg.provenance()["floor"] == "1e-09"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(stride=True), "stride must be an integer, got True"),
+            (dict(width=128.0), "width must be an integer, got 128.0"),
+            (dict(width=True), "width must be an integer, got True"),
+            (dict(stride=2.5), "stride must be an integer, got 2.5"),
+            (dict(width=3), "width must be at least 4, got 3"),
+        ],
+    )
+    def test_window_counts_follow_the_integer_rule(self, change, message):
+        with pytest.raises(InvalidWindowError, match=f"^{re.escape(message)}$"):
+            AnalysisConfig(**change)
 
     def test_unknown_transform_is_config_error(self):
         with pytest.raises(ConfigurationError, match="transform must be one of .* got 'bogus'"):
@@ -765,6 +790,16 @@ class TestEntropySweep:
             assert width == pytest.approx(math.exp(h), rel=1e-12)
             assert len(point.per_seed) == 2
             assert point.mean_js == pytest.approx(float(np.mean(point.per_seed)))
+
+    def test_numpy_center_gives_a_table_of_plain_numbers(self):
+        base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=0)
+        analysis = AnalysisConfig(width=32, stride=32)
+        points = entropy_sweep([-1.0], base, analysis, seeds=1, center=np.float64(2.0))
+        assert points == entropy_sweep([-1.0], base, analysis, seeds=1, center=2.0)
+        assert list(map(type, points[0].a_range)) == [float, float]
+        out = io.StringIO()
+        write_sweep_csv(points, out)
+        assert "np." not in out.getvalue()
 
     def test_pool_computes_what_each_run_computes_alone(self, monkeypatch):
         base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=5)

@@ -1,9 +1,10 @@
+import re
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import attitude_simulation, scalar_simulation
@@ -577,6 +578,82 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="bad value"):
             load_sim_config(path)
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("seed 7", "line 2: expected `key = value`"),
+            ("a_range = 1.5", "line 2: bad value for a_range: expected two numbers"),
+            ("resample_params = yes", "line 2: bad value for resample_params: expected true/false"),
+        ],
+    )
+    def test_unreadable_line_is_named(self, tmp_path, line, reason):
+        path = tmp_path / "sim.cfg"
+        path.write_text(f"horizon = 100\n{line}\n")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{path}: {reason}')}"):
+            load_sim_config(path)
+
+    @given(
+        counts=st.tuples(*(st.integers(low, 10**6) for low in (1, 1, 2, 1, 0)), st.integers(0, 2**63 - 1)),
+        gamma=st.floats(1e-12, 1e-3),
+        sigmas=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        ranges=st.tuples(*(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=2, unique=True) for _ in range(3))),
+        dt=st.floats(1e-3, 1e3),
+        resample=st.booleans(),
+        int_type=st.sampled_from([int, np.int64, np.int32, np.uint32]),
+        float_type=st.sampled_from([float, np.float64, np.float32, int]),
+        as_list=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_config_reloads_from_its_provenance(
+        self, tmp_path_factory, counts, gamma, sigmas, ranges, dt, resample, int_type, float_type, as_list
+    ):
+        """Whatever number types and sequence a config was given as, it holds
+        plain ints, floats and pairs of floats, and its provenance lines,
+        written as a config file, load back as the same config."""
+
+        def number(x):
+            return float_type(round(x) if float_type is int else x)
+
+        def pair(xs, sign=1.0):
+            lo, hi = sorted(number(sign * x) for x in xs)
+            return [lo, hi] if as_list else (lo, hi)
+
+        n_agents, n_commodities, horizon, ma_span, warmup, seed = counts
+        try:
+            cfg = SimConfig(
+                n_agents=int_type(min(n_agents, 2**31 - 1)), n_commodities=int_type(n_commodities),
+                horizon=int_type(horizon), ma_span=int_type(ma_span), warmup=int_type(warmup),
+                seed=np.uint64(seed) if int_type is np.uint32 else int_type(seed % 2**31),
+                gamma=number(gamma), sigma_xi=number(sigmas[0]), sigma_s=number(sigmas[1]),
+                theta_buy_range=pair(ranges[0]), theta_sell_range=pair(ranges[1], -1.0),
+                a_range=pair(ranges[2]), dt=number(dt), resample_params=np.bool_(resample),
+            )
+        except ConfigurationError:
+            assume(False)  # rounding to an int collapsed a range or zeroed gamma
+        for f in fields(SimConfig):
+            value = getattr(cfg, f.name)
+            assert type(value) is type(f.default), f.name
+            assert not isinstance(value, tuple) or list(map(type, value)) == [float, float], f.name
+        path = tmp_path_factory.mktemp("cfg") / "sim.cfg"
+        path.write_text("".join(f"{key} = {text}\n" for key, text in cfg.provenance().items()))
+        assert load_sim_config(path) == cfg
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(seed=True), "seed must be an integer, got True"),
+            (dict(warmup=False), "warmup must be an integer, got False"),
+            (dict(sigma_xi=-0.1), "noise scales must be nonnegative"),
+            (dict(sigma_s=-1e-9), "noise scales must be nonnegative"),
+            (dict(dt=0.0), "model tick must be positive, got 0.0"),
+            (dict(gamma="2e-7"), "gamma must be a finite number, got '2e-7'"),
+            (dict(a_range=(1.0, np.nan)), "a_range must be finite numbers, got (1.0, nan)"),
+        ],
+    )
+    def test_refused_values_name_their_field(self, change, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            SimConfig(**change)
+
     def test_config_invariants(self):
         with pytest.raises(ConfigurationError):
             SimConfig(theta_buy_range=(-0.01, 0.02))
@@ -590,14 +667,15 @@ class TestConfigFile:
     @pytest.mark.parametrize("seed", [-1, 1.5, 2.0])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         # numpy would refuse it only when the run draws its first number.
-        with pytest.raises(ConfigurationError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+        need = "at least 0" if seed == -1 else "an integer"
+        with pytest.raises(ConfigurationError, match=f"^seed must be {need}, got {seed!r}$"):
             SimConfig(seed=seed)
         assert SimConfig(seed=np.int64(3)).seed == 3
 
     def test_negative_seed_line_rejected(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text("seed = -1\n")
-        with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer, got -1"):
+        with pytest.raises(ConfigurationError, match="seed must be at least 0, got -1"):
             load_sim_config(path)
 
     @pytest.mark.parametrize("value", [2.0, True])

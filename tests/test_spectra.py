@@ -225,6 +225,15 @@ class TestPanelValidation:
         with pytest.raises(ValueError, match=r"at least one channel and two samples, got \(2, 0\)"):
             SignalPanel(np.empty((2, 0)), ("a", "b"), 1.0)
 
+    def test_rejects_values_that_are_not_2d(self):
+        with pytest.raises(ValueError, match="panel values must be 2-D .* got ndim=3"):
+            SignalPanel(np.ones((2, 3, 4)), ("a", "b"), 1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan])
+    def test_rejects_a_sampling_period_that_is_not_positive(self, dt):
+        with pytest.raises(ValueError, match="sampling period must be positive"):
+            SignalPanel(np.ones((2, 4)), ("a", "b"), dt)
+
     def test_values_are_a_c_order_float_copy(self):
         values = np.asfortranarray(np.arange(12).reshape(3, 4))
         panel = SignalPanel(values, ("a", "b", "c"), 1.0)
