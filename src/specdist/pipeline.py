@@ -52,7 +52,7 @@ from .ingest import (
     parse_rfc3339,
     transform_panel,
 )
-from .simulator import SimConfig, check_counts, run_simulations
+from .simulator import SimConfig, check_counts, finite_real, run_simulations
 from .spectra import (
     SignalPanel,
     bin_frequencies,
@@ -97,9 +97,9 @@ class AnalysisConfig:
         # From 1/(N-1), the mean probability over the N-1 bins, the floor lifts
         # every below-average bin to the mean or above: KL then measures the
         # floor, not the spectra (from 1 on, every spectrum is flat).
-        if not (0 <= self.kl_floor < 1 / (self.width - 1)):
+        if not (finite_real(self.kl_floor) and 0 <= self.kl_floor < 1 / (self.width - 1)):
             raise ConfigurationError(
-                f"KL floor must be in [0, 1/(width-1)) = [0, {1 / (self.width - 1)!r}), "
+                f"KL floor must be a number in [0, 1/(width-1)) = [0, {1 / (self.width - 1)!r}), "
                 f"got {self.kl_floor!r}"
             )
         object.__setattr__(self, "kl_floor", float(self.kl_floor))
@@ -427,14 +427,14 @@ def entropy_sweep(
     time-averaged JS is averaged over seeds.
 
     The runs of one seed differ only in their sensitivity range, so they
-    consume the same random stream: a contiguous slice of one seed's H_a
-    values is one task, simulated in lockstep on one set of draws
-    (`run_simulations`).  With C CPUs, each seed is cut into
-    min(len(h_a_values), C // gcd(seeds, C)) slices, so the tasks fill the
-    workers evenly.  The tasks go to a pool of forked worker processes;
-    each run's panels are those of its seed alone, so the points do not
-    depend on the number of workers.  A failure raises the error of the
-    first failed run in (seed, H_a) order.
+    consume the same random stream: a task is one seed's config and the
+    ranges of a contiguous slice of the H_a values, simulated in lockstep
+    on one set of draws (`run_simulations`).  With C CPUs, each seed is
+    cut into min(len(h_a_values), C // gcd(seeds, C)) slices, so the tasks
+    fill the workers evenly.  The tasks go to a pool of forked worker
+    processes; each run's panels are those of its seed alone, so the
+    points do not depend on the number of workers.  A failure raises the
+    error of the first failed run in (seed, H_a) order.
     """
     # Checked before the stand-in: the slicing below needs an integer count.
     if not isinstance(seeds, Integral) or seeds < 1:
@@ -444,7 +444,7 @@ def entropy_sweep(
     # checked before the first (slow) simulation starts.
     stand_in = SignalPanel(np.ones((base.n_commodities, base.horizon)), base.labels, base.dt)
     _prepared(stand_in, analysis if analysis is not None else AnalysisConfig())
-    sweep: list[tuple[float, SimConfig]] = []
+    sweep: list[tuple[float, tuple[float, float]]] = []
     for h_a in h_a_values:
         try:
             half = 0.5 * math.exp(h_a)
@@ -454,7 +454,7 @@ def entropy_sweep(
         if not 0 < a_range[0] < a_range[1] < math.inf:
             need = "must not touch zero" if -math.inf < a_range[0] <= 0 else "must be finite with 0 < a1 < a2"
             raise ConfigurationError(f"H_a={h_a!r} gives the range {a_range!r}, which {need} (center {mid!r})")
-        sweep.append((h_a, replace(base, a_range=a_range)))
+        sweep.append((h_a, replace(base, a_range=a_range).a_range))
     if not sweep:
         return []
     # Imported here: at the top they would add their import time to every
@@ -465,7 +465,7 @@ def entropy_sweep(
     cpus = len(os.sched_getaffinity(0))
     slices = min(len(sweep), cpus // math.gcd(seeds, cpus))
     bounds = [len(sweep) * p // slices for p in range(slices + 1)]
-    groups = [[(h_a, replace(swept, seed=base.seed + k)) for h_a, swept in sweep[lo:hi]]
+    groups = [(replace(base, seed=base.seed + k), sweep[lo:hi])
               for k in range(seeds) for lo, hi in zip(bounds, bounds[1:])]
     # One worker per CPU this process may use, capped at the tasks.  Forked
     # workers inherit the imported modules instead of importing numpy
@@ -474,19 +474,20 @@ def entropy_sweep(
     # handed to the workers.
     pool = ProcessPoolExecutor(min(len(groups), cpus), mp_context=multiprocessing.get_context("fork"))
     try:
-        means = [js for part in pool.map(_sweep_group, groups, [analysis] * len(groups)) for js in part]
+        means = [js for part in pool.map(_sweep_group, *zip(*groups), [analysis] * len(groups)) for js in part]
     finally:
         pool.shutdown(cancel_futures=True)
     per_seed = np.reshape(means, (seeds, len(sweep))).T
-    return [SweepPoint(float(h_a), swept.a_range, float(np.mean(js)), tuple(js.tolist()))
-            for (h_a, swept), js in zip(sweep, per_seed)]
+    return [SweepPoint(float(h_a), a_range, float(np.mean(js)), tuple(js.tolist()))
+            for (h_a, a_range), js in zip(sweep, per_seed)]
 
 
-def _sweep_group(group: list[tuple[float, SimConfig]], analysis: AnalysisConfig | None) -> list[float]:
-    """Time-averaged JS of each activity panel of one lockstep group, in
-    order (a pool task); the first run without a scored window fails it."""
+def _sweep_group(cfg: SimConfig, runs, analysis: AnalysisConfig | None) -> list[float]:
+    """Time-averaged JS of the activity panel of `cfg` at each (H_a, a_range)
+    of `runs`, one lockstep group, in order (a pool task); the first run
+    without a scored window fails it."""
     means = []
-    for (h_a, cfg), (_, activity) in zip(group, run_simulations([cfg for _, cfg in group])):
+    for (h_a, _), (_, activity) in zip(runs, run_simulations(cfg, [a_range for _, a_range in runs])):
         result = analyze(activity, analysis)
         if result.js.size == 0:
             raise AnalysisError(f"no usable windows at H_a={h_a!r} seed={cfg.seed}")

@@ -10,15 +10,15 @@ the scaled signal reaches each threshold.  Buyers minus sellers move log
 rates, buyers plus sellers are the quotation activity.  Runs are
 deterministic given the seed: parameter draws, then per-step noise
 draws, always in the same order, made by `draw_steps` on a second thread
-one block ahead of the steps.  Runs whose configs differ only in the
-sensitivity range consume the same stream, so `run_simulations` steps them
+one block ahead of the steps.  The runs of one config at several
+sensitivity ranges consume the same stream, so `run_simulations` steps them
 as one group along a member axis; `run_simulation` is a group of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -51,6 +51,11 @@ def check_counts(cfg, least, error) -> None:
         if value < low:
             raise error(f"{name} must be at least {low}, got {value}")
         object.__setattr__(cfg, name, int(value))
+
+
+def finite_real(value) -> bool:
+    """Whether `value` is a finite real number (a `Real`, numpy's too), not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -88,9 +93,13 @@ class SimConfig:
             value, kind = getattr(self, f.name), type(f.default)
             if kind in (float, tuple):
                 numbers = tuple(value) if kind is tuple else (value,)
-                if not all(isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x) for x in numbers):
+                if kind is tuple and len(numbers) != 2:
+                    fail(f"{f.name} must be two numbers, lo and hi, got {value!r}")
+                if not all(map(finite_real, numbers)):
                     fail(f"{f.name} must be {'finite numbers' if kind is tuple else 'a finite number'}, got {value!r}")
                 object.__setattr__(self, f.name, tuple(map(float, numbers)) if kind is tuple else float(value))
+        if not isinstance(self.resample_params, (bool, np.bool_)):
+            fail(f"resample_params must be true or false, got {self.resample_params!r}")
         object.__setattr__(self, "resample_params", bool(self.resample_params))
         # numpy refuses a float or bool count, and a negative seed, only mid-run.
         check_counts(self, (("n_agents", 1), ("n_commodities", 1), ("horizon", 2), ("ma_span", 1),
@@ -123,27 +132,24 @@ class SimConfig:
         return text
 
 
-def init_population(cfgs, rng: np.random.Generator):
-    """Sample (theta_buy, theta_sell, sensitivity, attention) for a lockstep group of R configs.
+def init_population(cfg: SimConfig, a_ranges, rng: np.random.Generator):
+    """Sample (theta_buy, theta_sell, sensitivity, attention) for `cfg` at each of R sensitivity ranges.
 
-    Thresholds and sensitivities are i.i.d. uniform over the configured
-    ranges, drawn as (N, M) in that order, so the same seed gives the same
-    bits, and kept as C-order (M, N) rows.  The thresholds are shared; each
-    config draws its sensitivities into one (R, M, N) array from the same
-    stream position, which a draw of any range advances alike, so `rng`
-    ends where one config's draw leaves it.  `attention` is
-    1/(theta_sell^2 + theta_buy^2); it stays (N, M), as a transposed matvec
-    operand would change BLAS's summation order and so the panels' last bits.
+    One (3, N, M) draw of unit uniforms u gives the buy thresholds, the sell
+    thresholds and the sensitivities, each `lo + (hi - lo) * u` over its
+    range: the bits, and the stream position after, of three (N, M)
+    `rng.uniform` draws in that order.  The thresholds are kept as C-order
+    (M, N) rows and the sensitivities as one (R, M, N) array, every range
+    mapping the same u.  `attention` is 1/(theta_sell^2 + theta_buy^2); it
+    stays (N, M), as a transposed matvec operand would change BLAS's
+    summation order and so the panels' last bits.
     """
-    cfg = cfgs[0]
-    shape = (cfg.n_agents, cfg.n_commodities)
-    theta_buy = rng.uniform(*cfg.theta_buy_range, shape)
-    theta_sell = rng.uniform(*cfg.theta_sell_range, shape)
-    start = rng.bit_generator.state
-    sensitivity = np.empty((len(cfgs), cfg.n_commodities, cfg.n_agents))
-    for member, one in zip(sensitivity, cfgs):
-        rng.bit_generator.state = start
-        member[:] = rng.uniform(*one.a_range, shape).T
+    u = rng.random((3, cfg.n_agents, cfg.n_commodities))
+    (buy_lo, buy_hi), (sell_lo, sell_hi) = cfg.theta_buy_range, cfg.theta_sell_range
+    theta_buy = buy_lo + (buy_hi - buy_lo) * u[0]
+    theta_sell = sell_lo + (sell_hi - sell_lo) * u[1]
+    lo, hi = np.array(a_ranges).T[..., None, None]
+    sensitivity = lo + (hi - lo) * np.ascontiguousarray(u[2].T)
     attention = 1.0 / (theta_sell**2 + theta_buy**2)
     return theta_buy.T.copy(), theta_sell.T.copy(), sensitivity, attention
 
@@ -235,7 +241,7 @@ def step_market(params, history: np.ndarray, s: np.ndarray, xi: np.ndarray, work
     return buyers, sellers
 
 
-def draw_steps(cfgs, rng: np.random.Generator, noise: np.ndarray) -> list:
+def draw_steps(cfg: SimConfig, a_ranges, rng: np.random.Generator, noise: np.ndarray) -> list:
     """Make every random draw of `len(noise)` steps of a lockstep group, in the seed's order.
 
     Per step: the group's fresh parameters (`init_population`) when
@@ -246,11 +252,10 @@ def draw_steps(cfgs, rng: np.random.Generator, noise: np.ndarray) -> list:
     `normal(0, sigma)`'s values up to the sign of a zero, which no
     threshold comparison can tell apart.
     """
-    cfg = cfgs[0]
     fresh = []
     if cfg.resample_params:
         for one in noise:
-            fresh.append(init_population(cfgs, rng))
+            fresh.append(init_population(cfg, a_ranges, rng))
             rng.standard_normal(out=one)
     else:
         rng.standard_normal(out=noise)
@@ -264,33 +269,27 @@ def run_simulation(cfg: SimConfig) -> tuple[SignalPanel, SignalPanel]:
     Rates start at 1 and grow each step by exp(gamma/N * (buyers -
     sellers)); activity is buyers plus sellers per unit time.  The warm-up
     is discarded; both panels share labels, dt, and length `cfg.horizon`.
-    Same seed, same panels, bit for bit.  This is `run_simulations([cfg])[0]`.
+    Same seed, same panels, bit for bit: `run_simulations(cfg, [cfg.a_range])[0]`.
     """
-    return run_simulations([cfg])[0]
+    return run_simulations(cfg, [cfg.a_range])[0]
 
 
-def run_simulations(cfgs) -> list[tuple[SignalPanel, SignalPanel]]:
-    """Run configs that differ only in `a_range` in lockstep; return each one's panels.
+def run_simulations(cfg: SimConfig, a_ranges) -> list[tuple[SignalPanel, SignalPanel]]:
+    """Run `cfg` at each sensitivity range in lockstep; return each range's panels.
 
-    Each member's (rates, activity) are bit for bit `run_simulation`'s of
-    that config alone.  A config that differs from the first in any other
-    field raises ConfigurationError before any draw.  The members share
-    every draw but their sensitivities (`init_population`), and each step
-    runs `step_market` once for the group, along a member axis R.
+    Each range is checked as `cfg.a_range` is, and its (rates, activity)
+    are bit for bit `run_simulation`'s of `cfg` at that range alone.  The
+    members share every draw (`init_population`), and each step runs
+    `step_market` once for the group, along a member axis R.
     """
-    first = cfgs[0]
-    for cfg in cfgs[1:]:
-        differ = [f.name for f in fields(SimConfig)
-                  if f.name != "a_range" and getattr(cfg, f.name) != getattr(first, f.name)]
-        if differ:
-            raise ConfigurationError(f"lockstep runs may differ only in a_range, not in {', '.join(differ)}")
+    a_ranges = [replace(cfg, a_range=a_range).a_range for a_range in a_ranges]
     # The step's buffers are freed on return, before the panels copy the values.
-    rates, activity = _lockstep(cfgs)
-    return [(SignalPanel(rates[r], cfg.labels, cfg.dt), SignalPanel(activity[r], cfg.labels, cfg.dt))
-            for r, cfg in enumerate(cfgs)]
+    rates, activity = _lockstep(cfg, a_ranges)
+    return [(SignalPanel(member_rates, cfg.labels, cfg.dt), SignalPanel(member_activity, cfg.labels, cfg.dt))
+            for member_rates, member_activity in zip(rates, activity)]
 
 
-def _lockstep(cfgs) -> tuple[np.ndarray, np.ndarray]:
+def _lockstep(cfg: SimConfig, a_ranges) -> tuple[np.ndarray, np.ndarray]:
     """The (R, M, horizon) rates and activity of `run_simulations`.
 
     The draws do not depend on the market, so a second thread makes them
@@ -303,41 +302,40 @@ def _lockstep(cfgs) -> tuple[np.ndarray, np.ndarray]:
     # simulate do not pay its import time.
     from concurrent.futures import ThreadPoolExecutor
 
-    first = cfgs[0]
-    rng = np.random.default_rng(first.seed)
-    n, m, members = first.n_agents, first.n_commodities, len(cfgs)
+    rng = np.random.default_rng(cfg.seed)
+    n, m, members = cfg.n_agents, cfg.n_commodities, len(a_ranges)
     levels = np.empty((2, members, m, n))
     work = np.empty((m, n)), np.empty((2, members, m, n), dtype=bool)
-    params = break_even_levels(init_population(cfgs, rng), levels)
-    steps = first.warmup + first.horizon
+    params = break_even_levels(init_population(cfg, a_ranges, rng), levels)
+    steps = cfg.warmup + cfg.horizon
     # A resampled step draws two thresholds, their attention and R sensitivities, each (N, M).
-    step_bytes = 8 * (2 * n + ((3 + members) * n * m if first.resample_params else 0))
+    step_bytes = 8 * (2 * n + ((3 + members) * n * m if cfg.resample_params else 0))
     block = min(steps, max(1, READ_AHEAD_BYTES // step_bytes))
     buffers = [np.empty((block, 2, n)) for _ in range(2)]
     rate = np.ones((members, m))
-    history = np.zeros((members, first.ma_span, m))
-    rates = np.empty((members, m, first.horizon))
-    activity = np.empty((members, m, first.horizon))
+    history = np.zeros((members, cfg.ma_span, m))
+    rates = np.empty((members, m, cfg.horizon))
+    activity = np.empty((members, m, cfg.horizon))
     # Leaving the `with` joins the thread, also when a draw raised: a
     # forked sweep worker must not inherit it, nor a caller find it alive.
     with ThreadPoolExecutor(1) as drawer:
-        ahead = drawer.submit(draw_steps, cfgs, rng, buffers[0])
+        ahead = drawer.submit(draw_steps, cfg, a_ranges, rng, buffers[0])
         for b, start in enumerate(range(0, steps, block)):
             fresh = ahead.result()
             if start + block < steps:
-                ahead = drawer.submit(draw_steps, cfgs, rng, buffers[(b + 1) % 2][: steps - start - block])
+                ahead = drawer.submit(draw_steps, cfg, a_ranges, rng, buffers[(b + 1) % 2][: steps - start - block])
             for j, (s, xi) in enumerate(buffers[b % 2][: steps - start]):
-                i = start + j - first.warmup
+                i = start + j - cfg.warmup
                 if fresh:
                     params = break_even_levels(fresh[j], levels)
                 buyers, sellers = step_market(params, history, s, xi, work)
-                returns = (first.gamma / n) * (buyers - sellers)
+                returns = (cfg.gamma / n) * (buyers - sellers)
                 rate *= np.exp(returns)
                 history[:, 1:] = history[:, :-1]
                 history[:, 0] = returns
                 if i >= 0:
                     rates[..., i] = rate
-                    activity[..., i] = (buyers + sellers) / first.dt
+                    activity[..., i] = (buyers + sellers) / cfg.dt
     return rates, activity
 
 

@@ -736,7 +736,7 @@ class TestSweepCommand:
             assert [str(w.message) for w in caught] == [] and len(err.splitlines()) == 1
 
     def test_negative_seed_is_config_error_before_the_table_opens(self, tmp_path, capsys, monkeypatch):
-        def no_simulation(cfgs):
+        def no_simulation(cfg, a_ranges):
             raise AssertionError("simulated a run numpy cannot seed")
 
         monkeypatch.setattr(pipeline, "run_simulations", no_simulation)
@@ -755,7 +755,7 @@ class TestSweepCommand:
         assert "--ha needs at least one value" in capsys.readouterr().err
 
     def test_missing_directory_is_io_error_before_simulating(self, tmp_path, capsys, monkeypatch):
-        def no_simulation(cfgs):
+        def no_simulation(cfg, a_ranges):
             raise AssertionError("simulated for a table that cannot be written")
 
         monkeypatch.setattr(pipeline, "run_simulations", no_simulation)
@@ -772,7 +772,7 @@ class TestSweepCommand:
         ids=["window", "channels"],
     )
     def test_panel_the_analysis_refuses_is_refused_before_simulating(self, capsys, monkeypatch, argv, message):
-        def no_simulation(cfgs):
+        def no_simulation(cfg, a_ranges):
             raise AssertionError("simulated a panel the analysis cannot score")
 
         monkeypatch.setattr(pipeline, "run_simulations", no_simulation)

@@ -195,6 +195,11 @@ class TestAnalyze:
         assert (type(cfg.width), type(cfg.stride), type(cfg.kl_floor)) == (int, int, float)
         assert cfg.provenance()["floor"] == "1e-09"
 
+    @pytest.mark.parametrize("floor", ["0", None])
+    def test_kl_floor_must_be_a_number(self, floor):
+        with pytest.raises(ConfigurationError, match=f"^KL floor must be a number in .*, got {re.escape(repr(floor))}$"):
+            AnalysisConfig(kl_floor=floor)
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -825,10 +830,10 @@ class TestEntropySweep:
     def test_points_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, seeds, sizes_by_cpus):
         groups = tmp_path / "groups"
 
-        def simulate(cfgs):
+        def simulate(cfg, a_ranges):
             with open(groups, "a") as fh:
-                fh.write(f"{cfgs[0].seed}:{len(cfgs)}\n")
-            return run_simulations(cfgs)
+                fh.write(f"{cfg.seed}:{len(a_ranges)}\n")
+            return run_simulations(cfg, a_ranges)
 
         monkeypatch.setattr(pipeline, "run_simulations", simulate)
         base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=5)
@@ -853,9 +858,9 @@ class TestEntropySweep:
         # the second group fails first in time.
         pause = {0: 0.5, 1: 0.0}
 
-        def simulate(cfgs):
-            panels = run_simulations(cfgs)
-            time.sleep(pause[cfgs[0].seed])
+        def simulate(cfg, a_ranges):
+            panels = run_simulations(cfg, a_ranges)
+            time.sleep(pause[cfg.seed])
             # Constant panels: every window is skipped, none scores.
             return [(rates, SignalPanel(np.ones(activity.values.shape), activity.labels, activity.dt))
                     for rates, activity in panels]
@@ -873,10 +878,10 @@ class TestEntropySweep:
         # first in H_a order would be the second of them.
         silent = {(0.0, 0), (-1.0, 1)}
 
-        def simulate(cfgs):
+        def simulate(cfg, a_ranges):
             return [(rates, SignalPanel(np.ones(activity.values.shape), activity.labels, activity.dt))
-                    if (round(math.log(cfg.a_range[1] - cfg.a_range[0]), 9), cfg.seed) in silent else (rates, activity)
-                    for cfg, (rates, activity) in zip(cfgs, run_simulations(cfgs))]
+                    if (round(math.log(a_range[1] - a_range[0]), 9), cfg.seed) in silent else (rates, activity)
+                    for a_range, (rates, activity) in zip(a_ranges, run_simulations(cfg, a_ranges))]
 
         monkeypatch.setattr(pipeline, "run_simulations", simulate)
         base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=0)
@@ -892,13 +897,13 @@ class TestEntropySweep:
     def test_failed_run_cancels_the_pending_runs(self, tmp_path, monkeypatch):
         started = tmp_path / "started"
 
-        def simulate(cfgs):
+        def simulate(cfg, a_ranges):
             with open(started, "a") as fh:
-                fh.write(f"{cfgs[0].seed}\n")
-            if cfgs[0].seed == 0:
+                fh.write(f"{cfg.seed}\n")
+            if cfg.seed == 0:
                 raise AnalysisError("the first run fails")
             time.sleep(0.3)
-            return run_simulations(cfgs)
+            return run_simulations(cfg, a_ranges)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(pipeline, "run_simulations", simulate)
@@ -912,7 +917,7 @@ class TestEntropySweep:
 
     @pytest.mark.parametrize("seeds", [0, -1, 2.0, 1.5])
     def test_seeds_must_be_a_positive_integer(self, monkeypatch, seeds):
-        def no_simulation(cfgs):
+        def no_simulation(cfg, a_ranges):
             raise AssertionError("simulated with a count of seeds that is not a positive integer")
 
         monkeypatch.setattr(pipeline, "run_simulations", no_simulation)
@@ -922,7 +927,7 @@ class TestEntropySweep:
         assert multiprocessing.active_children() == []
 
     def test_range_touching_zero_rejected(self, monkeypatch):
-        def no_simulation(cfgs):
+        def no_simulation(cfg, a_ranges):
             raise AssertionError("simulated before every H_a was checked")
 
         monkeypatch.setattr(pipeline, "run_simulations", no_simulation)

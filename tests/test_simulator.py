@@ -28,9 +28,10 @@ def levels_of(population):
     return break_even_levels(population, np.empty((2, *population[2].shape)))
 
 
-def drawn_population(cfgs):
-    """init_population of a group, from a fresh generator at the first config's seed."""
-    return init_population(cfgs, np.random.default_rng(cfgs[0].seed))
+def drawn_population(cfg, a_ranges=None):
+    """init_population of `cfg` at `a_ranges` (default: its own range), from a
+    fresh generator at its seed."""
+    return init_population(cfg, a_ranges or [cfg.a_range], np.random.default_rng(cfg.seed))
 
 
 def manual_params(theta_buy, theta_sell, sensitivity):
@@ -67,10 +68,20 @@ def drawn_step(params, history, cfg, rng):
     return step(params, history, s, xi)
 
 
+# Sensitivities and threshold sizes as SimConfig accepts them: any positive
+# finite double up to 1.7e308, subnormals included.
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+# A range SimConfig accepts for the buy thresholds and the sensitivities:
+# two positive finite doubles, lo < hi; negated, for the sell thresholds.
+POSITIVE_RANGE = st.lists(POSITIVE, min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
+
+
 class TestInitPopulation:
     def test_support_bounds(self):
         cfg = SimConfig(n_agents=200, n_commodities=5, seed=1)
-        theta_buy, theta_sell, sensitivity, attention = drawn_population([cfg])
+        theta_buy, theta_sell, sensitivity, attention = drawn_population(cfg)
         for rows in (theta_buy, theta_sell, sensitivity[0]):
             assert rows.shape == (5, 200) and rows.flags.c_contiguous  # one row per commodity
         assert sensitivity.shape == (1, 5, 200) and sensitivity.flags.c_contiguous
@@ -83,13 +94,13 @@ class TestInitPopulation:
 
     def test_degenerate_width_collapses_sensitivity(self):
         cfg = SimConfig(n_agents=50, n_commodities=2, a_range=(1.0, 1.0 + 1e-9), seed=0)
-        sensitivity = drawn_population([cfg])[2]
+        sensitivity = drawn_population(cfg)[2]
         assert sensitivity.shape == (1, 2, 50)
         assert np.allclose(sensitivity, 1.0, atol=2e-9)
 
     def test_same_seed_bit_identical(self):
         cfg = SimConfig(n_agents=100, n_commodities=4, seed=77)
-        for one, two in zip(drawn_population([cfg]), drawn_population([cfg])):
+        for one, two in zip(drawn_population(cfg), drawn_population(cfg)):
             assert np.array_equal(one, two)
 
     def test_invalid_range_rejected(self):
@@ -97,16 +108,16 @@ class TestInitPopulation:
             SimConfig(a_range=(2.0, 1.0))
 
     def test_group_shares_thresholds_and_draws_each_range_alone(self):
-        cfgs = [SimConfig(n_agents=30, n_commodities=4, seed=8, a_range=a_range)
-                for a_range in [(1.0, 3.0), (5e-324, 1e-300), (0.5, 6.0)]]
+        cfg = SimConfig(n_agents=30, n_commodities=4, seed=8)
+        a_ranges = [(1.0, 3.0), (5e-324, 1e-300), (0.5, 6.0)]
         rng = np.random.default_rng(8)
-        theta_buy, theta_sell, sensitivity, attention = init_population(cfgs, rng)
+        theta_buy, theta_sell, sensitivity, attention = init_population(cfg, a_ranges, rng)
         assert sensitivity.shape == (3, 4, 30) and sensitivity.flags.c_contiguous
-        for cfg, member in zip(cfgs, sensitivity, strict=True):
+        for a_range, member in zip(a_ranges, sensitivity, strict=True):
             alone = np.random.default_rng(8)
             alone_buy = alone.uniform(*cfg.theta_buy_range, (30, 4))
             alone_sell = alone.uniform(*cfg.theta_sell_range, (30, 4))
-            assert member.tobytes() == alone.uniform(*cfg.a_range, (30, 4)).T.tobytes()
+            assert member.tobytes() == alone.uniform(*a_range, (30, 4)).T.tobytes()
             # One shared draw of the thresholds and their attention.
             assert theta_buy.tobytes() == alone_buy.T.tobytes()
             assert theta_sell.tobytes() == alone_sell.T.tobytes()
@@ -115,10 +126,31 @@ class TestInitPopulation:
             assert rng.bit_generator.state == alone.bit_generator.state
         assert (theta_buy.shape, theta_sell.shape, attention.shape) == ((4, 30), (4, 30), (30, 4))
 
-
-# Sensitivities and threshold sizes as SimConfig accepts them: any positive
-# finite double up to 1.7e308, subnormals included.
-POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
+    @settings(max_examples=200, deadline=None)
+    @given(buy=POSITIVE_RANGE, sell=POSITIVE_RANGE, a_ranges=st.lists(POSITIVE_RANGE, min_size=1, max_size=4),
+           n_agents=st.integers(1, 7), n_commodities=st.integers(1, 4), seed=st.integers(0, 2**64 - 1))
+    # Subnormal ranges, and a width of one ulp.
+    @example(buy=(5e-324, 1e-323), sell=(5e-324, 2e-323), a_ranges=[(5e-324, 1e-323), (1.0, 1.0000000000000002)],
+             n_agents=5, n_commodities=3, seed=0)
+    def test_one_unit_draw_is_three_uniform_draws(self, buy, sell, a_ranges, n_agents, n_commodities, seed):
+        """Each affine map of the one (3, N, M) unit draw has the bits of its
+        `rng.uniform` draw, and the generator ends where three such draws
+        leave it.  A numpy that fused `lo + (hi - lo) * u` into one rounding
+        would fail here rather than change the seed's bits unnoticed."""
+        cfg = SimConfig(n_agents=n_agents, n_commodities=n_commodities, theta_buy_range=buy,
+                        theta_sell_range=(-sell[1], -sell[0]), seed=seed)
+        shape = (n_agents, n_commodities)
+        rng = np.random.default_rng(seed)
+        # Thresholds whose squares underflow or overflow give an infinite or
+        # zero attention: a matter of the model, not of the draws tested here.
+        with np.errstate(divide="ignore", over="ignore"):
+            theta_buy, theta_sell, sensitivity, _ = init_population(cfg, a_ranges, rng)
+        for a_range, member in zip(a_ranges, sensitivity, strict=True):
+            alone = np.random.default_rng(seed)
+            assert theta_buy.tobytes() == alone.uniform(*cfg.theta_buy_range, shape).T.tobytes()
+            assert theta_sell.tobytes() == alone.uniform(*cfg.theta_sell_range, shape).T.tobytes()
+            assert member.tobytes() == alone.uniform(*a_range, shape).T.tobytes()
+            assert rng.bit_generator.state == alone.bit_generator.state
 
 
 class TestBreakEven:
@@ -159,9 +191,9 @@ class TestBreakEven:
     def test_member_stack_equals_separate_calls(self):
         # Broadcast thresholds against three members' sensitivities, the
         # extreme ranges among them, and each member's levels alone.
-        cfgs = [SimConfig(n_agents=200, n_commodities=6, seed=13, a_range=a_range)
-                for a_range in [(1e-3, 1e300), (5e-324, 1e-300), (1.0, 3.0)]]
-        theta_buy, theta_sell, sensitivity, attention = drawn_population(cfgs)
+        cfg = SimConfig(n_agents=200, n_commodities=6, seed=13)
+        theta_buy, theta_sell, sensitivity, attention = drawn_population(
+            cfg, [(1e-3, 1e300), (5e-324, 1e-300), (1.0, 3.0)])
         buy_at, sell_at, shared = levels_of((theta_buy, theta_sell, sensitivity, attention))
         assert shared is attention
         for r, member in enumerate(sensitivity):
@@ -192,7 +224,7 @@ class TestPerceive:
 
     def test_matches_scalar_loop(self):
         cfg = SimConfig(n_agents=7, n_commodities=3, ma_span=4, seed=5)
-        population = drawn_population([cfg])
+        population = drawn_population(cfg)
         history = np.random.default_rng(6).normal(scale=1e-6, size=(1, 4, 3))
         noise = np.random.default_rng(5)
         s = noise.normal(0.0, cfg.sigma_s, 7)
@@ -256,14 +288,14 @@ class TestStepMarket:
     def test_all_waiting_fixed_point(self):
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
-        params = levels_of(init_population([cfg], rng))
+        params = levels_of(init_population(cfg, [cfg.a_range], rng))
         buyers, sellers = drawn_step(params, np.zeros((1, 1, 3)), cfg, rng)
         assert buyers.tolist() == [[0, 0, 0]] and sellers.tolist() == [[0, 0, 0]]
 
     def test_unanimous_buying_saturates(self):
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
-        params = levels_of(init_population([cfg], rng))
+        params = levels_of(init_population(cfg, [cfg.a_range], rng))
         history = np.full((1, 1, 3), 1.0)  # huge shared return signal
         buyers, sellers = drawn_step(params, history, cfg, rng)
         # Every agent buys every commodity: N buyers, no seller.
@@ -275,7 +307,7 @@ class TestStepMarket:
         for n_agents in (1, 60):
             cfg = SimConfig(n_agents=n_agents, n_commodities=4, seed=9)
             rng = np.random.default_rng(9)
-            params = levels_of(init_population([cfg], rng))
+            params = levels_of(init_population(cfg, [cfg.a_range], rng))
             history = np.zeros((1, 1, 4))
             for _ in range(200):
                 buyers, sellers = drawn_step(params, history, cfg, rng)
@@ -294,7 +326,7 @@ class TestStepMarket:
         cfg = SimConfig(n_agents=50, n_commodities=4, gamma=1e-3, a_range=(2.0, 4.0), seed=21,
                         horizon=10_000, warmup=0)
         rng = np.random.default_rng(21)
-        params = levels_of(init_population([cfg], rng))
+        params = levels_of(init_population(cfg, [cfg.a_range], rng))
         history = np.zeros((1, 1, 4))
         total = np.zeros((1, 4))
         for _ in range(cfg.horizon):
@@ -304,9 +336,8 @@ class TestStepMarket:
         assert np.allclose(rates.values[:, -1], np.exp(total[0]), rtol=1e-9)
 
     def test_group_step_equals_member_steps(self):
-        cfgs = [SimConfig(n_agents=60, n_commodities=4, ma_span=3, seed=14, a_range=a_range)
-                for a_range in LOCKSTEP_A_RANGES]
-        params = levels_of(drawn_population(cfgs))
+        cfg = SimConfig(n_agents=60, n_commodities=4, ma_span=3, seed=14)
+        params = levels_of(drawn_population(cfg, LOCKSTEP_A_RANGES))
         noise = np.random.default_rng(15)
         history = noise.normal(scale=1e-5, size=(3, 3, 4))
         s, xi = noise.normal(0.0, 0.005, (2, 60))
@@ -445,11 +476,11 @@ class TestReadAhead:
         calls = []
         failure = RuntimeError("third parameter draw")
 
-        def third_call_fails(cfg, rng=None):
+        def third_call_fails(cfg, a_ranges, rng):
             calls.append(threading.current_thread())
             if len(calls) == 3:
                 raise failure
-            return real(cfg, rng)
+            return real(cfg, a_ranges, rng)
 
         monkeypatch.setattr(simulator, "init_population", third_call_fails)
         cfg = SimConfig(n_agents=n_agents, n_commodities=n_commodities, horizon=20, warmup=0,
@@ -487,10 +518,10 @@ class TestLockstep:
 
     @pytest.mark.parametrize("case", sorted(LOCKSTEP_GRID))
     def test_members_match_their_runs_alone(self, case):
-        cfgs = [SimConfig(**LOCKSTEP_GRID[case], a_range=a_range) for a_range in LOCKSTEP_A_RANGES]
-        panels = run_simulations(cfgs)
-        for cfg, (rates, activity) in zip(cfgs, panels, strict=True):
-            alone_rates, alone_activity = run_simulation(cfg)
+        cfg = SimConfig(**LOCKSTEP_GRID[case])
+        panels = run_simulations(cfg, LOCKSTEP_A_RANGES)
+        for a_range, (rates, activity) in zip(LOCKSTEP_A_RANGES, panels, strict=True):
+            alone_rates, alone_activity = run_simulation(replace(cfg, a_range=a_range))
             assert rates.values.tobytes() == alone_rates.values.tobytes()
             assert activity.values.tobytes() == alone_activity.values.tobytes()
             assert (rates.labels, rates.dt) == (alone_rates.labels, alone_rates.dt)
@@ -499,46 +530,42 @@ class TestLockstep:
 
     def test_group_of_one_is_run_simulation(self):
         cfg = SimConfig(**ATTITUDE_GRID["defaults"])
-        (rates, activity), = run_simulations([cfg])
+        (rates, activity), = run_simulations(cfg, [cfg.a_range])
         ref_rates, ref_activity = attitude_simulation(cfg)
         assert rates.values.tobytes() == ref_rates.tobytes()
         assert activity.values.tobytes() == ref_activity.tobytes()
 
-    @pytest.mark.parametrize("change, field", [
-        (dict(seed=1), "seed"),
-        (dict(horizon=31), "horizon"),
-        (dict(resample_params=True), "resample_params"),
-        (dict(theta_buy_range=(0.01, 0.03)), "theta_buy_range"),
-        (dict(seed=1, gamma=1e-7), "gamma, seed"),
+    @pytest.mark.parametrize("a_range, message", [
+        ((1, 2, 3), "a_range must be two numbers, lo and hi, got (1, 2, 3)"),
+        ((2.0, 1.0), "sensitivity range needs 0 < a1 < a2, got (2.0, 1.0)"),
+        ((1.0, np.inf), "a_range must be finite numbers, got (1.0, inf)"),
     ])
-    def test_other_differences_refused_before_any_draw(self, monkeypatch, change, field):
+    def test_each_range_is_checked_as_the_configs_before_any_draw(self, monkeypatch, a_range, message):
         def no_draw(*args):
-            raise AssertionError("drew for a group that cannot step together")
+            raise AssertionError("drew for a range the config would refuse")
 
         monkeypatch.setattr(simulator, "init_population", no_draw)
         monkeypatch.setattr(simulator, "draw_steps", no_draw)
         cfg = SimConfig(n_agents=10, n_commodities=2, horizon=30, seed=0)
-        other = replace(cfg, a_range=(0.5, 2.0), **change)
-        with pytest.raises(ConfigurationError, match=f"may differ only in a_range, not in {field}$"):
-            run_simulations([cfg, other])
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            run_simulations(cfg, [(0.5, 2.0), a_range])
 
     def test_failed_draw_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
         real = simulator.init_population
         calls = []
         failure = RuntimeError("the group's second step draw")
 
-        def fails_on_the_draw_thread(cfgs, rng):
+        def fails_on_the_draw_thread(cfg, a_ranges, rng):
             calls.append(threading.current_thread())
             if len(calls) == 3:
                 raise failure
-            return real(cfgs, rng)
+            return real(cfg, a_ranges, rng)
 
         monkeypatch.setattr(simulator, "init_population", fails_on_the_draw_thread)
-        cfgs = [SimConfig(n_agents=50, n_commodities=3, horizon=20, warmup=0, resample_params=True,
-                          a_range=a_range) for a_range in LOCKSTEP_A_RANGES]
+        cfg = SimConfig(n_agents=50, n_commodities=3, horizon=20, warmup=0, resample_params=True)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as caught:
-            run_simulations(cfgs)
+            run_simulations(cfg, LOCKSTEP_A_RANGES)
         assert caught.value is failure
         assert threading.active_count() == before
         # One draw per group: the first on this thread, the failed one on the draw thread.
@@ -648,6 +675,10 @@ class TestConfigFile:
             (dict(dt=0.0), "model tick must be positive, got 0.0"),
             (dict(gamma="2e-7"), "gamma must be a finite number, got '2e-7'"),
             (dict(a_range=(1.0, np.nan)), "a_range must be finite numbers, got (1.0, nan)"),
+            (dict(a_range=(1.0, 2.0, 3.0)), "a_range must be two numbers, lo and hi, got (1.0, 2.0, 3.0)"),
+            (dict(theta_buy_range=(0.01,)), "theta_buy_range must be two numbers, lo and hi, got (0.01,)"),
+            (dict(resample_params="false"), "resample_params must be true or false, got 'false'"),
+            (dict(resample_params=2), "resample_params must be true or false, got 2"),
         ],
     )
     def test_refused_values_name_their_field(self, change, message):
