@@ -118,18 +118,10 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
     names: dict[str, int] = {}
     malformed = 0
     problems: list[str] = []
-    line = reader.line_num
-    while chunk := stream.read(_BLOCK_CHARS):
-        block = _nul_free(chunk + stream.readline())
-        # Only `csv` knows where a quoted field ends.
-        records = None if '"' in block else _split_records(block, line)
-        line, records = records or _csv_records(block, stream, line)
-        for lines, counts, fields in _runs(*records):
-            room = _MAX_REPORTED_PROBLEMS - len(problems)
-            bad, reasons, (stamps, instruments, asks, prices) = _check_records(lines, counts, fields, room)
+    for runs in _checked_blocks(stream, reader.line_num):
+        for bad, reasons, (stamps, present, codes, asks, prices) in runs:
             malformed += bad
-            problems += reasons
-            present, codes = np.unique(instruments, return_inverse=True)
+            problems += reasons[:_MAX_REPORTED_PROBLEMS - len(problems)]
             recode = [names.setdefault(name.replace(_NUL, "\0"), len(names)) for name in present.tolist()]
             parts.append((stamps, np.array(recode, np.intp)[codes], asks, prices))
 
@@ -158,6 +150,11 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
 # line, at a time (about 6,000 rows of a typical file), so memory does not
 # grow with the file's length.
 _BLOCK_CHARS = 1 << 18
+# Most threads that check blocks, however many CPUs the process may use.
+# Each holds a block's records and its check's arrays, a few MB: with a
+# third, a parse of 200,000 rows with one 120,000-character name peaked
+# above 40 MB.
+_MAX_CHECK_THREADS = 2
 # A block's records are checked in runs of consecutive records, each run
 # one record or few enough that every field column, whose cells numpy pads
 # to the widest, holds at most this many characters: one long cell does
@@ -174,6 +171,58 @@ def _nul_free(text: str) -> str:
     if _NUL in text:
         raise FormatError(f"tick text holds {_NUL!r}, which the parser reserves for NUL")
     return text.replace("\0", _NUL)
+
+
+def _checked_blocks(stream: TextIO, line: int):
+    """Yield `_check_block` of each block of whole lines of `stream`, in
+    file order; `line` is the number of the last line read before it.
+
+    This thread reads and splits the blocks: a block with a quote may read
+    on from the stream.  Up to one thread per CPU the process may use, at
+    most `_MAX_CHECK_THREADS`, check them, and at most one block more than
+    the threads is held at once.  With one CPU the blocks are checked here.
+    """
+    blocks = _blocks(stream, line)
+    threads = min(len(os.sched_getaffinity(0)), _MAX_CHECK_THREADS)
+    if threads == 1:
+        yield from map(_check_block, blocks)
+        return
+    # Imported here, not at the top, so that commands which do not parse
+    # ticks do not pay its import time.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(threads)
+    try:
+        pending = []
+        for records in blocks:
+            if len(pending) == threads:
+                yield pending.pop(0).result()
+            pending.append(pool.submit(_check_block, records))
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _blocks(stream: TextIO, line: int):
+    """Yield the arguments of `_runs` for each block of whole lines of `stream`."""
+    while chunk := stream.read(_BLOCK_CHARS):
+        block = _nul_free(chunk + stream.readline())
+        # Only `csv` knows where a quoted field ends.
+        records = None if '"' in block else _split_records(block, line)
+        line, records = records or _csv_records(block, stream, line)
+        yield records
+
+
+def _check_block(records) -> list:
+    """`_check_records` of each run of a block's records, with the good
+    records' instrument names as (the distinct names, each one's code)."""
+    checked = []
+    for run in _runs(*records):
+        bad, reasons, (stamps, instruments, asks, prices) = _check_records(*run)
+        present, codes = np.unique(instruments, return_inverse=True)
+        checked.append((bad, reasons, (stamps, present, codes, asks, prices)))
+    return checked
 
 
 def _split_records(block: str, line: int):
@@ -210,7 +259,7 @@ def _cells(chars: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     `chars` runs on for at least the widest cell past its last bound."""
     size = hi - lo
     width = max(int(size.max(initial=0)), 1)
-    cells = chars[lo[:, None] + np.arange(width)]
+    cells = np.lib.stride_tricks.sliding_window_view(chars, width)[lo]
     cells *= np.arange(width) < size[:, None]
     return cells.view(f"U{width}")[:, 0]
 
@@ -257,12 +306,13 @@ def _runs(lines: np.ndarray, counts: np.ndarray, chars: np.ndarray, lo: np.ndarr
             yield lines[a:b], counts[a:b], [_cells(chars, lo[a:b, k], hi[a:b, k]) for k in range(_FIELDS)]
 
 
-def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarray], room: int):
+def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarray]):
     """Validate a run's records column by column: `(the number of
-    malformed records, a problem line for each of the first `room` of them,
-    (stamps in ms, instrument names, is-ask, prices) of the good ones)`.  A
-    record's problem is its first failing check, in the order field count,
-    side, instrument, stamp, price.  The problem lines show `_NUL` as NUL."""
+    malformed records, a problem line for each of the first
+    _MAX_REPORTED_PROBLEMS of them, (stamps in ms, instrument names,
+    is-ask, prices) of the good ones)`.  A record's problem is its first
+    failing check, in the order field count, side, instrument, stamp,
+    price.  The problem lines show `_NUL` as NUL."""
     raw_ts, instrument, side, raw_price = (np.char.strip(f) for f in fields)
     is_ask, is_bid = side == "ask", side == "bid"
     for i in np.flatnonzero(~(is_ask | is_bid)).tolist():
@@ -290,7 +340,7 @@ def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarra
             else f"bad price {cell(raw_price, i)!r}" if reason[i] == 5
             else f"price must be positive, got {cell(raw_price, i)!r}"
         )
-        for i in bad[:max(room, 0)].tolist()
+        for i in bad[:_MAX_REPORTED_PROBLEMS].tolist()
     ]
     good = reason == 0
     return bad.size, messages, (stamps[good], instrument[good], is_ask[good], prices[good])
@@ -299,18 +349,19 @@ def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarra
 # A plain stamp's body is this template's first 19 characters, or its
 # first 21 to 26, every digit written as 0; one Z may follow the body.
 _TEMPLATE = np.array([*map(ord, "0000-00-00T00:00:00.000000")], np.uint32)
+# The days of each month of a common year, and 0 for the months 0 and 13 to 99.
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
 
 
 def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Epoch milliseconds of each stripped stamp, rounded as
     `round(parse_rfc3339(t) * 1000.0)` rounds them, and whether it parsed.
 
-    Stamps of the plain shape `YYYY-MM-DDTHH:MM:SS[.f{1,6}][Z]` convert in
-    one `datetime64[us]` cast.  The rest go through `parse_rfc3339` one by
-    one, as do all of a run's stamps when the cast refuses one (a day or
-    hour out of range), and stamps too far from 1970 for a float to hold
-    their microseconds exactly (among them year 0000, which numpy reads
-    and Python does not).
+    Stamps of the plain shape `YYYY-MM-DDTHH:MM:SS[.f{1,6}][Z]` convert
+    from their digits' codes.  The rest go through `parse_rfc3339` one by
+    one, as does each plain stamp with a field out of range (month 13,
+    February 30, hour 24) or too far from 1970 for a float to hold its
+    microseconds exactly.
     """
     n = stamps.size
     body = np.char.rstrip(stamps, "Z")
@@ -320,11 +371,8 @@ def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     digits = np.where(code - ord("0") < 10, ord("0"), code)
     # Every character of the body matches the template, and no NUL past it does.
     at = np.flatnonzero(shaped & (np.count_nonzero(digits == _TEMPLATE[:code.shape[1]], axis=1) == length))
-    try:
-        us = body[at].astype("datetime64[us]").view(np.int64)
-    except ValueError:
-        at, us = at[:0], np.zeros(0, np.int64)
-    exact = np.abs(us) <= 2**53
+    us, valid = _civil_us(code[at], length[at])
+    exact = valid & (np.abs(us) <= 2**53)
     ms = np.zeros(n, dtype=np.int64)
     ms[at[exact]] = np.rint(us[exact] / 1e6 * 1000.0)
     parsed = np.zeros(n, dtype=bool)
@@ -336,19 +384,75 @@ def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ms, parsed
 
 
+def _civil_us(code: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch microseconds of stamp bodies that match `_TEMPLATE`, from
+    their (stamps, up to 26) character codes and lengths, and whether each
+    field is in range: year at least 1, a day of its month by the
+    Gregorian leap rule, hour below 24, minute and second below 60."""
+    # One row per character position.
+    digit = np.zeros((_TEMPLATE.size, code.shape[0]), np.int64)
+    digit[:code.shape[1]] = code.T
+    digit -= ord("0")
+    digit[20:] *= np.arange(20, _TEMPLATE.size)[:, None] < length  # a short fraction's missing digits
+
+    def number(start: int, stop: int) -> np.ndarray:
+        value = digit[start]
+        for k in range(start + 1, stop):
+            value = value * 10 + digit[k]
+        return value
+
+    year, month, day = number(0, 4), number(5, 7), number(8, 10)
+    hour, minute, second, micro = number(11, 13), number(14, 16), number(17, 19), number(20, 26)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.minimum(month, 13)] + (leap & (month == 2))
+    valid = (year >= 1) & (day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)
+    # H. Hinnant's `days_from_civil`, on years counted from March.
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000 + micro, valid
+
+
+# A price of at most this many digits converts from its digits' codes;
+# 10**15 < 2**53, so its digits' integer and the powers of 10 are exact floats.
+_PLAIN_DIGITS = 15
+_POW10 = np.array([float(10**k) for k in range(_PLAIN_DIGITS)])
+
+
 def _floats(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`float` of each text, and whether it parsed: one `float` call per
-    text.  The text `nan` parses, so a failure is not marked by NaN."""
-    values, failed = [], []
-    for text in texts.tolist():
+    """`float` of each text, and whether it parsed.  The text `nan`
+    parses, so a failure is not marked by NaN.
+
+    A text of 1 to 15 ASCII digits with at most one `.` between two of
+    them is its digits' integer over 10**(the digits after the `.`): both
+    are exact floats, so the one rounded division gives `float`'s bits
+    (Clinger 1990).  Each other text is one `float` call.
+    """
+    n = texts.size
+    length = np.char.str_len(texts)
+    code = texts.view(np.uint32).reshape(n, texts.dtype.itemsize // 4)[:, :_PLAIN_DIGITS + 1]
+    digit = code - ord("0")
+    is_digit, is_dot = digit < 10, code == ord(".")
+    count = np.count_nonzero(is_digit, axis=1)
+    dots = np.count_nonzero(is_dot, axis=1)
+    point = np.argmax(is_dot, axis=1)
+    # Past its length a text's codes are NUL, neither a digit nor a dot.
+    plain = (count >= 1) & (count <= _PLAIN_DIGITS) & (count + dots == length) & (
+        (dots == 0) | ((dots == 1) & (point > 0) & (point < length - 1))
+    )
+    mantissa = np.zeros(n, np.int64)
+    for k in range(code.shape[1]):
+        mantissa = np.where(is_digit[:, k], mantissa * 10 + digit[:, k], mantissa)
+    values = mantissa / _POW10[np.where(plain & (dots == 1), length - 1 - point, 0)]
+    parsed = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(~plain).tolist():
         try:
-            values.append(float(text))
+            values[i] = float(str(texts[i]))
         except ValueError:
-            failed.append(len(values))
-            values.append(0.0)
-    parsed = np.ones(texts.size, dtype=bool)
-    parsed[failed] = False
-    return np.array(values, dtype=np.float64), parsed
+            values[i], parsed[i] = 0.0, False
+    return values, parsed
 
 
 def read_ticks(path: str | Path) -> ParsedTicks:

@@ -280,9 +280,12 @@ def run_simulations(cfg: SimConfig, a_ranges) -> list[tuple[SignalPanel, SignalP
     Each range is checked as `cfg.a_range` is, and its (rates, activity)
     are bit for bit `run_simulation`'s of `cfg` at that range alone.  The
     members share every draw (`init_population`), and each step runs
-    `step_market` once for the group, along a member axis R.
+    `step_market` once for the group, along a member axis R.  No range is
+    no run: `[]`, with no draw and no thread.
     """
     a_ranges = [replace(cfg, a_range=a_range).a_range for a_range in a_ranges]
+    if not a_ranges:
+        return []
     # The step's buffers are freed on return, before the panels copy the values.
     rates, activity = _lockstep(cfg, a_ranges)
     return [(SignalPanel(member_rates, cfg.labels, cfg.dt), SignalPanel(member_activity, cfg.labels, cfg.dt))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gzip
 import io
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -208,7 +210,7 @@ NULS = sys.version_info >= (3, 11)
 stamp_text = st.builds(
     "{}{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}{}{}".format,
     st.sampled_from(["", "", "", " ", "\t", "\u3000"]),
-    st.sampled_from([2006, 2024, 2024, 2024, 1970, 1969, 0, 1, 1500, 2300, 9999]),
+    st.sampled_from([2006, 2024, 2024, 2024, 1970, 1969, 0, 1, 1500, 1900, 2000, 2100, 2300, 9999]),
     st.sampled_from([1, 2, 2, 10, 12, 0, 13]),
     st.sampled_from([1, 16, 28, 29, 30, 31, 0, 32]),
     st.sampled_from(["T", "T", "T", "t", " ", "X"]),
@@ -226,9 +228,13 @@ instrument_text = st.sampled_from(
 side_text = st.sampled_from(
     ["ask", "ask", "bid", "bid", "ASK", " Bid ", "mid", "", "AS\u212a", '"ask"', *["ask\0", "\0bid"] * NULS]
 )
+# Prices: the digits-only shape (15 digits at most) and what falls outside
+# it.  The 16 digits of 9.244696291370285 as an integer over 10**15 round
+# twice, to a float next to `float`'s.
 price_text = st.sampled_from(
     ["1.2612", "116.2", "1.5", " 1.5 ", "-1", "0", "n/a", "inf", "nan", "1_000", "1e-3", "", '"1.25"',
-     "\uff11\uff12", "0x10", *["1.5\0", "1\0.5", "\0"] * NULS]
+     "\uff11\uff12", "0x10", "123456789012.345", "9.244696291370285", "007.50", "1.", ".5", "1..5",
+     *["1.5\0", "1\0.5", "\0"] * NULS]
 )
 row_text = st.one_of(
     st.builds(lambda *f: ",".join(f), stamp_text, instrument_text, side_text, price_text),
@@ -277,6 +283,13 @@ class TestColumnarParse:
         run=st.sampled_from([1, 100, 1000, 1 << 20]),
     )
     @settings(max_examples=300, deadline=None)
+    # 2100 is no leap year and lies within 2**53 microseconds of 1970.
+    @example(rows=[("2100-02-29T00:00:00Z,EUR/USD,ask,1.5", "\n")], bulk=2100, at=0, last_end=True,
+             block=1 << 18, run=1 << 20)
+    # Prices on each side of the digits-only shape, among rows that do not abort the parse.
+    @example(rows=[(f"2006-10-16T00:03:00Z,EUR/USD,ask,{p}", "\n") for p in
+                   ["9.244696291370285", "123456789012.345", "007.50", "1.", ".5", "1..5"]],
+             bulk=2100, at=0, last_end=True, block=1 << 18, run=1 << 20)
     def test_matches_the_row_parser(self, rows, bulk, at, last_end, block, run):
         if bulk:  # keep the number of blocks and runs, and the test's time, small
             block, run = max(block, 4096), max(run, 4096)
@@ -346,8 +359,8 @@ class TestColumnarParse:
         assert parse_outcome(row_parse_ticks, text) == got
 
     def test_an_empty_price_leaves_the_other_prices_in_one_conversion(self):
-        """Each price is converted by one `float` call; an empty price is
-        one failed call and one problem, and no price is converted twice."""
+        """Plain prices convert from their digits, with no `float` call; an
+        empty price is one failed call and one problem."""
         rows = [PLAIN_ROW] * 1000
         rows[500] = "2006-10-16T00:03:00Z,EUR/USD,ask,"
         calls = []
@@ -359,7 +372,57 @@ class TestColumnarParse:
         with mock.patch.object(ingest, "float", counted, create=True):
             parsed = parse_ticks(io.StringIO(HEADER + "\n" + "\n".join(rows) + "\n"))
         assert parsed.problems == ["line 502: bad price ''"]
-        assert len(calls) == 1000
+        assert parsed.price.tolist() == [1.2612] * 999
+        assert calls == [""]
+
+    def test_a_bad_day_sends_only_its_stamp_to_parse_rfc3339(self):
+        """A plain stamp out of range (February 30) is one `parse_rfc3339`
+        call, not one for each stamp of its run, in each block."""
+        rows = [f"2024-02-{1 + k % 28:02d}T{k // 60 % 24:02d}:{k % 60:02d}:00.5Z,EUR/USD,ask,1.1" for k in range(2000)]
+        bad = [f"2024-02-30T00:00:{k:02d}Z" for k in range(10)]
+        for k, stamp in enumerate(bad):
+            rows[k * 200 + 50] = f"{stamp},EUR/USD,bid,1.2"
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        calls = []
+
+        def counted(stamp):
+            calls.append(stamp)
+            return parse_rfc3339(stamp)
+
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 8192), mock.patch.object(ingest, "parse_rfc3339", counted):
+            got = parse_outcome(parse_ticks, text)
+        want = parse_outcome(row_parse_ticks, text)
+        assert want.malformed == 10
+        assert_same_parse(got, want)
+        assert sorted(calls) == bad
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_the_parse_does_not_depend_on_the_cpus(self, cpus):
+        """Blocks are checked on one thread per CPU, at most
+        `_MAX_CHECK_THREADS`, or inline on one CPU; the results are taken in
+        block order, so problems, codes and columns are the row parser's."""
+        rows = [PLAIN_ROW.replace("EUR/USD", f"FX{k % 7}") for k in range(3000)]
+        for k in range(25):
+            rows[k * 113 + 7] = ("2006-10-16T00:03:00Z,EUR/USD,mid,1.1", "x,EUR/USD,ask,1", "a,b,c")[k % 3]
+        rows[1500] = '"2006-10-16T00:03:00Z","A,B",ask,"1.5"'
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        pools = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def counted(workers):
+            pools.append(workers)
+            return real(workers)
+
+        before = threading.active_count()
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", counted), \
+                mock.patch.object(ingest, "_BLOCK_CHARS", 4096):
+            got = parse_outcome(parse_ticks, text)
+        want = parse_outcome(row_parse_ticks, text)
+        assert want.malformed == 25 and len(want.problems) == 20
+        assert_same_parse(got, want)
+        assert pools == ([] if cpus == 1 else [min(cpus, ingest._MAX_CHECK_THREADS)])
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("block", [256, 1 << 18])
     def test_more_than_twenty_malformed_rows(self, block):
@@ -375,9 +438,9 @@ class TestColumnarParse:
 
     def test_out_of_range_stamps_in_a_long_file_are_counted_rows(self, tmp_path):
         """numpy 2.4 can crash the interpreter casting a bytes array of
-        5,000 or more stamps that holds a bad one to datetime64; a parse of
-        such a file, run in its own interpreter, must count both bad stamps
-        as the row parser does."""
+        5,000 or more stamps that holds a bad one to datetime64.  The parse
+        no longer casts; a parse of such a file, run in its own interpreter,
+        must still count both bad stamps as the row parser does."""
         rows = [
             f"2024-02-01T{k // 3600:02d}:{k // 60 % 60:02d}:{k % 60:02d}.000Z,EUR/USD,ask,1.1"
             for k in range(9000)
@@ -404,15 +467,18 @@ class TestColumnarParse:
         assert run.stdout.splitlines() == [f"{want.malformed} {want.timestamp_ms.size}", *want.problems]
 
     @pytest.mark.parametrize(
-        "wide, fields",
-        [("", 4), ("W" * 120_000, 4), ('"' + "W" * 120_000 + '"', 4), ("W" * 120_000, 3)],
-        ids=["", "wide", "quoted-wide", "wide-three-fields"],
+        "wide, fields, cpus",
+        [("", 4, None), ("W" * 120_000, 4, None), ('"' + "W" * 120_000 + '"', 4, None), ("W" * 120_000, 3, None),
+         ("W" * 120_000, 4, 64)],
+        ids=["", "wide", "quoted-wide", "wide-three-fields", "wide-64-cpus"],
     )
-    def test_memory_does_not_grow_with_the_file(self, wide, fields):
+    def test_memory_does_not_grow_with_the_file(self, wide, fields, cpus):
         """Bound, fixed before measuring: parsing 200,000 rows (8.4 MB of
         text) allocates at most 40 MB at its peak beyond the file's bytes,
         also when one row's instrument is 120,000 characters long, in a row
-        of four fields or in a malformed one of three.  The
+        of four fields or in a malformed one of three, and with as many
+        checking threads as 64 CPUs allow (the CPUs of the machine unless
+        `cpus` is given).  The
         columns it returns take 5 MB.  A parse of the whole body at once
         holds the 34 MB of the text as UCS-4 and several index and cell
         arrays per row: 150 MB.  Cells padded to the long instrument for a
@@ -428,9 +494,11 @@ class TestColumnarParse:
         # Read as a file is: a StringIO would hold the whole text as UCS-4.
         stream = io.TextIOWrapper(io.BytesIO((HEADER + "\n" + "".join(rows)).encode()), encoding="utf-8", newline="")
         del rows
+        affinity = os.sched_getaffinity(0) if cpus is None else set(range(cpus))
         tracemalloc.start()
         try:
-            parsed = parse_ticks(stream)
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: affinity):
+                parsed = parse_ticks(stream)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

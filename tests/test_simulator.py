@@ -550,6 +550,16 @@ class TestLockstep:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             run_simulations(cfg, [(0.5, 2.0), a_range])
 
+    def test_no_range_is_no_run(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew for an empty group")
+
+        monkeypatch.setattr(simulator, "init_population", no_draw)
+        monkeypatch.setattr(simulator, "draw_steps", no_draw)
+        before = threading.active_count()
+        assert run_simulations(SimConfig(n_agents=10, n_commodities=2, horizon=30, seed=0), []) == []
+        assert threading.active_count() == before
+
     def test_failed_draw_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
         real = simulator.init_population
         calls = []
