@@ -116,6 +116,15 @@ class SimConfig:
         lo, hi = self.theta_sell_range
         if not (lo < hi < 0):
             fail(f"sell thresholds need lo < hi < 0, got {self.theta_sell_range}")
+        # Every draw lies within its range and rounding is monotone, so each
+        # agent's attention lies between that of (theta_buy lo, theta_sell hi),
+        # the most, and that of (theta_buy hi, theta_sell lo), the least.
+        with np.errstate(over="ignore", divide="ignore"):
+            most, least = 1.0 / (np.array(self.theta_sell_range[::-1]) ** 2 + np.array(self.theta_buy_range) ** 2)
+        if not (np.isfinite(most) and least > 0):
+            fail(f"theta_buy_range {self.theta_buy_range} and theta_sell_range {self.theta_sell_range} give "
+                 f"attentions 1/(theta_sell^2 + theta_buy^2) from {float(least)!r} to {float(most)!r}; "
+                 "they must be finite and positive")
         a1, a2 = self.a_range
         if not (0 < a1 < a2):
             fail(f"sensitivity range needs 0 < a1 < a2, got {self.a_range}")
@@ -215,8 +224,19 @@ def break_even_levels(population, out):
     return buy_at, sell_at, attention
 
 
-def step_market(params, history: np.ndarray, s: np.ndarray, xi: np.ndarray, work) -> tuple:
-    """One tick of a lockstep group: return the (R, M) int32 counts of buyers and of sellers.
+def step_buffers(members: int, m: int, n: int) -> tuple:
+    """`step_market`'s `work` for R = `members` ranges, M commodities and N agents.
+
+    An (M, N) float64 buffer for the perception, and a zeroed (2, R, M, N8)
+    bool buffer for the buy and sell flags, N8 being N rounded up to a
+    multiple of 8: each of its rows is then whole uint64 words, and as the
+    steps write only the first N flags of a row, its padding stays zero.
+    """
+    return np.empty((m, n)), np.zeros((2, members, m, -(-n // 8) * 8), dtype=bool)
+
+
+def step_market(params, history: np.ndarray, s: np.ndarray, xi: np.ndarray, work, out: np.ndarray):
+    """One tick of a lockstep group: write the (2, R, M) int32 counts of buyers and of sellers into `out`.
 
     `params` is `break_even_levels`' (buy_at, sell_at, attention);
     `history` holds each member's last `ma_span` returns, (R, ma_span, M),
@@ -224,21 +244,29 @@ def step_market(params, history: np.ndarray, s: np.ndarray, xi: np.ndarray, work
     noise and interpretation noise.  Each agent perceives its
     attention-weighted mean recent return plus s, and buys where
     perception + xi is at or above buy_at, sells at or below sell_at, and
-    waits otherwise.  `work` is an (M, N) float64 and a (2, R, M, N) bool
-    buffer that the step overwrites; no other input is mutated.
+    waits otherwise.  `work` is `step_buffers`' for the group: the step
+    overwrites the perception buffer and the first N flags of each row,
+    and counts a row's flags by the popcounts of its words, so the padding
+    after them must stay zero.  No other input is mutated.  Returns `out`.
     """
     buy_at, sell_at, attention = params
     u, flags = work
+    # np.mean's own arithmetic, without its Python wrapper.
+    means = np.add.reduce(history, axis=1) / history.shape[1]
     # Member by member: a batched matvec would change BLAS's summation order,
     # and one member's perception stays in cache for both of its compares.
-    for mean, buy, sell, buys, sells in zip(history.mean(axis=1), buy_at, sell_at, *flags):
-        u[:] = attention @ mean + s + xi
+    # It is copied to every commodity's row, as numpy compares two (M, N)
+    # arrays about twice as fast as an (N,) row broadcast against one.
+    perception = u[0]
+    for mean, buy, sell, buys, sells in zip(means, buy_at, sell_at, *flags[..., :perception.size]):
+        np.matmul(attention, mean, out=perception)
+        np.add(perception, s, out=perception)
+        np.add(perception, xi, out=perception)
+        u[1:] = perception
         np.greater_equal(u, buy, out=buys)
         np.less_equal(u, sell, out=sells)
-    # A uint8 view of the bools sums in int32 without a cast pass; integer
-    # sums are exact in any order (SimConfig keeps N below 2**31).
-    buyers, sellers = np.add.reduce(flags.view(np.uint8), axis=-1, dtype=np.int32)
-    return buyers, sellers
+    # Integer sums are exact in any order (SimConfig keeps N below 2**31).
+    return np.add.reduce(np.bitwise_count(flags.view(np.uint64)), axis=-1, dtype=np.int32, out=out)
 
 
 def draw_steps(cfg: SimConfig, a_ranges, rng: np.random.Generator, noise: np.ndarray) -> list:
@@ -299,7 +327,10 @@ def _lockstep(cfg: SimConfig, a_ranges) -> tuple[np.ndarray, np.ndarray]:
     (`draw_steps`, which releases the GIL inside numpy) one block of at
     most READ_AHEAD_BYTES, and at least one step, ahead of this thread's
     steps, alternating between two buffers.  This thread turns each
-    parameter draw into break-even levels, in buffers allocated once.
+    parameter draw into break-even levels, in buffers allocated once.  A
+    step keeps only its counts, in a buffer of the block's, and its returns,
+    in `history`; the block's rates and activity are settled from the
+    counts once the block is stepped through.
     """
     # Imported here, not at the top, so that commands which do not
     # simulate do not pay its import time.
@@ -308,15 +339,18 @@ def _lockstep(cfg: SimConfig, a_ranges) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(cfg.seed)
     n, m, members = cfg.n_agents, cfg.n_commodities, len(a_ranges)
     levels = np.empty((2, members, m, n))
-    work = np.empty((m, n)), np.empty((2, members, m, n), dtype=bool)
+    work = step_buffers(members, m, n)
     params = break_even_levels(init_population(cfg, a_ranges, rng), levels)
     steps = cfg.warmup + cfg.horizon
     # A resampled step draws two thresholds, their attention and R sensitivities, each (N, M).
     step_bytes = 8 * (2 * n + ((3 + members) * n * m if cfg.resample_params else 0))
     block = min(steps, max(1, READ_AHEAD_BYTES // step_bytes))
     buffers = [np.empty((block, 2, n)) for _ in range(2)]
+    counts = np.empty((block, 2, members, m), dtype=np.int32)
+    scale = cfg.gamma / n
     rate = np.ones((members, m))
     history = np.zeros((members, cfg.ma_span, m))
+    newest = history[:, 0]
     rates = np.empty((members, m, cfg.horizon))
     activity = np.empty((members, m, cfg.horizon))
     # Leaving the `with` joins the thread, also when a draw raised: a
@@ -327,18 +361,27 @@ def _lockstep(cfg: SimConfig, a_ranges) -> tuple[np.ndarray, np.ndarray]:
             fresh = ahead.result()
             if start + block < steps:
                 ahead = drawer.submit(draw_steps, cfg, a_ranges, rng, buffers[(b + 1) % 2][: steps - start - block])
-            for j, (s, xi) in enumerate(buffers[b % 2][: steps - start]):
-                i = start + j - cfg.warmup
+            noise = buffers[b % 2][: steps - start]
+            for j, (s, xi) in enumerate(noise):
                 if fresh:
                     params = break_even_levels(fresh[j], levels)
-                buyers, sellers = step_market(params, history, s, xi, work)
-                returns = (cfg.gamma / n) * (buyers - sellers)
-                rate *= np.exp(returns)
-                history[:, 1:] = history[:, :-1]
-                history[:, 0] = returns
-                if i >= 0:
-                    rates[..., i] = rate
-                    activity[..., i] = (buyers + sellers) / cfg.dt
+                buyers, sellers = step_market(params, history, s, xi, work, counts[j])
+                if cfg.ma_span > 1:  # an empty shift costs some 8% of a step at 2000 x 20
+                    history[:, 1:] = history[:, :-1]
+                np.multiply(np.subtract(buyers, sellers), scale, out=newest)
+            # The same returns again, and each rate the one before times its
+            # step's growth, rounded in turn from the rate carried in.  exp
+            # gets a contiguous array: on a strided view numpy may take its
+            # scalar loop, not its SIMD one.
+            done = counts[: len(noise)]
+            growth = np.exp(scale * np.subtract(done[:, 0], done[:, 1]))
+            growth[0] *= rate
+            rate = np.multiply.accumulate(growth, axis=0, out=growth)[-1]
+            first = max(cfg.warmup - start, 0)
+            if first < len(noise):
+                record = slice(start + first - cfg.warmup, start + len(noise) - cfg.warmup)
+                rates[..., record] = growth[first:].transpose(1, 2, 0)
+                activity[..., record] = (np.add(done[first:, 0], done[first:, 1]) / cfg.dt).transpose(1, 2, 0)
     return rates, activity
 
 

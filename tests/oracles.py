@@ -13,6 +13,7 @@ import numpy as np
 
 from specdist.errors import FormatError
 from specdist.ingest import MALFORMED_ABORT_FRACTION, SIDES, TICK_HEADER, ParsedTicks, parse_rfc3339
+from specdist.simulator import break_even_levels, draw_steps, init_population
 
 
 def direct_periodogram(segment, dt):
@@ -323,4 +324,47 @@ def attitude_simulation(cfg):
         if step >= cfg.warmup:
             rates[:, step - cfg.warmup] = rate
             activity[:, step - cfg.warmup] = np.abs(attitudes).sum(axis=0, dtype=np.float64) / cfg.dt
+    return rates, activity
+
+
+def loop_lockstep(cfg, a_ranges):
+    """`simulator._lockstep` as one step at a time: each step's draws, then
+    its counts, then its rate and activity, on one thread.
+
+    It checks the stepping and the settling, not the draws: the draws and
+    the break-even levels are the library's (`draw_steps` of one step
+    consumes the stream as a block of steps does), and the perception is
+    the same member-by-member matvec, so the two agree bit for bit.  The
+    counts are one sum of the bool flags read as uint8, each rate is the
+    last one times the step's `exp` of its returns, and the moving average
+    is `np.mean`.  Returns the (R, M, horizon) rates and activity.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n, m, members = cfg.n_agents, cfg.n_commodities, len(a_ranges)
+    levels = np.empty((2, members, m, n))
+    params = break_even_levels(init_population(cfg, a_ranges, rng), levels)
+    u, flags = np.empty((m, n)), np.empty((2, members, m, n), dtype=bool)
+    noise = np.empty((1, 2, n))
+    rate = np.ones((members, m))
+    history = np.zeros((members, cfg.ma_span, m))
+    rates = np.empty((members, m, cfg.horizon))
+    activity = np.empty((members, m, cfg.horizon))
+    for step in range(cfg.warmup + cfg.horizon):
+        fresh = draw_steps(cfg, a_ranges, rng, noise)
+        if fresh:
+            params = break_even_levels(fresh[0], levels)
+        buy_at, sell_at, attention = params
+        s, xi = noise[0]
+        for mean, buy, sell, buys, sells in zip(history.mean(axis=1), buy_at, sell_at, *flags):
+            u[:] = attention @ mean + s + xi
+            np.greater_equal(u, buy, out=buys)
+            np.less_equal(u, sell, out=sells)
+        buyers, sellers = np.add.reduce(flags.view(np.uint8), axis=-1, dtype=np.int32)
+        returns = (cfg.gamma / n) * (buyers - sellers)
+        rate *= np.exp(returns)
+        history[:, 1:] = history[:, :-1]
+        history[:, 0] = returns
+        if step >= cfg.warmup:
+            rates[..., step - cfg.warmup] = rate
+            activity[..., step - cfg.warmup] = (buyers + sellers) / cfg.dt
     return rates, activity

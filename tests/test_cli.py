@@ -497,6 +497,35 @@ class TestSimulateCommand:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "buy, sell, shown",
+        [
+            ("1e-200 2e-200", "-2e-200 -1e-200", "from inf to inf"),
+            ("1e200 2e200", "-2e200 -1e200", "from 0.0 to 0.0"),
+        ],
+        ids=["squares_underflow", "squares_overflow"],
+    )
+    def test_thresholds_without_a_finite_positive_attention_are_config_errors(self, tmp_path, capsys, buy, sell,
+                                                                              shown):
+        # An infinite or zero attention would leave the market at rest.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"theta_buy_range = {buy}\ntheta_sell_range = {sell}\n")
+        out = tmp_path / "x.csv"
+        assert run("simulate", *SMALL_SIM, "--config", str(cfg), "--activity-out", str(out)) == 5
+        err = capsys.readouterr().err
+        assert "kind=ConfigurationError" in err and shown in err
+        assert "theta_buy_range" in err and "theta_sell_range" in err
+        assert not out.exists()
+
+    def test_attention_boundary_pair_runs(self, tmp_path):
+        # The least |theta| whose attention 1/(2 theta^2) is still finite.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("theta_buy_range = 5.273843307431502e-155 1.0\n"
+                       "theta_sell_range = -1.0 -5.273843307431502e-155\n")
+        out = tmp_path / "x.csv"
+        assert run("simulate", *SMALL_SIM, "--config", str(cfg), "--activity-out", str(out)) == 0
+        assert read_panel_csv(out).length > 0
+
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config_line"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, via_config):
         # numpy refuses it only once the run starts; the config refuses it first.

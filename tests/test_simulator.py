@@ -1,13 +1,15 @@
 import re
 import threading
 from dataclasses import fields, replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import attitude_simulation, scalar_simulation
+from oracles import attitude_simulation, loop_lockstep, scalar_simulation
 from specdist import simulator
 from specdist.errors import ConfigurationError
 from specdist.simulator import (
@@ -19,6 +21,7 @@ from specdist.simulator import (
     load_sim_config,
     run_simulation,
     run_simulations,
+    step_buffers,
     step_market,
 )
 
@@ -47,10 +50,11 @@ def net_return(cfg, buyers, sellers):
     return cfg.gamma / cfg.n_agents * (buyers - sellers)
 
 
-def step(params, history, s, xi):
-    """step_market with fresh work buffers."""
+def step(params, history, s, xi, work=None):
+    """step_market's (buyers, sellers), in fresh work buffers unless `work` is given."""
     members, m, n = params[0].shape
-    return step_market(params, history, s, xi, (np.empty((m, n)), np.empty((2, members, m, n), dtype=bool)))
+    work = step_buffers(members, m, n) if work is None else work
+    return step_market(params, history, s, xi, work, np.empty((2, members, m), dtype=np.int32))
 
 
 def quiet_step(params, history):
@@ -137,12 +141,13 @@ class TestInitPopulation:
         `rng.uniform` draw, and the generator ends where three such draws
         leave it.  A numpy that fused `lo + (hi - lo) * u` into one rounding
         would fail here rather than change the seed's bits unnoticed."""
-        cfg = SimConfig(n_agents=n_agents, n_commodities=n_commodities, theta_buy_range=buy,
-                        theta_sell_range=(-sell[1], -sell[0]), seed=seed)
+        # The fields init_population reads, unchecked: SimConfig refuses
+        # thresholds whose squares underflow or overflow, for their attention,
+        # which is not what is tested here.
+        cfg = SimpleNamespace(n_agents=n_agents, n_commodities=n_commodities, theta_buy_range=buy,
+                              theta_sell_range=(-sell[1], -sell[0]))
         shape = (n_agents, n_commodities)
         rng = np.random.default_rng(seed)
-        # Thresholds whose squares underflow or overflow give an infinite or
-        # zero attention: a matter of the model, not of the draws tested here.
         with np.errstate(divide="ignore", over="ignore"):
             theta_buy, theta_sell, sensitivity, _ = init_population(cfg, a_ranges, rng)
         for a_range, member in zip(a_ranges, sensitivity, strict=True):
@@ -151,6 +156,23 @@ class TestInitPopulation:
             assert theta_sell.tobytes() == alone.uniform(*cfg.theta_sell_range, shape).T.tobytes()
             assert member.tobytes() == alone.uniform(*a_range, shape).T.tobytes()
             assert rng.bit_generator.state == alone.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(buy=POSITIVE_RANGE, sell=POSITIVE_RANGE, seed=st.integers(0, 2**64 - 1))
+    def test_accepted_thresholds_give_every_agent_a_finite_positive_attention(self, buy, sell, seed):
+        try:
+            cfg = SimConfig(n_agents=7, n_commodities=3, theta_buy_range=buy, theta_sell_range=(-sell[1], -sell[0]),
+                            seed=seed)
+        except ConfigurationError as refused:
+            assert "theta_buy_range" in str(refused) and "theta_sell_range" in str(refused)
+            # Refused only where an agent at a corner of the ranges would have
+            # an infinite or zero attention.
+            with np.errstate(divide="ignore", over="ignore"):
+                corners = 1.0 / (np.array([sell[0], sell[1]]) ** 2 + np.array(buy) ** 2)
+            assert not (np.isfinite(corners[0]) and corners[1] > 0)
+            return
+        attention = drawn_population(cfg)[3]
+        assert np.all(np.isfinite(attention)) and np.all(attention > 0)
 
 
 class TestBreakEven:
@@ -277,6 +299,30 @@ class TestDecide:
         params = manual_params([[0.02]], [[-0.02]], [[2.0]])
         buyers, sellers = quiet_step(params, [[-8.8e-6]])
         assert buyers.tolist() == [[0]] and sellers.tolist() == [[1]]
+
+
+class TestCount:
+    """The step counts a row's flags by the popcounts of its padded words."""
+
+    @pytest.mark.parametrize("n_agents", [1, 7, 8, 9, 2001])
+    def test_padded_popcount_is_the_flag_sum_and_the_padding_stays_zero(self, n_agents):
+        cfg = SimConfig(n_agents=n_agents, n_commodities=3, ma_span=2, seed=n_agents)
+        params = levels_of(drawn_population(cfg, LOCKSTEP_A_RANGES))
+        work = step_buffers(3, 3, n_agents)
+        flags = work[1]
+        assert flags.shape == (2, 3, 3, -(-n_agents // 8) * 8)
+        noise = np.random.default_rng(n_agents)
+        history = np.zeros((3, 2, 3))
+        for _ in range(20):
+            # Noise wide enough that agents buy, sell and wait.
+            s, xi = noise.normal(0.0, 0.02, (2, n_agents))
+            buyers, sellers = step(params, history, s, xi, work)
+            assert buyers.tolist() == flags[0, ..., :n_agents].sum(axis=-1).tolist()
+            assert sellers.tolist() == flags[1, ..., :n_agents].sum(axis=-1).tolist()
+            assert not flags[..., n_agents:].any()
+            history[:, 1:] = history[:, :-1]
+            history[:, 0] = net_return(cfg, buyers, sellers)
+        assert 0 < flags.sum() < flags[..., :n_agents].size
 
 
 class TestStepMarket:
@@ -583,6 +629,32 @@ class TestLockstep:
         assert calls[-1] is not threading.main_thread()
 
 
+class TestLoopOracle:
+    """`_lockstep`, its rates and activity settled once per read-ahead block,
+    against the loop that settles them one step at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_agents=st.integers(1, 41).filter(lambda n: n % 8), n_commodities=st.integers(1, 5),
+           a_ranges=st.lists(st.sampled_from(LOCKSTEP_A_RANGES), min_size=1, max_size=3),
+           ma_span=st.integers(1, 4), warmup=st.integers(0, 13), horizon=st.integers(2, 12),
+           block=st.integers(1, 5), gamma=st.sampled_from([2e-7, 2e-5]), resample=st.booleans(),
+           seed=st.integers(0, 2**32))
+    # A warm-up that ends in the middle of a block of 4.
+    @example(n_agents=9, n_commodities=3, a_ranges=LOCKSTEP_A_RANGES, ma_span=3, warmup=6, horizon=7,
+             block=4, gamma=2e-5, resample=False, seed=1)
+    def test_equals_the_step_by_step_loop(self, n_agents, n_commodities, a_ranges, ma_span, warmup, horizon,
+                                          block, gamma, resample, seed):
+        cfg = SimConfig(n_agents=n_agents, n_commodities=n_commodities, ma_span=ma_span, warmup=warmup,
+                        horizon=horizon, gamma=gamma, resample_params=resample, seed=seed)
+        # A byte budget of `block` steps' draws.
+        step_bytes = 8 * (2 * n_agents + ((3 + len(a_ranges)) * n_agents * n_commodities if resample else 0))
+        with mock.patch.object(simulator, "READ_AHEAD_BYTES", block * step_bytes):
+            rates, activity = simulator._lockstep(cfg, a_ranges)
+        loop_rates, loop_activity = loop_lockstep(cfg, a_ranges)
+        assert rates.tobytes() == loop_rates.tobytes()
+        assert activity.tobytes() == loop_activity.tobytes()
+
+
 class TestConfigFile:
     def test_load_values_and_ranges(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -689,11 +761,33 @@ class TestConfigFile:
             (dict(theta_buy_range=(0.01,)), "theta_buy_range must be two numbers, lo and hi, got (0.01,)"),
             (dict(resample_params="false"), "resample_params must be true or false, got 'false'"),
             (dict(resample_params=2), "resample_params must be true or false, got 2"),
+            # Squares that underflow give every agent an infinite attention,
+            # squares that overflow a zero one: the market would never move.
+            (dict(theta_buy_range=(1e-200, 2e-200), theta_sell_range=(-2e-200, -1e-200)),
+             "theta_buy_range (1e-200, 2e-200) and theta_sell_range (-2e-200, -1e-200) give attentions "
+             "1/(theta_sell^2 + theta_buy^2) from inf to inf; they must be finite and positive"),
+            (dict(theta_buy_range=(1e200, 2e200), theta_sell_range=(-2e200, -1e200)),
+             "theta_buy_range (1e+200, 2e+200) and theta_sell_range (-2e+200, -1e+200) give attentions "
+             "1/(theta_sell^2 + theta_buy^2) from 0.0 to 0.0; they must be finite and positive"),
         ],
     )
     def test_refused_values_name_their_field(self, change, message):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             SimConfig(**change)
+
+    # The least |theta| whose attention 1/(2 theta^2) is finite, and the
+    # greatest whose attention is positive: accepted, and one ulp beyond refused.
+    @pytest.mark.parametrize("edge, beyond", [(5.273843307431502e-155, 0.0), (9.480751908109176e+153, np.inf)])
+    def test_attention_boundary_pairs(self, edge, beyond):
+        def ranges(theta):
+            lo, hi = sorted((theta, 1.0))
+            return dict(theta_buy_range=(lo, hi), theta_sell_range=(-hi, -lo))
+
+        cfg = SimConfig(n_agents=5, n_commodities=2, **ranges(edge))
+        attention = drawn_population(cfg)[3]
+        assert np.all(np.isfinite(attention)) and np.all(attention > 0)
+        with pytest.raises(ConfigurationError, match="theta_buy_range .* and theta_sell_range .* give attentions"):
+            SimConfig(**ranges(np.nextafter(edge, beyond)))
 
     def test_config_invariants(self):
         with pytest.raises(ConfigurationError):
