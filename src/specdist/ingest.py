@@ -20,7 +20,6 @@ import io
 import itertools
 import math
 import os
-import re
 import zlib
 from array import array
 from dataclasses import dataclass, field
@@ -48,23 +47,19 @@ MALFORMED_ABORT_FRACTION = 0.01
 _MAX_REPORTED_PROBLEMS = 20
 
 
-_RFC3339 = re.compile(
-    r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt ]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.([0-9]{1,6}))?"
-    r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?"
-)
-
-
 def parse_rfc3339(text: str) -> float:
     """Epoch seconds of `YYYY-MM-DD[Tt ]HH:MM:SS[.f{1,6}][Z|z|±HH:MM]` text,
-    UTC when it has no zone; any other text is a `ValueError`."""
-    match = _RFC3339.fullmatch(text.strip())
-    if match is None:
+    UTC when it has no zone: the one-stamp form of `_epoch_seconds`.  Any
+    other text is a `ValueError`."""
+    seconds, parsed = _epoch_seconds(_stamp_array([text]))
+    if not parsed[0]:
         raise ValueError(f"bad RFC-3339 time: {text!r}")
-    date, time, fraction, zone = match.groups()
-    zone = "+00:00" if zone in (None, "Z", "z") else zone
-    # The one shape `fromisoformat` reads on every supported Python; it
-    # still checks the ranges (month 13, hour 24, February 30).
-    return datetime.fromisoformat(f"{date}T{time}.{fraction or '':0<6}{zone}").timestamp()
+    return float(seconds[0])
+
+
+# 10000-01-01T00:00:00Z in epoch seconds: `format_rfc3339` writes every
+# time before it, the last as 9999-12-31T23:59:59.999999Z.
+_STAMP_END = 253_402_300_800.0
 
 
 def format_rfc3339(seconds: float) -> str:
@@ -318,7 +313,8 @@ def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarra
     for i in np.flatnonzero(~(is_ask | is_bid)).tolist():
         lowered = str(side[i]).lower()
         is_ask[i], is_bid[i] = lowered == "ask", lowered == "bid"
-    stamps, stamped = _epoch_ms(raw_ts)
+    seconds, stamped = _epoch_seconds(raw_ts)
+    stamps = np.rint(seconds * 1000.0).astype(np.int64)
     prices, priced = _floats(raw_price)
     positive = priced & np.isfinite(prices) & (prices > 0)
     checks = (counts == _FIELDS, is_ask | is_bid, np.char.str_len(instrument) > 0, stamped, priced, positive)
@@ -346,42 +342,72 @@ def _check_records(lines: np.ndarray, counts: np.ndarray, fields: list[np.ndarra
     return bad.size, messages, (stamps[good], instrument[good], is_ask[good], prices[good])
 
 
-# A plain stamp's body is this template's first 19 characters, or its
-# first 21 to 26, every digit written as 0; one Z may follow the body.
+# A stamp's body is this template's first 19 characters, or its first 21
+# to 26, every digit written as 0 and the separator `T`, `t` or a space.
 _TEMPLATE = np.array([*map(ord, "0000-00-00T00:00:00.000000")], np.uint32)
+# The most characters of a stamp: the longest body and a `±HH:MM` zone.
+_STAMP_CHARS = _TEMPLATE.size + 6
 # The days of each month of a common year, and 0 for the months 0 and 13 to 99.
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
 
 
-def _epoch_ms(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch milliseconds of each stripped stamp, rounded as
-    `round(parse_rfc3339(t) * 1000.0)` rounds them, and whether it parsed.
+def _epoch_seconds(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of each stripped stamp, and whether it is one of the
+    grammar `YYYY-MM-DD[Tt ]HH:MM:SS[.f{1,6}][Z|z|±HH:MM]`, UTC when it has
+    no zone, decoded from the stamps' character codes.
 
-    Stamps of the plain shape `YYYY-MM-DDTHH:MM:SS[.f{1,6}][Z]` convert
-    from their digits' codes.  The rest go through `parse_rfc3339` one by
-    one, as does each plain stamp with a field out of range (month 13,
-    February 30, hour 24) or too far from 1970 for a float to hold its
-    microseconds exactly.
+    A stamp not ending in `Z` or `z` has an offset when its sixth character
+    from the end is a sign.  The body before the zone must match
+    `_TEMPLATE` and its fields be in range (`_civil_us`), and an offset's
+    hours must be at most 23 and its minutes at most 59.  The seconds are
+    the microseconds over 10**6, one correctly rounded division as in
+    `datetime.timestamp`: of floats within 2**53 microseconds (285 years)
+    of 1970, of Python ints past that.
     """
     n = stamps.size
-    body = np.char.rstrip(stamps, "Z")
-    length = np.char.str_len(body)
-    shaped = (np.char.str_len(stamps) - length <= 1) & ((length == 19) | ((length > 20) & (length <= 26)))
-    code = body.view(np.uint32).reshape(n, body.dtype.itemsize // 4)[:, :_TEMPLATE.size]
-    digits = np.where(code - ord("0") < 10, ord("0"), code)
-    # Every character of the body matches the template, and no NUL past it does.
-    at = np.flatnonzero(shaped & (np.count_nonzero(digits == _TEMPLATE[:code.shape[1]], axis=1) == length))
-    us, valid = _civil_us(code[at], length[at])
-    exact = valid & (np.abs(us) <= 2**53)
-    ms = np.zeros(n, dtype=np.int64)
-    ms[at[exact]] = np.rint(us[exact] / 1e6 * 1000.0)
-    parsed = np.zeros(n, dtype=bool)
-    parsed[at[exact]] = True
-    for i in np.flatnonzero(~parsed).tolist():
-        with contextlib.suppress(ValueError):
-            ms[i] = round(parse_rfc3339(str(stamps[i])) * 1000.0)
-            parsed[i] = True
-    return ms, parsed
+    rows = np.arange(n)
+    length = np.char.str_len(stamps)
+    code = stamps.view(np.uint32).reshape(n, stamps.dtype.itemsize // 4)
+    end = code[rows, length - 1]  # an empty stamp's is its last code, NUL
+    zulu = (end == ord("Z")) | (end == ord("z"))
+    body = length - zulu
+    rest = np.flatnonzero(~zulu & (length >= 19 + 6))
+    tail = code[rest[:, None], length[rest, None] + np.arange(-6, 0)]  # sign, H, H, colon, M, M
+    signed = (tail[:, 0] == ord("+")) | (tail[:, 0] == ord("-"))
+    rest, tail = rest[signed], tail[signed]
+    hhmm = tail[:, [1, 2, 4, 5]].astype(np.int64) - ord("0")
+    hours, minutes = hhmm[:, 0] * 10 + hhmm[:, 1], hhmm[:, 2] * 10 + hhmm[:, 3]
+    fine = (tail[:, 3] == ord(":")) & np.all((hhmm >= 0) & (hhmm < 10), axis=1) & (hours < 24) & (minutes < 60)
+    offset = np.zeros(n, np.int64)  # minutes east of UTC
+    offset[rest] = np.where(tail[:, 0] == ord("-"), -1, 1) * (hours * 60 + minutes)
+    body[rest] = np.where(fine, length[rest] - 6, 0)  # a bad offset leaves no body
+    chars = code[:, :_TEMPLATE.size]
+    template = _TEMPLATE[:chars.shape[1]]
+    digits = np.where(chars - ord("0") < 10, ord("0"), chars)
+    separator = digits[:, 10:11]
+    separator[(separator == ord("t")) | (separator == ord(" "))] = ord("T")
+    # Past its body a stamp holds a Z, a z or NULs, none of which the
+    # template holds, or an offset, whose matches are not counted.
+    matched = np.count_nonzero(digits == template, axis=1)
+    before = np.arange(template.size) < body[rest, None]
+    matched[rest] = np.count_nonzero((digits[rest] == template) & before, axis=1)
+    shaped = (body == 19) | ((body > 20) & (body <= _TEMPLATE.size))
+    at = np.flatnonzero(shaped & (matched == body))
+    us, valid = _civil_us(chars[at], body[at])
+    at = at[valid]
+    us = us[valid] - offset[at] * 60_000_000
+    seconds, parsed = np.zeros(n), np.zeros(n, dtype=bool)
+    seconds[at], parsed[at] = us / 1e6, True
+    far = np.flatnonzero(np.abs(us) > 2**53)
+    seconds[at[far]] = [int(u) / 10**6 for u in us[far].tolist()]
+    return seconds, parsed
+
+
+def _stamp_array(texts) -> np.ndarray:
+    """Time cells as `_epoch_seconds` takes them: stripped, in one str array,
+    with a text longer than a stamp cut to one character more and a text
+    holding a NUL, which numpy's str cells drop at their end, emptied."""
+    return np.array(["" if "\0" in text else text.strip()[:_STAMP_CHARS + 1] for text in texts], dtype=str)
 
 
 def _civil_us(code: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -586,13 +612,19 @@ def _write_table(path, header, times, rows, meta: Mapping[str, str], marks=()) -
         fh.writelines(line for _, line in heapq.merge(body, notes, key=itemgetter(0)))
 
 
+# `_read_table` converts the times of this many rows at a time, so that the
+# text and arrays of a conversion stay small beside the table's values.
+_TABLE_BATCH = 4096
+
+
 def _read_table(path, time_column: str):
     """Read a stamped table as (column names after the time column, epoch
     times in seconds, (rows, columns) values, the line of the header and of
     each row, (key, value, line) of each `key=value` token of the `#` lines).
     Blank lines are skipped and `#` lines may appear anywhere.  Values go
-    into a typed array, with no Python object per cell.  Any unreadable
-    line is a `FormatError` naming the file and the line."""
+    into a typed array, with no Python object per cell, and times are
+    converted `_TABLE_BATCH` rows at a time.  Any unreadable line is a
+    `FormatError` naming the file and the line."""
     comments: list[tuple[str, str, int]] = []
     lineno = 0
 
@@ -606,9 +638,26 @@ def _read_table(path, time_column: str):
                 yield line
 
     times, values, lines = array("d"), array("d"), array("q")
+    stamps: list[str] = []  # the time cells of the last rows of `lines`, not yet in `times`
+
+    def convert():
+        """Move `stamps` into `times`; the first that is a bad time or does
+        not strictly increase is a `FormatError` naming its line."""
+        seconds, parsed = _epoch_seconds(_stamp_array(stamps))
+        rising = seconds > np.concatenate(([times[-1] if times else -math.inf], seconds[:-1]))
+        bad = np.flatnonzero(~(parsed & rising))
+        if bad.size:
+            i = int(bad[0])
+            reason = (f"time {stamps[i].strip()} does not strictly increase" if parsed[i]
+                      else f"bad RFC-3339 time: {stamps[i]!r}")
+            raise FormatError(f"{path}: line {lines[len(lines) - len(stamps) + i]}: {reason}") from None
+        times.frombytes(seconds.tobytes())
+        stamps.clear()
+
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(data_lines(fh))
-        # Any ValueError or csv.Error below, raised here or by a parser, is an unreadable line.
+        # Any ValueError or csv.Error below, raised here or by a parser, is an
+        # unreadable line, after any fault of the rows before it.
         try:
             header = [name.strip() for name in next(reader, [])]
             lines.append(lineno)
@@ -619,15 +668,21 @@ def _read_table(path, time_column: str):
             for cells in reader:
                 if len(cells) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
-                t = parse_rfc3339(cells[0])
-                values.extend(map(float, cells[1:]))
-                if times and t <= times[-1]:
-                    raise ValueError(f"time {cells[0].strip()} does not strictly increase")
-                times.append(t)
+                try:
+                    values.extend(map(float, cells[1:]))
+                except ValueError:
+                    parse_rfc3339(cells[0])  # a bad time is its row's first fault
+                    raise
+                stamps.append(cells[0])
                 lines.append(lineno)
+                if len(stamps) == _TABLE_BATCH:
+                    convert()
+            convert()
         except UnicodeDecodeError as exc:  # decoded by the block, not by the line
+            convert()
             raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
         except (ValueError, csv.Error) as exc:
+            convert()
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
     values = np.frombuffer(values).reshape(len(times), len(header) - 1)
     return header[1:], np.frombuffer(times), values, lines, comments

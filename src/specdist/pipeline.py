@@ -45,11 +45,12 @@ from .errors import (
 from .ingest import (
     TRANSFORMS,
     _check_names,
+    _epoch_seconds,
     _read_table,
     _removed_on_failure,
+    _stamp_array,
     _write_table,
     format_rfc3339,
-    parse_rfc3339,
     transform_panel,
 )
 from .simulator import SimConfig, check_counts, finite_real, run_simulations
@@ -373,16 +374,13 @@ def read_metrics_csv(path) -> AnalysisResult:
             f"{path}: line {lines[0]}: expected header "
             f"`window_start_time,js,mean_kl,H_<ch>...,mode_<ch>...`, got {columns!r}"
         )
-    provenance: dict[str, str] = {}
-    gaps: list[float] = []
-    for key, value, line in comments:
-        if key != "gap":
-            provenance[key] = value
-            continue
-        try:
-            gaps.append(parse_rfc3339(value))
-        except ValueError:
-            raise FormatError(f"{path}: line {line}: bad gap time {value!r}") from None
+    provenance = {key: value for key, value, _ in comments if key != "gap"}
+    gap_tokens = [(value, line) for key, value, line in comments if key == "gap"]
+    gaps, parsed = _epoch_seconds(_stamp_array([value for value, _ in gap_tokens]))
+    bad = np.flatnonzero(~parsed)
+    if bad.size:
+        value, line = gap_tokens[bad[0]]
+        raise FormatError(f"{path}: line {line}: bad gap time {value!r}")
     return AnalysisResult(
         timestamps=times,
         js=values[:, 0],
@@ -391,7 +389,7 @@ def read_metrics_csv(path) -> AnalysisResult:
         modes=values[:, 2 + m :],
         labels=tuple(labels),
         provenance=provenance,
-        gap_times=np.array(gaps, dtype=np.float64),
+        gap_times=gaps,
     )
 
 

@@ -7,13 +7,35 @@ helpers.
 
 import csv
 import math
+import re
 from array import array
+from datetime import datetime
 
 import numpy as np
 
 from specdist.errors import FormatError
-from specdist.ingest import MALFORMED_ABORT_FRACTION, SIDES, TICK_HEADER, ParsedTicks, parse_rfc3339
+from specdist.ingest import MALFORMED_ABORT_FRACTION, SIDES, TICK_HEADER, ParsedTicks
 from specdist.simulator import break_even_levels, draw_steps, init_population
+
+
+_RFC3339 = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt ]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.([0-9]{1,6}))?"
+    r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?"
+)
+
+
+def parse_rfc3339(text: str) -> float:
+    """Epoch seconds of `YYYY-MM-DD[Tt ]HH:MM:SS[.f{1,6}][Z|z|±HH:MM]` text,
+    UTC when it has no zone; any other text is a `ValueError`.  A regex and
+    `datetime.fromisoformat`, sharing no code with the library's parser."""
+    match = _RFC3339.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"bad RFC-3339 time: {text!r}")
+    date, time, fraction, zone = match.groups()
+    zone = "+00:00" if zone in (None, "Z", "z") else zone
+    # The one shape `fromisoformat` reads on every supported Python; it
+    # still checks the ranges (month 13, hour 24, February 30).
+    return datetime.fromisoformat(f"{date}T{time}.{fraction or '':0<6}{zone}").timestamp()
 
 
 def direct_periodogram(segment, dt):

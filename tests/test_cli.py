@@ -549,6 +549,31 @@ class TestSimulateCommand:
         assert "kind=ConfigurationError" in err and "horizon" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt", ["1e9", "1e300"])
+    def test_last_sample_past_year_9999_is_config_error(self, tmp_path, capsys, monkeypatch, dt):
+        # Its stamp could not be written: refused before any draw, naming both fields.
+        def no_simulation(cfg):
+            raise AssertionError("simulated a panel whose times cannot be written")
+
+        monkeypatch.setattr(cli, "run_simulation", no_simulation)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n_agents = 20\nn_commodities = 2\nhorizon = 10\ndt = {dt}\n")
+        rates, activity = tmp_path / "r.csv", tmp_path / "a.csv"
+        code = run("simulate", "--config", str(cfg), "--rates-out", str(rates), "--activity-out", str(activity))
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "kind=ConfigurationError" in err and f"dt {float(dt)!r} and horizon 10" in err
+        assert not rates.exists() and not activity.exists()
+
+    def test_last_writable_sample_runs(self, tmp_path):
+        # The greatest dt whose 10th sample falls before 10000-01-01T00:00:00Z.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_agents = 20\nn_commodities = 2\nhorizon = 10\nwarmup = 4\ndt = 469263519.99999994\n")
+        out = tmp_path / "a.csv"
+        assert run("simulate", "--config", str(cfg), "--activity-out", str(out)) == 0
+        assert out.read_text().splitlines()[-1].startswith("9999-12-31T23:59:59.999969Z,")
+        assert read_panel_csv(out).length == 10
+
     def test_unwritable_activity_file_removes_the_rates(self, tmp_path, capsys):
         rates = tmp_path / "r.csv"
         code = run(

@@ -33,7 +33,7 @@ from specdist.ingest import (
 from specdist.spectra import SignalPanel
 
 from conftest import DATA_DIR
-from oracles import row_parse_ticks, scalar_resample
+from oracles import parse_rfc3339 as oracle_rfc3339, row_parse_ticks, scalar_resample
 
 MINUTE_MS = 60_000
 
@@ -57,6 +57,28 @@ GRAMMAR_REJECTS = [
     "2006-10-16T00:03:00+01:60",  # offset minute out of range
     "2006-10-16T00:03:00+01:00:30",  # offset seconds
 ]
+
+
+# Times of the grammar and its near misses: every separator, 0 to 7
+# fraction digits, zones with and without a colon and out of range, months
+# and days out of range, years 1 to 9999 and whitespace around them.
+grammar_text = st.builds(
+    "{}{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}{}{}".format,
+    st.sampled_from(["", "", " ", "\t", "\u3000"]),
+    st.integers(1, 9999) | st.sampled_from([1684, 1685, 1969, 1970, 2255, 2256]),
+    st.integers(0, 13),
+    st.integers(0, 32),
+    st.sampled_from("Tt X"),
+    st.integers(0, 25),
+    st.integers(0, 61),
+    st.integers(0, 61),
+    st.just("") | st.text("0123456789", max_size=7).map(".".__add__),
+    st.sampled_from(["", "Z", "z"]) | st.builds(
+        "{}{:02d}{}{:02d}".format, st.sampled_from("+-"), st.integers(0, 25) | st.sampled_from([23, 24, 25]),
+        st.sampled_from([":", ":", ""]), st.integers(0, 61) | st.sampled_from([59, 60, 61]),
+    ),
+    st.sampled_from(["", "", " ", "\n"]),
+)
 
 
 def tick(minute_offset, instrument="EUR/USD", side="ask", price=1.0, second=0):
@@ -375,27 +397,6 @@ class TestColumnarParse:
         assert parsed.price.tolist() == [1.2612] * 999
         assert calls == [""]
 
-    def test_a_bad_day_sends_only_its_stamp_to_parse_rfc3339(self):
-        """A plain stamp out of range (February 30) is one `parse_rfc3339`
-        call, not one for each stamp of its run, in each block."""
-        rows = [f"2024-02-{1 + k % 28:02d}T{k // 60 % 24:02d}:{k % 60:02d}:00.5Z,EUR/USD,ask,1.1" for k in range(2000)]
-        bad = [f"2024-02-30T00:00:{k:02d}Z" for k in range(10)]
-        for k, stamp in enumerate(bad):
-            rows[k * 200 + 50] = f"{stamp},EUR/USD,bid,1.2"
-        text = HEADER + "\n" + "\n".join(rows) + "\n"
-        calls = []
-
-        def counted(stamp):
-            calls.append(stamp)
-            return parse_rfc3339(stamp)
-
-        with mock.patch.object(ingest, "_BLOCK_CHARS", 8192), mock.patch.object(ingest, "parse_rfc3339", counted):
-            got = parse_outcome(parse_ticks, text)
-        want = parse_outcome(row_parse_ticks, text)
-        assert want.malformed == 10
-        assert_same_parse(got, want)
-        assert sorted(calls) == bad
-
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_the_parse_does_not_depend_on_the_cpus(self, cpus):
         """Blocks are checked on one thread per CPU, at most
@@ -551,6 +552,23 @@ class TestRfc3339:
         parsed = parse_ticks(io.StringIO(body + f'"{text}",EUR/USD,ask,1.1\n'))
         assert parsed.malformed == 1 and parsed.timestamp_ms.size == 100
         assert parsed.problems == [f"line 102: bad timestamp {text!r}"]
+
+    @given(st.lists(grammar_text, min_size=1, max_size=12))
+    @settings(max_examples=400, deadline=None)
+    @example(["1685-01-01T00:00:00.000001Z", "2255-06-05T23:47:34.740993Z", "9999-12-31T23:59:59.999999-23:59",
+              "0001-01-01T00:00:00+23:59", "2024-02-29T12:00:00.5+05:30", "2023-02-29T12:00:00Z",
+              "2006-10-16T00:03:00+24:00", "2006-10-16T00:03:00-00:60"])
+    def test_matches_the_oracle_parser(self, texts):
+        """The vectorized parser gives the regex-and-`fromisoformat`
+        oracle's seconds bit for bit, or both refuse the text."""
+        seconds, parsed = ingest._epoch_seconds(ingest._stamp_array(texts))
+        for text, got, ok in zip(texts, seconds.tolist(), parsed.tolist()):
+            try:
+                want = oracle_rfc3339(text)
+            except ValueError:
+                assert not ok, text
+            else:
+                assert ok and got.hex() == want.hex(), text
 
     def test_round_trip_whole_seconds(self):
         text = "2006-10-16T00:03:00Z"
@@ -963,6 +981,46 @@ class TestPanelCsv:
             tracemalloc.stop()
         assert np.array_equal(loaded.values, values)
         assert peak < 32 * 600_000, f"peak {peak / 600_000:.1f} bytes per cell"
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4096])
+    @pytest.mark.parametrize(
+        "faults, line, reason",
+        [
+            ({6: "2006-10-16T00:0x:00Z,1,2"}, 6, "bad RFC-3339 time: '2006-10-16T00:0x:00Z'"),
+            ({5: "2006-10-16T00:01:00Z,1,2"}, 5, "time 2006-10-16T00:01:00Z does not strictly increase"),
+            ({6: "2006-10-16T00:02:00Z,1,2"}, 6, "time 2006-10-16T00:02:00Z does not strictly increase"),
+            ({9: " 2006-10-16T00:00:00Z ,1,2"}, 9, "time 2006-10-16T00:00:00Z does not strictly increase"),
+            ({5: "2006-10-16T00:0x:00Z,1,2", 7: "2006-10-16T00:04:00Z,1"}, 5, "bad RFC-3339 time"),
+            ({5: "2006-10-16T00:0x:00Z,1,abc"}, 5, "bad RFC-3339 time: '2006-10-16T00:0x:00Z'"),
+            ({5: "2006-10-16T00:00:00Z,1,abc"}, 5, "could not convert string to float: 'abc'"),
+            ({6: "2006-10-16T00:03:00Z,1,abc", 8: "2006-10-16T00:00:00Z,1,2"}, 6, "could not convert"),
+            ({4: "2006-10-16T00:00:00Z,1,2", 7: "2006-10-16T00:04:00Z,1,abc"}, 4, "does not strictly increase"),
+            ({4: "2006-10-16T00:0x:00Z,1,2", 8: '2006-10-16T00:05:00Z,1,"2'}, 4, "bad RFC-3339 time"),
+        ],
+    )
+    def test_the_first_fault_is_named_across_time_batches(self, tmp_path, faults, line, reason, batch):
+        """Times are converted a batch of rows at a time; whatever the batch,
+        the error names the first faulty line, and a row's time is checked
+        before its values and their increase after them."""
+        lines = ["# dt=1.0", "time,a,b", *(f"2006-10-16T00:{k:02d}:00Z,1,2" for k in range(7))]
+        for at, text in faults.items():
+            lines[at - 1] = text
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(ingest, "_TABLE_BATCH", batch), pytest.raises(FormatError) as info:
+            read_panel_csv(path)
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+        assert reason in str(info.value)
+
+    @pytest.mark.parametrize("batch", [7, 4096])
+    def test_a_bad_time_comes_before_a_later_undecodable_block(self, tmp_path, batch):
+        rows = [f"2006-10-{1 + k // 1440:02d}T{k // 60 % 24:02d}:{k % 60:02d}:00Z,1.0,2.0\n" for k in range(2000)]
+        rows[2] = "2006-10-01T00:0x:00Z,1.0,2.0\n"
+        path = tmp_path / "panel.csv"
+        path.write_bytes(("time,a,b\n" + "".join(rows)).encode() + b"\xff\n")
+        with mock.patch.object(ingest, "_TABLE_BATCH", batch), pytest.raises(FormatError) as info:
+            read_panel_csv(path)
+        assert str(info.value) == f"{path}: line 4: bad RFC-3339 time: '2006-10-01T00:0x:00Z'"
 
     @pytest.mark.parametrize("text", GRAMMAR_REJECTS)
     def test_rejected_time_names_its_line(self, tmp_path, text):

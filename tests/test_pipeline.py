@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdist import pipeline
+from specdist import ingest, pipeline
 from specdist.distances import cross_correlation, fit_proportionality, floored, kl_matrices
 from specdist.errors import (
     AlignmentError,
@@ -553,6 +553,36 @@ class TestMetricsCsv:
             read_metrics_csv(path)
         assert str(info.value).startswith(f"{path}: line {line}: ")
         assert reason in str(info.value)
+
+    @pytest.mark.parametrize("batch", [1, 4096])
+    @pytest.mark.parametrize(
+        "edits, line, reason",
+        [
+            ({5: "# gap=1970-01-01T00:02:00-00:00 gap=1970-01-01t00:04:00.5z gap=1970-01-01T01:06:00+01:00"},
+             None, [120.0, 240.5, 360.0]),
+            ({4: "# gap=1970-01-01T00:01:00Z gap=1970-01-01T00:02:0Z", 5: "# gap=1970-01-01T00:04:00+0100"},
+             4, "bad gap time '1970-01-01T00:02:0Z'"),
+            ({4: "# gap=1970-01-01T00:01:00Z", 5: "# gap=1970-01-01T00:04:00+0100"},
+             5, "bad gap time '1970-01-01T00:04:00+0100'"),
+            ({5: "# gap=1970-01-01T00:04:0Z", 6: "1970-01-01T00:08:0Z,0.3,0.4,1.2,1.3,0.25,0.25"},
+             6, "bad RFC-3339 time: '1970-01-01T00:08:0Z'"),
+        ],
+    )
+    def test_gap_tokens_after_the_rows(self, tmp_path, edits, line, reason, batch):
+        """Every `gap=` token is converted in one call once the rows are
+        read; the first bad one is named by its line, unless a row is bad."""
+        lines = self.METRICS.splitlines()
+        for at, text in edits.items():
+            lines[at - 1] = text
+        path = tmp_path / "metrics.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(ingest, "_TABLE_BATCH", batch):
+            if line is None:
+                assert read_metrics_csv(path).gap_times.tolist() == reason
+                return
+            with pytest.raises(FormatError) as info:
+                read_metrics_csv(path)
+        assert str(info.value) == f"{path}: line {line}: {reason}"
 
     def test_kl_dump_long_format(self, tmp_path):
         panel = noise_panel(m=2, length=128)

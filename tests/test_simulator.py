@@ -769,6 +769,10 @@ class TestConfigFile:
             (dict(theta_buy_range=(1e200, 2e200), theta_sell_range=(-2e200, -1e200)),
              "theta_buy_range (1e+200, 2e+200) and theta_sell_range (-2e+200, -1e+200) give attentions "
              "1/(theta_sell^2 + theta_buy^2) from 0.0 to 0.0; they must be finite and positive"),
+            # The last sample, (horizon - 1) * dt minutes after 1970, must have a stamp a file can hold.
+            (dict(horizon=10, dt=469263520.0),
+             "dt 469263520.0 and horizon 10 put the last sample 253402300800.0 s after 1970, "
+             "past 9999-12-31T23:59:59.999999Z, the last time a panel file can hold"),
         ],
     )
     def test_refused_values_name_their_field(self, change, message):
