@@ -9,10 +9,14 @@ values are in nats.
 
 Each metric is one array kernel over a (..., M, B) stack of M member
 distributions on B bins, frequency on the last axis: `js_divergences`,
-`kl_matrices` and `mean_kls`, with `floored` for the KL floor.  The
-kernels take rows as `spectra.normalize_power` makes them (nonnegative,
-summing to one) and weights as `AnalysisConfig` checks them; they do not
-re-check either.  The fits below guard their own inputs.
+`kl_matrices` and `mean_kls`, with `floored` for the KL floor.  Each bin's
+term of JS and KL is linear in the distributions at a fixed ratio of
+them, so a bin holding c equal bins scores as those c bins: the kernels
+score a one-sided (folded) spectrum as they score the full one, and
+only the floor needs the bins' multiplicity.  The kernels take rows as
+`spectra.normalize_power` makes them (nonnegative, summing to one) and
+weights as `AnalysisConfig` checks them; they do not re-check either.
+The fits below guard their own inputs.
 """
 
 from __future__ import annotations
@@ -30,13 +34,18 @@ from .errors import DegenerateFitError, DimensionError, UndefinedCorrelationErro
 DEFAULT_KL_FLOOR = 1e-12
 
 
-def floored(probs: np.ndarray, floor: float) -> np.ndarray:
-    """Distributions clamped below by `floor` and renormalized (unchanged at 0)."""
+def floored(probs: np.ndarray, floor: float, multiplicity=1.0) -> np.ndarray:
+    """Distributions clamped below and renormalized (unchanged at floor 0).
+
+    Bin b stands for c = multiplicity[b] equal bins (`spectra.bin_multiplicities`
+    for one-sided spectra; default 1), so it is clamped at c*floor: the
+    result is the folded form of the full distribution clamped at `floor`.
+    """
     if not (math.isfinite(floor) and floor >= 0):
         raise ValueError(f"floor must be finite and nonnegative, got {floor}")
     if floor == 0:
         return probs
-    clipped = np.maximum(probs, floor)
+    clipped = np.maximum(probs, floor * multiplicity)
     return clipped / clipped.sum(axis=-1, keepdims=True)
 
 

@@ -20,6 +20,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from numbers import Integral
+from operator import add, itemgetter
 from typing import TextIO
 
 import numpy as np
@@ -57,6 +58,7 @@ from .simulator import SimConfig, check_counts, finite_real, run_simulations
 from .spectra import (
     SignalPanel,
     bin_frequencies,
+    bin_multiplicities,
     entropies,
     mode_frequencies,
     normalize_power,
@@ -66,7 +68,7 @@ from .spectra import (
 log = logging.getLogger(__name__)
 
 # Samples (windows x channels x width) scored per chunk.  Keeps the
-# analysis temporaries (taper copy, complex FFT, probabilities, log terms)
+# analysis temporaries (taper copy, one-sided FFT, probabilities, log terms)
 # at a few hundred kB whatever the panel length; scoring every window at
 # once would grow them with the panel.
 CHUNK_SAMPLES = 1 << 14
@@ -151,8 +153,12 @@ def _score_chunk(segments: np.ndarray, weights: np.ndarray, floor: float, dt: fl
     """Metrics of a (w, M, N) stack of windows.
 
     Returns the masks of windows skipped for a constant channel and for
-    zero AC power, and the metric arrays of the windows left.
+    zero AC power, and the metric arrays of the windows left.  The spectra
+    are scored one-sided; "spectra" holds the probability of each of a
+    mirror pair's two bins, which the spectra dump writes to both.
     """
+    width = segments.shape[-1]
+    multiplicity = bin_multiplicities(width)
     constant = np.any(segments.max(axis=-1) == segments.min(axis=-1), axis=-1)
     probs, empty = normalize_power(power_spectra(segments))
     silent = np.any(empty, axis=-1) & ~constant
@@ -161,18 +167,18 @@ def _score_chunk(segments: np.ndarray, weights: np.ndarray, floor: float, dt: fl
     probs = probs[~(constant | silent)]
     # JS and KL see the same floored distributions, which makes Lin's bound
     # checked in `analyze` a theorem.
-    dists = floored(probs, floor)
+    dists = floored(probs, floor, multiplicity)
     kl = kl_matrices(dists)
     return constant, silent, {
-        "spectra": probs,
+        "spectra": probs / multiplicity,
         "js": js_divergences(dists, weights),
         "kl": kl,
         "mean_kl": mean_kls(kl),
         # Lin (1991), IEEE Trans. Inf. Theory 37(1):145-151: JS <= sum_ij
         # pi_i pi_j KL(p_i, p_j); for uniform weights that is the mean KL.
         "bound": np.einsum("m,wmn,n->w", weights, kl, weights),
-        "entropies": entropies(probs),
-        "modes": mode_frequencies(probs, dt),
+        "entropies": entropies(probs, multiplicity),
+        "modes": mode_frequencies(probs, width, dt),
     }
 
 
@@ -203,27 +209,35 @@ def analyze(
     skipped (degenerate) windows.  Each chunk of windows is scored once; its
     KL matrices (window time, row, column, value) and normalized spectra
     (window time, channel, frequency, probability) go to the `dump_kl` and
-    `dump_spectra` files before the next chunk is scored.  Every check, of
-    the panel and of the labels (`_check_names`; the KL dump's `# channels=`
-    line also refuses `|`), runs before a dump is opened, and a failure
-    after that removes the dumps.
+    `dump_spectra` files before the next chunk is scored.  The spectra dump
+    has a row for each of the N-1 AC bins; bins n and N-n hold the same
+    value, formatted once.  Every check, of the panel and of the labels
+    (`_check_names`; the KL dump's `# channels=` line also refuses `|`),
+    runs before a dump is opened, and a failure after that removes the
+    dumps.
     """
     cfg = config if config is not None else AnalysisConfig()
     panel, weights = _prepared(panel, cfg)
     m = panel.n_channels
-    dumps = {}  # kind -> (path, header lines, the row keys of a window)
+    # kind -> (path, header lines, the row keys of a window, the index of
+    # each row's value among the window's values)
+    dumps = {}
     if dump_kl is not None:
         _check_names(dump_kl, panel.labels, also="|")
         head = "# channels=" + "|".join(panel.labels) + "\n"
         dumps["kl"] = (dump_kl, head + "window_start_time,l,m,kl\n",
-                       [f"{l},{j}" for l in range(m) for j in range(m)])
+                       [f"{l},{j}," for l in range(m) for j in range(m)], range(m * m))
     if dump_spectra is not None:
         _check_names(dump_spectra, panel.labels)
         if dump_kl is not None and os.path.abspath(dump_kl) == os.path.abspath(dump_spectra):
             raise ConfigurationError(f"{dump_spectra}: the KL and spectra dumps need two files")
         freqs = bin_frequencies(cfg.width, panel.dt).tolist()
+        # Row n = 1..N-1 of a channel takes one-sided bin min(n, N-n).
+        n = np.arange(1, cfg.width)
+        folded = np.minimum(n, cfg.width - n) - 1
         dumps["spectra"] = (dump_spectra, "window_start_time,channel,frequency,prob\n",
-                            [f"{name},{f!r}" for name in panel.labels for f in freqs])
+                            [f"{name},{f!r}," for name in panel.labels for f in freqs],
+                            (np.arange(m)[:, None] * (cfg.width // 2) + folded).ravel().tolist())
     stride = cfg.stride
     windows = sliding_window_view(panel.values, cfg.width, axis=1)[:, ::stride].swapaxes(0, 1)
     starts = np.arange(len(windows)) * stride
@@ -231,11 +245,11 @@ def analyze(
     step = max(1, CHUNK_SAMPLES // (m * cfg.width))
     kept, files = [], []
     with _removed_on_failure() as written, contextlib.ExitStack() as opened:
-        for kind, (path, head, keys) in dumps.items():
+        for kind, (path, head, keys, order) in dumps.items():
             fh = opened.enter_context(open(path, "w", encoding="utf-8", newline=""))
             written.append(path)
             fh.write(head)
-            files.append((fh, kind, keys))
+            files.append((fh, kind, keys, itemgetter(*order)))
         for lo in range(0, len(windows), step):
             constant, silent, metrics = _score_chunk(windows[lo : lo + step], weights, cfg.kl_floor, panel.dt)
             scored = lo + np.flatnonzero(~(constant | silent))
@@ -247,10 +261,12 @@ def analyze(
                     f"window at {starts[scored[i]]}: JS {float(js[i])!r} exceeds "
                     f"the weighted mean KL {float(bound[i])!r} (Lin's bound)"
                 )
-            stamps = [format_rfc3339(t) for t in times[scored].tolist()] if files else []
-            for fh, kind, keys in files:
-                for stamp, row in zip(stamps, metrics[kind].reshape(len(stamps), len(keys)).tolist()):
-                    fh.writelines(f"{stamp},{key},{v!r}\n" for key, v in zip(keys, row))
+            if files and scored.size:
+                stamps = [format_rfc3339(t) for t in times[scored].tolist()]
+                for fh, kind, keys, pick in files:
+                    for stamp, row in zip(stamps, metrics[kind].reshape(len(stamps), -1).tolist()):
+                        texts = pick(list(map(repr, row)))
+                        fh.write(stamp + "," + f"\n{stamp},".join(map(add, keys, texts)) + "\n")
             kept.append((constant, silent, js, metrics["mean_kl"], metrics["entropies"], metrics["modes"]))
 
     constant, silent, js, mean_kl, ents, modes = map(np.concatenate, zip(*kept))

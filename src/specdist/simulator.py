@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .ingest import _STAMP_END
+from .ingest import _STAMP_END, MAX_CELLS
 from .spectra import SignalPanel
 
 # Return scale per net buyer.  The attention weights are of order
@@ -137,6 +137,10 @@ class SimConfig:
         if not last < _STAMP_END:
             fail(f"dt {self.dt!r} and horizon {self.horizon} put the last sample {last!r} s after 1970, "
                  "past 9999-12-31T23:59:59.999999Z, the last time a panel file can hold")
+        # Each panel is held whole, so it takes the cell bound a resampled one does.
+        if self.n_commodities * self.horizon > MAX_CELLS:
+            fail(f"n_commodities {self.n_commodities} x horizon {self.horizon} is "
+                 f"{self.n_commodities * self.horizon} cells a panel, more than the {MAX_CELLS} a panel may hold")
 
     def provenance(self) -> dict[str, str]:
         """Each field as text `load_sim_config` reads back: ranges as `lo,hi`,

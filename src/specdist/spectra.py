@@ -1,20 +1,28 @@
 """Windowed periodogram estimation and per-channel spectral statistics.
 
 The estimator tapers a length-N segment with a raised-cosine (Hanning)
-window, takes the squared magnitude of its DFT scaled by 1/N^2, drops the
-DC bin, and rescales the N-1 AC bins, those above N/2 mirroring the
-negative frequencies, into a probability distribution.  Spectral entropy
-(in nats) and the mode frequency are statistics of that distribution: a
-flat spectrum maximizes the entropy at log(N-1), a single-bin spectrum
-has entropy zero.
+window and takes the squared magnitude of its DFT scaled by 1/N^2.  The
+segments are real, so AC bin n and its mirror N-n carry the same power
+(Oppenheim & Schafer, *Discrete-Time Signal Processing*, real-input DFT
+symmetry): the estimator computes the one-sided bins n = 0..N//2 and
+gives each AC bin its multiplicity c, 2 for an interior bin, which
+stands for n and N-n, and 1 for the Nyquist bin of an even N, its own
+mirror.  Dropping the DC bin and rescaling the rest to sum to one gives
+the folded distribution q = c*p over the N//2 distinct frequencies,
+where p is the distribution over all N-1 AC bins.  Ratios of two such
+distributions are ratios of p, so divergences need no c; the spectral
+entropy -sum q*log(q/c) (in nats) is that of p.  A flat spectrum
+maximizes it at log(N-1), a single-bin spectrum has entropy zero.  The
+mode frequency is the largest bin of q.
 
 Each estimator is one array kernel whose last axis is the frequency
 axis, so the same call scores one segment or a (windows, channels, bins)
-stack of them: `power_spectra` (raw bins, DC first), `normalize_power`
-(probabilities and a mask of spectra with no AC power), `entropies` and
-`mode_frequencies`.  The kernels take rows as `normalize_power` makes
-them and do not re-check them; the checks guard outside input instead
-(`SignalPanel`, `hanning_window`, `AnalysisConfig`).
+stack of them: `power_spectra` (one-sided bins, DC first),
+`normalize_power` (probabilities and a mask of spectra with no AC power),
+`entropies` and `mode_frequencies`, with `bin_multiplicities` giving c.
+The kernels take rows as `normalize_power` makes them and do not
+re-check them; the checks guard outside input instead (`SignalPanel`,
+`hanning_window`, `AnalysisConfig`).
 """
 
 from __future__ import annotations
@@ -108,21 +116,34 @@ def hanning_window(width: int) -> np.ndarray:
 
 
 def bin_frequencies(width: int, dt: float) -> np.ndarray:
-    """Frequencies f_n = n/(N*dt) of the AC bins n = 1..N-1; the bins above
-    N/2 mirror the negative frequencies (n - N)/(N*dt)."""
+    """Frequencies f_n = n/(N*dt) of the AC bins n = 1..N-1.  The first N//2
+    are the one-sided bins; those above N/2 mirror the negative frequencies
+    (n - N)/(N*dt)."""
     return np.arange(1, width) / (width * dt)
 
 
-def power_spectra(segments: np.ndarray) -> np.ndarray:
-    """Tapered periodograms of segments stacked along the last axis.
+def bin_multiplicities(width: int) -> np.ndarray:
+    """Multiplicity c of each one-sided AC bin n = 1..N//2: 2 for a bin that
+    stands for itself and its mirror N-n, 1 for the Nyquist bin of an even N."""
+    c = np.full(width // 2, 2.0)
+    if width % 2 == 0:
+        c[-1] = 1.0
+    return c
 
-    Computes P(f_n) = |sum_k w(k) x(k) e^{-2*pi*i*k*n/N}|^2 / N^2 for
-    n = 0..N-1 (DC and the mirrored half included) via the FFT, which
-    matches the direct summation to floating-point accuracy.
+
+def power_spectra(segments: np.ndarray) -> np.ndarray:
+    """One-sided tapered periodograms of segments stacked along the last axis.
+
+    With P(f_n) = |sum_k w(k) x(k) e^{-2*pi*i*k*n/N}|^2 / N^2, returns the
+    DC bin P(f_0) and c*P(f_n) for n = 1..N//2 (`bin_multiplicities`), via
+    the real-input FFT.  For a real segment that is P(f_n) + P(f_{N-n}), so
+    the result matches the folded direct summation to floating-point
+    accuracy.
     """
     n = segments.shape[-1]
-    amplitude = np.fft.fft(hanning_window(n) * segments, axis=-1)
-    return np.abs(amplitude) ** 2 / n**2
+    power = np.abs(np.fft.rfft(hanning_window(n) * segments, axis=-1)) ** 2 / n**2
+    power[..., 1:] *= bin_multiplicities(n)
+    return power
 
 
 def normalize_power(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,6 +151,7 @@ def normalize_power(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the probabilities and a mask of the spectra whose AC bins carry
     no power at all (a constant window); their probability rows are zero.
+    On `power_spectra` rows the probabilities are the folded q = c*p.
     """
     ac = power[..., 1:]
     total = ac.sum(axis=-1, keepdims=True)
@@ -137,27 +159,24 @@ def normalize_power(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ac / np.where(empty[..., None], 1.0, total), empty
 
 
-def entropies(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy -sum p*log(p) over the last axis, in nats.
+def entropies(probs: np.ndarray, multiplicity=1.0) -> np.ndarray:
+    """Shannon entropy -sum q*log(q/c) over the last axis, in nats.
 
-    Bins at or below ENTROPY_PROB_FLOOR contribute nothing.  A distribution
-    over B bins scores in [0, log(B)], reaching the top exactly when it is
-    uniform.
+    Bin b of `probs` stands for c = multiplicity[b] equal bins of q/c each
+    (`bin_multiplicities` for one-sided spectra; the default 1 is the plain
+    entropy -sum q*log(q)).  Bins at or below ENTROPY_PROB_FLOOR contribute
+    nothing.  A distribution over B bins of multiplicity 1 scores in
+    [0, log(B)], reaching the top exactly when it is uniform.
     """
-    live = np.where(probs > ENTROPY_PROB_FLOOR, probs, 1.0)
-    return -(probs * np.log(live)).sum(axis=-1) + 0.0
+    per_bin = np.where(probs > ENTROPY_PROB_FLOOR, probs / multiplicity, 1.0)
+    return -(probs * np.log(per_bin)).sum(axis=-1) + 0.0
 
 
-def mode_frequencies(probs: np.ndarray, dt: float) -> np.ndarray:
-    """Frequency of each spectrum's largest bin, at or below Nyquist.
+def mode_frequencies(probs: np.ndarray, width: int, dt: float) -> np.ndarray:
+    """Frequency of each one-sided spectrum's largest bin, at most Nyquist.
 
-    Bin n and its mirror N-n (the same frequency for a real signal) are
-    summed first, so the mode is never above 1/(2*dt); the Nyquist bin of
-    an even N is its own mirror and counts once.  Ties go to the lowest
+    `probs` holds the width//2 folded AC bins of a width-N window, so bin n
+    already holds n and its mirror N-n together.  Ties go to the lowest
     frequency.
     """
-    n = probs.shape[-1] + 1
-    folded = probs[..., : n // 2].copy()
-    folded[..., : (n - 1) // 2] += probs[..., ::-1][..., : (n - 1) // 2]
-    return bin_frequencies(n, dt)[np.argmax(folded, axis=-1)]
-
+    return bin_frequencies(width, dt)[np.argmax(probs, axis=-1)]

@@ -53,6 +53,14 @@ def direct_periodogram(segment, dt):
     return out
 
 
+def folded_periodogram(segment, dt):
+    """The direct periodogram on the one-sided bins n = 0..N//2: DC, then
+    P(n) + P(N-n), with the Nyquist bin n = N/2 of an even N taken once."""
+    full = direct_periodogram(segment, dt)
+    n = full.size
+    return np.array([full[0]] + [full[k] + (full[n - k] if 2 * k != n else 0.0) for k in range(1, n // 2 + 1)])
+
+
 def scalar_entropy(probs):
     """Plain-Python Shannon entropy in nats with the 0*log(0) = 0 convention."""
     total = 0.0

@@ -24,6 +24,7 @@ from specdist.pipeline import AnalysisConfig, analyze, compare_metric_series, en
 from specdist.simulator import SimConfig, run_simulation
 from specdist.spectra import (
     SignalPanel,
+    bin_multiplicities,
     entropies,
     mode_frequencies,
     normalize_power,
@@ -31,7 +32,7 @@ from specdist.spectra import (
 )
 
 from conftest import DATA_DIR
-from oracles import direct_periodogram, random_spectrum
+from oracles import folded_periodogram, random_spectrum
 
 WINDOW = AnalysisConfig(width=128, stride=64)
 
@@ -147,14 +148,15 @@ def test_criterion_3_parameter_entropy_sweep():
 
 
 def test_criterion_4_periodogram_oracle():
-    """Fast transform matches direct O(N^2) summation to 1e-10 relative."""
+    """Fast transform matches direct O(N^2) summation, folded onto the
+    one-sided bins, to 1e-10 relative."""
     rng = np.random.default_rng(77)
     worst = 0.0
     for i in range(100):
-        n = (8, 64, 128, 256)[i % 4]
+        n = (8, 15, 64, 127, 128, 256)[i % 6]
         x = rng.normal(size=n)
         fast = power_spectra(x)
-        direct = direct_periodogram(x, 1.0)
+        direct = folded_periodogram(x, 1.0)
         rel = np.abs(fast - direct) / np.maximum(np.abs(direct), 1e-300)
         worst = max(worst, float(rel.max()))
     ok = worst <= 1e-10
@@ -164,7 +166,7 @@ def test_criterion_4_periodogram_oracle():
 def tone_stats(n, tone_bin):
     x = np.cos(2 * np.pi * np.arange(n) * tone_bin / n)
     probs, _ = normalize_power(power_spectra(x))
-    return float(entropies(probs)), float(mode_frequencies(probs, 1.0))
+    return float(entropies(probs, bin_multiplicities(n))), float(mode_frequencies(probs, n, 1.0))
 
 
 def test_criterion_5_entropy_extremes():
@@ -225,7 +227,7 @@ def test_criterion_7_synthetic_diurnal_cycle(diurnal_metrics):
     js_panel = SignalPanel(js[None, :360], ("js",), 16.0)  # stride 16 -> dt 16 min
     probs, empty = normalize_power(power_spectra(js_panel.values[0]))
     assert not empty
-    mode = float(mode_frequencies(probs, js_panel.dt))
+    mode = float(mode_frequencies(probs, js_panel.length, js_panel.dt))
     target = 1.0 / 1440.0
     bin_width = 1.0 / (360 * 16.0)
     ok = abs(mode - target) <= bin_width + 1e-15

@@ -565,6 +565,24 @@ class TestSimulateCommand:
         assert "kind=ConfigurationError" in err and f"dt {float(dt)!r} and horizon 10" in err
         assert not rates.exists() and not activity.exists()
 
+    def test_panel_past_the_cell_bound_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # dt = 1e-300 keeps the last stamp writable: the horizon alone is refused,
+        # before any draw, where numpy used to fail allocating the panels.
+        def no_simulation(cfg):
+            raise AssertionError("simulated a panel past the cell bound")
+
+        monkeypatch.setattr(cli, "run_simulation", no_simulation)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("dt = 1e-300\n")
+        rates, activity = tmp_path / "r.csv", tmp_path / "a.csv"
+        code = run("simulate", "--config", str(cfg), "--steps", str(10**30),
+                   "--rates-out", str(rates), "--activity-out", str(activity))
+        assert code == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "kind=ConfigurationError" in err[0]
+        assert f"n_commodities 20 x horizon {10**30} is" in err[0]
+        assert not rates.exists() and not activity.exists()
+
     def test_last_writable_sample_runs(self, tmp_path):
         # The greatest dt whose 10th sample falls before 10000-01-01T00:00:00Z.
         cfg = tmp_path / "sim.cfg"
@@ -694,6 +712,18 @@ class TestCompareCommand:
         assert run("compare", str(left), str(right)) == 4
         err = capsys.readouterr().err
         assert "kind=FormatError" in err and f"{left}: line 4: could not convert" in err
+
+    def test_gap_time_with_a_space_separator_is_format_error(self, tmp_path, capsys):
+        # `#` lines split on whitespace into key=value tokens, so a time in a
+        # token takes the `T` separator the writer emits (README "File formats").
+        left = self.make_metrics(tmp_path, 3, "left")
+        lines = left.read_text().splitlines()
+        lines.insert(4, "# gap=1970-01-01 00:02:00+00:00")
+        left.write_text("\n".join(lines) + "\n")
+        right = self.make_metrics(tmp_path, 4, "right")
+        assert run("compare", str(left), str(right)) == 4
+        err = capsys.readouterr().err
+        assert "kind=FormatError" in err and f"{left}: line 5: bad gap time '1970-01-01'" in err
 
     def test_simulated_rates_vs_activity(self, tmp_path, capsys):
         rates, activity = tmp_path / "rates.csv", tmp_path / "activity.csv"

@@ -286,7 +286,7 @@ class TestKernelOracle:
 
     @given(
         m=st.sampled_from([2, 5, 20]),
-        width=st.sampled_from([16, 128]),
+        width=st.sampled_from([15, 16, 127, 128]),
         floor=st.sampled_from([0.0, 1e-12, 1e-3]),
         n_windows=st.integers(1, 9),
         chunk_windows=st.sampled_from([None, 1, 2, 4]),
@@ -610,6 +610,23 @@ class TestMetricsCsv:
         power = direct_periodogram(panel.values[0], 1.0)[1:]
         assert float(prob) == pytest.approx(power[0] / power.sum(), rel=1e-10)
 
+    @pytest.mark.parametrize("width", [15, 128])
+    def test_spectra_dump_mirror_rows_hold_one_text(self, tmp_path, width):
+        # Bins n and N-n of a real window hold the same probability; an odd
+        # width has no Nyquist bin, an even one has its own mirror there.
+        panel = noise_panel(m=2, length=3 * width, seed=9)
+        path = tmp_path / "spectra.csv"
+        result = analyze(panel, AnalysisConfig(width=width, stride=width), dump_spectra=path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == result.js.size * 2 * (width - 1) == 3 * 2 * (width - 1)
+        for lo in range(0, len(rows), width - 1):
+            block = rows[lo : lo + width - 1]
+            assert len({(stamp, channel) for stamp, channel, _, _ in block}) == 1
+            assert [freq for _, _, freq, _ in block] == [repr(n / width) for n in range(1, width)]
+            probs = [prob for _, _, _, prob in block]
+            assert probs == probs[::-1]
+        assert len({prob for *_, prob in rows[: width - 1]}) == width // 2
+
     @pytest.mark.parametrize("chunk_windows", [1, 2, 3])
     def test_dumps_stream_every_scored_window_once(self, tmp_path, chunk_windows):
         rng = np.random.default_rng(6)
@@ -697,14 +714,14 @@ class TestMetricsCsv:
 
         def full_disk(path, *args, **kwargs):
             fh = open(path, *args, **kwargs)
-            write = fh.writelines
+            write = fh.write
 
-            def writelines(lines):
+            def full_write(text):
                 if len(chunks) == 2 and failure == "write error":
                     raise OSError(28, "No space left on device")
-                write(lines)
+                return write(text)
 
-            fh.writelines = writelines
+            fh.write = full_write
             return fh
 
         # The second chunk's first window starts at sample 128.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import attitude_simulation, loop_lockstep, scalar_simulation
 from specdist import simulator
 from specdist.errors import ConfigurationError
+from specdist.ingest import MAX_CELLS
 from specdist.simulator import (
     READ_AHEAD_BYTES,
     SimConfig,
@@ -778,6 +779,17 @@ class TestConfigFile:
     def test_refused_values_name_their_field(self, change, message):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             SimConfig(**change)
+
+    def test_panel_cells_are_bounded_like_a_resample(self):
+        # A panel is held whole: n_commodities * horizon may not pass MAX_CELLS,
+        # whatever dt, so a horizon numpy cannot allocate is refused up front.
+        assert SimConfig(n_commodities=16, horizon=MAX_CELLS // 16).horizon == 2**20
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"n_commodities 16 x horizon {2**20 + 1} is {MAX_CELLS + 16} cells a panel, "
+                f"more than the {MAX_CELLS} a panel may hold")):
+            SimConfig(n_commodities=16, horizon=2**20 + 1)
+        with pytest.raises(ConfigurationError, match=f"^n_commodities 20 x horizon {10**30} is "):
+            SimConfig(horizon=10**30, dt=1e-300)
 
     # The least |theta| whose attention 1/(2 theta^2) is finite, and the
     # greatest whose attention is positive: accepted, and one ulp beyond refused.

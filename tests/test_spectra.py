@@ -10,6 +10,7 @@ from specdist.pipeline import AnalysisConfig, analyze
 from specdist.spectra import (
     SignalPanel,
     bin_frequencies,
+    bin_multiplicities,
     entropies,
     hanning_window,
     mode_frequencies,
@@ -17,7 +18,7 @@ from specdist.spectra import (
     power_spectra,
 )
 
-from oracles import direct_periodogram, folded_mode, scalar_entropy
+from oracles import direct_periodogram, folded_mode, folded_periodogram, scalar_entropy
 
 
 def make_panel(values, dt=1.0):
@@ -66,18 +67,27 @@ class TestPeriodogram:
         n = 128
         x = np.cos(2 * np.pi * np.arange(n) * 8 / n)
         ps = power_spectra(x)
-        # Bins 8 and 120 tie by conjugate symmetry; argmax takes the lower.
+        # One-sided: bin 8 holds the tone and its mirror 120 together.
+        assert ps.size == n // 2 + 1
         assert int(np.argmax(ps[1:])) + 1 == 8
         oracle = direct_periodogram(x, 1.0)
         assert oracle[8] == pytest.approx(float(np.max(oracle[1:])), rel=1e-12)
 
     def test_fast_path_matches_direct_sum_on_noise(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=128)
-        ps = power_spectra(x)
-        oracle = direct_periodogram(x, 1.0)
-        rel = np.abs(ps - oracle) / np.maximum(oracle, 1e-300)
-        assert np.max(rel) <= 1e-10
+        for n in (128, 127):
+            x = rng.normal(size=n)
+            ps = power_spectra(x)
+            oracle = folded_periodogram(x, 1.0)
+            assert ps.shape == oracle.shape == (n // 2 + 1,)
+            rel = np.abs(ps - oracle) / np.maximum(oracle, 1e-300)
+            assert np.max(rel) <= 1e-10
+
+    def test_multiplicities_count_each_ac_bin_once(self):
+        assert bin_multiplicities(8).tolist() == [2.0, 2.0, 2.0, 1.0]
+        assert bin_multiplicities(7).tolist() == [2.0, 2.0, 2.0]
+        for width in (4, 5, 15, 127, 128):
+            assert bin_multiplicities(width).sum() == width - 1
 
     def test_offset_window_uses_the_right_samples(self):
         # Each segment of a stack is transformed on its own samples only.
@@ -92,8 +102,9 @@ class TestPeriodogram:
         panel = make_panel(np.sin(np.arange(64.0)), dt=2.0)
         probs, _ = normalize_power(power_spectra(panel.values[0]))
         freqs = bin_frequencies(64, panel.dt)
-        assert freqs.size == probs.size == 63
+        assert freqs.size == 63 and probs.size == 32
         assert freqs[0] == pytest.approx(1.0 / 128.0)
+        assert freqs[31] == 1.0 / (2 * panel.dt)
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0), seed=st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
@@ -132,8 +143,9 @@ class TestNormalizeSpectrum:
     def test_entropy_invariant_under_scaling(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=64)
-        h1 = entropies(normalize_power(power_spectra(x))[0])
-        h2 = entropies(normalize_power(power_spectra(-2.5 * x))[0])
+        c = bin_multiplicities(64)
+        h1 = entropies(normalize_power(power_spectra(x))[0], c)
+        h2 = entropies(normalize_power(power_spectra(-2.5 * x))[0], c)
         assert h1 == pytest.approx(h2, rel=1e-12)
 
 
@@ -168,36 +180,46 @@ class TestSpectralEntropy:
         probs = raw / raw.sum()
         assert entropies(probs) == pytest.approx(scalar_entropy(probs), rel=1e-12)
 
+    @pytest.mark.parametrize("width", [15, 128])
+    def test_one_sided_entropy_is_that_of_all_ac_bins(self, width):
+        # A flat spectrum over the N-1 AC bins folds to q = c/(N-1).
+        c = bin_multiplicities(width)
+        assert entropies(c / (width - 1), c) == pytest.approx(math.log(width - 1), abs=1e-12)
+        x = np.random.default_rng(5).normal(size=width)
+        power = direct_periodogram(x, 1.0)[1:]
+        probs, _ = normalize_power(power_spectra(x))
+        assert entropies(probs, c) == pytest.approx(scalar_entropy(power / power.sum()), rel=1e-12)
+
 
 class TestModeFrequency:
     def test_delta_mode(self):
-        probs = np.zeros(127)
+        probs = np.zeros(64)
         probs[7] = 1.0  # bin n=8 of a 128-wide window
-        assert mode_frequencies(probs, 1.0) == pytest.approx(8 / 128)
+        assert mode_frequencies(probs, 128, 1.0) == pytest.approx(8 / 128)
 
     def test_uniform_ties_break_to_lowest_frequency(self):
-        assert mode_frequencies(np.full(127, 1.0 / 127), 1.0) == pytest.approx(1 / 128)
+        assert mode_frequencies(np.full(64, 1.0 / 64), 128, 1.0) == pytest.approx(1 / 128)
 
     def test_sinusoid_panel_mode(self):
         n = 128
         x = np.cos(2 * np.pi * np.arange(n) * 8 / n)
         probs, _ = normalize_power(power_spectra(make_panel(x).values[0]))
-        assert mode_frequencies(probs, 1.0) == pytest.approx(8 / 128)
+        assert mode_frequencies(probs, n, 1.0) == pytest.approx(8 / 128)
         oracle = direct_periodogram(x, 1.0)
         assert oracle[8] == pytest.approx(float(np.max(oracle[1:])), rel=1e-12)
 
     def test_nyquist_bin_counts_once(self):
         # Nyquist holds 0.277 of the power and the tone at bin 20 0.385: the
-        # Nyquist bin is its own mirror, so adding it to itself would make
-        # it the mode.
+        # Nyquist bin is its own mirror, so doubling it would make it the mode.
         n = 128
         k = np.arange(n)
         x = np.cos(2 * np.pi * 20 * k / n) + 0.6 * (-1.0) ** k
         probs, _ = normalize_power(power_spectra(x))
         assert probs[63] == pytest.approx(0.277, abs=1e-3)
-        assert probs[19] + probs[107] == pytest.approx(0.385, abs=1e-3)
-        assert mode_frequencies(probs, 1.0) == 20 / 128
-        assert folded_mode(probs.tolist(), n, 1.0) == 20 / 128
+        assert probs[19] == pytest.approx(0.385, abs=1e-3)
+        assert mode_frequencies(probs, n, 1.0) == 20 / 128
+        power = direct_periodogram(x, 1.0)[1:]
+        assert folded_mode((power / power.sum()).tolist(), n, 1.0) == 20 / 128
 
     @given(
         width=st.integers(4, 65),
@@ -206,12 +228,12 @@ class TestModeFrequency:
     )
     @settings(max_examples=60, deadline=None)
     def test_modes_at_or_below_nyquist(self, width, dt, seed):
-        # White noise: the mirrored copies of a bin differ in their last bits.
+        # White noise, odd and even widths, and a random one-sided distribution.
         rng = np.random.default_rng(seed)
         panel = SignalPanel(rng.normal(size=(4, 2 * width)), ("a", "b", "c", "d"), dt)
         result = analyze(panel, AnalysisConfig(width=width, stride=1))
-        skewed = rng.dirichlet(np.ones(width - 1))
-        modes = np.append(result.modes.ravel(), mode_frequencies(skewed, dt))
+        skewed = rng.dirichlet(np.ones(width // 2))
+        modes = np.append(result.modes.ravel(), mode_frequencies(skewed, width, dt))
         # Bin n sits at n/(N*dt); Nyquist is n = N/2.
         assert np.all(np.rint(modes * width * dt) <= width // 2)
 
