@@ -106,19 +106,26 @@ def parse_ticks(stream: TextIO) -> ParsedTicks:
             f"bad tick header {header!r}, expected {','.join(TICK_HEADER)}"
         )
 
-    # The body is read a block of whole lines at a time and each block is
-    # checked column by column.  Instruments get codes in order of first
-    # appearance, renumbered to sorted order at the end.
+    # This thread reads the body a block of whole lines at a time; up to one
+    # thread per CPU, at most `_MAX_CHECK_THREADS`, checks the blocks, and at
+    # most one block more than the threads is held.  Instruments get codes in
+    # order of first appearance, renumbered to sorted order at the end.  The
+    # pool is imported here, so that only commands that parse ticks pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    threads = min(len(os.sched_getaffinity(0)), _MAX_CHECK_THREADS)
+    checked = _read_ahead(ThreadPoolExecutor(threads), _check_block, zip(_blocks(stream, reader.line_num)), threads)
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.intp), np.zeros(0, bool), np.zeros(0))]
     names: dict[str, int] = {}
     malformed = 0
     problems: list[str] = []
-    for runs in _checked_blocks(stream, reader.line_num):
-        for bad, reasons, (stamps, present, codes, asks, prices) in runs:
-            malformed += bad
-            problems += reasons[:_MAX_REPORTED_PROBLEMS - len(problems)]
-            recode = [names.setdefault(name.replace(_NUL, "\0"), len(names)) for name in present.tolist()]
-            parts.append((stamps, np.array(recode, np.intp)[codes], asks, prices))
+    with contextlib.closing(checked):
+        for runs in checked:
+            for bad, reasons, (stamps, present, codes, asks, prices) in runs:
+                malformed += bad
+                problems += reasons[:_MAX_REPORTED_PROBLEMS - len(problems)]
+                recode = [names.setdefault(name.replace(_NUL, "\0"), len(names)) for name in present.tolist()]
+                parts.append((stamps, np.array(recode, np.intp)[codes], asks, prices))
 
     stamps, codes, asks, prices = (np.concatenate(column) for column in zip(*parts))
     total = stamps.size + malformed
@@ -168,31 +175,17 @@ def _nul_free(text: str) -> str:
     return text.replace("\0", _NUL)
 
 
-def _checked_blocks(stream: TextIO, line: int):
-    """Yield `_check_block` of each block of whole lines of `stream`, in
-    file order; `line` is the number of the last line read before it.
-
-    This thread reads and splits the blocks: a block with a quote may read
-    on from the stream.  Up to one thread per CPU the process may use, at
-    most `_MAX_CHECK_THREADS`, check them, and at most one block more than
-    the threads is held at once.  With one CPU the blocks are checked here.
-    """
-    blocks = _blocks(stream, line)
-    threads = min(len(os.sched_getaffinity(0)), _MAX_CHECK_THREADS)
-    if threads == 1:
-        yield from map(_check_block, blocks)
-        return
-    # Imported here, not at the top, so that commands which do not parse
-    # ticks do not pay its import time.
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(threads)
+def _read_ahead(pool, fn, args, depth: int):
+    """Yield `fn(*a)` for each `a` of `args` in order, run on `pool` with up
+    to `depth` calls submitted past the one waited on; a failed call raises
+    at its place in the order.  However the generator ends or is closed, the
+    pool is shut down and joined, its calls not yet started cancelled."""
     try:
         pending = []
-        for records in blocks:
-            if len(pending) == threads:
+        for a in args:
+            pending.append(pool.submit(fn, *a))
+            if len(pending) > depth:
                 yield pending.pop(0).result()
-            pending.append(pool.submit(_check_block, records))
         while pending:
             yield pending.pop(0).result()
     finally:
@@ -489,10 +482,15 @@ def read_ticks(path: str | Path) -> ParsedTicks:
         with opener(path, "rt", encoding="utf-8", newline="") as fh:
             try:
                 return parse_ticks(fh)
-            except UnicodeDecodeError as exc:  # `exc.object` is the decoder's input, read last
-                raise FormatError(f"byte {fh.buffer.tell() - len(exc.object) + exc.start}: not UTF-8 text") from None
+            except UnicodeDecodeError as exc:
+                raise FormatError(_undecodable(fh, exc)) from None
     except (FormatError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise FormatError(f"{path}: {exc}") from None
+
+
+def _undecodable(fh, exc: UnicodeDecodeError) -> str:
+    """The message naming `exc`'s bad byte by its offset in `fh`; `exc.object` is the decoder's input, read last."""
+    return f"byte {fh.buffer.tell() - len(exc.object) + exc.start}: not UTF-8 text"
 
 
 def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, SignalPanel | None]:
@@ -678,12 +676,10 @@ def _read_table(path, time_column: str):
                 if len(stamps) == _TABLE_BATCH:
                     convert()
             convert()
-        except UnicodeDecodeError as exc:  # decoded by the block, not by the line
+        except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError is the block's, not the line's
             convert()
-            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
-        except (ValueError, csv.Error) as exc:
-            convert()
-            raise FormatError(f"{path}: line {lineno}: {exc}") from None
+            at = _undecodable(fh, exc) if isinstance(exc, UnicodeDecodeError) else f"line {lineno}: {exc}"
+            raise FormatError(f"{path}: {at}") from None
     values = np.frombuffer(values).reshape(len(times), len(header) - 1)
     return header[1:], np.frombuffer(times), values, lines, comments
 

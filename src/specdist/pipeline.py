@@ -47,6 +47,7 @@ from .ingest import (
     TRANSFORMS,
     _check_names,
     _epoch_seconds,
+    _read_ahead,
     _read_table,
     _removed_on_failure,
     _stamp_array,
@@ -455,9 +456,13 @@ def entropy_sweep(
         raise ValueError(f"seeds must be a positive integer, got {seeds!r}")
     mid = center if center is not None else 0.5 * (base.a_range[0] + base.a_range[1])
     # The analysis, on a stand-in of the activity panel, and every H_a are
-    # checked before the first (slow) simulation starts.
-    stand_in = SignalPanel(np.ones((base.n_commodities, base.horizon)), base.labels, base.dt)
-    _prepared(stand_in, analysis if analysis is not None else AnalysisConfig())
+    # checked before the first (slow) simulation starts.  A stand-in of
+    # min(horizon, width + 1) samples is refused as the panel would be: the
+    # length check fires only below width + 1 (width after a log-return),
+    # and a log-return's 2-sample one only at horizon 2, as width >= 4.
+    cfg = analysis if analysis is not None else AnalysisConfig()
+    stand_in = SignalPanel(np.ones((base.n_commodities, min(base.horizon, cfg.width + 1))), base.labels, base.dt)
+    _prepared(stand_in, cfg)
     sweep: list[tuple[float, tuple[float, float]]] = []
     for h_a in h_a_values:
         try:
@@ -479,18 +484,15 @@ def entropy_sweep(
     cpus = len(os.sched_getaffinity(0))
     slices = min(len(sweep), cpus // math.gcd(seeds, cpus))
     bounds = [len(sweep) * p // slices for p in range(slices + 1)]
-    groups = [(replace(base, seed=base.seed + k), sweep[lo:hi])
+    groups = [(replace(base, seed=base.seed + k), sweep[lo:hi], analysis)
               for k in range(seeds) for lo, hi in zip(bounds, bounds[1:])]
     # One worker per CPU this process may use, capped at the tasks.  Forked
     # workers inherit the imported modules instead of importing numpy
-    # again.  `map` gives the results, and raises the first failed task's
-    # error, in input order; `shutdown` then cancels the tasks not yet
-    # handed to the workers.
+    # again.  Every task is submitted at once; the results, and the first
+    # failed task's error, come in input order, and the tasks not yet
+    # handed to the workers are then cancelled.
     pool = ProcessPoolExecutor(min(len(groups), cpus), mp_context=multiprocessing.get_context("fork"))
-    try:
-        means = [js for part in pool.map(_sweep_group, *zip(*groups), [analysis] * len(groups)) for js in part]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    means = [js for part in _read_ahead(pool, _sweep_group, groups, len(groups)) for js in part]
     per_seed = np.reshape(means, (seeds, len(sweep))).T
     return [SweepPoint(float(h_a), a_range, float(np.mean(js)), tuple(js.tolist()))
             for (h_a, a_range), js in zip(sweep, per_seed)]

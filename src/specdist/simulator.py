@@ -17,6 +17,7 @@ as one group along a member axis; `run_simulation` is a group of one.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .ingest import _STAMP_END, MAX_CELLS
+from .ingest import _STAMP_END, MAX_CELLS, _read_ahead
 from .spectra import SignalPanel
 
 # Return scale per net buyer.  The attention weights are of order
@@ -364,15 +365,15 @@ def _lockstep(cfg: SimConfig, a_ranges) -> tuple[np.ndarray, np.ndarray]:
     newest = history[:, 0]
     rates = np.empty((members, m, cfg.horizon))
     activity = np.empty((members, m, cfg.horizon))
-    # Leaving the `with` joins the thread, also when a draw raised: a
-    # forked sweep worker must not inherit it, nor a caller find it alive.
-    with ThreadPoolExecutor(1) as drawer:
-        ahead = drawer.submit(draw_steps, cfg, a_ranges, rng, buffers[0])
-        for b, start in enumerate(range(0, steps, block)):
-            fresh = ahead.result()
-            if start + block < steps:
-                ahead = drawer.submit(draw_steps, cfg, a_ranges, rng, buffers[(b + 1) % 2][: steps - start - block])
-            noise = buffers[b % 2][: steps - start]
+
+    def draw(start):  # the steps from `start`, drawn into the buffer the block before did not fill
+        noise = buffers[start // block % 2][: steps - start]
+        return start, noise, draw_steps(cfg, a_ranges, rng, noise)
+
+    # Closing the draws joins the thread, also when a draw or a step raised:
+    # a forked sweep worker must not inherit it, nor a caller find it alive.
+    with contextlib.closing(_read_ahead(ThreadPoolExecutor(1), draw, zip(range(0, steps, block)), 1)) as draws:
+        for start, noise, fresh in draws:
             for j, (s, xi) in enumerate(noise):
                 if fresh:
                     params = break_even_levels(fresh[j], levels)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -400,8 +401,9 @@ class TestColumnarParse:
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_the_parse_does_not_depend_on_the_cpus(self, cpus):
         """Blocks are checked on one thread per CPU, at most
-        `_MAX_CHECK_THREADS`, or inline on one CPU; the results are taken in
-        block order, so problems, codes and columns are the row parser's."""
+        `_MAX_CHECK_THREADS`, so on one CPU by a pool of one thread; the
+        results are taken in block order, so problems, codes and columns are
+        the row parser's."""
         rows = [PLAIN_ROW.replace("EUR/USD", f"FX{k % 7}") for k in range(3000)]
         for k in range(25):
             rows[k * 113 + 7] = ("2006-10-16T00:03:00Z,EUR/USD,mid,1.1", "x,EUR/USD,ask,1", "a,b,c")[k % 3]
@@ -422,7 +424,7 @@ class TestColumnarParse:
         want = parse_outcome(row_parse_ticks, text)
         assert want.malformed == 25 and len(want.problems) == 20
         assert_same_parse(got, want)
-        assert pools == ([] if cpus == 1 else [min(cpus, ingest._MAX_CHECK_THREADS)])
+        assert pools == [min(cpus, ingest._MAX_CHECK_THREADS)]
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("block", [256, 1 << 18])
@@ -510,6 +512,118 @@ class TestColumnarParse:
         elif wide:
             assert parsed.instruments[parsed.instrument[100_000]] == wide.strip('"')
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_a_failed_loop_body_leaves_no_thread(self):
+        """The third checked block cannot be unpacked by the loop that
+        gathers the blocks, while the check threads hold later ones: the
+        error is the caller's and the threads are joined."""
+        text = HEADER + "\n" + "\n".join([PLAIN_ROW] * 3000) + "\n"
+        real = ingest._check_block
+        blocks = []
+
+        def third_is_garbage(records):
+            blocks.append(records)
+            return [None] if len(blocks) == 3 else real(records)
+
+        before = threading.active_count()
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}), \
+                mock.patch.object(ingest, "_check_block", third_is_garbage), \
+                mock.patch.object(ingest, "_BLOCK_CHARS", 4096), pytest.raises(TypeError):
+            parse_ticks(io.StringIO(text))
+        assert threading.active_count() == before
+        # Of the file's 32 blocks, at most the two checked past the third ran.
+        assert 3 <= len(blocks) <= 5
+
+
+class CountingPool:
+    """A pool that runs each call when it is submitted, counting the calls
+    submitted but not yet taken by the consumer, which reports each it takes."""
+
+    def __init__(self):
+        self.submitted, self.taken, self.most, self.shutdowns = 0, 0, 0, []
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        self.most = max(self.most, self.submitted - self.taken)
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, **kwargs):
+        self.shutdowns.append(kwargs)
+
+
+class TestReadAhead:
+    """`ingest._read_ahead`, the one bounded, ordered read-ahead of the tick
+    checks, the simulator's draws and the sweep's groups."""
+
+    def test_results_come_in_input_order_when_later_calls_finish_first(self):
+        last_done = threading.Event()
+        finished = []
+
+        def call(k):
+            if k < 3:
+                assert last_done.wait(10)
+            finished.append(k)
+            if k == 3:
+                last_done.set()
+            return k * 10
+
+        before = threading.active_count()
+        got = list(ingest._read_ahead(concurrent.futures.ThreadPoolExecutor(4), call, zip(range(4)), 3))
+        assert got == [0, 10, 20, 30]
+        assert finished[0] == 3
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("depth", [1, 2, 5])
+    @pytest.mark.parametrize("calls", [0, 1, 3, 12])
+    def test_at_most_depth_plus_one_calls_are_held(self, depth, calls):
+        pool = CountingPool()
+        args = ((k, 2) for k in range(calls))
+        for k, result in enumerate(ingest._read_ahead(pool, lambda a, b: a * b, args, depth)):
+            assert result == 2 * k
+            pool.taken += 1
+        assert pool.taken == pool.submitted == calls
+        assert pool.most == min(calls, depth + 1)
+        assert pool.shutdowns == [{"cancel_futures": True}]
+
+    def test_a_failed_call_raises_at_its_place_and_the_calls_not_started_are_cancelled(self):
+        failure = RuntimeError("call 1")
+        started, futures, read = [], [], []
+        real = concurrent.futures.ThreadPoolExecutor(1)
+
+        class Recorded:
+            def submit(self, fn, *args):
+                futures.append(real.submit(fn, *args))
+                return futures[-1]
+
+            def shutdown(self, **kwargs):
+                real.shutdown(**kwargs)
+
+        def call(k):
+            started.append(k)
+            if k == 1:
+                raise failure
+            if k == 2:
+                time.sleep(0.2)  # still running when the failure is taken
+            return k
+
+        def args():
+            for k in range(10):
+                read.append(k)
+                yield (k,)
+
+        before = threading.active_count()
+        taken = []
+        with pytest.raises(RuntimeError) as caught:
+            for result in ingest._read_ahead(Recorded(), call, args(), 4):
+                taken.append(result)
+        assert caught.value is failure and taken == [0]
+        # Waiting on call 1, calls 2 to 5 were submitted past it; 3 to 5 never ran.
+        assert read == list(range(6)) and len(futures) == 6
+        assert started in ([0, 1], [0, 1, 2])
+        assert all(future.cancelled() for future in futures[3:])
+        assert threading.active_count() == before
 
 
 class TestRfc3339:
@@ -1042,6 +1156,22 @@ class TestPanelCsv:
         path.write_bytes(self.PANEL.encode().replace(b"1.5,2.5", b"1.5,\xff"))
         with pytest.raises(FormatError, match="not UTF-8 text"):
             read_panel_csv(path)
+
+    def test_an_undecodable_byte_is_named_by_its_file_offset(self, tmp_path):
+        """Far past the decoder's first chunk, on the last of a panel's 3,002
+        lines (176 KiB), the byte is named by its offset in the file, not in
+        the chunk."""
+        values = np.random.default_rng(3).normal(size=(2, 3000))
+        path = tmp_path / "panel.csv"
+        write_panel_csv(SignalPanel(values, ("a", "b"), 1.0), path)
+        data = bytearray(path.read_bytes())
+        at = data.rindex(b",") + 1  # the last value's first character
+        data[at] = 0xFF
+        path.write_bytes(data)
+        assert len(data) > 64 * 1024 and data.count(b"\n", 0, at) == 3001
+        with pytest.raises(FormatError) as info:
+            read_panel_csv(path)
+        assert str(info.value) == f"{path}: byte {at}: not UTF-8 text"
 
     def test_recorded_dt_is_exact_and_optional(self, tmp_path):
         path = tmp_path / "panel.csv"

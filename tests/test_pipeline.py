@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import tempfile
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -426,6 +427,21 @@ class TestLinBound:
 
 
 class TestMetricsCsv:
+    def test_an_undecodable_byte_is_named_by_its_file_offset(self, tmp_path):
+        """In a metrics file over 64 KiB, a byte near its end that is not
+        UTF-8 is named by its offset in the file."""
+        result = analyze(noise_panel(m=3, length=8192, seed=4), AnalysisConfig(width=32, stride=16))
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(result, path)
+        data = bytearray(path.read_bytes())
+        at = len(data) - 10
+        data[at] = 0xFF
+        path.write_bytes(data)
+        assert len(data) > 64 * 1024
+        with pytest.raises(FormatError) as info:
+            read_metrics_csv(path)
+        assert str(info.value) == f"{path}: byte {at}: not UTF-8 text"
+
     def test_round_trip_exact(self, tmp_path):
         panel = noise_panel(m=3, length=640, seed=2)
         result = analyze(panel, AnalysisConfig(width=128, stride=64))
@@ -961,6 +977,43 @@ class TestEntropySweep:
         # The two workers' groups (one run each) and the three queued for
         # them finish; the rest never start.
         assert len(started.read_text().split()) < 12
+
+    def test_no_thread_outlives_a_sweep(self, monkeypatch):
+        """The pool's own threads are joined when a sweep returns and when
+        one of its runs raises."""
+        base = SimConfig(n_agents=40, n_commodities=3, horizon=160, warmup=16, seed=0)
+        analysis = AnalysisConfig(width=32, stride=32)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        before = threading.active_count()
+        assert len(entropy_sweep([-1.0, 0.0], base, analysis, seeds=2, center=2.0)) == 2
+        assert threading.active_count() == before
+
+        def fails(cfg, a_ranges):
+            raise AnalysisError(f"seed {cfg.seed} fails")
+
+        monkeypatch.setattr(pipeline, "run_simulations", fails)
+        with pytest.raises(AnalysisError, match="^seed 0 fails$"):
+            entropy_sweep([-1.0, 0.0], base, analysis, seeds=2, center=2.0)
+        assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
+
+    def test_the_preflight_check_holds_no_panel_of_the_horizon(self, monkeypatch):
+        """Bound, fixed before measuring: with no H_a to run, a sweep of 20
+        commodities over 800,000 steps allocates at most 4 MB at its peak.  A
+        stand-in of the whole horizon takes 128 MB, and its panel's copy as
+        much again."""
+        def no_simulation(cfg, a_ranges):
+            raise AssertionError("simulated with no H_a")
+
+        monkeypatch.setattr(pipeline, "run_simulations", no_simulation)
+        base = SimConfig(n_commodities=20, horizon=800_000)
+        tracemalloc.start()
+        try:
+            assert entropy_sweep([], base, AnalysisConfig(), seeds=2) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("seeds", [0, -1, 2.0, 1.5])
     def test_seeds_must_be_a_positive_integer(self, monkeypatch, seeds):

@@ -506,7 +506,7 @@ class TestRunSimulation:
 
 
 class TestReadAhead:
-    """The draw thread never outlives `run_simulation`, and its failure is the caller's."""
+    """The draw thread never outlives `run_simulation`, and a failed draw or step is the caller's."""
 
     def test_no_thread_outlives_a_run(self):
         before = threading.active_count()
@@ -539,6 +539,27 @@ class TestReadAhead:
         assert threading.active_count() == before
         assert len(calls) == 3 and calls[0] is threading.main_thread()
         assert calls[2] is not threading.main_thread()  # drawn ahead, on the draw thread
+
+    def test_failed_step_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        """A step that raises in the third block, while the draw thread fills
+        the fourth, is the caller's error, and the thread is joined."""
+        real = simulator.step_market
+        steps = []
+        failure = RuntimeError("step 40")
+
+        def fails_at_step_40(*args):
+            steps.append(threading.current_thread())
+            if len(steps) == 40:
+                raise failure
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "step_market", fails_at_step_40)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            run_simulation(SimConfig(horizon=200, warmup=0))  # blocks of BLOCK = 16 steps
+        assert caught.value is failure and len(steps) == 40
+        assert threading.active_count() == before
+        assert all(thread is threading.main_thread() for thread in steps)
 
 
 # Lockstep groups: one config per case, run with each of these sensitivity
@@ -703,7 +724,9 @@ class TestConfigFile:
             load_sim_config(path)
 
     @given(
-        counts=st.tuples(*(st.integers(low, 10**6) for low in (1, 1, 2, 1, 0)), st.integers(0, 2**63 - 1)),
+        # n_commodities, then a horizon within the cell bound, which has its own tests.
+        shape=st.integers(1, 10**6).flatmap(lambda m: st.tuples(st.just(m), st.integers(2, MAX_CELLS // m))),
+        counts=st.tuples(*(st.integers(low, 10**6) for low in (1, 1, 0)), st.integers(0, 2**63 - 1)),
         gamma=st.floats(1e-12, 1e-3),
         sigmas=st.tuples(st.floats(0, 1), st.floats(0, 1)),
         ranges=st.tuples(*(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=2, unique=True) for _ in range(3))),
@@ -715,7 +738,7 @@ class TestConfigFile:
     )
     @settings(max_examples=60, deadline=None)
     def test_every_accepted_config_reloads_from_its_provenance(
-        self, tmp_path_factory, counts, gamma, sigmas, ranges, dt, resample, int_type, float_type, as_list
+        self, tmp_path_factory, shape, counts, gamma, sigmas, ranges, dt, resample, int_type, float_type, as_list
     ):
         """Whatever number types and sequence a config was given as, it holds
         plain ints, floats and pairs of floats, and its provenance lines,
@@ -728,7 +751,7 @@ class TestConfigFile:
             lo, hi = sorted(number(sign * x) for x in xs)
             return [lo, hi] if as_list else (lo, hi)
 
-        n_agents, n_commodities, horizon, ma_span, warmup, seed = counts
+        (n_commodities, horizon), (n_agents, ma_span, warmup, seed) = shape, counts
         try:
             cfg = SimConfig(
                 n_agents=int_type(min(n_agents, 2**31 - 1)), n_commodities=int_type(n_commodities),
