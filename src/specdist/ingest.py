@@ -31,16 +31,10 @@ from typing import Mapping, TextIO
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError, FormatError, TransformError
-from .spectra import SignalPanel
+from .spectra import MAX_CELLS, SignalPanel, _times, check_grid  # noqa: F401 (re-exports MAX_CELLS)
 
 TICK_HEADER = ("timestamp", "instrument", "side", "price")
 SIDES = ("ask", "bid")
-# Most (instrument x bucket) cells `resample` builds.  Its arrays and the
-# panels it returns hold about 42 bytes per cell, so this keeps one
-# resample near 0.7 GB: a year of one-minute buckets for a dozen
-# instruments is 6.3 M cells, while a tick span at a `dt` of a few ms can
-# need GBs.
-MAX_CELLS = 2**24
 
 # Abort parsing when more than this fraction of data rows is malformed.
 MALFORMED_ABORT_FRACTION = 0.01
@@ -55,11 +49,6 @@ def parse_rfc3339(text: str) -> float:
     if not parsed[0]:
         raise ValueError(f"bad RFC-3339 time: {text!r}")
     return float(seconds[0])
-
-
-# 10000-01-01T00:00:00Z in epoch seconds: `format_rfc3339` writes every
-# time before it, the last as 9999-12-31T23:59:59.999999Z.
-_STAMP_END = 253_402_300_800.0
 
 
 def format_rfc3339(seconds: float) -> str:
@@ -503,19 +492,16 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
     buckets; the rate panel starts at the first bucket where every channel
     has quoted, and is None when fewer than two buckets remain.  Ticks
     that all fall in one bucket are an `AnalysisError`: a panel needs two.  A grid
-    of more than MAX_CELLS cells is a `ConfigurationError`, raised before it
-    is allocated.  Bucket assignment depends only on timestamps, so the
+    `check_grid` refuses is a `ConfigurationError`, raised before it is
+    allocated.  Bucket assignment depends only on timestamps, so the
     input order is irrelevant.
     """
-    # A bucket narrower than a stamp's 1 ms is refused before its grid is allocated.
-    if not (math.isfinite(dt) and dt * 60_000.0 >= 1):
-        raise ConfigurationError(f"bucket width dt must be a finite number of minutes of at least 1 ms, got {dt!r}")
+    dt_ms = check_grid(dt)
     if side not in SIDES:
         raise ConfigurationError(f"side must be one of {SIDES}, got {side!r}")
     t = ticks.timestamp_ms
     if t.size == 0:
         raise AnalysisError("no valid ticks to resample")
-    dt_ms = dt * 60_000.0
     origin = round(math.floor(int(t.min()) / dt_ms) * dt_ms)
     # Counted from the same rounded origin as the buckets below, so the
     # last tick always falls inside the grid.
@@ -528,11 +514,7 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
     bucket = np.floor((t[on_side] - origin) / dt_ms).astype(np.intp)
     present, channel = np.unique(ticks.instrument[on_side], return_inverse=True)
     m = present.size
-    if m * count > MAX_CELLS:
-        raise ConfigurationError(
-            f"{m} instrument(s) x {count} buckets of {dt!r} minutes is {m * count} cells, "
-            f"more than the {MAX_CELLS} a resample may hold: use a wider dt"
-        )
+    check_grid(dt, m, count, origin / 1000.0)
     cell = channel * count + bucket
     activity = np.bincount(cell, minlength=m * count).reshape(m, count) / dt
 
@@ -547,7 +529,7 @@ def resample(ticks: ParsedTicks, dt: float, side: str) -> tuple[SignalPanel, Sig
     if count - first < 2:
         return activity, None
     rates = np.take_along_axis(best, last[:, first:], axis=1)
-    return activity, SignalPanel(rates, labels, dt, (origin + first * dt_ms) / 1000.0)
+    return activity, SignalPanel(rates, labels, dt, activity.times(first))
 
 
 TRANSFORMS = ("raw", "log-return")
@@ -666,13 +648,10 @@ def _read_table(path, time_column: str):
             for cells in reader:
                 if len(cells) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
-                try:
-                    values.extend(map(float, cells[1:]))
-                except ValueError:
-                    parse_rfc3339(cells[0])  # a bad time is its row's first fault
-                    raise
+                # Queued first: the handler's `convert` names a bad time before a bad number.
                 stamps.append(cells[0])
                 lines.append(lineno)
+                values.extend(map(float, cells[1:]))
                 if len(stamps) == _TABLE_BATCH:
                     convert()
             convert()
@@ -684,40 +663,37 @@ def _read_table(path, time_column: str):
     return header[1:], np.frombuffer(times), values, lines, comments
 
 
-def write_panel_csv(
-    panel: SignalPanel, path: str | Path, meta: Mapping[str, str] | None = None
-) -> None:
-    """Write a panel as `time,<channel>,...` rows with RFC-3339 timestamps.
+def write_panel_csv(panel: SignalPanel, path: str | Path, meta: Mapping[str, str] | None = None) -> None:
+    """Write a panel as `time,<channel>,...` rows, row k stamped `panel.times(k)`.
 
     The `# key=value ...` line records `meta` and the sampling period `dt`.
     """
-    ms = round(panel.t0 * 1000.0) + np.arange(panel.length) * (panel.dt * 60_000.0)
     rows = (column.tolist() for column in panel.values.T)
     meta = {**(meta or {}), "dt": repr(panel.dt)}
-    _write_table(path, ("time", *panel.labels), (ms / 1000.0).tolist(), rows, meta)
+    _write_table(path, ("time", *panel.labels), panel.times(np.arange(panel.length)).tolist(), rows, meta)
 
 
 def read_panel_csv(path: str | Path) -> SignalPanel:
-    """Read a panel CSV; a `dt=` comment token agreeing with the spacing is the period."""
+    """Read a panel CSV: t0 is the first row's time, dt the `dt=` token or else the
+    rows' span over their count.  A token more than 1 ms from the first spacing, or a row
+    more than half a ms from its time `SignalPanel.times`, is a `FormatError` naming its line."""
     labels, times, values, lines, comments = _read_table(path, "time")
     if len(times) < 2:
         raise FormatError(f"{path}: a panel needs at least two rows")
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}: line {lines[bad[0] + 1]}: panel values must be finite")
-    stamps = np.rint(times * 1000.0).astype(np.int64)
-    deltas = np.diff(stamps)
-    uneven = np.flatnonzero((deltas < 1) | (np.abs(deltas - deltas[0]) > 1))
-    if uneven.size:
-        raise FormatError(f"{path}: line {lines[uneven[0] + 2]}: rows are not uniformly spaced")
-    dt = deltas[0] / 60_000.0
+    dt = (times[-1] - times[0]) / (len(times) - 1) / 60.0
     for key, text, line in comments:
         if key == "dt":
             try:
                 dt = float(text)
             except ValueError:
                 dt = math.nan
-            # Each stamp is off by at most half a millisecond.
-            if not abs(dt * 60_000.0 - deltas[0]) < 2:
+            if not (dt > 0 and abs(_times(0.0, dt, 1) - (times[1] - times[0])) <= 1e-3):
                 raise FormatError(f"{path}: line {line}: dt={text} disagrees with the rows' spacing")
-    return SignalPanel(values.T, tuple(labels), dt, stamps[0] / 1000.0)
+    panel = SignalPanel(values.T, tuple(labels), dt, times[0])
+    uneven = np.flatnonzero(np.abs(times - panel.times(np.arange(len(times)))) > 5e-4 + 4 * np.spacing(np.abs(times)))
+    if uneven.size:
+        raise FormatError(f"{path}: line {lines[uneven[0] + 1]}: rows are not uniformly spaced")
+    return panel

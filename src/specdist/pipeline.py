@@ -242,7 +242,7 @@ def analyze(
     stride = cfg.stride
     windows = sliding_window_view(panel.values, cfg.width, axis=1)[:, ::stride].swapaxes(0, 1)
     starts = np.arange(len(windows)) * stride
-    times = panel.t0 + starts * panel.dt * 60.0
+    times = panel.times(starts)
     step = max(1, CHUNK_SAMPLES // (m * cfg.width))
     kept, files = [], []
     with _removed_on_failure() as written, contextlib.ExitStack() as opened:

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .ingest import _STAMP_END, MAX_CELLS, _read_ahead
-from .spectra import SignalPanel
+from .ingest import _read_ahead
+from .spectra import SignalPanel, check_grid
 
 # Return scale per net buyer.  The attention weights are of order
 # 1/theta^2 ~ 2.5e3, so the loop gain of the endogenous feedback is roughly
@@ -130,18 +130,7 @@ class SimConfig:
         a1, a2 = self.a_range
         if not (0 < a1 < a2):
             fail(f"sensitivity range needs 0 < a1 < a2, got {self.a_range}")
-        if not self.dt > 0:
-            fail(f"model tick must be positive, got {self.dt}")
-        # The last sample's time in epoch seconds, by `write_panel_csv`'s arithmetic; no
-        # panel of 2**53 samples fits in memory, so a longer horizon is taken as that.
-        last = (min(self.horizon, 2**53) - 1) * (self.dt * 60_000.0) / 1000.0
-        if not last < _STAMP_END:
-            fail(f"dt {self.dt!r} and horizon {self.horizon} put the last sample {last!r} s after 1970, "
-                 "past 9999-12-31T23:59:59.999999Z, the last time a panel file can hold")
-        # Each panel is held whole, so it takes the cell bound a resampled one does.
-        if self.n_commodities * self.horizon > MAX_CELLS:
-            fail(f"n_commodities {self.n_commodities} x horizon {self.horizon} is "
-                 f"{self.n_commodities * self.horizon} cells a panel, more than the {MAX_CELLS} a panel may hold")
+        check_grid(self.dt, self.n_commodities, self.horizon)
 
     def provenance(self) -> dict[str, str]:
         """Each field as text `load_sim_config` reads back: ranges as `lo,hi`,

@@ -31,11 +31,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWindowError
+from .errors import ConfigurationError, InvalidWindowError
 
 # Probabilities at or below this are treated as exact zeros in entropy sums
 # (the 0*log(0) = 0 convention, extended to denormal-range values).
 ENTROPY_PROB_FLOOR = 1e-300
+
+# Most (channel x sample) cells of a grid `check_grid` accepts.  A resample holds
+# about 42 bytes a cell, so one stays near 0.7 GB: a year of one-minute buckets for
+# a dozen instruments is 6.3 M cells, while ticks at a `dt` of a few ms can need GBs.
+MAX_CELLS = 2**24
+# 10000-01-01T00:00:00Z in epoch seconds: `ingest.format_rfc3339` writes
+# every time before it, the last as 9999-12-31T23:59:59.999999Z.
+_STAMP_END = 253_402_300_800.0
+
+
+def _times(t0: float, dt: float, index):
+    """`SignalPanel.times` of the grid from `t0` every `dt` minutes."""
+    return (round(t0 * 1000.0) + index * (dt * 60_000.0)) / 1000.0
+
+
+def check_grid(dt: float, channels: int = 1, samples: int = 1, t0: float = 0.0) -> float:
+    """The step dt in ms; `ConfigurationError` unless `channels` x `samples` samples every
+    `dt` minutes from `t0` fit a panel file: dt finite and at least a stamp's 1 ms,
+    at most MAX_CELLS cells, and the last sample before 10000-01-01T00:00:00Z."""
+    step = dt * 60_000.0
+    if not (np.isfinite(dt) and step >= 1):
+        raise ConfigurationError(f"dt must be a finite number of minutes of at least 1 ms, got {dt!r}")
+    if channels * samples > MAX_CELLS:
+        raise ConfigurationError(f"{channels} channel(s) x {samples} samples is {channels * samples} cells, "
+                                 f"more than the {MAX_CELLS} a panel may hold")
+    if not _times(t0, dt, samples - 1) < _STAMP_END:
+        raise ConfigurationError(f"dt {dt!r} puts sample {samples - 1} after t0 {t0!r} s past "
+                                 "9999-12-31T23:59:59.999999Z, the last time a file can hold")
+    return step
 
 
 @dataclass(frozen=True)
@@ -96,6 +125,10 @@ class SignalPanel:
     @property
     def length(self) -> int:
         return self.values.shape[1]
+
+    def times(self, index) -> np.ndarray | float:
+        """Epoch seconds of samples `index`: t0 in whole ms plus index * dt * 60000 ms, over 1000."""
+        return _times(self.t0, self.dt, index)
 
     def channel_index(self, label: str) -> int:
         try:

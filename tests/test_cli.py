@@ -63,7 +63,7 @@ class TestIngestCommand:
         code = run("ingest", TICKS, f"--dt={dt}", "--activity-out", str(tmp_path / "o.csv"))
         err = capsys.readouterr().err
         assert code == 5
-        assert "kind=ConfigurationError" in err and "bucket width" in err
+        assert "kind=ConfigurationError" in err and f"dt must be a finite number of minutes of at least 1 ms, got {float(dt)!r}" in err
 
     def test_bucket_below_a_millisecond_is_config_error(self, tmp_path, capsys):
         """A bucket narrower than a tick stamp's 1 ms is refused before the
@@ -77,7 +77,7 @@ class TestIngestCommand:
         activity = tmp_path / "a.csv"
         assert run("ingest", str(ticks), "--dt", "1e-7", "--activity-out", str(activity)) == 5
         err = capsys.readouterr().err
-        assert err.startswith("specdist: error code=5 kind=ConfigurationError ") and "bucket width" in err
+        assert err.startswith("specdist: error code=5 kind=ConfigurationError ") and "dt must be a finite number of minutes of at least 1 ms, got 1e-07" in err
         assert len(err.splitlines()) == 1
         assert not activity.exists()
 
@@ -562,26 +562,40 @@ class TestSimulateCommand:
         code = run("simulate", "--config", str(cfg), "--rates-out", str(rates), "--activity-out", str(activity))
         assert code == 5
         err = capsys.readouterr().err
-        assert "kind=ConfigurationError" in err and f"dt {float(dt)!r} and horizon 10" in err
+        assert "kind=ConfigurationError" in err and f"dt {float(dt)!r} puts sample 9 after t0 0.0 s past " in err
         assert not rates.exists() and not activity.exists()
 
     def test_panel_past_the_cell_bound_is_config_error(self, tmp_path, capsys, monkeypatch):
-        # dt = 1e-300 keeps the last stamp writable: the horizon alone is refused,
-        # before any draw, where numpy used to fail allocating the panels.
+        # The cells are checked before the last stamp: the horizon alone is
+        # refused, before any draw, where numpy used to fail allocating the panels.
         def no_simulation(cfg):
             raise AssertionError("simulated a panel past the cell bound")
 
         monkeypatch.setattr(cli, "run_simulation", no_simulation)
-        cfg = tmp_path / "sim.cfg"
-        cfg.write_text("dt = 1e-300\n")
         rates, activity = tmp_path / "r.csv", tmp_path / "a.csv"
-        code = run("simulate", "--config", str(cfg), "--steps", str(10**30),
-                   "--rates-out", str(rates), "--activity-out", str(activity))
+        code = run("simulate", "--steps", str(10**30), "--rates-out", str(rates), "--activity-out", str(activity))
         assert code == 5
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "kind=ConfigurationError" in err[0]
-        assert f"n_commodities 20 x horizon {10**30} is" in err[0]
+        assert f"20 channel(s) x {10**30} samples is" in err[0]
         assert not rates.exists() and not activity.exists()
+
+    def test_model_tick_below_a_millisecond_is_config_error(self, tmp_path, capsys):
+        """A model tick of 1e-6 minutes would write rows 60 us apart, which
+        `analyze` cannot read back: refused before any draw, with one error
+        line and no file, while a 1 ms tick runs on through `analyze`."""
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_agents = 20\nn_commodities = 2\nhorizon = 64\nwarmup = 4\ndt = 1e-6\n")
+        activity, metrics = tmp_path / "a.csv", tmp_path / "m.csv"
+        assert run("simulate", "--config", str(cfg), "--activity-out", str(activity)) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("specdist: error code=5 kind=ConfigurationError ")
+        assert "dt must be a finite number of minutes of at least 1 ms, got 1e-06" in err[0]
+        assert not activity.exists()
+        cfg.write_text(cfg.read_text().replace("1e-6", repr(1 / 60_000)))
+        assert run("simulate", "--config", str(cfg), "--activity-out", str(activity)) == 0
+        assert run("analyze", str(activity), "--window", "16", "--out", str(metrics)) == 0
+        assert read_panel_csv(activity).dt == 1 / 60_000
 
     def test_last_writable_sample_runs(self, tmp_path):
         # The greatest dt whose 10th sample falls before 10000-01-01T00:00:00Z.

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specdist import ingest
+from specdist import ingest, spectra
 from specdist.errors import AnalysisError, ConfigurationError, FormatError, TransformError
 from specdist.ingest import (
     ParsedTicks,
@@ -870,9 +870,20 @@ class TestResample:
     @pytest.mark.parametrize("dt", [1e-7, 0.99 / 60_000])
     def test_bucket_below_a_millisecond_is_config_error(self, dt):
         ticks = [(0, "EUR/USD", "ask", 1.0), (3, "EUR/USD", "ask", 1.0)]  # 3 ms apart
-        with pytest.raises(ConfigurationError, match="bucket width"):
+        with pytest.raises(ConfigurationError, match=re.escape(f"dt must be a finite number of minutes of at least 1 ms, got {dt!r}")):
             resample(columns(ticks), dt, "ask")
         assert resample(columns(ticks), 1 / 60_000, "ask")[0].length == 4
+
+    def test_bucket_past_year_9999_is_config_error(self):
+        """A tick stamped with an offset can lie past 9999-12-31: its bucket
+        has no stamp a panel file can hold, so the grid is refused before a
+        file is written, as a simulated one is."""
+        end = 253_402_300_800_000  # 10000-01-01T00:00:00Z in epoch ms
+        ticks = [(end - 120_000, "EUR/USD", "ask", 1.0), (end - 60_000, "EUR/USD", "ask", 1.0)]
+        assert resample(columns(ticks), 1.0, "ask")[0].length == 2
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "dt 1.0 puts sample 1 after t0 253402300740.0 s past 9999-12-31T23:59:59.999999Z")):
+            resample(columns(ticks[1:] + [(end, "EUR/USD", "ask", 1.0)]), 1.0, "ask")
 
     def test_grid_over_the_cell_budget_is_config_error(self, monkeypatch):
         """Two days of ticks at a 6 ms bucket need 28.8 M cells per instrument.
@@ -887,12 +898,12 @@ class TestResample:
         with monkeypatch.context() as patch:
             patch.setattr(np, "bincount", allocated)
             patch.setattr(np, "full", allocated)
-            with pytest.raises(ConfigurationError, match=r"1 instrument\(s\) x 28800001 buckets .* more than the 16777216"):
+            with pytest.raises(ConfigurationError, match=r"1 channel\(s\) x 28800001 samples .* more than the 16777216"):
                 resample(columns(ticks), 1e-4, "ask")
         # The budget counts cells over every instrument, and a grid of exactly
         # MAX_CELLS cells is built: 8 one-minute buckets pass for one
         # instrument and not for two.
-        monkeypatch.setattr(ingest, "MAX_CELLS", 8)
+        monkeypatch.setattr(spectra, "MAX_CELLS", 8)
         one = [(0, "EUR/USD", "ask", 1.0), (7 * 60_000, "EUR/USD", "ask", 1.0)]
         assert resample(columns(one), 1.0, "ask")[0].length == 8
         with pytest.raises(ConfigurationError, match="16 cells"):
@@ -1106,7 +1117,7 @@ class TestPanelCsv:
             ({9: " 2006-10-16T00:00:00Z ,1,2"}, 9, "time 2006-10-16T00:00:00Z does not strictly increase"),
             ({5: "2006-10-16T00:0x:00Z,1,2", 7: "2006-10-16T00:04:00Z,1"}, 5, "bad RFC-3339 time"),
             ({5: "2006-10-16T00:0x:00Z,1,abc"}, 5, "bad RFC-3339 time: '2006-10-16T00:0x:00Z'"),
-            ({5: "2006-10-16T00:00:00Z,1,abc"}, 5, "could not convert string to float: 'abc'"),
+            ({5: "2006-10-16T00:00:00Z,1,abc"}, 5, "time 2006-10-16T00:00:00Z does not strictly increase"),
             ({6: "2006-10-16T00:03:00Z,1,abc", 8: "2006-10-16T00:00:00Z,1,2"}, 6, "could not convert"),
             ({4: "2006-10-16T00:00:00Z,1,2", 7: "2006-10-16T00:04:00Z,1,abc"}, 4, "does not strictly increase"),
             ({4: "2006-10-16T00:0x:00Z,1,2", 8: '2006-10-16T00:05:00Z,1,"2'}, 4, "bad RFC-3339 time"),
@@ -1114,8 +1125,8 @@ class TestPanelCsv:
     )
     def test_the_first_fault_is_named_across_time_batches(self, tmp_path, faults, line, reason, batch):
         """Times are converted a batch of rows at a time; whatever the batch,
-        the error names the first faulty line, and a row's time is checked
-        before its values and their increase after them."""
+        the error names the first faulty line, and a row's time, its increase
+        included, is checked before its values."""
         lines = ["# dt=1.0", "time,a,b", *(f"2006-10-16T00:{k:02d}:00Z,1,2" for k in range(7))]
         for at, text in faults.items():
             lines[at - 1] = text
@@ -1172,6 +1183,31 @@ class TestPanelCsv:
         with pytest.raises(FormatError) as info:
             read_panel_csv(path)
         assert str(info.value) == f"{path}: byte {at}: not UTF-8 text"
+
+    def test_recorded_dt_more_than_a_millisecond_off_the_spacing_is_refused(self, tmp_path):
+        """Rows 1 ms apart recorded as dt=4.8e-05 (2.88 ms, 1.88 ms off the
+        spacing) are refused on the token's line; a token within 1 ms of the
+        first spacing is the period."""
+        rows = "".join(f"2006-10-16T00:00:00.{k:03d}Z,1.0,{k}.5\n" for k in range(4))
+        path = tmp_path / "panel.csv"
+        path.write_text("# dt=4.8e-05\ntime,a,b\n" + rows)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 1: dt=4.8e-05 disagrees with the rows' spacing")):
+            read_panel_csv(path)
+        path.write_text(f"# dt={1 / 60_000!r}\ntime,a,b\n" + rows)
+        assert read_panel_csv(path).dt == 1 / 60_000
+
+    @pytest.mark.parametrize("token, line", [("# dt=1.0\n", 5), ("", 3)])
+    def test_drift_off_the_grid_is_refused_on_its_row(self, tmp_path, token, line):
+        """3,000 rows 60 s and then 60.001 s apart: each spacing is within
+        1 ms of the first, but row k >= 1 lies k - 1 ms off the dt = 1 grid,
+        and 2.998 s at the last.  The first row more than half a ms off its
+        grid time is named: row 2 on the recorded grid, and row 1 on the grid
+        of the rows' span without a token."""
+        stamps = [format_rfc3339((1_160_956_800_000 + 60_000 * k + max(k - 1, 0)) / 1000) for k in range(3000)]
+        path = tmp_path / "panel.csv"
+        path.write_text(token + "time,a\n" + "".join(f"{stamp},{k}.0\n" for k, stamp in enumerate(stamps)))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line {line}: rows are not uniformly spaced")):
+            read_panel_csv(path)
 
     def test_recorded_dt_is_exact_and_optional(self, tmp_path):
         path = tmp_path / "panel.csv"

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specdist import ingest, pipeline
@@ -27,7 +27,7 @@ from specdist.errors import (
     InvalidWindowError,
     TransformError,
 )
-from specdist.ingest import format_rfc3339
+from specdist.ingest import format_rfc3339, read_panel_csv, write_panel_csv
 from specdist.pipeline import (
     AnalysisConfig,
     AnalysisResult,
@@ -535,6 +535,27 @@ class TestMetricsCsv:
         assert back.labels == result.labels
         assert back.provenance == result.provenance
 
+    @given(
+        t0_ms=st.integers(0, 4_000_000_000_000),
+        dt=st.sampled_from([1.0, 1 / 3, 1 / 7, 2.5, 1 / 60_000]),
+        shape=st.integers(4, 48).flatmap(lambda w: st.tuples(st.just(w), st.integers(w, 64), st.integers(1, 64))),
+    )
+    @example(t0_ms=1_160_956_800_123, dt=1 / 7, shape=(4, 40, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_window_starts_are_the_panel_row_stamps(self, tmp_path_factory, t0_ms, dt, shape):
+        """Each window-start stamp of a metrics file is the stamp of the
+        panel file's row at the window's first sample, whatever t0, dt,
+        width and stride."""
+        width, length, stride = shape
+        values = np.random.default_rng(1).normal(size=(2, length))
+        folder = tmp_path_factory.mktemp("grid")
+        write_panel_csv(SignalPanel(values, ("a", "b"), dt, t0_ms / 1000), folder / "panel.csv")
+        result = analyze(read_panel_csv(folder / "panel.csv"), AnalysisConfig(width=width, stride=stride))
+        write_metrics_csv(result, folder / "metrics.csv")
+        rows = [line.split(",")[0] for line in (folder / "panel.csv").read_text().splitlines()[2:]]
+        starts = [line.split(",")[0] for line in (folder / "metrics.csv").read_text().splitlines()[2:]]
+        assert starts == rows[: length - width + 1 : stride]
+
     METRICS = (
         "# cfg=abc width=4 stride=4 transform=raw floor=1e-12 weights=uniform\n"
         "window_start_time,js,mean_kl,H_a,H_b,mode_a,mode_b\n"
@@ -552,6 +573,8 @@ class TestMetricsCsv:
             (6, "1970-01-01T00:08:00Z,0.3,0.4,1.2,1.3,0.25", "expected 7 fields, got 6"),
             (2, "window_start_time,js,mean_kl,H_a,H_a,mode_a,mode_a", "a column name repeats"),
             (6, "1970-01-01T00:00:00Z,0.3,0.4,1.2,1.3,0.25,0.25", "does not strictly increase"),
+            # A row's time, and its increase, is checked before its numbers.
+            (6, "1970-01-01T00:00:00Z,0.3,abc,1.2,1.3,0.25,0.25", "time 1970-01-01T00:00:00Z does not strictly increase"),
             (5, "# gap=1970-01-01T00:04:00", None),  # naive time: read as UTC
             (5, "# gap=1970-13-01T00:04:00Z", "bad gap time '1970-13-01T00:04:00Z'"),
             (2, "window_start_time,js,mean_kl,H_a,H_b,mode_a,mode_c", "expected header"),
