@@ -674,9 +674,9 @@ def write_panel_csv(panel: SignalPanel, path: str | Path, meta: Mapping[str, str
 
 
 def read_panel_csv(path: str | Path) -> SignalPanel:
-    """Read a panel CSV: t0 is the first row's time, dt the `dt=` token or else the
-    rows' span over their count.  A token more than 1 ms from the first spacing, or a row
-    more than half a ms from its time `SignalPanel.times`, is a `FormatError` naming its line."""
+    """Read a panel CSV: t0 is the first row's time, dt the `dt=` token or else the rows' span over
+    their count.  A token more than 1 ms from the first spacing, a dt under `check_grid`'s 1 ms, or a
+    row more than half a ms from its time `SignalPanel.times`, is a `FormatError` naming its line."""
     labels, times, values, lines, comments = _read_table(path, "time")
     if len(times) < 2:
         raise FormatError(f"{path}: a panel needs at least two rows")
@@ -684,14 +684,21 @@ def read_panel_csv(path: str | Path) -> SignalPanel:
     if bad.size:
         raise FormatError(f"{path}: line {lines[bad[0] + 1]}: panel values must be finite")
     dt = (times[-1] - times[0]) / (len(times) - 1) / 60.0
-    for key, text, line in comments:
+    # Each time rounds its stamp's microseconds, so the floor allows the rows' span two ulps.
+    floored, line = dt + 2 * np.spacing(max(abs(times[0]), abs(times[-1]))) / (len(times) - 1) / 60.0, lines[2]
+    for key, text, at in comments:
         if key == "dt":
             try:
                 dt = float(text)
             except ValueError:
                 dt = math.nan
             if not (dt > 0 and abs(_times(0.0, dt, 1) - (times[1] - times[0])) <= 1e-3):
-                raise FormatError(f"{path}: line {line}: dt={text} disagrees with the rows' spacing")
+                raise FormatError(f"{path}: line {at}: dt={text} disagrees with the rows' spacing")
+            floored, line = dt, at
+    try:
+        check_grid(floored)
+    except ConfigurationError:
+        raise FormatError(f"{path}: line {line}: dt={float(dt)!r} is {dt * 60_000.0:g} ms, under 1 ms") from None
     panel = SignalPanel(values.T, tuple(labels), dt, times[0])
     uneven = np.flatnonzero(np.abs(times - panel.times(np.arange(len(times)))) > 5e-4 + 4 * np.spacing(np.abs(times)))
     if uneven.size:

@@ -12,7 +12,7 @@ deterministic given the seed: parameter draws, then per-step noise
 draws, always in the same order, made by `draw_steps` on a second thread
 one block ahead of the steps.  The runs of one config at several
 sensitivity ranges consume the same stream, so `run_simulations` steps them
-as one group along a member axis; `run_simulation` is a group of one.
+as one group, a member at a time; `run_simulation` is a group of one.
 """
 
 from __future__ import annotations
@@ -167,13 +167,12 @@ def init_population(cfg: SimConfig, a_ranges, rng: np.random.Generator):
 def break_even(sensitivity: np.ndarray, threshold: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     """Write into `out` the least float64 u with `sensitivity * u >= threshold`.
 
-    Elementwise, for positive float64 arrays, subnormals included, with
-    `threshold` broadcast along leading axes; `out` and `scratch` are
-    C-order float64 arrays of `sensitivity`'s shape that share no memory
-    with the inputs or each other, and `scratch` is overwritten.  The
-    rounded product a * u never falls as u rises (a > 0), so it reaches
-    the threshold exactly when u reaches this level, bit for bit; +inf
-    means only u = +inf does.
+    Elementwise, for positive float64 arrays of one shape, subnormals
+    included; `out` and `scratch` are C-order float64 arrays of that shape
+    that share no memory with the inputs or each other, and `scratch` is
+    overwritten.  The rounded product a * u never falls as u rises (a > 0),
+    so it reaches the threshold exactly when u reaches this level, bit for
+    bit; +inf means only u = +inf does.
 
     The search steps through the doubles' int64 bit patterns, which order
     the nonnegative ones, from the rounded quotient q = threshold / a.
@@ -191,8 +190,7 @@ def break_even(sensitivity: np.ndarray, threshold: np.ndarray, out: np.ndarray, 
         bits += ~reaches
         np.subtract(bits, 1, out=scratch.view(np.int64))
         lower = np.flatnonzero((np.multiply(sensitivity, scratch, out=scratch) >= threshold) & reaches)
-        # A flat index modulo the threshold's size skips its broadcast axes.
-        a, theta = sensitivity.take(lower), threshold.take(lower % threshold.size)
+        a, theta = sensitivity.take(lower), threshold.take(lower)
         lo, hi = np.zeros_like(lower), bits.take(lower) - 1
         step = 1
         while np.any(hi - lo > 1):
@@ -205,15 +203,15 @@ def break_even(sensitivity: np.ndarray, threshold: np.ndarray, out: np.ndarray, 
 
 
 def break_even_levels(population, out):
-    """Fill `out`, an (R, M, N) buy and an (R, M, N) sell array, with the levels each agent acts at.
+    """Fill `out`, an (M, N) buy and an (M, N) sell array, with the levels each agent of one member acts at.
 
     An agent buys a commodity when its noisy perception u reaches the least
     value whose product with its sensitivity reaches theta_buy, and sells
     when u is at or below the greatest value whose product stays at or
     below theta_sell.  Rounding to nearest is symmetric in sign, so that
-    greatest value is -break_even(a, -theta_sell).  The (M, N) thresholds
-    broadcast against the (R, M, N) sensitivities.  Returns the step's
-    parameters (buy_at, sell_at, attention).
+    greatest value is -break_even(a, -theta_sell).  `population` is
+    `init_population`'s with one member's (M, N) sensitivities.  Returns
+    the member's step parameters (buy_at, sell_at, attention).
     """
     theta_buy, theta_sell, sensitivity, attention = population
     buy_at, sell_at = out
@@ -225,47 +223,42 @@ def break_even_levels(population, out):
     return buy_at, sell_at, attention
 
 
-def step_buffers(members: int, m: int, n: int) -> tuple:
-    """`step_market`'s `work` for R = `members` ranges, M commodities and N agents.
+def step_buffers(m: int, n: int) -> tuple:
+    """`step_market`'s `work` for M commodities and N agents.
 
-    An (M, N) float64 buffer for the perception, and a zeroed (2, R, M, N8)
+    An (M, N) float64 buffer for the perception, and a zeroed (2, M, N8)
     bool buffer for the buy and sell flags, N8 being N rounded up to a
     multiple of 8: each of its rows is then whole uint64 words, and as the
     steps write only the first N flags of a row, its padding stays zero.
     """
-    return np.empty((m, n)), np.zeros((2, members, m, -(-n // 8) * 8), dtype=bool)
+    return np.empty((m, n)), np.zeros((2, m, -(-n // 8) * 8), dtype=bool)
 
 
 def step_market(params, history: np.ndarray, s: np.ndarray, xi: np.ndarray, work, out: np.ndarray):
-    """One tick of a lockstep group: write the (2, R, M) int32 counts of buyers and of sellers into `out`.
+    """One member's tick: write the (2, M) int32 counts of buyers and of sellers into `out`.
 
-    `params` is `break_even_levels`' (buy_at, sell_at, attention);
-    `history` holds each member's last `ma_span` returns, (R, ma_span, M),
-    newest first; `s` and `xi` are the members' (N,) exogenous perception
-    noise and interpretation noise.  Each agent perceives its
-    attention-weighted mean recent return plus s, and buys where
-    perception + xi is at or above buy_at, sells at or below sell_at, and
-    waits otherwise.  `work` is `step_buffers`' for the group: the step
-    overwrites the perception buffer and the first N flags of each row,
-    and counts a row's flags by the popcounts of its words, so the padding
-    after them must stay zero.  No other input is mutated.  Returns `out`.
+    `params` is its `break_even_levels` (buy_at, sell_at, attention);
+    `history` its last `ma_span` returns, (ma_span, M), newest first; `s`
+    and `xi` the (N,) exogenous perception noise and interpretation noise.
+    Each agent perceives its attention-weighted mean recent return plus s,
+    and buys where perception + xi is at or above buy_at, sells at or below
+    sell_at, and waits otherwise.  The step overwrites the perception buffer
+    of `work` (`step_buffers`) and the first N flags of each row, and counts
+    a row's flags by the popcounts of its words, so the padding after them
+    must stay zero; no other input is mutated.  Returns `out`.
     """
     buy_at, sell_at, attention = params
     u, flags = work
-    # np.mean's own arithmetic, without its Python wrapper.
-    means = np.add.reduce(history, axis=1) / history.shape[1]
-    # Member by member: a batched matvec would change BLAS's summation order,
-    # and one member's perception stays in cache for both of its compares.
-    # It is copied to every commodity's row, as numpy compares two (M, N)
-    # arrays about twice as fast as an (N,) row broadcast against one.
     perception = u[0]
-    for mean, buy, sell, buys, sells in zip(means, buy_at, sell_at, *flags[..., :perception.size]):
-        np.matmul(attention, mean, out=perception)
-        np.add(perception, s, out=perception)
-        np.add(perception, xi, out=perception)
-        u[1:] = perception
-        np.greater_equal(u, buy, out=buys)
-        np.less_equal(u, sell, out=sells)
+    # np.mean's own arithmetic, without its Python wrapper.
+    np.matmul(attention, np.add.reduce(history, axis=0) / history.shape[0], out=perception)
+    np.add(perception, s, out=perception)
+    np.add(perception, xi, out=perception)
+    # Copied to every commodity's row, as numpy compares two (M, N) arrays
+    # about twice as fast as an (N,) row broadcast against one.
+    u[1:] = perception
+    np.greater_equal(u, buy_at, out=flags[0, :, : perception.size])
+    np.less_equal(u, sell_at, out=flags[1, :, : perception.size])
     # Integer sums are exact in any order (SimConfig keeps N below 2**31).
     return np.add.reduce(np.bitwise_count(flags.view(np.uint64)), axis=-1, dtype=np.int32, out=out)
 
@@ -307,10 +300,9 @@ def run_simulations(cfg: SimConfig, a_ranges) -> list[tuple[SignalPanel, SignalP
     """Run `cfg` at each sensitivity range in lockstep; return each range's panels.
 
     Each range is checked as `cfg.a_range` is, and its (rates, activity)
-    are bit for bit `run_simulation`'s of `cfg` at that range alone.  The
-    members share every draw (`init_population`), and each step runs
-    `step_market` once for the group, along a member axis R.  No range is
-    no run: `[]`, with no draw and no thread.
+    are bit for bit `run_simulation`'s of `cfg` at that range alone: the
+    members share the draws (`init_population`) and nothing else.  No range
+    is no run: `[]`, with no draw and no thread.
     """
     a_ranges = [replace(cfg, a_range=a_range).a_range for a_range in a_ranges]
     if not a_ranges:
@@ -327,11 +319,10 @@ def _lockstep(cfg: SimConfig, a_ranges) -> tuple[np.ndarray, np.ndarray]:
     The draws do not depend on the market, so a second thread makes them
     (`draw_steps`, which releases the GIL inside numpy) one block of at
     most READ_AHEAD_BYTES, and at least one step, ahead of this thread's
-    steps, alternating between two buffers.  This thread turns each
-    parameter draw into break-even levels, in buffers allocated once.  A
-    step keeps only its counts, in a buffer of the block's, and its returns,
-    in `history`; the block's rates and activity are settled from the
-    counts once the block is stepped through.
+    steps, alternating between two buffers.  This thread steps one member
+    through the block on its own break-even levels and `history`, as in its
+    run alone, then the next; a step keeps only its counts, in a buffer of
+    the block's, settled into rates and activity once all members are done.
     """
     # Imported here, not at the top, so that commands which do not
     # simulate do not pay its import time.
@@ -339,9 +330,10 @@ def _lockstep(cfg: SimConfig, a_ranges) -> tuple[np.ndarray, np.ndarray]:
 
     rng = np.random.default_rng(cfg.seed)
     n, m, members = cfg.n_agents, cfg.n_commodities, len(a_ranges)
-    levels = np.empty((2, members, m, n))
-    work = step_buffers(members, m, n)
-    params = break_even_levels(init_population(cfg, a_ranges, rng), levels)
+    theta_buy, theta_sell, sensitivity, attention = init_population(cfg, a_ranges, rng)
+    params = [break_even_levels((theta_buy, theta_sell, a, attention), np.empty((2, m, n))) for a in sensitivity]
+    del theta_buy, theta_sell, sensitivity  # not needed past the levels: 1.6 MB for three members at 2000 x 20
+    work = step_buffers(m, n)
     steps = cfg.warmup + cfg.horizon
     # A resampled step draws two thresholds, their attention and R sensitivities, each (N, M).
     step_bytes = 8 * (2 * n + ((3 + members) * n * m if cfg.resample_params else 0))
@@ -351,9 +343,7 @@ def _lockstep(cfg: SimConfig, a_ranges) -> tuple[np.ndarray, np.ndarray]:
     scale = cfg.gamma / n
     rate = np.ones((members, m))
     history = np.zeros((members, cfg.ma_span, m))
-    newest = history[:, 0]
-    rates = np.empty((members, m, cfg.horizon))
-    activity = np.empty((members, m, cfg.horizon))
+    rates, activity = np.empty((2, members, m, cfg.horizon))
 
     def draw(start):  # the steps from `start`, drawn into the buffer the block before did not fill
         noise = buffers[start // block % 2][: steps - start]
@@ -363,13 +353,15 @@ def _lockstep(cfg: SimConfig, a_ranges) -> tuple[np.ndarray, np.ndarray]:
     # a forked sweep worker must not inherit it, nor a caller find it alive.
     with contextlib.closing(_read_ahead(ThreadPoolExecutor(1), draw, zip(range(0, steps, block)), 1)) as draws:
         for start, noise, fresh in draws:
-            for j, (s, xi) in enumerate(noise):
-                if fresh:
-                    params = break_even_levels(fresh[j], levels)
-                buyers, sellers = step_market(params, history, s, xi, work, counts[j])
-                if cfg.ma_span > 1:  # an empty shift costs some 8% of a step at 2000 x 20
-                    history[:, 1:] = history[:, :-1]
-                np.multiply(np.subtract(buyers, sellers), scale, out=newest)
+            for r, (member, past) in enumerate(zip(params, history)):
+                for j, (s, xi) in enumerate(noise):
+                    if fresh:
+                        theta_buy, theta_sell, sensitivity, attention = fresh[j]
+                        member = break_even_levels((theta_buy, theta_sell, sensitivity[r], attention), member[:2])
+                    buyers, sellers = step_market(member, past, s, xi, work, counts[j, :, r])
+                    if cfg.ma_span > 1:  # an empty shift costs some 8% of a step at 2000 x 20
+                        past[1:] = past[:-1]
+                    np.multiply(np.subtract(buyers, sellers), scale, out=past[0])
             # The same returns again, and each rate the one before times its
             # step's growth, rounded in turn from the rate carried in.  exp
             # gets a contiguous array: on a strided view numpy may take its

@@ -371,8 +371,15 @@ def loop_lockstep(cfg, a_ranges):
     """
     rng = np.random.default_rng(cfg.seed)
     n, m, members = cfg.n_agents, cfg.n_commodities, len(a_ranges)
-    levels = np.empty((2, members, m, n))
-    params = break_even_levels(init_population(cfg, a_ranges, rng), levels)
+    levels = np.empty((members, 2, m, n))
+
+    def member_levels(population):  # each member's levels, as (R, M, N) buy_at and sell_at
+        theta_buy, theta_sell, sensitivity, attention = population
+        for a, out in zip(sensitivity, levels):
+            break_even_levels((theta_buy, theta_sell, a, attention), out)
+        return levels[:, 0], levels[:, 1], attention
+
+    params = member_levels(init_population(cfg, a_ranges, rng))
     u, flags = np.empty((m, n)), np.empty((2, members, m, n), dtype=bool)
     noise = np.empty((1, 2, n))
     rate = np.ones((members, m))
@@ -382,7 +389,7 @@ def loop_lockstep(cfg, a_ranges):
     for step in range(cfg.warmup + cfg.horizon):
         fresh = draw_steps(cfg, a_ranges, rng, noise)
         if fresh:
-            params = break_even_levels(fresh[0], levels)
+            params = member_levels(fresh[0])
         buy_at, sell_at, attention = params
         s, xi = noise[0]
         for mean, buy, sell, buys, sells in zip(history.mean(axis=1), buy_at, sell_at, *flags):

@@ -1196,6 +1196,31 @@ class TestPanelCsv:
         path.write_text(f"# dt={1 / 60_000!r}\ntime,a,b\n" + rows)
         assert read_panel_csv(path).dt == 1 / 60_000
 
+    @pytest.mark.parametrize("token, line, ms", [(f"# dt={0.0004 / 60!r}\n", 1, "0.4"), ("", 4, "0.399947")])
+    def test_grid_finer_than_a_millisecond_is_refused(self, tmp_path, token, line, ms):
+        """Three rows 0.4 ms apart, a grid `check_grid` refuses to build, are
+        refused on the token's line, or without one on the second row's."""
+        rows = "".join(f"2024-01-01T00:00:00.{4 * k:04d}Z,{k}.0\n" for k in range(3))
+        path = tmp_path / "panel.csv"
+        path.write_text(token + "# source=hand\ntime,a\n" + rows)
+        message = f"^{re.escape(str(path))}: line {line}: dt=.* is {re.escape(ms)} ms, under 1 ms$"
+        with pytest.raises(FormatError, match=message):
+            read_panel_csv(path)
+
+    @pytest.mark.parametrize("epoch_ms", [1_160_956_800_000, 1_704_067_200_123, 4_102_444_800_001])
+    def test_rows_a_millisecond_apart_read_without_a_token(self, tmp_path, epoch_ms):
+        """Each time rounds its stamp, so the span of rows 1 ms apart may read
+        a hair under 1 ms a row; such a grid is still read, and 0.999 ms is not."""
+        path = tmp_path / "panel.csv"
+        for step_us, refused in ((1000, False), (999, True)):
+            stamps = (format_rfc3339((epoch_ms * 1000 + step_us * k) / 1e6) for k in range(2))
+            path.write_text("time,a\n" + "".join(f"{stamp},{k}.0\n" for k, stamp in enumerate(stamps)))
+            if refused:
+                with pytest.raises(FormatError, match="line 3: .* under 1 ms$"):
+                    read_panel_csv(path)
+            else:
+                assert read_panel_csv(path).dt * 60_000 == pytest.approx(1.0, abs=1e-3)
+
     @pytest.mark.parametrize("token, line", [("# dt=1.0\n", 5), ("", 3)])
     def test_drift_off_the_grid_is_refused_on_its_row(self, tmp_path, token, line):
         """3,000 rows 60 s and then 60.001 s apart: each spacing is within

@@ -27,9 +27,11 @@ from specdist.simulator import (
 )
 
 
-def levels_of(population):
-    """step_market's (buy_at, sell_at, attention) for one population, in fresh buffers."""
-    return break_even_levels(population, np.empty((2, *population[2].shape)))
+def levels_of(population, r=0):
+    """step_market's (buy_at, sell_at, attention) for member `r` of an
+    init_population draw, in fresh buffers."""
+    theta_buy, theta_sell, sensitivity, attention = population
+    return break_even_levels((theta_buy, theta_sell, sensitivity[r], attention), np.empty((2, *theta_buy.shape)))
 
 
 def drawn_population(cfg, a_ranges=None):
@@ -47,21 +49,21 @@ def manual_params(theta_buy, theta_sell, sensitivity):
 
 
 def net_return(cfg, buyers, sellers):
-    """The (R, M) log returns of one step's counts: gamma/N per net buyer."""
+    """The (M,) log returns of one step's counts: gamma/N per net buyer."""
     return cfg.gamma / cfg.n_agents * (buyers - sellers)
 
 
 def step(params, history, s, xi, work=None):
     """step_market's (buyers, sellers), in fresh work buffers unless `work` is given."""
-    members, m, n = params[0].shape
-    work = step_buffers(members, m, n) if work is None else work
-    return step_market(params, history, s, xi, work, np.empty((2, members, m), dtype=np.int32))
+    m, n = params[0].shape
+    work = step_buffers(m, n) if work is None else work
+    return step_market(params, history, s, xi, work, np.empty((2, m), dtype=np.int32))
 
 
 def quiet_step(params, history):
     """step_market with zero noise on one member's hand-set parameters and (ma_span, M) history."""
     n = params[2].shape[0]
-    history = np.atleast_2d(np.asarray(history, dtype=float))[None]
+    history = np.atleast_2d(np.asarray(history, dtype=float))
     return step(params, history, np.zeros(n), np.zeros(n))
 
 
@@ -190,7 +192,7 @@ class TestBreakEven:
     def test_level_decides_as_the_product(self, agents, noise):
         sensitivity, theta_buy, theta_sell = np.array(agents).T
         theta_sell = -theta_sell
-        population = (theta_buy[None], theta_sell[None], sensitivity[None], np.ones((len(agents), 1)))
+        population = (theta_buy[None], theta_sell[None], sensitivity[None, None], np.ones((len(agents), 1)))
         buy_at, sell_at = (level[0] for level in levels_of(population)[:2])
         with np.errstate(over="ignore"):
             for level in (buy_at, sell_at):
@@ -211,20 +213,6 @@ class TestBreakEven:
             assert not np.any(a * np.nextafter(level, 0.0) >= theta)
 
 
-    def test_member_stack_equals_separate_calls(self):
-        # Broadcast thresholds against three members' sensitivities, the
-        # extreme ranges among them, and each member's levels alone.
-        cfg = SimConfig(n_agents=200, n_commodities=6, seed=13)
-        theta_buy, theta_sell, sensitivity, attention = drawn_population(
-            cfg, [(1e-3, 1e300), (5e-324, 1e-300), (1.0, 3.0)])
-        buy_at, sell_at, shared = levels_of((theta_buy, theta_sell, sensitivity, attention))
-        assert shared is attention
-        for r, member in enumerate(sensitivity):
-            alone = levels_of((theta_buy, theta_sell, member[None].copy(), attention))
-            assert buy_at[r].tobytes() == alone[0][0].tobytes()
-            assert sell_at[r].tobytes() == alone[1][0].tobytes()
-
-
 class TestPerceive:
     """Perception: attention-weighted mean recent return plus noise s."""
 
@@ -233,7 +221,7 @@ class TestPerceive:
         # No buyer and no seller on a commodity means every agent waits on it.
         tiny = np.full((3, 2), 1e-150)
         buyers, sellers = quiet_step(manual_params(tiny, -tiny, np.ones((3, 2))), np.zeros((1, 2)))
-        assert buyers.tolist() == [[0, 0]] and sellers.tolist() == [[0, 0]]
+        assert buyers.tolist() == [0, 0] and sellers.tolist() == [0, 0]
 
     def test_single_commodity_analytic(self):
         # attention = 1/(0.5^2 + 0.5^2) = 2, so the perception is exactly
@@ -241,14 +229,14 @@ class TestPerceive:
         # one ulp less misses it.  One agent: its counts are its attitude.
         below_one = np.nextafter(1.0, 0.0)
         buyers, sellers = quiet_step(manual_params([[0.5]], [[-0.5]], [[1.0]]), [[0.25]])
-        assert buyers.tolist() == [[1]] and sellers.tolist() == [[0]]
+        assert buyers.tolist() == [1] and sellers.tolist() == [0]
         buyers, sellers = quiet_step(manual_params([[0.5]], [[-0.5]], [[below_one]]), [[0.25]])
-        assert buyers.tolist() == [[0]] and sellers.tolist() == [[0]]
+        assert buyers.tolist() == [0] and sellers.tolist() == [0]
 
     def test_matches_scalar_loop(self):
         cfg = SimConfig(n_agents=7, n_commodities=3, ma_span=4, seed=5)
         population = drawn_population(cfg)
-        history = np.random.default_rng(6).normal(scale=1e-6, size=(1, 4, 3))
+        history = np.random.default_rng(6).normal(scale=1e-6, size=(4, 3))
         noise = np.random.default_rng(5)
         s = noise.normal(0.0, cfg.sigma_s, 7)
         xi = noise.normal(0.0, cfg.sigma_xi, 7)
@@ -267,13 +255,13 @@ class TestPerceive:
             x = s[i]
             for k in range(3):
                 c = 1.0 / (theta_sell[k, i] ** 2 + theta_buy[k, i] ** 2)
-                x += c * sum(history[0, tau, k] for tau in range(4)) / 4
+                x += c * sum(history[tau, k] for tau in range(4)) / 4
             for j in range(3):
                 signal = sensitivity[j, i] * (x + xi[i])
                 expected_buyers[j] += int(signal >= theta_buy[j, i])
                 expected_sellers[j] += int(signal <= theta_sell[j, i])
-        assert buyers.tolist() == [expected_buyers]
-        assert sellers.tolist() == [expected_sellers]
+        assert buyers.tolist() == expected_buyers
+        assert sellers.tolist() == expected_sellers
 
 
 class TestDecide:
@@ -284,22 +272,22 @@ class TestDecide:
 
     def test_zero_signal_waits(self):
         buyers, sellers = quiet_step(manual_params([[0.01]], [[-0.01]], [[2.0]]), [[0.0]])
-        assert buyers.tolist() == [[0]] and sellers.tolist() == [[0]]
+        assert buyers.tolist() == [0] and sellers.tolist() == [0]
 
     def test_buy_boundary_inclusive(self):
         # attention = 1/(0.25^2 + 0.25^2) = 8 and history +-1/32 put the
         # signal exactly on a threshold; both boundaries count as crossed.
         params = manual_params([[0.25]], [[-0.25]], [[1.0]])
         buyers, sellers = quiet_step(params, [[1 / 32]])
-        assert buyers.tolist() == [[1]] and sellers.tolist() == [[0]]
+        assert buyers.tolist() == [1] and sellers.tolist() == [0]
         buyers, sellers = quiet_step(params, [[-1 / 32]])
-        assert buyers.tolist() == [[0]] and sellers.tolist() == [[1]]
+        assert buyers.tolist() == [0] and sellers.tolist() == [1]
 
     def test_sell_threshold_crossed(self):
         # attention 1250, history -8.8e-6: perception -0.011, signal -0.022.
         params = manual_params([[0.02]], [[-0.02]], [[2.0]])
         buyers, sellers = quiet_step(params, [[-8.8e-6]])
-        assert buyers.tolist() == [[0]] and sellers.tolist() == [[1]]
+        assert buyers.tolist() == [0] and sellers.tolist() == [1]
 
 
 class TestCount:
@@ -308,22 +296,27 @@ class TestCount:
     @pytest.mark.parametrize("n_agents", [1, 7, 8, 9, 2001])
     def test_padded_popcount_is_the_flag_sum_and_the_padding_stays_zero(self, n_agents):
         cfg = SimConfig(n_agents=n_agents, n_commodities=3, ma_span=2, seed=n_agents)
-        params = levels_of(drawn_population(cfg, LOCKSTEP_A_RANGES))
-        work = step_buffers(3, 3, n_agents)
+        population = drawn_population(cfg, LOCKSTEP_A_RANGES)
+        members = [levels_of(population, r) for r in range(3)]
+        work = step_buffers(3, n_agents)  # shared by the three members, as in a lockstep group
         flags = work[1]
-        assert flags.shape == (2, 3, 3, -(-n_agents // 8) * 8)
+        assert flags.shape == (2, 3, -(-n_agents // 8) * 8)
         noise = np.random.default_rng(n_agents)
         history = np.zeros((3, 2, 3))
+        last = []  # each member's flags of the last step
         for _ in range(20):
             # Noise wide enough that agents buy, sell and wait.
             s, xi = noise.normal(0.0, 0.02, (2, n_agents))
-            buyers, sellers = step(params, history, s, xi, work)
-            assert buyers.tolist() == flags[0, ..., :n_agents].sum(axis=-1).tolist()
-            assert sellers.tolist() == flags[1, ..., :n_agents].sum(axis=-1).tolist()
-            assert not flags[..., n_agents:].any()
-            history[:, 1:] = history[:, :-1]
-            history[:, 0] = net_return(cfg, buyers, sellers)
-        assert 0 < flags.sum() < flags[..., :n_agents].size
+            last.clear()
+            for params, past in zip(members, history):
+                buyers, sellers = step(params, past, s, xi, work)
+                assert buyers.tolist() == flags[0, :, :n_agents].sum(axis=-1).tolist()
+                assert sellers.tolist() == flags[1, :, :n_agents].sum(axis=-1).tolist()
+                assert not flags[..., n_agents:].any()
+                last.append(flags[..., :n_agents].copy())
+                past[1:] = past[:-1]
+                past[0] = net_return(cfg, buyers, sellers)
+        assert 0 < np.sum(last) < np.size(last)
 
 
 class TestStepMarket:
@@ -336,17 +329,17 @@ class TestStepMarket:
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
         params = levels_of(init_population(cfg, [cfg.a_range], rng))
-        buyers, sellers = drawn_step(params, np.zeros((1, 1, 3)), cfg, rng)
-        assert buyers.tolist() == [[0, 0, 0]] and sellers.tolist() == [[0, 0, 0]]
+        buyers, sellers = drawn_step(params, np.zeros((1, 3)), cfg, rng)
+        assert buyers.tolist() == [0, 0, 0] and sellers.tolist() == [0, 0, 0]
 
     def test_unanimous_buying_saturates(self):
         cfg = self.quiet_cfg()
         rng = np.random.default_rng(0)
         params = levels_of(init_population(cfg, [cfg.a_range], rng))
-        history = np.full((1, 1, 3), 1.0)  # huge shared return signal
+        history = np.full((1, 3), 1.0)  # huge shared return signal
         buyers, sellers = drawn_step(params, history, cfg, rng)
         # Every agent buys every commodity: N buyers, no seller.
-        assert buyers.tolist() == [[cfg.n_agents] * 3] and sellers.tolist() == [[0, 0, 0]]
+        assert buyers.tolist() == [cfg.n_agents] * 3 and sellers.tolist() == [0, 0, 0]
         assert np.all(net_return(cfg, buyers, sellers) == pytest.approx(cfg.gamma, rel=1e-12))
 
     def test_returns_bounded_by_gamma(self):
@@ -355,13 +348,13 @@ class TestStepMarket:
             cfg = SimConfig(n_agents=n_agents, n_commodities=4, seed=9)
             rng = np.random.default_rng(9)
             params = levels_of(init_population(cfg, [cfg.a_range], rng))
-            history = np.zeros((1, 1, 4))
+            history = np.zeros((1, 4))
             for _ in range(200):
                 buyers, sellers = drawn_step(params, history, cfg, rng)
                 # Each agent buys, sells or waits: at most one action per commodity.
                 assert np.all(buyers >= 0) and np.all(sellers >= 0)
                 assert np.all(buyers + sellers <= n_agents)
-                history = net_return(cfg, buyers, sellers)[:, None, :]
+                history = net_return(cfg, buyers, sellers)[None]
                 assert np.all(np.abs(history) <= cfg.gamma * (1 + 1e-12))
             rates, activity = run_simulation(replace(cfg, horizon=200, warmup=0, dt=2.5))
             assert np.all(np.abs(np.diff(np.log(rates.values))) <= cfg.gamma * (1 + 1e-6))
@@ -374,26 +367,13 @@ class TestStepMarket:
                         horizon=10_000, warmup=0)
         rng = np.random.default_rng(21)
         params = levels_of(init_population(cfg, [cfg.a_range], rng))
-        history = np.zeros((1, 1, 4))
-        total = np.zeros((1, 4))
+        history = np.zeros((1, 4))
+        total = np.zeros(4)
         for _ in range(cfg.horizon):
-            history[:, 0] = net_return(cfg, *drawn_step(params, history, cfg, rng))
-            total += history[:, 0]
+            history[0] = net_return(cfg, *drawn_step(params, history, cfg, rng))
+            total += history[0]
         rates, _ = run_simulation(cfg)
-        assert np.allclose(rates.values[:, -1], np.exp(total[0]), rtol=1e-9)
-
-    def test_group_step_equals_member_steps(self):
-        cfg = SimConfig(n_agents=60, n_commodities=4, ma_span=3, seed=14)
-        params = levels_of(drawn_population(cfg, LOCKSTEP_A_RANGES))
-        noise = np.random.default_rng(15)
-        history = noise.normal(scale=1e-5, size=(3, 3, 4))
-        s, xi = noise.normal(0.0, 0.005, (2, 60))
-        buyers, sellers = step(params, history, s, xi)
-        assert buyers.shape == sellers.shape == (3, 4)
-        for r in range(3):
-            alone = step((params[0][r:r + 1], params[1][r:r + 1], params[2]), history[r:r + 1], s, xi)
-            assert buyers[r].tolist() == alone[0][0].tolist()
-            assert sellers[r].tolist() == alone[1][0].tolist()
+        assert np.allclose(rates.values[:, -1], np.exp(total), rtol=1e-9)
 
     def test_matches_scalar_reference_implementation(self):
         """Run the default-size market 10 steps against the pure-Python rebuild."""
@@ -574,6 +554,7 @@ LOCKSTEP_GRID = {
     "ma_span_3": dict(n_agents=40, n_commodities=3, horizon=32, warmup=8, ma_span=3, gamma=5e-6, seed=1),
     "no_warmup": dict(n_agents=50, n_commodities=2, horizon=40, warmup=0, dt=2.5, seed=3),
     "ends_mid_block": dict(horizon=BLOCK + BLOCK // 2, warmup=3, seed=6),
+    "warmup_ends_mid_block": dict(horizon=2 * BLOCK, warmup=BLOCK + BLOCK // 2, seed=9),
     "resampled_two_blocks": dict(n_agents=30, n_commodities=4, horizon=40,
                                  warmup=LOCKSTEP_RESAMPLE_BLOCK - 20, ma_span=2, gamma=2e-6,
                                  resample_params=True, seed=10),
