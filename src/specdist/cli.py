@@ -147,7 +147,7 @@ def _check_files(args: argparse.Namespace) -> None:
             raise ConfigurationError(f"{path}: {other} and {name} name one file")
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> None:
     parsed = read_ticks(args.ticks)
     if parsed.malformed:
         print(
@@ -162,21 +162,18 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             f"{args.ticks}: no rate series: fewer than two buckets after every instrument quoted"
         )
     meta = {"side": args.side, "dt": repr(args.dt), "transform": "raw"}
-    _write_panels(meta, (args.activity_out, activity), (args.rates_out, rates))
-    return EXIT_OK
+    _write_panels(args.written, meta, (args.activity_out, activity), (args.rates_out, rates))
 
 
-def _write_panels(meta, *outputs) -> None:
-    """Write each `(path, panel)` of `outputs` that has a path, or none of
-    them: a failed write removes the files written before it."""
-    with _removed_on_failure() as written:
-        for path, panel in outputs:
-            if path:
-                write_panel_csv(panel, path, meta)
-                written.append(path)
+def _write_panels(written: list, meta, *outputs) -> None:
+    """Write each `(path, panel)` of `outputs` that has a path, appending it to `written`."""
+    for path, panel in outputs:
+        if path:
+            write_panel_csv(panel, path, meta)
+            written.append(path)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> None:
     panel = read_panel_csv(args.panel)
     cfg = pipeline.AnalysisConfig(
         width=args.window,
@@ -186,15 +183,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         weights=args.weights.split(",") if args.weights else None,
         kl_floor=args.floor,
     )
-    # The metrics file is written after `analyze` has closed its dumps, so
-    # a failed write removes them too.
-    with _removed_on_failure() as written:
-        result = pipeline.analyze(
-            panel, cfg, dump_kl=args.dump_kl, dump_spectra=args.dump_spectra
-        )
-        written.extend(path for path in (args.dump_kl, args.dump_spectra) if path)
-        pipeline.write_metrics_csv(result, args.out)
-    return EXIT_OK
+    result = pipeline.analyze(
+        panel, cfg, dump_kl=args.dump_kl, dump_spectra=args.dump_spectra
+    )
+    args.written.extend(path for path in (args.dump_kl, args.dump_spectra) if path)
+    pipeline.write_metrics_csv(result, args.out)
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
@@ -206,15 +199,14 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
     return replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     cfg = _sim_config(args)
     rates, activity = run_simulation(cfg)
     meta = {"source": "simulate", **cfg.provenance(), "transform": "raw"}
-    _write_panels(meta, (args.rates_out, rates), (args.activity_out, activity))
-    return EXIT_OK
+    _write_panels(args.written, meta, (args.rates_out, rates), (args.activity_out, activity))
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> None:
     left = pipeline.read_metrics_csv(args.left)
     right = pipeline.read_metrics_csv(args.right)
     report = pipeline.compare_metric_series(left, right, args.field_a, args.field_b, args.fit)
@@ -229,10 +221,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if report.intercept is not None:
         line += f" intercept={report.intercept!r}"
     print(line)
-    return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     try:
         h_a_values = [float(v) for v in args.ha.split(",") if v.strip()]
     except ValueError as exc:
@@ -241,17 +232,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError("--ha needs at least one value")
     base = _sim_config(args)
     analysis = pipeline.AnalysisConfig(width=args.window, stride=args.stride)
-    # The table is opened before the first run, and removed if the sweep fails.
-    with _removed_on_failure() as written, (
-        open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout)
-    ) as out:
+    # The table is opened before the first run, so a destination it cannot write fails at once.
+    with open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
         if args.out:
-            written.append(args.out)
+            args.written.append(args.out)
         points = pipeline.entropy_sweep(
             h_a_values, base, analysis, seeds=args.seeds, center=args.center
         )
         pipeline.write_sweep_csv(points, out)
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -264,9 +252,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         _check_files(args)
-        return args.func(args)
+        with _removed_on_failure() as args.written:
+            args.func(args)
     except Exception as exc:  # every failure is one stderr line and its exit code
         return _fail(exc)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -127,17 +127,16 @@ def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cross_correlation(a, b) -> float:
-    """Pearson coefficient (<ab> - <a><b>)/(sigma_a*sigma_b), population moments."""
+    """Pearson coefficient sum(dx*dy)/sqrt(sum(dx*dx)*sum(dy*dy)) of the series
+    centred on their means, dx = a - <a> and dy = b - <b>."""
     x, y = _check_pair(a, b)
-    if np.all(x == x[0]) or np.all(y == y[0]):
+    if np.all(x == x[0]) or np.all(y == y[0]):  # all values equal: the one test for a constant series
         raise UndefinedCorrelationError("correlation undefined for a constant series")
-    mx, my = float(x.mean()), float(y.mean())
-    cov = float((x * y).mean()) - mx * my
-    var_x = max(0.0, float((x * x).mean()) - mx * mx)
-    var_y = max(0.0, float((y * y).mean()) - my * my)
-    if var_x == 0.0 or var_y == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for a zero-variance series")
-    c = cov / math.sqrt(var_x * var_y)
+    dx, dy = x - float(x.mean()), y - float(y.mean())
+    sxx, syy = float((dx * dx).sum()), float((dy * dy).sum())
+    if sxx == 0.0 or syy == 0.0:
+        raise UndefinedCorrelationError("correlation undefined: a centred sum of squares underflows")
+    c = float((dx * dy).sum()) / (math.sqrt(sxx) * math.sqrt(syy))
     return min(1.0, max(-1.0, c))
 
 
@@ -153,9 +152,11 @@ def fit_proportionality(x, y) -> float:
 def fit_affine(x, y) -> tuple[float, float]:
     """Unconstrained least-squares line y = slope * x + intercept (diagnostic)."""
     xv, yv = _check_pair(x, y)
+    if np.all(xv == xv[0]):
+        raise DegenerateFitError("cannot fit a line against a constant series")
     mx, my = float(xv.mean()), float(yv.mean())
     sxx = float(((xv - mx) ** 2).sum())
     if sxx == 0.0:
-        raise DegenerateFitError("cannot fit a line against a constant series")
+        raise DegenerateFitError("cannot fit a line: the centred sum of squares underflows")
     slope = float(((xv - mx) * (yv - my)).sum()) / sxx
     return slope, my - slope * mx

@@ -41,26 +41,30 @@ ENTROPY_PROB_FLOOR = 1e-300
 # about 42 bytes a cell, so one stays near 0.7 GB: a year of one-minute buckets for
 # a dozen instruments is 6.3 M cells, while ticks at a `dt` of a few ms can need GBs.
 MAX_CELLS = 2**24
-# 10000-01-01T00:00:00Z in epoch seconds: `ingest.format_rfc3339` writes
-# every time before it, the last as 9999-12-31T23:59:59.999999Z.
+# 0001-01-01T00:00:00Z and 10000-01-01T00:00:00Z in epoch seconds: `ingest.format_rfc3339`
+# writes every time from the first up to the second, the last as 9999-12-31T23:59:59.999999Z.
+_STAMP_START = -62_135_596_800.0
 _STAMP_END = 253_402_300_800.0
 
 
 def _times(t0: float, dt: float, index):
     """`SignalPanel.times` of the grid from `t0` every `dt` minutes."""
-    return (round(t0 * 1000.0) + index * (dt * 60_000.0)) / 1000.0
+    return np.rint(round(t0 * 1e6) + index * (dt * 60_000_000.0)) / 1e6
 
 
 def check_grid(dt: float, channels: int = 1, samples: int = 1, t0: float = 0.0) -> float:
     """The step dt in ms; `ConfigurationError` unless `channels` x `samples` samples every
-    `dt` minutes from `t0` fit a panel file: dt finite and at least a stamp's 1 ms,
-    at most MAX_CELLS cells, and the last sample before 10000-01-01T00:00:00Z."""
+    `dt` minutes from `t0` fit a panel file: dt finite and at least 1 ms, at most MAX_CELLS
+    cells, and every sample from 0001-01-01T00:00:00Z to 9999-12-31T23:59:59.999999Z."""
     step = dt * 60_000.0
     if not (np.isfinite(dt) and step >= 1):
         raise ConfigurationError(f"dt must be a finite number of minutes of at least 1 ms, got {dt!r}")
     if channels * samples > MAX_CELLS:
         raise ConfigurationError(f"{channels} channel(s) x {samples} samples is {channels * samples} cells, "
                                  f"more than the {MAX_CELLS} a panel may hold")
+    if not _times(t0, dt, 0) >= _STAMP_START:
+        raise ConfigurationError(f"dt {dt!r} puts sample 0 at t0 {t0!r} s, before "
+                                 "0001-01-01T00:00:00Z, the first time a file can hold")
     if not _times(t0, dt, samples - 1) < _STAMP_END:
         raise ConfigurationError(f"dt {dt!r} puts sample {samples - 1} after t0 {t0!r} s past "
                                  "9999-12-31T23:59:59.999999Z, the last time a file can hold")
@@ -80,8 +84,8 @@ class SignalPanel:
     dt : float
         Sampling period in minutes.
     t0 : float
-        Time of the first sample in epoch seconds, kept to the whole ms (the
-        resolution of ticks and of every file stamp).  Defaults to the epoch.
+        Time of the first sample in epoch seconds, kept to the whole microsecond
+        (the resolution of every file stamp).  Defaults to the epoch.
 
     The panel holds at least one channel of at least two samples and is
     immutable.  Its values are a float64 copy in C order whatever the
@@ -116,7 +120,7 @@ class SignalPanel:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t0", round(float(self.t0) * 1000) / 1000)
+        object.__setattr__(self, "t0", round(float(self.t0) * 1e6) / 1e6)
 
     @property
     def n_channels(self) -> int:
@@ -127,7 +131,7 @@ class SignalPanel:
         return self.values.shape[1]
 
     def times(self, index) -> np.ndarray | float:
-        """Epoch seconds of samples `index`: t0 in whole ms plus index * dt * 60000 ms, over 1000."""
+        """Epoch seconds of samples `index`, as their stamps read: rint(t0 us + index * dt * 6e7 us) / 10**6."""
         return _times(self.t0, self.dt, index)
 
     def channel_index(self, label: str) -> int:

@@ -81,6 +81,24 @@ class TestIngestCommand:
         assert len(err.splitlines()) == 1
         assert not activity.exists()
 
+    @pytest.mark.parametrize("dt", ["11", "13", "17"])
+    def test_grid_before_year_1_is_config_error(self, tmp_path, capsys, dt):
+        """Ticks between 0001-01-01T00:01Z and 00:50Z: a dt-aligned grid of 11,
+        13 or 17 minutes starts before 0001-01-01T00:00:00Z, the first time a
+        file can hold, and is refused with one error line.  At 1 minute it fits."""
+        ticks = tmp_path / "year1.csv"
+        ticks.write_text("timestamp,instrument,side,price\n" + "".join(
+            f"0001-01-01T00:{minute:02d}:00Z,EUR/USD,ask,1.2{k}\n" for k, minute in enumerate((1, 17, 33, 50))
+        ))
+        activity = tmp_path / "a.csv"
+        assert run("ingest", str(ticks), "--dt", dt, "--activity-out", str(activity)) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("specdist: error code=5 kind=ConfigurationError ")
+        assert "before 0001-01-01T00:00:00Z" in err[0]
+        assert not activity.exists()
+        assert run("ingest", str(ticks), "--dt", "1", "--activity-out", str(activity)) == 0
+        assert activity.read_text().splitlines()[2].startswith("0001-01-01T00:01:00Z,")
+
     def test_grid_over_the_cell_budget_is_config_error(self, tmp_path, capsys, monkeypatch):
         """Two ticks two days apart at `--dt 1e-4` (6 ms) need 28.8 M buckets,
         more than `ingest.MAX_CELLS`: exit 5 with one error line and no
@@ -259,6 +277,19 @@ class TestAnalyzeCommand:
         panel_csv = self.make_panel_csv(tmp_path)
         assert run("analyze", f"{panel_csv}/x", "--out", str(tmp_path / "m.csv")) == 3
         assert "code=3 kind=NotADirectoryError" in capsys.readouterr().err
+
+    def test_window_starts_are_the_panel_stamps_to_the_microsecond(self, tmp_path):
+        """A panel stamped 0.4 ms past each minute: each window start in the
+        metrics file is the stamp of the panel row at the same index."""
+        rng = np.random.default_rng(8)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("time,a,b\n" + "".join(
+            f"2024-01-01T00:{k:02d}:00.000400Z,{x!r},{y!r}\n" for k, (x, y) in enumerate(rng.normal(size=(8, 2)).tolist())
+        ))
+        out = tmp_path / "m.csv"
+        assert run("analyze", str(panel), "--window", "4", "--stride", "2", "--out", str(out)) == 0
+        starts = [line.split(",")[0] for line in out.read_text().splitlines()[2:]]
+        assert starts == [f"2024-01-01T00:{k:02d}:00.000400Z" for k in (0, 2, 4)]
 
     def test_row_count_arithmetic(self, tmp_path):
         panel_csv = self.make_panel_csv(tmp_path, length=640)

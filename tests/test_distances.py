@@ -251,6 +251,25 @@ class TestCrossCorrelation:
         with pytest.raises(UndefinedCorrelationError):
             cross_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("mean, sd", [(1.0, 1e-6), (1e4, 1e-3), (1.0, 1e-8), (100.0, 1e-6)])
+    def test_small_spread_about_a_large_mean_matches_two_pass_oracle(self, mean, sd):
+        """124 pairs with a coefficient near 0.8, offset by `mean` and scaled by `sd`:
+        the coefficient is within 1e-9 of the centred two-pass oracle."""
+        z = np.random.default_rng(17).normal(size=(2, 124))
+        x, y = mean + sd * z[0], mean + sd * (0.8 * z[0] + 0.6 * z[1])
+        assert abs(cross_correlation(x, y) - two_pass_correlation(x.tolist(), y.tolist())) <= 1e-9
+
+    def test_tiny_series_correlate(self):
+        """Sums of squares near 1e-200 multiply below the smallest float, yet
+        the coefficient is that of the series scaled up, within 1e-12."""
+        x, y = np.array([0.0, 1.0, 3.0, 2.0]), np.array([1.0, 2.0, 4.0, 4.5])
+        want = two_pass_correlation(x.tolist(), y.tolist())
+        assert abs(cross_correlation(1e-100 * x, 1e-100 * y) - want) <= 1e-12
+
+    def test_underflowing_spread_is_undefined_not_a_division_by_zero(self):
+        with pytest.raises(UndefinedCorrelationError, match="underflows"):
+            cross_correlation([0.0, 1e-170, 3e-170], [1.0, 2.0, 3.0])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             cross_correlation([1.0, 2.0], [1.0, 2.0, 3.0])
@@ -302,6 +321,18 @@ class TestProportionalityFit:
     def test_affine_fit_against_a_constant_series_rejected(self):
         with pytest.raises(DegenerateFitError, match="constant series"):
             fit_affine([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_constant_series_is_one_whose_values_are_all_equal(self):
+        """Whether a constant series is refused does not depend on how its mean
+        rounds: 0.1 three times rounds to a mean 1 ulp above 0.1."""
+        with pytest.raises(DegenerateFitError, match="constant series"):
+            fit_affine([0.1] * 3, [1.0, 2.0, 3.0])
+        with pytest.raises(UndefinedCorrelationError, match="constant series"):
+            cross_correlation([0.1] * 3, [1.0, 2.0, 3.0])
+
+    def test_affine_fit_against_an_underflowing_spread_rejected(self):
+        with pytest.raises(DegenerateFitError, match="underflows"):
+            fit_affine([0.0, 1e-170, 3e-170], [1.0, 2.0, 3.0])
 
 
 class TestContainers:

@@ -885,6 +885,17 @@ class TestResample:
                 "dt 1.0 puts sample 1 after t0 253402300740.0 s past 9999-12-31T23:59:59.999999Z")):
             resample(columns(ticks[1:] + [(end, "EUR/USD", "ask", 1.0)]), 1.0, "ask")
 
+    def test_bucket_before_year_1_is_config_error(self):
+        """Ticks early on 0001-01-01 at an 11-minute bucket: the dt-aligned grid
+        starts 4 minutes before 0001-01-01T00:00:00Z, which no panel file can
+        hold, so it is refused before it is built.  At 1 minute it fits."""
+        start = -62_135_596_800_000  # 0001-01-01T00:00:00Z in epoch ms
+        ticks = [(start + minute * 60_000, "EUR/USD", "ask", 1.0) for minute in (1, 17, 33, 50)]
+        assert resample(columns(ticks), 1.0, "ask")[0].t0 == start / 1000 + 60
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "dt 11.0 puts sample 0 at t0 -62135597040.0 s, before 0001-01-01T00:00:00Z")):
+            resample(columns(ticks), 11.0, "ask")
+
     def test_grid_over_the_cell_budget_is_config_error(self, monkeypatch):
         """Two days of ticks at a 6 ms bucket need 28.8 M cells per instrument.
         The grid is refused before it is built; without the check the patched
@@ -966,12 +977,14 @@ class TestPanelCsv:
         assert np.array_equal(loaded.values, panel.values)
 
     def test_sub_millisecond_t0_survives_round_trip(self, tmp_path):
+        """t0 is kept to the whole microsecond, the resolution of a stamp."""
         panel = SignalPanel(np.arange(8.0).reshape(2, 4) + 1.0, ("a", "b"), 1.0, t0=1_700_000_000.0004)
-        assert panel.t0 == 1_700_000_000.0
+        assert panel.t0 == 1_700_000_000.0004
         path = tmp_path / "panel.csv"
         write_panel_csv(panel, path)
         assert read_panel_csv(path).t0 == panel.t0
-        assert SignalPanel(panel.values, panel.labels, 1.0, t0=-0.0126).t0 == -0.013
+        assert SignalPanel(panel.values, panel.labels, 1.0, t0=1_700_000_000.0000004).t0 == 1_700_000_000.0
+        assert SignalPanel(panel.values, panel.labels, 1.0, t0=-0.0000126).t0 == -0.000013
 
     def test_reader_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -458,6 +458,23 @@ class TestMetricsCsv:
         assert np.array_equal(table.modes, result.modes)
         assert table.entropies.shape == (result.js.size, 3)
 
+    @given(
+        dt=st.sampled_from([1.0, 1 / 3, 1 / 7, 2.5, 1 / 13, 1 / 60_000]),
+        t0_us=st.integers(0, 4_000_000_000_000_000),
+    )
+    @example(dt=1 / 7, t0_us=1_160_000_000_000_000)
+    @settings(max_examples=30, deadline=None)
+    def test_every_window_start_survives_the_file(self, tmp_path_factory, dt, t0_us):
+        """A result read back from its metrics file holds every window start
+        it was written with, so `compare_metric_series` pairs every window."""
+        panel = SignalPanel(np.random.default_rng(9).normal(size=(3, 2000)), ("a", "b", "c"), dt, t0_us / 10**6)
+        result = analyze(panel, AnalysisConfig(width=64, stride=32))
+        path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+        write_metrics_csv(result, path)
+        table = read_metrics_csv(path)
+        assert np.array_equal(table.timestamps, result.timestamps)
+        assert compare_metric_series(result, table).windows == result.js.size == 61
+
     def test_header_records_the_weights(self, tmp_path):
         panel = noise_panel(m=3, length=256, seed=11)
         cfg = AnalysisConfig(width=128, stride=64, weights=(0.8, 0.1, 0.1))
